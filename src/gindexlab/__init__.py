@@ -13,13 +13,13 @@ from .transforms import (CanonicalTransform, CircleDiffeo, ModeMap,
 from .symbols import (CrossedSymbol, EllipticityVerdict, PrincipalSymbol,
                       invert_principal, is_elliptic, star_principal)
 from .quantize import (FullSymbol, LabeledOperator, SemiclassicalSymbol,
-                       assemble, labeled_multiply, op_classical, op_h,
-                       op_h_term, realize)
+                       assemble, op_classical, op_h, op_h_term)
 from .problems import GOperatorProblem
 from .index_engine import (IndexReport, LocalizedIndexReport, calibrate_sign,
                            decomposition_check, index_of_matrix,
                            localized_index, numerical_index, parametrix,
-                           chi_vanishing_check, tr_g, winding_index_oracle)
+                           chi_vanishing_check, tr_g, tr_g_product,
+                           winding_index_oracle)
 from .semiclass import (AlgebraicIndexResult, EgorovReport, LaurentFit,
                         PowerLawReport, SampledTerm, StarSeries, TraceSeries,
                         XiLattice, algebraic_index, default_h_grid, edge_taper,

@@ -13,6 +13,11 @@ Two finite-window facts shape all the numerics here:
   localized trace functional must also be restricted to the inner window;
   parametrix remainders decay away from the zero-section cut, which makes the
   interior trace converge to the infinite-dimensional one as windows grow.
+
+The localized index reads only Tr_g(S1^N) - Tr_g(S2^N).  Its path forms
+S^{N-1} and, on finite groups, traces S^{N-1} S without forming the last
+product (``tr_g_product``); the almost inverse E is built only by
+``parametrix``.
 """
 
 from __future__ import annotations
@@ -153,21 +158,18 @@ def calibrate_sign(k_min: int = 4, windows: tuple = (32, 48, 64)) -> int:
 
 @dataclass
 class ParametrixData:
+    """Full parametrix, built only by :func:`parametrix`; the localized path
+    traces S^{N-1} S directly and never forms E or the remainders."""
+
     E: LabeledOperator                 # almost inverse
     left_remainder: LabeledOperator    # 1 - E A   (= S1^N exactly)
     right_remainder: LabeledOperator   # 1 - A E   (= S2^N exactly)
     order: int
 
 
-def parametrix(A: LabeledOperator, r: CrossedSymbol, N: int = 4,
-               k_min: int = 4, unit_fill: bool = False,
-               prune_tol: float = 1e-13) -> ParametrixData:
-    """Neumann-series almost inverse E = (1 + S1 + ... + S1^{N-1}) E0.
-
-    E0 quantizes the symbol inverse r with the same zero-section convention as
-    A (``unit_fill``); the remainders are exact matrix identities 1 - EA =
-    S1^N and 1 - AE = S2^N (telescoping), no resummation error enters.
-    """
+def _neumann_start(A: LabeledOperator, r: CrossedSymbol, N: int, k_min: int,
+                   unit_fill: bool, prune_tol: float):
+    """E0 = op(r) and the first remainders S1 = 1 - E0 A, S2 = 1 - A E0."""
     if N < 2:
         raise ValueError("parametrix order N must be >= 2")
     real = A.realization
@@ -179,6 +181,20 @@ def parametrix(A: LabeledOperator, r: CrossedSymbol, N: int = 4,
     unit = LabeledOperator.unit(real)
     S1 = (unit - E0.multiply(A)).prune(prune_tol)
     S2 = (unit - A.multiply(E0)).prune(prune_tol)
+    return E0, S1, S2
+
+
+def parametrix(A: LabeledOperator, r: CrossedSymbol, N: int = 4,
+               k_min: int = 4, unit_fill: bool = False,
+               prune_tol: float = 1e-13) -> ParametrixData:
+    """Neumann-series almost inverse E = (1 + S1 + ... + S1^{N-1}) E0.
+
+    E0 quantizes the symbol inverse r with the same zero-section convention as
+    A (``unit_fill``); the remainders are exact matrix identities 1 - EA =
+    S1^N and 1 - AE = S2^N (telescoping), no resummation error enters.
+    """
+    E0, S1, S2 = _neumann_start(A, r, N, k_min, unit_fill, prune_tol)
+    unit = LabeledOperator.unit(A.realization)
     # Horner form of (1 + S1 + ... + S1^{N-1})
     acc = unit
     for _ in range(N - 1):
@@ -189,24 +205,57 @@ def parametrix(A: LabeledOperator, r: CrossedSymbol, N: int = 4,
     return ParametrixData(E, R1, R2, N)
 
 
+def _inner_diagonal(K: np.ndarray, phi, rows: np.ndarray,
+                    C: np.ndarray | None = None) -> np.ndarray:
+    """Entries ``rows`` of diag(K C Phi), C = 1 when None; no product is formed."""
+    if phi.mode_map is not None:
+        mm = phi.mode_map
+        cols = mm._perm()[rows]
+        if C is None:
+            diag = K[rows, cols]
+        else:
+            diag = np.einsum("kj,jk->k", K[rows], C[:, cols])
+        return diag * mm.phases[rows]
+    right = phi.matrix()[:, rows]
+    if C is not None:
+        right = C @ right
+    return np.einsum("kj,jk->k", K[rows], right)
+
+
 def tr_g(X: LabeledOperator, cls: tuple[Element, ...],
          inner_fraction: float = 0.5) -> complex:
     """Localized trace sum_{l in <g>} tr(X_l Phi_l) over the inner window."""
-    window = X.window
-    mask = window.inner_mask(inner_fraction)
+    rows = np.flatnonzero(X.window.inner_mask(inner_fraction))
     total = 0.0 + 0.0j
     for l in cls:
         if l not in X.parts:
             continue
-        Xl = X.parts[l]
-        phi = X.realization.phi(l)
-        if phi.mode_map is not None:
-            mm = phi.mode_map
-            perm = mm._perm()
-            diag = Xl[np.arange(window.dim), perm] * mm.phases
-        else:
-            diag = np.einsum("kl,lk->k", Xl, phi.matrix())
-        total += complex(np.sum(diag[mask]))
+        diag = _inner_diagonal(X.parts[l], X.realization.phi(l), rows)
+        total += complex(np.sum(diag))
+    return total
+
+
+def tr_g_product(X: LabeledOperator, Y: LabeledOperator, cls: tuple[Element, ...],
+                 inner_fraction: float = 0.5) -> complex:
+    """``tr_g(X.multiply(Y), cls)`` without forming the product.
+
+    For each pair gh = l in the class only the inner-window diagonal of
+    K_g conj_g(L_h) Phi_l is read: O(dim^2) when Phi_l is a mode map, one
+    dim x dim x dim/2 product when it is dense.
+    """
+    X._check_compatible(Y)
+    grp = X.group
+    real = X.realization
+    rows = np.flatnonzero(X.window.inner_mask(inner_fraction))
+    total = 0.0 + 0.0j
+    for l in cls:
+        phi_l = real.phi(l)
+        for g in X.support:
+            for h in Y.support:
+                if grp.mul(g, h) != l:
+                    continue
+                conj = real.conjugate(g, Y.parts[h])
+                total += complex(np.sum(_inner_diagonal(X.parts[g], phi_l, rows, conj)))
     return total
 
 
@@ -218,24 +267,57 @@ class LocalizedValue:
     per_window: list[tuple[int, complex]]
 
 
-def _remainders(problem: GOperatorProblem, cutoff: int, N: int,
-                prune_tol: float = 1e-13) -> ParametrixData:
-    key = (cutoff, N, prune_tol)
+@dataclass(frozen=True)
+class _WindowTraces:
+    """Per-element traces Tr_l(S1^N) and Tr_l(S2^N) of one window."""
+
+    left: dict[Element, complex]
+    right: dict[Element, complex]
+
+    def value(self, cls: tuple[Element, ...]) -> complex:
+        """Tr_g(S1^N) - Tr_g(S2^N), summed over the class in tr_g's order."""
+        return (sum((self.left[l] for l in cls if l in self.left), 0j)
+                - sum((self.right[l] for l in cls if l in self.right), 0j))
+
+
+def _power_traces(S: LabeledOperator, N: int, inner_fraction: float,
+                  prune_tol: float) -> dict[Element, complex]:
+    """Tr_l(S^N) for every l in the support of S^N = S^{N-1} S.
+
+    S^{N-1} keeps the left-associated order of ``power``: the graded product
+    through a dense weighted shift is associative only up to truncation.  On
+    a finite group the last product is traced without forming it.  On an
+    infinite group the support grows with every product and the last prune
+    decides which shift classes exist, so S^N is formed there.
+    """
+    head = S.power(N - 1, prune_tol)
+    grp = S.group
+    if not grp.is_finite:
+        full = head.multiply(S).prune(prune_tol)
+        return {l: tr_g(full, (l,), inner_fraction) for l in full.support}
+    support = sorted({grp.mul(g, h) for g in head.support for h in S.support}, key=repr)
+    return {l: tr_g_product(head, S, (l,), inner_fraction) for l in support}
+
+
+def _window_traces(problem: GOperatorProblem, cutoff: int, N: int,
+                   inner_fraction: float, prune_tol: float = 1e-13) -> _WindowTraces:
+    """Remainder traces of one window; only these scalars are cached."""
+    key = (cutoff, N, inner_fraction)
     if key in problem._parametrix_cache:
         return problem._parametrix_cache[key]
     A = problem.operator(cutoff)
-    grid = grid_for_window(A.window)
-    r = problem.principal_inverse(grid)
-    data = parametrix(A, r, N=N, k_min=problem.k_min,
-                      unit_fill=problem.unit_fill, prune_tol=prune_tol)
-    problem._parametrix_cache[key] = data
-    return data
+    r = problem.principal_inverse(grid_for_window(A.window))
+    S1, S2 = _neumann_start(A, r, N, problem.k_min, problem.unit_fill, prune_tol)[1:]
+    del A
+    traces = _WindowTraces(_power_traces(S1, N, inner_fraction, prune_tol),
+                           _power_traces(S2, N, inner_fraction, prune_tol))
+    problem._parametrix_cache[key] = traces
+    return traces
 
 
-def _classes_for(problem: GOperatorProblem, data: ParametrixData) -> list[tuple[Element, ...]]:
+def _classes_for(problem: GOperatorProblem, traces: _WindowTraces) -> list[tuple[Element, ...]]:
     grp = problem.group
-    support = sorted(set(data.left_remainder.support) | set(data.right_remainder.support),
-                     key=repr)
+    support = sorted(set(traces.left) | set(traces.right), key=repr)
     if grp.is_finite:
         return [c for c in grp.conjugacy_classes()
                 if any(l in support for l in c)]
@@ -247,12 +329,8 @@ def localized_index(problem: GOperatorProblem, cls: tuple[Element, ...],
                     inner_fraction: float = 0.5, drift_tol: float = DRIFT_TOL,
                     strict: bool = True) -> LocalizedValue:
     """ind_<g> = Tr_g(1 - EA) - Tr_g(1 - AE), stabilized over the windows."""
-    series = []
-    for cutoff in windows:
-        data = _remainders(problem, cutoff, N)
-        v = tr_g(data.left_remainder, cls, inner_fraction) \
-            - tr_g(data.right_remainder, cls, inner_fraction)
-        series.append((cutoff, v))
+    series = [(cutoff, _window_traces(problem, cutoff, N, inner_fraction).value(cls))
+              for cutoff in windows]
     drift = abs(series[-1][1] - series[-2][1]) if len(series) >= 2 else 0.0
     if strict and drift > drift_tol:
         raise NonStabilized(f"localized index drift {drift:.2e} over windows {windows}")
@@ -289,13 +367,11 @@ def decomposition_check(problem: GOperatorProblem, windows=DEFAULT_WINDOWS,
     per_window_values: dict[tuple, list[tuple[int, complex]]] = {}
     classes = None
     for cutoff in windows:
-        data = _remainders(problem, cutoff, N)
+        traces = _window_traces(problem, cutoff, N, inner_fraction)
         if classes is None:
-            classes = _classes_for(problem, data)
+            classes = _classes_for(problem, traces)
         for cls in classes:
-            v = tr_g(data.left_remainder, cls, inner_fraction) \
-                - tr_g(data.right_remainder, cls, inner_fraction)
-            per_window_values.setdefault(cls, []).append((cutoff, v))
+            per_window_values.setdefault(cls, []).append((cutoff, traces.value(cls)))
     per_class, drifts = {}, {}
     for cls in classes:
         series = per_window_values[cls]

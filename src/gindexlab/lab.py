@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +25,9 @@ from .index_engine import (calibrate_sign, decomposition_check, numerical_index,
                            chi_vanishing_check, winding_index_oracle)
 from .problems import GOperatorProblem
 from .samples import (annulus_term, egorov_curved_term, egorov_isometry_term,
-                      reflection_term, star_consistency_pairs, weyl_test_terms)
+                      reflection_term)
 from .semiclass import (StarSeries, XiLattice, algebraic_index, egorov_defect,
-                        symbol_parametrix_h, tau_g, trace_power_law)
+                        symbol_parametrix_h, trace_power_law)
 from .symbols import is_elliptic
 from .transforms import RealizationFamily
 
@@ -74,6 +74,7 @@ class ExperimentConfig:
     out_dir: str | None
     expect: dict
     name: str
+    _problem: GOperatorProblem | None = field(default=None, repr=False, compare=False)
 
     def family(self) -> RealizationFamily:
         group = build_group(self.group_desc)
@@ -81,13 +82,16 @@ class ExperimentConfig:
         return RealizationFamily(group, kind, eps=float(self.realization_desc.get("eps", 0.0)))
 
     def problem(self) -> GOperatorProblem:
-        fam = self.family()
-        coeffs = {}
-        for label, sheets in self.symbols.items():
-            g = fam.group.parse(label)
-            coeffs[g] = (dict(sheets["plus"]), dict(sheets["minus"]))
-        return GOperatorProblem(fam, coeffs, k_min=self.k_min,
-                                unit_fill=self.unit_fill, name=self.name)
+        """The config's one problem, so every step shares its caches."""
+        if self._problem is None:
+            fam = self.family()
+            coeffs = {}
+            for label, sheets in self.symbols.items():
+                g = fam.group.parse(label)
+                coeffs[g] = (dict(sheets["plus"]), dict(sheets["minus"]))
+            self._problem = GOperatorProblem(fam, coeffs, k_min=self.k_min,
+                                             unit_fill=self.unit_fill, name=self.name)
+        return self._problem
 
     def config_hash(self) -> str:
         semantic = {k: v for k, v in self.raw.items() if k != "out_dir"}
@@ -116,6 +120,14 @@ def _parse_coeff_table(obj, where: str) -> dict[int, complex]:
         else:
             raise SchemaError(f"{where}: coefficient must be a number or [re, im]")
     return out
+
+
+def _check_windows(windows):
+    if (not isinstance(windows, list) or not windows
+            or not all(isinstance(w, int) and not isinstance(w, bool) and w >= 8
+                       for w in windows)):
+        raise SchemaError(f"numerics.windows must be a non-empty list of integers >= 8, "
+                          f"got {windows!r}")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -174,6 +186,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             numerics["tolerances"].update(val)
         else:
             numerics[key] = val
+    _check_windows(numerics["windows"])
     return ExperimentConfig(
         raw=raw,
         group_desc=group_desc,

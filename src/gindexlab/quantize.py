@@ -255,16 +255,9 @@ class LabeledOperator:
         out: dict[Element, np.ndarray] = {}
         for g in self.support:
             K = self.parts[g]
-            phi_g = real.phi(g)
-            phi_ginv = real.phi_inv(g)
             for h in other.support:
-                L = other.parts[h]
-                if phi_g.mode_map is not None:
-                    conj = phi_g.mode_map.conjugate(L)
-                else:
-                    conj = phi_g.left_mul(phi_ginv.right_mul(L))
                 m = grp.mul(g, h)
-                contrib = K @ conj
+                contrib = K @ real.conjugate(g, other.parts[h])
                 out[m] = out[m] + contrib if m in out else contrib
         return LabeledOperator(real, out)
 
@@ -300,11 +293,3 @@ def assemble(realization: Realization, spec: list[tuple[Element, FullSymbol]]) -
         parts[g] = parts[g] + mat if g in parts else mat
     return LabeledOperator(realization, parts)
 
-
-def labeled_multiply(A: LabeledOperator, B: LabeledOperator) -> LabeledOperator:
-    """Module-level alias for :meth:`LabeledOperator.multiply`."""
-    return A.multiply(B)
-
-
-def realize(A: LabeledOperator) -> np.ndarray:
-    return A.realize()

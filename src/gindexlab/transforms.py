@@ -238,11 +238,18 @@ class ModeMap:
         return mat[:, perm] * self.phases[None, :]
 
     def conjugate(self, mat: np.ndarray) -> np.ndarray:
-        """Phi @ mat @ Phi^{-1} (exact, unitary)."""
-        perm = self._perm()
-        core = mat[np.ix_(perm, perm)]
-        p = self.phases[perm]
-        return (p[:, None] * core) * np.conj(p)[None, :]
+        """Phi @ mat @ Phi^{-1} (exact, unitary).
+
+        The permutation is the identity or the reversal, so a view replaces
+        the gather.
+        """
+        if self.sign == 1:
+            core, p = mat, self.phases
+        else:
+            core, p = mat[::-1, ::-1], self.phases[::-1]
+        out = p[:, None] * core
+        out *= np.conj(p)[None, :]
+        return out
 
 
 class QuantizedTransform:
@@ -416,6 +423,13 @@ class Realization:
     def phi_inv(self, g: Element) -> QuantizedTransform:
         """Phi_{g^{-1}} = Phi_g^{-1} (exactly for the isometric families)."""
         return self.phi(self.group.inv(g))
+
+    def conjugate(self, g: Element, mat: np.ndarray) -> np.ndarray:
+        """Phi_g @ mat @ Phi_{g^{-1}}."""
+        phi_g = self.phi(g)
+        if phi_g.mode_map is not None:
+            return phi_g.mode_map.conjugate(mat)
+        return phi_g.left_mul(self.phi_inv(g).right_mul(mat))
 
     def _build(self, g: Element) -> QuantizedTransform:
         fam, w = self.family, self.window

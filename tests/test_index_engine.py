@@ -7,11 +7,11 @@ from gindexlab.groups import build_group
 from gindexlab.index_engine import (calibrate_sign, decomposition_check,
                                     index_of_matrix, localized_index,
                                     numerical_index, parametrix, chi_vanishing_check,
-                                    tr_g, winding_index_oracle)
+                                    tr_g, tr_g_product, winding_index_oracle)
 from gindexlab.problems import GOperatorProblem
 from gindexlab.quantize import LabeledOperator
-from gindexlab.samples import (curved_z2_problem, shift_neumann_problem,
-                               winding_problem, z2_sample)
+from gindexlab.samples import (curved_z2_problem, dihedral_sample,
+                               shift_neumann_problem, winding_problem, z2_sample)
 from gindexlab.symbols import CrossedSymbol, PrincipalSymbol
 from gindexlab.transforms import RealizationFamily
 
@@ -138,6 +138,37 @@ class TestParametrix:
             R1 = data.left_remainder.realize()
             norms.append(np.linalg.norm(R1[np.ix_(band, band)], 2))
         assert norms[0] > norms[1] > norms[2]
+
+
+class TestTraceProduct:
+    @pytest.mark.parametrize("build", [lambda: dihedral_sample(3),
+                                       lambda: curved_z2_problem(eps=0.3)])
+    def test_matches_trace_of_formed_product(self, build):
+        # mode maps (dihedral(3)) and a dense weighted shift (curved, eps = 0.3)
+        p = build()
+        A = p.operator(32)
+        data = parametrix(A, p.principal_inverse(grid_for_window(A.window)),
+                          N=2, k_min=p.k_min)
+        pairs = [(data.left_remainder, data.right_remainder), (data.E, A)]
+        for X, Y in pairs:
+            for cls in p.group.conjugacy_classes():
+                expect = tr_g(X.multiply(Y), cls)
+                assert abs(tr_g_product(X, Y, cls) - expect) < 1e-12
+
+    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("build", [z2_sample, lambda: dihedral_sample(5),
+                                       lambda: curved_z2_problem(eps=0.3)])
+    def test_localized_index_matches_parametrix_remainders(self, build, N):
+        p = build()
+        windows = (32, 48)
+        for cls in p.group.conjugacy_classes():
+            v = localized_index(p, cls, windows, N=N, strict=False)
+            for cutoff, value in v.per_window:
+                A = p.operator(cutoff)
+                data = parametrix(A, p.principal_inverse(grid_for_window(A.window)),
+                                  N=N, k_min=p.k_min)
+                expect = tr_g(data.left_remainder, cls) - tr_g(data.right_remainder, cls)
+                assert abs(value - expect) < 1e-12
 
 
 class TestLocalized:

@@ -65,6 +65,17 @@ class TestConfig:
         with pytest.raises(SchemaError):
             parse_config(bad)
 
+    @pytest.mark.parametrize("windows", [[], "abc", [4, 64], [64.0, 128], [True, 64],
+                                         [64, None]])
+    def test_bad_windows_rejected(self, windows):
+        bad = {**MINIMAL, "numerics": {"windows": windows}}
+        with pytest.raises(SchemaError, match="numerics.windows"):
+            parse_config(bad)
+
+    def test_one_problem_per_config(self):
+        cfg = parse_config(dict(MINIMAL))
+        assert cfg.problem() is cfg.problem()
+
     def test_hash_semantic_only(self):
         a = parse_config(dict(MINIMAL))
         b = parse_config({**MINIMAL, "out_dir": "elsewhere"})

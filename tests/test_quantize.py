@@ -5,8 +5,7 @@ from gindexlab.circle import FrequencyWindow, PeriodicFunction, PeriodicGrid, gr
 from gindexlab.errors import GroupMismatch, WindowTooSmallForH
 from gindexlab.groups import build_group
 from gindexlab.quantize import (FullSymbol, LabeledOperator, SemiclassicalSymbol,
-                                assemble, labeled_multiply, op_classical, op_h,
-                                op_h_term)
+                                assemble, op_classical, op_h, op_h_term)
 from gindexlab.semiclass import SampledTerm, XiLattice
 from gindexlab.transforms import RealizationFamily
 
@@ -115,7 +114,7 @@ class TestLabeled:
 
     def test_realize_homomorphism(self):
         A, B = self.rnd(1), self.rnd(2)
-        lhs = (A @ B).realize()
+        lhs = A.multiply(B).realize()
         rhs = A.realize() @ B.realize()
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.linalg.norm(rhs)
 

@@ -137,6 +137,15 @@ class TestQuantized:
         dense = mm.matrix() @ X @ mm.adjoint().matrix()
         assert np.max(np.abs(mm.conjugate(X) - dense)) < 1e-12
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_mode_map_conjugate_matches_dense_inverse(self, sign):
+        rng = np.random.default_rng(5)
+        mm = ModeMap.affine(W16, sign, 0.41)
+        L = rng.normal(size=(W16.dim, W16.dim)) + 1j * rng.normal(size=(W16.dim, W16.dim))
+        phi = mm.matrix()
+        dense = phi @ L @ np.linalg.inv(phi)
+        assert np.max(np.abs(mm.conjugate(L) - dense)) < 1e-12
+
 
 class TestCurvedShift:
     def test_truncation_defect_decays(self):
