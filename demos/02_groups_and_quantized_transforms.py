@@ -38,8 +38,8 @@ print(f"reflection: base map x -> -x, sheets swap: {C.sheet_swap}")
 hw = RealizationFamily(build_group("integer_shift", theta=0.3), "half_wave")
 Ch = hw.canonical(1)
 x = np.array([1.0])
-print(f"half-wave t=0.3 moves sheet +1 by {float(Ch.base(1, x) - x):+.2f}, "
-      f"sheet -1 by {float(Ch.base(-1, x) - x):+.2f}")
+print(f"half-wave t=0.3 moves sheet +1 by {(Ch.base(1, x) - x)[0]:+.2f}, "
+      f"sheet -1 by {(Ch.base(-1, x) - x)[0]:+.2f}")
 
 # a curved diffeomorphism: phi o R_pi o phi^{-1}, phi(x) = x + 0.3 sin x -----
 

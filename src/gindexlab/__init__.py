@@ -11,9 +11,9 @@ from .transforms import (CanonicalTransform, CircleDiffeo, ModeMap,
                          QuantizedTransform, Realization, RealizationFamily,
                          weighted_shift_matrix)
 from .symbols import (CrossedSymbol, EllipticityVerdict, PrincipalSymbol,
-                      invert_principal, is_elliptic, star_principal)
-from .quantize import (FullSymbol, LabeledOperator, SemiclassicalSymbol,
-                       assemble, op_classical, op_h, op_h_term)
+                      invert_principal, is_elliptic)
+from .quantize import (FullSymbol, LabeledOperator, assemble, op_classical,
+                       op_h_term)
 from .problems import GOperatorProblem
 from .index_engine import (IndexReport, LocalizedIndexReport, calibrate_sign,
                            decomposition_check, index_of_matrix,
@@ -22,7 +22,7 @@ from .index_engine import (IndexReport, LocalizedIndexReport, calibrate_sign,
                            winding_index_oracle)
 from .semiclass import (AlgebraicIndexResult, EgorovReport, LaurentFit,
                         PowerLawReport, SampledTerm, StarSeries, TraceSeries,
-                        XiLattice, algebraic_index, default_h_grid, edge_taper,
+                        XiLattice, algebraic_index, default_h_grid,
                         egorov_defect, laurent_fit, realize_series,
                         symbol_parametrix_h, tau_g, trace_power_law,
                         transport_term, zero_section_cut)

@@ -1,6 +1,6 @@
 """The ``gindex`` command line interface.
 
-    gindex run <config.json> [--out DIR] [--threads N]
+    gindex run <config.json> [--out DIR]
     gindex validate <config.json>
     gindex calibrate-sign [--out DIR]
 
@@ -22,9 +22,6 @@ from .lab import emit_reports, load_config, run
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.threads != 1:
-        print("note: experiments run sequentially; --threads is accepted "
-              "for compatibility and ignored", file=sys.stderr)
     record = run(config)
     out_dir = args.out or config.out_dir or "gindex_out"
     emit_reports(record, out_dir)
@@ -74,7 +71,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.set_defaults(fn=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check a config file")

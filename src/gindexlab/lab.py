@@ -292,14 +292,21 @@ def _exp_index(config: ExperimentConfig):
     return payload, grade
 
 
+def _decomposition(config: ExperimentConfig):
+    """The configured localized decomposition, shared by the localized and
+    algebraic steps so both compare against the same analytic index."""
+    num = config.numerics
+    return decomposition_check(
+        config.problem(), tuple(num["windows"]),
+        N=int(num["parametrix_order"]),
+        inner_fraction=float(num["inner_fraction"]),
+        drift_tol=float(num["tolerances"]["drift"]))
+
+
 def _exp_localized(config: ExperimentConfig):
     problem = config.problem()
     tol = float(config.numerics["tolerances"]["decomposition"])
-    report = decomposition_check(
-        problem, tuple(config.numerics["windows"]),
-        N=int(config.numerics["parametrix_order"]),
-        inner_fraction=float(config.numerics["inner_fraction"]),
-        drift_tol=float(config.numerics["tolerances"]["drift"]))
+    report = _decomposition(config)
     payload = report.as_dict()
     rounded = int(np.rint(report.total.real))
     payload["rounded_total"] = rounded
@@ -334,7 +341,7 @@ def _exp_algebraic(config: ExperimentConfig):
     tols = num["tolerances"]
     series = StarSeries.from_crossed(problem.symbol(grid), lattice, eps, unit_fill=True)
     r = symbol_parametrix_h(series, N)
-    analytic = decomposition_check(problem, tuple(num["windows"]), N=N)
+    analytic = _decomposition(config)
     classes = (fam.group.conjugacy_classes() if fam.group.is_finite
                else fam.group.conjugacy_classes(support=[0]))
     per_class = {}

@@ -13,14 +13,14 @@ holds exactly (all isometric families here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circle import FrequencyWindow, PeriodicFunction, PeriodicGrid
 from .errors import GroupMismatch, WindowMismatch, WindowTooSmallForH
 from .groups import Element
-from .transforms import CanonicalTransform, Realization
+from .transforms import Realization
 
 
 # ---------------------------------------------------------------------------
@@ -63,25 +63,6 @@ class FullSymbol:
         f = PeriodicFunction.constant(grid, c)
         return cls(f, f, 0, k_min, unit_fill)
 
-    def transport(self, C: CanonicalTransform) -> "FullSymbol":
-        """a o C for an isometric transform (|k| is preserved, sheets may swap)."""
-        aff = C.affine_base()
-        if aff is None and C.kind != "halfwave":
-            raise ValueError("FullSymbol transport supports isometric maps only")
-        if C.kind == "halfwave":
-            new_plus = self.plus.compose_affine(1, -C.t)
-            new_minus = self.minus.compose_affine(1, C.t)
-            return replace(self, plus=new_plus, minus=new_minus)
-        sign, shift = aff
-        if sign == 1:
-            return replace(self,
-                           plus=self.plus.compose_affine(1, shift),
-                           minus=self.minus.compose_affine(1, shift))
-        # orientation-reversing: sheets swap and the base map applies to each
-        return replace(self,
-                       plus=self.minus.compose_affine(-1, shift),
-                       minus=self.plus.compose_affine(-1, shift))
-
 
 def op_classical(a: FullSymbol, window: FrequencyWindow) -> np.ndarray:
     """Dense window matrix of the Kohn-Nirenberg quantization of ``a``."""
@@ -114,34 +95,22 @@ def op_classical(a: FullSymbol, window: FrequencyWindow) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# semiclassical symbols (h-graded, sampled in xi)
+# semiclassical terms (sampled in xi)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SemiclassicalSymbol:
-    """Finite sum  sum_j h^j a_j(x, xi)  of sampled xi-profiles.
-
-    Each ``a_j`` is any object with ``grid`` and ``sample(xi) -> (M, len(xi))``
-    (see semiclass.SampledTerm); ``eps`` records the zero-section cut, with
-    eps = 0 admitted for diagnostics that need support at the zero section.
-    """
-
-    terms: list
-    eps: float = 0.0
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.terms[0][1].grid
-
-    def xi_support_radius(self) -> float | None:
-        radii = [t.xi_support_radius() for _, t in self.terms]
-        if any(r is None for r in radii):
-            return None
-        return max(radii)
-
-
 def op_h_term(term, h: float, window: FrequencyWindow) -> np.ndarray:
-    """Dense matrix of one sampled term at semiclassical parameter h."""
+    """Dense matrix of one sampled term at semiclassical parameter h.
+
+    ``term`` is any object with ``grid``, ``sample(xi) -> (M, len(xi))`` and
+    ``xi_support_radius()`` (see semiclass.SampledTerm).  The window must
+    reach the term's xi-support at this h: ``h * N_F >= radius``.
+    """
+    if not (0.0 < h <= 1.0):
+        raise ValueError(f"h must be in (0, 1], got {h}")
+    radius = term.xi_support_radius()
+    if radius is not None and h * window.cutoff < radius:
+        raise WindowTooSmallForH(
+            f"h N_F = {h * window.cutoff:.3f} below xi-support radius {radius:.3f}")
     grid = term.grid
     M = grid.size
     ks = window.modes
@@ -151,20 +120,6 @@ def op_h_term(term, h: float, window: FrequencyWindow) -> np.ndarray:
     rep = np.abs(T) <= M // 2 - 1
     cols = np.broadcast_to(np.arange(window.dim), (window.dim, window.dim))
     out = coeffs[np.mod(T, M), cols] * np.where(rep, 1.0, 0.0)
-    return out
-
-
-def op_h(a: SemiclassicalSymbol, h: float, window: FrequencyWindow) -> np.ndarray:
-    """Quantize  sum_j h^j a_j  at parameter h on the window."""
-    if not (0.0 < h <= 1.0):
-        raise ValueError(f"h must be in (0, 1], got {h}")
-    radius = a.xi_support_radius()
-    if radius is not None and h * window.cutoff < radius:
-        raise WindowTooSmallForH(
-            f"h N_F = {h * window.cutoff:.3f} below xi-support radius {radius:.3f}")
-    out = np.zeros((window.dim, window.dim), dtype=complex)
-    for j, term in a.terms:
-        out += (h ** j) * op_h_term(term, h, window)
     return out
 
 

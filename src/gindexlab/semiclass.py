@@ -6,6 +6,7 @@ is spectral (exact for trigonometric polynomials); the xi direction uses
 4th-order centered differences and order-6 local Lagrange interpolation, with
 an h-independent lattice so that star products stay h-uniform.  Quantized
 transforms enter traces only through their exact mode action
+(``RealizationFamily.mode_map``, the same one the window unitaries use)
 
     Phi e_k = p(k) e_{s k},   tr(op_h(a) Phi) = sum_k p(k) ahat((1-s)k, s h k),
 
@@ -25,8 +26,6 @@ from .errors import (GroupMismatch, IllConditionedFit, NonIsometricAction,
 from .groups import Element
 from .symbols import CrossedSymbol, PrincipalSymbol, invert_principal
 from .transforms import RealizationFamily
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -254,39 +253,9 @@ def zero_section_cut(lattice: XiLattice, eps: float) -> np.ndarray:
     return smooth_step((np.abs(lattice.points) - eps) / eps)
 
 
-def edge_taper(lattice: XiLattice, width: float = 0.4) -> np.ndarray:
-    """Smooth factor that is 1 on |xi| <= radius - width and 0 at the edge.
-
-    Diagnostic symbols built from slowly decaying profiles multiply by this
-    so the lattice carries their full (compact) support.
-    """
-    return smooth_step((lattice.radius - np.abs(lattice.points)) / width)
-
-
 # ---------------------------------------------------------------------------
-# exact mode action of the isometric transforms
+# exact transport of sampled symbols by the isometric actions
 # ---------------------------------------------------------------------------
-
-def mode_action(family: RealizationFamily, g: Element, ks: np.ndarray) -> tuple[int, np.ndarray]:
-    """(sign s, phases p) with Phi_g e_k = p(k) e_{s k}; isometric families only."""
-    if not family.is_isometric:
-        raise NonIsometricAction("curved realizations have no exact mode action")
-    kind = family.kind
-    ks = np.asarray(ks)
-    if kind == "trivial" or g == family.group.identity:
-        return 1, np.ones(ks.shape, dtype=complex)
-    if kind in ("rotation", "curved_rotation"):
-        return 1, np.exp(-1j * ks * family._angle(g))
-    if kind == "reflection":
-        return -1, np.ones(ks.shape, dtype=complex)
-    if kind == "dihedral":
-        j, f = g
-        sgn = -1 if f else 1
-        return sgn, np.exp(-1j * sgn * ks * (TWO_PI * j / family.group.m))
-    if kind == "half_wave":
-        return 1, np.exp(1j * family.group.theta * g * np.abs(ks))
-    raise NonIsometricAction(f"no mode action for realization {kind!r}")
-
 
 def transport_term(term: SampledTerm, family: RealizationFamily, g: Element) -> SampledTerm:
     """term o C_g for the isometric action (exact)."""
@@ -527,7 +496,7 @@ def _term_trace(term: SampledTerm, family: RealizationFamily, l: Element,
                 h: float, k_max: int) -> np.ndarray:
     """Per-mode contributions to tr(op_h(term) Phi_l) = sum_k p(k) ahat((1-s)k, s h k)."""
     ks = np.arange(-k_max, k_max + 1)
-    s, p = mode_action(family, l, ks)
+    s, p = family.mode_map(l, ks)
     if s == 1:
         vals = term.coeff_row(0, h * ks)
     else:

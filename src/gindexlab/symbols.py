@@ -187,11 +187,6 @@ class CrossedSymbol:
         return CrossedSymbol(self.family, out, self.grid)
 
 
-def star_principal(a: CrossedSymbol, b: CrossedSymbol) -> CrossedSymbol:
-    """Module-level alias for :meth:`CrossedSymbol.star`."""
-    return a.star(b)
-
-
 # ---------------------------------------------------------------------------
 # ellipticity
 # ---------------------------------------------------------------------------

@@ -14,7 +14,13 @@ isometric families below).  The quantization is the half-density shift
     (Phi_g u)(x) = |(alpha_g^{-1})'(x)|^{1/2} u(alpha_g^{-1}(x)),
 
 which is unitary on L^2 and reduces to exact diagonal / mode-permutation
-matrices for rotations, reflections and the half-wave flow.
+matrices for rotations, reflections and the half-wave flow.  That exact
+action ``Phi_g e_k = p(k) e_{s k}`` has one source,
+``RealizationFamily.mode_map``: the window unitaries (``ModeMap``) and the
+semiclassical trace functionals both read it, and the symbol transports read
+the same affine data through ``CanonicalTransform.affine_base``.  Elements
+acting by a curved diffeomorphism have no exact action and are quantized as
+a dense weighted shift (``weighted_shift_matrix``).
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import FrequencyWindow, PeriodicFunction, PeriodicGrid
-from .errors import InvalidParameter, NotADiffeo
+from .circle import FrequencyWindow, PeriodicGrid
+from .errors import InvalidParameter, NonIsometricAction, NotADiffeo
 from .groups import Element, GroupSpec
 
 TWO_PI = 2.0 * math.pi
@@ -41,29 +47,30 @@ class CircleDiffeo:
 
     Lifted to R as ``alpha(x) = sign * x + d(x)`` with 2 pi periodic
     displacement d.  Forward/inverse/derivative are vectorized callables so
-    the map can be evaluated exactly on any grid.
+    the map can be evaluated exactly on any grid.  ``affine`` is
+    ``(sign, shift)`` when ``alpha(x) = sign * x + shift`` exactly (the
+    isometries), else None.
     """
 
     def __init__(self, forward: Callable, inverse: Callable, deriv: Callable,
-                 sign: int, order: int | None = None, name: str = ""):
+                 sign: int, affine: tuple[int, float] | None = None):
         self.forward = forward
         self.inverse = inverse
         self.deriv = deriv
         self.sign = sign
-        self.order = order
-        self.name = name
+        self.affine = affine
 
     @classmethod
-    def affine(cls, sign: int, shift: float, order: int | None = None) -> "CircleDiffeo":
+    def affine(cls, sign: int, shift: float) -> "CircleDiffeo":
         if sign not in (1, -1):
             raise InvalidParameter("affine circle map needs sign +-1")
         fwd = lambda x: sign * np.asarray(x, dtype=float) + shift
         inv = lambda y: sign * (np.asarray(y, dtype=float) - shift)
         der = lambda x: np.full_like(np.asarray(x, dtype=float), float(sign))
-        return cls(fwd, inv, der, sign, order=order, name=f"affine({sign:+d},{shift:.6g})")
+        return cls(fwd, inv, der, sign, affine=(sign, shift))
 
     @classmethod
-    def conjugated_rotation(cls, angle: float, eps: float, order: int | None = None) -> "CircleDiffeo":
+    def conjugated_rotation(cls, angle: float, eps: float) -> "CircleDiffeo":
         """phi o R_angle o phi^{-1} with phi(x) = x + eps sin x (eps < 1)."""
         if not (0.0 <= eps < 1.0):
             raise NotADiffeo(f"conjugating map needs eps in [0, 1), got {eps}")
@@ -92,12 +99,7 @@ class CircleDiffeo:
             u = phi_inv(x)
             return phi_der(u + angle) / phi_der(u)
 
-        return cls(fwd, inv, der, sign=1, order=order,
-                   name=f"conj_rot({angle:.6g},eps={eps:.3g})")
-
-    @property
-    def is_isometry(self) -> bool:
-        return self.name.startswith("affine")
+        return cls(fwd, inv, der, sign=1)
 
     def check(self, grid: PeriodicGrid, tol: float = 1e-10):
         """Verify alpha o alpha^{-1} = id and derivative positivity on the grid."""
@@ -108,10 +110,6 @@ class CircleDiffeo:
         d = self.deriv(x) * self.sign
         if np.min(d) <= 0:
             raise NotADiffeo("derivative changes sign on the grid")
-
-    def displacement(self, grid: PeriodicGrid) -> PeriodicFunction:
-        x = grid.nodes
-        return PeriodicFunction(grid, self.forward(x) - self.sign * x)
 
 
 # ---------------------------------------------------------------------------
@@ -144,30 +142,22 @@ class CanonicalTransform:
             return self.diffeo.forward(x)
         return np.asarray(x, dtype=float) - sheet * self.t
 
-    def fiber_scale(self, sheet: int, x: np.ndarray) -> np.ndarray:
-        """|xi| scale factor at source point (C(x, xi) has |xi'| = scale * |xi|)."""
-        if self.kind == "diffeo":
-            return 1.0 / np.abs(self.diffeo.deriv(x))
-        return np.ones_like(np.asarray(x, dtype=float))
-
     def affine_base(self) -> tuple[int, float] | None:
         """(sign, shift) when the base map is exactly affine, else None."""
         if self.kind == "halfwave":
             return None
-        if self.diffeo.is_isometry:
-            shift = float(self.diffeo.forward(np.zeros(1))[0])
-            return self.diffeo.sign, shift
-        return None
+        return self.diffeo.affine
 
     def inverse(self) -> "CanonicalTransform":
         if self.kind == "halfwave":
             return CanonicalTransform("halfwave", t=-self.t)
         d = self.diffeo
+        if d.affine is not None:
+            sign, shift = d.affine
+            return CanonicalTransform("diffeo", diffeo=CircleDiffeo.affine(sign, -sign * shift))
         inv = CircleDiffeo(d.inverse, d.forward,
                            lambda x, _d=d: 1.0 / _d.deriv(_d.inverse(x)),
-                           d.sign, order=d.order, name=d.name + "^-1"
-                           if not d.name.startswith("affine") else
-                           f"affine({d.sign:+d},{-d.sign * float(d.forward(np.zeros(1))[0]):.6g})")
+                           d.sign)
         return CanonicalTransform("diffeo", diffeo=inv)
 
 
@@ -188,21 +178,6 @@ class ModeMap:
         self.phases = np.asarray(phases, dtype=complex)
         if self.phases.shape != (window.dim,):
             raise ValueError("phase vector does not match window")
-
-    @classmethod
-    def identity(cls, window: FrequencyWindow) -> "ModeMap":
-        return cls(window, 1, np.ones(window.dim, dtype=complex))
-
-    @classmethod
-    def affine(cls, window: FrequencyWindow, sign: int, shift: float) -> "ModeMap":
-        """Quantization of u -> u o alpha^{-1} for alpha(x) = sign x + shift."""
-        k = window.modes
-        return cls(window, sign, np.exp(-1j * sign * k * shift))
-
-    @classmethod
-    def half_wave(cls, window: FrequencyWindow, t: float) -> "ModeMap":
-        k = window.modes
-        return cls(window, 1, np.exp(1j * t * np.abs(k)))
 
     def _perm(self) -> np.ndarray:
         n = self.window.cutoff
@@ -260,19 +235,11 @@ class QuantizedTransform:
     truncation; the inner-window unitarity defect is recorded).
     """
 
-    def __init__(self, element: Element, window: FrequencyWindow, tag: str,
-                 mode_map: ModeMap | None = None, dense: np.ndarray | None = None,
+    def __init__(self, mode_map: ModeMap | None = None, dense: np.ndarray | None = None,
                  truncation_defect: float | None = None):
-        self.element = element
-        self.window = window
-        self.tag = tag
         self.mode_map = mode_map
         self._dense = dense
         self.truncation_defect = truncation_defect
-
-    @property
-    def is_exact(self) -> bool:
-        return self.mode_map is not None
 
     def matrix(self) -> np.ndarray:
         if self.mode_map is not None:
@@ -331,6 +298,14 @@ class RealizationFamily:
     * ``dihedral``         : dihedral(m) by x -> (-1)^f x + 2 pi j / m
     * ``curved_rotation``  : cyclic(m) by phi o R_{2 pi j/m} o phi^{-1}, phi = x + eps sin x
     * ``half_wave``        : integer_shift(t) by exp(i n t |D|)
+
+    ``mode_map`` is the one exact mode action ``Phi_g e_k = p(k) e_{s k}``;
+    window unitaries and trace functionals both read it.  A new kind is one
+    row of the validity table in ``_validate`` plus one branch: in ``diffeo``
+    for a circle-map kind (an affine map gets its mode action and its
+    symbol transports from ``CircleDiffeo.affine``, any other map is
+    quantized as a dense weighted shift), or in ``mode_map`` and
+    ``canonical`` for a flow with no base map, like ``half_wave``.
     """
 
     def __init__(self, group: GroupSpec, kind: str, eps: float = 0.0):
@@ -374,21 +349,36 @@ class RealizationFamily:
     def diffeo(self, g: Element) -> CircleDiffeo:
         k = self.kind
         if k in ("trivial",):
-            return CircleDiffeo.affine(1, 0.0, order=1)
+            return CircleDiffeo.affine(1, 0.0)
         if k == "rotation":
-            return CircleDiffeo.affine(1, self._angle(g), order=self.group.element_order(g))
+            return CircleDiffeo.affine(1, self._angle(g))
         if k == "reflection":
-            return CircleDiffeo.affine(-1 if g == 1 else 1, 0.0, order=2 if g == 1 else 1)
+            return CircleDiffeo.affine(-1 if g == 1 else 1, 0.0)
         if k == "dihedral":
             j, f = g
-            return CircleDiffeo.affine(-1 if f else 1, TWO_PI * j / self.group.m,
-                                       order=self.group.element_order(g))
+            return CircleDiffeo.affine(-1 if f else 1, TWO_PI * j / self.group.m)
         if k == "curved_rotation":
-            if g == 0:
-                return CircleDiffeo.affine(1, 0.0, order=1)
-            return CircleDiffeo.conjugated_rotation(self._angle(g), self.eps,
-                                                    order=self.group.element_order(g))
+            if g == 0 or self.eps == 0.0:
+                return CircleDiffeo.affine(1, self._angle(g))
+            return CircleDiffeo.conjugated_rotation(self._angle(g), self.eps)
         raise InvalidParameter(f"half_wave has no underlying circle diffeomorphism")
+
+    def mode_map(self, g: Element, ks: np.ndarray) -> tuple[int, np.ndarray]:
+        """(sign s, phases p) with Phi_g e_k = p(k) e_{s k} for the modes ``ks``.
+
+        Raises NonIsometricAction for elements acting by a curved
+        diffeomorphism, which have no exact mode action.
+        """
+        ks = np.asarray(ks)
+        if g == self.group.identity:
+            return 1, np.ones(ks.shape, dtype=complex)
+        if self.kind == "half_wave":
+            return 1, np.exp(1j * self.group.theta * g * np.abs(ks))
+        affine = self.diffeo(g).affine
+        if affine is None:
+            raise NonIsometricAction("curved realizations have no exact mode action")
+        sign, shift = affine
+        return sign, np.exp(-1j * sign * ks * shift)
 
     def canonical(self, g: Element) -> CanonicalTransform:
         if self.kind == "half_wave":
@@ -403,7 +393,7 @@ class Realization:
     """A RealizationFamily instantiated on a fixed Fourier window; caches Phi_g."""
 
     def __init__(self, family: RealizationFamily, window: FrequencyWindow):
-        if family.kind == "curved_rotation" and family.eps > 0:
+        if not family.is_isometric:
             window.require(8)
         self.family = family
         self.group = family.group
@@ -433,31 +423,10 @@ class Realization:
 
     def _build(self, g: Element) -> QuantizedTransform:
         fam, w = self.family, self.window
-        k = fam.kind
-        if g == self.group.identity:
-            return QuantizedTransform(g, w, "identity", mode_map=ModeMap.identity(w))
-        if k == "rotation":
-            return QuantizedTransform(g, w, "rotation",
-                                      mode_map=ModeMap.affine(w, 1, fam._angle(g)))
-        if k == "reflection":
-            return QuantizedTransform(g, w, "reflection", mode_map=ModeMap.affine(w, -1, 0.0))
-        if k == "dihedral":
-            j, f = g
-            mm = ModeMap.affine(w, -1 if f else 1, TWO_PI * j / self.group.m)
-            return QuantizedTransform(g, w, "reflection" if f else "rotation", mode_map=mm)
-        if k == "half_wave":
-            return QuantizedTransform(g, w, "half_wave",
-                                      mode_map=ModeMap.half_wave(w, self.group.theta * g))
-        if k == "curved_rotation":
-            if fam.eps == 0.0:
-                return QuantizedTransform(g, w, "rotation",
-                                          mode_map=ModeMap.affine(w, 1, fam._angle(g)))
-            diff = fam.diffeo(g)
-            dense = weighted_shift_matrix(diff, w)
-            defect = _inner_unitarity_defect(dense, w)
-            return QuantizedTransform(g, w, "weighted_diffeo_shift",
-                                      dense=dense, truncation_defect=defect)
-        raise InvalidParameter(f"cannot quantize kind {k!r}")
+        if fam.is_isometric or g == self.group.identity:
+            return QuantizedTransform(mode_map=ModeMap(w, *fam.mode_map(g, w.modes)))
+        dense = weighted_shift_matrix(fam.diffeo(g), w)
+        return QuantizedTransform(dense=dense, truncation_defect=_inner_unitarity_defect(dense, w))
 
 
 def _inner_unitarity_defect(dense: np.ndarray, window: FrequencyWindow) -> float:

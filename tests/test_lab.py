@@ -103,6 +103,20 @@ class TestRun:
         assert record.verdicts["index"] == "FAIL"
         assert record.exit_code == 1
 
+    def test_algebraic_step_uses_configured_decomposition(self):
+        cfg = {
+            "group": {"kind": "cyclic", "m": 2},
+            "realization": {"kind": "reflection"},
+            "symbols": {"e": {"plus": {"0": 2.0}, "minus": {"1": 2.0}},
+                        "r": {"plus": {"0": 1.0}, "minus": {"0": 1.0}}},
+            "experiment": "full_pipeline",
+            "numerics": {"windows": [32, 48], "inner_fraction": 0.4},
+        }
+        payloads = run(parse_config(cfg)).payloads
+        localized = payloads["localized"]["per_class"]
+        for label, entry in payloads["algebraic"]["per_class"].items():
+            assert entry["analytic_index"] == localized[label]
+
     def test_undecided_ellipticity(self):
         cfg = {
             "group": {"kind": "integer_shift", "theta": 1.0},

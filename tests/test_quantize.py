@@ -4,9 +4,10 @@ import pytest
 from gindexlab.circle import FrequencyWindow, PeriodicFunction, PeriodicGrid, grid_for_window
 from gindexlab.errors import GroupMismatch, WindowTooSmallForH
 from gindexlab.groups import build_group
-from gindexlab.quantize import (FullSymbol, LabeledOperator, SemiclassicalSymbol,
-                                assemble, op_classical, op_h, op_h_term)
+from gindexlab.quantize import (FullSymbol, LabeledOperator, assemble, op_classical,
+                                op_h_term)
 from gindexlab.semiclass import SampledTerm, XiLattice
+from gindexlab.symbols import PrincipalSymbol
 from gindexlab.transforms import RealizationFamily
 
 W = FrequencyWindow(16)
@@ -85,7 +86,8 @@ class TestEgorovTransport:
         els = f.group.elements() if f.group.is_finite else [1, -1, 2]
         for g in els:
             conj = R.phi(g).mode_map.conjugate(A)
-            target = op_classical(sym.transport(f.canonical(f.group.inv(g))), W)
+            moved = PrincipalSymbol(sym.plus, sym.minus).transport(f.canonical(f.group.inv(g)))
+            target = op_classical(FullSymbol.from_principal(moved, k_min=sym.k_min), W)
             assert np.max(np.abs((conj - target)[np.ix_(mask, mask)])) < 1e-10
 
 
@@ -159,19 +161,17 @@ class TestOpH:
     def test_unit_like_multiplier(self):
         term = SampledTerm.from_callable(self.grid, self.lat,
                                          lambda X, XI: np.ones_like(X), "clamp")
-        sym = SemiclassicalSymbol([(0, term)], eps=0.0)
         for h in (0.1, 0.05):
-            mat = op_h(sym, h, W)
+            mat = op_h_term(term, h, W)
             assert np.max(np.abs(mat - np.eye(W.dim))) < 1e-12
 
     def test_bump_multiplier_diagonal(self):
         chi = lambda XI: np.exp(-((XI - 1.5) / 0.3) ** 2) * (XI > 0.5) * (XI < 2.5)
         term = SampledTerm.from_callable(self.grid, self.lat,
                                          lambda X, XI: chi(XI) * np.ones_like(X))
-        sym = SemiclassicalSymbol([(0, term)], eps=0.5)
         h = 0.1
         w = FrequencyWindow(30)
-        mat = op_h(sym, h, w)
+        mat = op_h_term(term, h, w)
         off = mat - np.diag(np.diag(mat))
         assert np.max(np.abs(off)) < 1e-12
         assert np.max(np.abs(np.diag(mat) - chi(h * w.modes))) < 1e-8
@@ -181,18 +181,19 @@ class TestOpH:
         chi = lambda XI: np.exp(-((XI - 1.5) / 0.4) ** 2) * (np.abs(XI) < 2.9)
         term = SampledTerm.from_callable(self.grid, self.lat,
                                          lambda X, XI: np.exp(1j * X) * chi(XI))
-        sym = SemiclassicalSymbol([(0, term)], eps=0.5)
         for h in (0.1, 0.05):
             w = FrequencyWindow(int(np.ceil(3.2 / h)))
-            norm = np.linalg.norm(op_h(sym, h, w), 2)
+            norm = np.linalg.norm(op_h_term(term, h, w), 2)
             assert abs(norm - 1.0) < 1e-6
 
     def test_window_too_small(self):
         term = SampledTerm.from_callable(self.grid, self.lat,
                                          lambda X, XI: np.exp(-XI ** 2) * np.ones_like(X))
-        sym = SemiclassicalSymbol([(0, term)], eps=0.0)
         with pytest.raises(WindowTooSmallForH):
-            op_h(sym, 0.01, FrequencyWindow(16))
+            op_h_term(term, 0.01, FrequencyWindow(16))
+        for h in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                op_h_term(term, h, FrequencyWindow(16))
 
 
 class TestTraceConvergence:

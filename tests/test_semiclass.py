@@ -87,7 +87,9 @@ class TestStarProduct:
             AB = A.star(B, N)
             defects = []
             for h in H_DIAG:
-                w = FrequencyWindow(int(np.ceil(3.2 / h)) + 4)
+                # the window must reach the lattice edge, where the products'
+                # Gaussian tails still exceed the support threshold
+                w = FrequencyWindow(int(np.ceil(LAT.radius / h)) + 4)
                 lhs = realize_series(A, h, w) @ realize_series(B, h, w)
                 rhs = realize_series(AB, h, w)
                 defects.append(np.linalg.norm(lhs - rhs, 2))
@@ -98,6 +100,16 @@ class TestStarProduct:
         curved = RealizationFamily(build_group("cyclic", m=2), "curved_rotation", eps=0.3)
         with pytest.raises(NonIsometricAction):
             StarSeries(curved, GRID, LAT, 0.25, {})
+
+    def test_curved_eps_zero_is_rotation(self):
+        flat = RealizationFamily(build_group("cyclic", m=3), "curved_rotation", eps=0.0)
+        rot = fam("cyclic", "rotation", m=3)
+        term = annulus_term(GRID, LAT)
+        prods = [StarSeries(f, GRID, LAT, 0.25, {(1, 0): term}).star(
+                     StarSeries(f, GRID, LAT, 0.25, {(2, 0): term}), 2) for f in (flat, rot)]
+        assert prods[0].terms.keys() == prods[1].terms.keys()
+        for key, t in prods[1].terms.items():
+            assert np.array_equal(prods[0].terms[key].values, t.values)
 
 
 class TestSymbolParametrix:

@@ -5,7 +5,7 @@ from gindexlab.circle import PeriodicGrid
 from gindexlab.errors import GroupMismatch, NotElliptic
 from gindexlab.groups import build_group
 from gindexlab.symbols import (CrossedSymbol, PrincipalSymbol, invert_principal,
-                               is_elliptic, star_principal, _regular_rep_tensor)
+                               is_elliptic, _regular_rep_tensor)
 from gindexlab.transforms import RealizationFamily
 
 GRID = PeriodicGrid(256)
@@ -191,7 +191,7 @@ class TestInversion:
             r = invert_principal(a)
             a_fine = a.resampled(r.grid)
             unit = CrossedSymbol.unit(f, r.grid)
-            assert (star_principal(a_fine, r) - unit).norm_inf() < 1e-8
+            assert (a_fine.star(r) - unit).norm_inf() < 1e-8
         elif not verdict.is_elliptic:
             with pytest.raises(NotElliptic):
                 invert_principal(a)
@@ -203,4 +203,4 @@ class TestInversion:
                 return
             a_fine = a.resampled(r.grid)
             unit = CrossedSymbol.unit(f, r.grid)
-            assert (star_principal(a_fine, r) - unit).norm_inf() < 1e-8
+            assert (a_fine.star(r) - unit).norm_inf() < 1e-8

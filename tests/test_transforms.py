@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gindexlab.circle import FrequencyWindow, PeriodicGrid
-from gindexlab.errors import InvalidParameter, NotADiffeo
+from gindexlab.errors import InvalidParameter, NonIsometricAction, NotADiffeo
 from gindexlab.groups import build_group
 from gindexlab.transforms import (CircleDiffeo, ModeMap, RealizationFamily,
                                   weighted_shift_matrix)
@@ -69,6 +69,18 @@ class TestCanonical:
         x = np.linspace(0, 2 * np.pi, 11)
         assert np.max(np.abs(Ci.base(1, C.base(1, x)) - x)) < 1e-10
 
+    @pytest.mark.parametrize("g", [(1, 1), (2, 0)])
+    def test_affine_inverse(self, g):
+        fam = family("dihedral", "dihedral", m=3)
+        C = fam.canonical(g)
+        Ci = C.inverse()
+        sign, shift = C.affine_base()
+        assert Ci.affine_base() == (sign, -sign * shift)
+        x = np.linspace(0, 2 * np.pi, 11)
+        for s in (1, -1):
+            y = Ci.base(C.sheet_after(s), C.base(s, x))
+            assert np.max(np.abs(np.exp(1j * y) - np.exp(1j * x))) < 1e-12
+
 
 class TestDiffeo:
     def test_affine_round_trip(self):
@@ -76,10 +88,10 @@ class TestDiffeo:
         d.check(PeriodicGrid(64))
 
     def test_conjugated_rotation_is_diffeo(self):
-        d = CircleDiffeo.conjugated_rotation(np.pi, 0.3, order=2)
+        d = CircleDiffeo.conjugated_rotation(np.pi, 0.3)
         d.check(PeriodicGrid(256))
         x = PeriodicGrid(256).nodes
-        # declared finite order: two-fold composition is the identity mod 2 pi
+        # rotation by pi has order 2: two-fold composition is the identity mod 2 pi
         twice = d.forward(d.forward(x))
         assert np.max(np.abs(np.exp(1j * twice) - np.exp(1j * x))) < 1e-8
 
@@ -132,7 +144,7 @@ class TestQuantized:
 
     def test_mode_map_conjugate_matches_dense(self):
         rng = np.random.default_rng(4)
-        mm = ModeMap.affine(W16, -1, 0.77)
+        mm = ModeMap(W16, -1, np.exp(1j * W16.modes * 0.77))
         X = rng.normal(size=(W16.dim, W16.dim)) + 1j * rng.normal(size=(W16.dim, W16.dim))
         dense = mm.matrix() @ X @ mm.adjoint().matrix()
         assert np.max(np.abs(mm.conjugate(X) - dense)) < 1e-12
@@ -140,11 +152,33 @@ class TestQuantized:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_mode_map_conjugate_matches_dense_inverse(self, sign):
         rng = np.random.default_rng(5)
-        mm = ModeMap.affine(W16, sign, 0.41)
+        mm = ModeMap(W16, sign, np.exp(-1j * sign * W16.modes * 0.41))
         L = rng.normal(size=(W16.dim, W16.dim)) + 1j * rng.normal(size=(W16.dim, W16.dim))
         phi = mm.matrix()
         dense = phi @ L @ np.linalg.inv(phi)
         assert np.max(np.abs(mm.conjugate(L) - dense)) < 1e-12
+
+
+    @pytest.mark.parametrize("kind,real,m,theta", [
+        ("cyclic", "rotation", 5, 0.0),
+        ("integer_shift", "rotation", 1, 0.7),
+        ("cyclic", "reflection", 2, 0.0),
+        ("dihedral", "dihedral", 3, 0.0),
+        ("cyclic", "curved_rotation", 3, 0.0)])
+    def test_mode_map_matches_quadrature_shift(self, kind, real, m, theta):
+        # the mode action read by the traces is the quadrature definition
+        # of u -> u o alpha^{-1}
+        fam = family(kind, real, m=m, theta=theta)
+        els = fam.group.elements() if fam.group.is_finite else [-2, -1, 0, 1, 2]
+        for g in els:
+            exact = ModeMap(W16, *fam.mode_map(g, W16.modes)).matrix()
+            dense = weighted_shift_matrix(fam.diffeo(g), W16)
+            assert np.max(np.abs(exact - dense)) < 1e-12
+
+    def test_curved_mode_map_refused(self):
+        fam = family("cyclic", "curved_rotation", m=2, eps=0.3)
+        with pytest.raises(NonIsometricAction):
+            fam.mode_map(1, W16.modes)
 
 
 class TestCurvedShift:
