@@ -31,7 +31,7 @@ print("the cokernel moves with w, and the index equals the winding difference.")
 
 # indices are log-additive under composition
 pa, pb = winding_problem(2), winding_problem(-1)
-prod = pa.operator(128) @ pb.operator(128)
+prod = pa.operator(128).multiply(pb.operator(128))
 from gindexlab import index_of_matrix
 data = index_of_matrix(prod.realize(), prod.window)
 print(f"\nindex(A_2 A_(-1)) = {data.index:+d} = 2 + (-1)")

@@ -18,6 +18,11 @@ The localized index reads only Tr_g(S1^N) - Tr_g(S2^N).  Its path forms
 S^{N-1} and, on finite groups, traces S^{N-1} S without forming the last
 product (``tr_g_product``); the almost inverse E is built only by
 ``parametrix``.
+
+A sweep takes at least two strictly increasing windows (drifts compare the
+last two).  Each problem caches a window's SVD data (``_window_index``) and
+remainder traces (``_window_traces``) per numerics, so every check on one
+problem computes each window once.
 """
 
 from __future__ import annotations
@@ -37,8 +42,13 @@ from .problems import GOperatorProblem
 
 GAP_REQUIREMENT = 1e3
 DEFAULT_ZERO_TOL = 1e-8
-DEFAULT_WINDOWS = (64, 128, 256)
 DRIFT_TOL = 1e-3
+
+
+def _require_windows(windows):
+    if len(windows) < 2 or any(a >= b for a, b in zip(windows, windows[1:])):
+        raise ValueError(f"a window sweep needs at least two strictly increasing "
+                         f"cutoffs, got {tuple(windows)}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +121,12 @@ def index_of_matrix(mat: np.ndarray, window: FrequencyWindow,
     return WindowIndexData(window.cutoff, ker - coker, ker, coker, float(gap), resid)
 
 
-def numerical_index(problem: GOperatorProblem, windows=DEFAULT_WINDOWS,
+def numerical_index(problem: GOperatorProblem, windows,
                     zero_tol: float = DEFAULT_ZERO_TOL,
                     inner_fraction: float = 0.5) -> IndexReport:
     """Stabilized Fredholm index over an increasing window schedule."""
-    rows = []
-    for cutoff in windows:
-        FrequencyWindow(cutoff).require(8)
-        A = problem.operator(cutoff)
-        rows.append(index_of_matrix(A.realize(), A.window, zero_tol, inner_fraction))
+    _require_windows(windows)
+    rows = [_window_index(problem, cutoff, zero_tol, inner_fraction) for cutoff in windows]
     if all(r.sv_gap < GAP_REQUIREMENT for r in rows):
         raise NoSpectralGap(
             f"sv_gap below {GAP_REQUIREMENT:g} at every window: "
@@ -164,7 +171,6 @@ class ParametrixData:
     E: LabeledOperator                 # almost inverse
     left_remainder: LabeledOperator    # 1 - E A   (= S1^N exactly)
     right_remainder: LabeledOperator   # 1 - A E   (= S2^N exactly)
-    order: int
 
 
 def _neumann_start(A: LabeledOperator, r: CrossedSymbol, N: int, k_min: int,
@@ -202,7 +208,7 @@ def parametrix(A: LabeledOperator, r: CrossedSymbol, N: int = 4,
     E = acc.multiply(E0).prune(prune_tol)
     R1 = S1.power(N, prune_tol)
     R2 = S2.power(N, prune_tol)
-    return ParametrixData(E, R1, R2, N)
+    return ParametrixData(E, R1, R2)
 
 
 def _inner_diagonal(K: np.ndarray, phi, rows: np.ndarray,
@@ -299,6 +305,18 @@ def _power_traces(S: LabeledOperator, N: int, inner_fraction: float,
     return {l: tr_g_product(head, S, (l,), inner_fraction) for l in support}
 
 
+def _window_index(problem: GOperatorProblem, cutoff: int, zero_tol: float,
+                  inner_fraction: float) -> WindowIndexData:
+    """SVD index data of one window; each window's SVD runs once per numerics."""
+    key = (cutoff, zero_tol, inner_fraction)
+    if key not in problem._index_cache:
+        FrequencyWindow(cutoff).require(8)
+        A = problem.operator(cutoff)
+        problem._index_cache[key] = index_of_matrix(A.realize(), A.window, zero_tol,
+                                                    inner_fraction)
+    return problem._index_cache[key]
+
+
 def _window_traces(problem: GOperatorProblem, cutoff: int, N: int,
                    inner_fraction: float, prune_tol: float = 1e-13) -> _WindowTraces:
     """Remainder traces of one window; only these scalars are cached."""
@@ -325,15 +343,17 @@ def _classes_for(problem: GOperatorProblem, traces: _WindowTraces) -> list[tuple
 
 
 def localized_index(problem: GOperatorProblem, cls: tuple[Element, ...],
-                    windows=DEFAULT_WINDOWS, N: int = 4,
+                    windows, N: int = 4,
                     inner_fraction: float = 0.5, drift_tol: float = DRIFT_TOL,
                     strict: bool = True) -> LocalizedValue:
     """ind_<g> = Tr_g(1 - EA) - Tr_g(1 - AE), stabilized over the windows."""
+    _require_windows(windows)
     series = [(cutoff, _window_traces(problem, cutoff, N, inner_fraction).value(cls))
               for cutoff in windows]
-    drift = abs(series[-1][1] - series[-2][1]) if len(series) >= 2 else 0.0
+    drift = abs(series[-1][1] - series[-2][1])
     if strict and drift > drift_tol:
-        raise NonStabilized(f"localized index drift {drift:.2e} over windows {windows}")
+        raise NonStabilized(f"class {class_label(problem, cls)} drift {drift:.2e} "
+                            f"over windows {tuple(windows)}")
     return LocalizedValue(cls, series[-1][1], drift, series)
 
 
@@ -359,48 +379,40 @@ def class_label(problem: GOperatorProblem, cls: tuple[Element, ...]) -> str:
     return "<" + problem.group.label(cls[0]) + ">"
 
 
-def decomposition_check(problem: GOperatorProblem, windows=DEFAULT_WINDOWS,
-                        N: int = 4, inner_fraction: float = 0.5,
-                        drift_tol: float = DRIFT_TOL,
+def decomposition_check(problem: GOperatorProblem, windows, N: int = 4,
+                        inner_fraction: float = 0.5, drift_tol: float = DRIFT_TOL,
+                        zero_tol: float = DEFAULT_ZERO_TOL,
                         index_windows=None) -> LocalizedIndexReport:
-    """Compare sum of localized indices against the SVD Fredholm index."""
-    per_window_values: dict[tuple, list[tuple[int, complex]]] = {}
-    classes = None
-    for cutoff in windows:
-        traces = _window_traces(problem, cutoff, N, inner_fraction)
-        if classes is None:
-            classes = _classes_for(problem, traces)
-        for cls in classes:
-            per_window_values.setdefault(cls, []).append((cutoff, traces.value(cls)))
-    per_class, drifts = {}, {}
-    for cls in classes:
-        series = per_window_values[cls]
-        label = class_label(problem, cls)
-        per_class[label] = series[-1][1]
-        drift = abs(series[-1][1] - series[-2][1]) if len(series) >= 2 else 0.0
-        drifts[label] = drift
-        if drift > drift_tol:
-            raise NonStabilized(f"class {label} drift {drift:.2e}")
+    """Compare the sum of localized indices against the SVD Fredholm index.
+
+    The classes are those the first window's remainder traces touch.
+    """
+    _require_windows(windows)
+    classes = _classes_for(problem, _window_traces(problem, windows[0], N, inner_fraction))
+    values = [localized_index(problem, cls, windows, N, inner_fraction, drift_tol)
+              for cls in classes]
+    per_class = {class_label(problem, v.cls): v.value for v in values}
+    drifts = {class_label(problem, v.cls): v.drift for v in values}
     total = sum(per_class.values())
-    report = numerical_index(problem, index_windows or windows)
+    report = numerical_index(problem, index_windows or windows, zero_tol, inner_fraction)
     residual = abs(total - report.index)
     return LocalizedIndexReport(per_class, total, report.index, residual, drifts)
 
 
 @dataclass
 class ChiVanishingReport:
-    element: Element
     chi_value: int
     value: complex
     ok: bool
 
 
-def chi_vanishing_check(problem: GOperatorProblem, g0: Element, windows=DEFAULT_WINDOWS,
-                N: int = 4, tol: float = 1e-3) -> ChiVanishingReport:
+def chi_vanishing_check(problem: GOperatorProblem, g0: Element, windows, N: int = 4,
+                        inner_fraction: float = 0.5, drift_tol: float = DRIFT_TOL,
+                        tol: float = 1e-3) -> ChiVanishingReport:
     """Vanishing of ind_<g0> when an integer homomorphism has chi(g0) != 0."""
     grp = problem.group
     if not grp.has_nonzero_chi or grp.chi(g0) == 0:
         raise NoHomomorphism(f"no homomorphism with chi({grp.label(g0)}) != 0")
     cls = grp.conjugacy_class(g0)
-    value = localized_index(problem, cls, windows, N=N).value
-    return ChiVanishingReport(g0, grp.chi(g0), value, abs(value) < tol)
+    value = localized_index(problem, cls, windows, N, inner_fraction, drift_tol).value
+    return ChiVanishingReport(grp.chi(g0), value, abs(value) < tol)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__ as VERSION
 from .circle import PeriodicGrid, grid_for_window, FrequencyWindow
-from .errors import GIndexError, IoError, NoHomomorphism, ParseError, SchemaError
+from .errors import GIndexError, IoError, ParseError, SchemaError
 from .groups import build_group
 from .index_engine import (calibrate_sign, decomposition_check, numerical_index,
                            chi_vanishing_check, winding_index_oracle)
@@ -123,11 +123,12 @@ def _parse_coeff_table(obj, where: str) -> dict[int, complex]:
 
 
 def _check_windows(windows):
-    if (not isinstance(windows, list) or not windows
+    if (not isinstance(windows, list) or len(windows) < 2
             or not all(isinstance(w, int) and not isinstance(w, bool) and w >= 8
-                       for w in windows)):
-        raise SchemaError(f"numerics.windows must be a non-empty list of integers >= 8, "
-                          f"got {windows!r}")
+                       for w in windows)
+            or any(a >= b for a, b in zip(windows, windows[1:]))):
+        raise SchemaError(f"numerics.windows must be at least two strictly increasing "
+                          f"integers >= 8, got {windows!r}")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -272,17 +273,26 @@ def _exp_ellipticity(config: ExperimentConfig):
     return payload, grade
 
 
+def _sweep(config: ExperimentConfig) -> dict:
+    """The analytic sweep's numerics, read here only: the index, localized,
+    chi-vanishing and algebraic steps all pass on these same values."""
+    num = config.numerics
+    return {"windows": tuple(num["windows"]), "N": int(num["parametrix_order"]),
+            "zero_tol": float(num["zero_tol"]),
+            "inner_fraction": float(num["inner_fraction"]),
+            "drift_tol": float(num["tolerances"]["drift"])}
+
+
 def _exp_index(config: ExperimentConfig):
     problem = config.problem()
-    windows = tuple(config.numerics["windows"])
-    report = numerical_index(problem, windows,
-                             zero_tol=float(config.numerics["zero_tol"]),
-                             inner_fraction=float(config.numerics["inner_fraction"]))
+    sweep = _sweep(config)
+    report = numerical_index(problem, sweep["windows"], sweep["zero_tol"],
+                             sweep["inner_fraction"])
     payload = report.as_dict()
     payload["sign_convention"] = calibrate_sign()
     grade = PASS if report.stabilized else FAIL
     if problem.group.kind == "trivial":
-        grid = grid_for_window(FrequencyWindow(max(windows)))
+        grid = grid_for_window(FrequencyWindow(max(sweep["windows"])))
         oracle = winding_index_oracle(problem.symbol(grid), calibrate_sign())
         payload["winding_oracle"] = oracle
         grade = PASS if (grade == PASS and oracle == report.index) else FAIL
@@ -292,37 +302,24 @@ def _exp_index(config: ExperimentConfig):
     return payload, grade
 
 
-def _decomposition(config: ExperimentConfig):
-    """The configured localized decomposition, shared by the localized and
-    algebraic steps so both compare against the same analytic index."""
-    num = config.numerics
-    return decomposition_check(
-        config.problem(), tuple(num["windows"]),
-        N=int(num["parametrix_order"]),
-        inner_fraction=float(num["inner_fraction"]),
-        drift_tol=float(num["tolerances"]["drift"]))
-
-
 def _exp_localized(config: ExperimentConfig):
     problem = config.problem()
+    sweep = _sweep(config)
     tol = float(config.numerics["tolerances"]["decomposition"])
-    report = _decomposition(config)
+    report = decomposition_check(problem, **sweep)
     payload = report.as_dict()
     rounded = int(np.rint(report.total.real))
     payload["rounded_total"] = rounded
     grade = PASS if (report.residual < tol and rounded == report.fredholm_index) else FAIL
     if problem.group.has_nonzero_chi:
         vanish = {}
-        for g0 in (1, 2):
-            try:
-                rep = chi_vanishing_check(problem, g0, tuple(config.numerics["windows"]),
-                                  N=int(config.numerics["parametrix_order"]),
-                                  tol=float(config.numerics["tolerances"]["chi_vanishing"]))
-                vanish[problem.group.label(g0)] = {"value": _cx(rep.value), "ok": rep.ok}
-                if not rep.ok:
-                    grade = FAIL
-            except NoHomomorphism:
-                pass
+        for g0 in (1, 2):      # chi(g0) = g0 on integer_shift, the one group with chi
+            rep = chi_vanishing_check(
+                problem, g0, sweep["windows"], sweep["N"], sweep["inner_fraction"],
+                sweep["drift_tol"], tol=float(config.numerics["tolerances"]["chi_vanishing"]))
+            vanish[problem.group.label(g0)] = {"value": _cx(rep.value), "ok": rep.ok}
+            if not rep.ok:
+                grade = FAIL
         payload["chi_vanishing"] = vanish
     return payload, grade
 
@@ -336,12 +333,12 @@ def _exp_algebraic(config: ExperimentConfig):
     grid = PeriodicGrid(int(num["symbol_grid"]))
     lattice = XiLattice(float(num["lattice_radius"]), int(num["lattice_points"]))
     eps = float(num["eps"])
-    N = int(num["parametrix_order"])
+    sweep = _sweep(config)
     h_grid = _h_grid_from(num["h_grid"])
     tols = num["tolerances"]
     series = StarSeries.from_crossed(problem.symbol(grid), lattice, eps, unit_fill=True)
-    r = symbol_parametrix_h(series, N)
-    analytic = _decomposition(config)
+    r = symbol_parametrix_h(series, sweep["N"])
+    analytic = decomposition_check(problem, **sweep)
     classes = (fam.group.conjugacy_classes() if fam.group.is_finite
                else fam.group.conjugacy_classes(support=[0]))
     per_class = {}
@@ -351,7 +348,7 @@ def _exp_algebraic(config: ExperimentConfig):
         if not all(fam.group.is_torsion(l) for l in cls):
             continue
         label = "<" + fam.group.label(cls[0]) + ">"
-        result = algebraic_index(series, cls, N, h_grid, r=r,
+        result = algebraic_index(series, cls, sweep["N"], h_grid, r=r,
                                  neg_tol=float(tols["neg_power"]))
         ind_g = analytic.per_class.get(label, 0.0 + 0.0j)
         match = abs(result.constant_term - ind_g) < float(tols["c0_match"])

@@ -32,6 +32,7 @@ class GOperatorProblem:
     _realizations: dict[int, Realization] = field(default_factory=dict, repr=False)
     _inverses: dict[int, CrossedSymbol] = field(default_factory=dict, repr=False)
     _parametrix_cache: dict[tuple, object] = field(default_factory=dict, repr=False)
+    _index_cache: dict[tuple, object] = field(default_factory=dict, repr=False)
 
     @property
     def group(self):

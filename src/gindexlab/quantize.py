@@ -172,11 +172,6 @@ class LabeledOperator:
         if self.window.cutoff != other.window.cutoff:
             raise WindowMismatch("labeled operators on different windows")
 
-    def part(self, g: Element) -> np.ndarray:
-        if g in self.parts:
-            return self.parts[g]
-        return np.zeros((self.window.dim, self.window.dim), dtype=complex)
-
     def __add__(self, other: "LabeledOperator") -> "LabeledOperator":
         self._check_compatible(other)
         out = {g: m.copy() for g, m in self.parts.items()}
@@ -215,9 +210,6 @@ class LabeledOperator:
                 contrib = K @ real.conjugate(g, other.parts[h])
                 out[m] = out[m] + contrib if m in out else contrib
         return LabeledOperator(real, out)
-
-    def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return self.multiply(other)
 
     def power(self, n: int, prune_tol: float | None = None) -> "LabeledOperator":
         if n < 1:

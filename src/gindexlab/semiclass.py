@@ -504,13 +504,12 @@ def _term_trace(term: SampledTerm, family: RealizationFamily, l: Element,
     return p * vals
 
 
-def tau_g(series: StarSeries, cls: tuple[Element, ...], h_grid: np.ndarray,
-          saturation_check: bool = True, tail_tol: float = 1e-4) -> TraceSeries:
+def tau_g(series: StarSeries, cls: tuple[Element, ...], h_grid: np.ndarray) -> TraceSeries:
     """Localized trace functional sum_{l in <g>} tr(op_h(a_l) Phi_l) per h.
 
     The mode sum runs to |h k| <= lattice radius (the symbol support); the
-    outer 10% band of the lattice must contribute negligibly, otherwise the
-    trace has not saturated and TraceDivergence is raised.
+    outer 10% band of the lattice must contribute below 1e-4 (1 + |trace|),
+    otherwise the trace has not saturated and TraceDivergence is raised.
     """
     terms = _traceable_terms(series)
     h_grid = np.asarray(h_grid, dtype=float)
@@ -529,7 +528,7 @@ def tau_g(series: StarSeries, cls: tuple[Element, ...], h_grid: np.ndarray,
             total += complex(np.sum(contrib))
             tail += float(np.sum(np.abs(contrib[outer])))
         values[i] = total
-        if saturation_check and tail > tail_tol * (1.0 + abs(total)):
+        if tail > 1e-4 * (1.0 + abs(total)):
             raise TraceDivergence(
                 f"trace at h={h:.4g} has un-saturated outer-band mass {tail:.2e}")
     return TraceSeries(h_grid, values)
@@ -621,18 +620,6 @@ class AlgebraicIndexResult:
     constant_term: complex
     negative_power: complex
     negative_power_ok: bool
-    left_series: TraceSeries | None
-    right_series: TraceSeries | None
-
-    def as_dict(self) -> dict:
-        return {
-            "fit": self.fit.as_dict(),
-            "constant_term": [self.constant_term.real, self.constant_term.imag],
-            "negative_power": [self.negative_power.real, self.negative_power.imag],
-            "negative_power_ok": self.negative_power_ok,
-            "h": list(map(float, self.series.h_grid)),
-            "values": [[v.real, v.imag] for v in self.series.values],
-        }
 
 
 def algebraic_index(a: StarSeries, cls: tuple[Element, ...], N: int,
@@ -651,13 +638,10 @@ def algebraic_index(a: StarSeries, cls: tuple[Element, ...], N: int,
     res_left = one - r.star(a, N)     # 1 - r * a
     res_right = one - a.star(r, N)    # 1 - a * r
     if abs(res_left.unit) < 1e-12 and abs(res_right.unit) < 1e-12:
-        left = tau_g(res_left, cls, h_grid)
-        right = tau_g(res_right, cls, h_grid)
-        diff = left - right
+        diff = tau_g(res_left, cls, h_grid) - tau_g(res_right, cls, h_grid)
     else:
         # zero-fill symbols leave plateau parts in each residual that only
         # cancel between the two; trace the star commutator directly
-        left = right = None
         diff = tau_g(res_left - res_right, cls, h_grid)
     fit = laurent_fit(diff, -1, N - 2)
     c0 = fit.coeff(0)
@@ -665,7 +649,7 @@ def algebraic_index(a: StarSeries, cls: tuple[Element, ...], N: int,
     h_min = float(np.min(np.asarray(h_grid, dtype=float)))
     scale = max(diff.scale() * h_min, 1e-12)
     ok = abs(cm1) < neg_tol * max(scale, 1.0)
-    return AlgebraicIndexResult(fit, diff, c0, cm1, ok, left, right)
+    return AlgebraicIndexResult(fit, diff, c0, cm1, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -700,17 +684,14 @@ class EgorovReport:
 
 
 def egorov_defect(family: RealizationFamily, g: Element, term: SampledTerm,
-                  h_grid: np.ndarray, window_factor: float = 2.5,
-                  metric: str = "column", floor: float = 1e-11) -> EgorovReport:
+                  h_grid: np.ndarray, window_factor: float = 2.5) -> EgorovReport:
     """Defect of  Phi_g op_h(a) Phi_{g^{-1}} - op_h(a o C_{g^{-1}})  on the
     inner window.
 
     Exact (< 1e-9) for isometric realizations; first-order in h for curved
-    weighted shifts, measured as a log-log slope.  ``metric='column'`` takes
-    the largest per-column l2 deviation (the columnwise symbol defect, which
-    exhibits the clean O(h) law); ``'op'`` takes the operator 2-norm of the
-    two-sided inner compression (an upper measurement that converges to the
-    same law only deeper in the asymptotic regime).
+    weighted shifts, measured as a log-log slope.  The defect is the largest
+    l2 deviation of an inner column (the columnwise symbol defect, which
+    exhibits the clean O(h) law); the slope is None below a 1e-11 floor.
     """
     from .quantize import op_h_term
     radius = term.xi_support_radius()
@@ -730,16 +711,11 @@ def egorov_defect(family: RealizationFamily, g: Element, term: SampledTerm,
         target = op_h_term(transported, h, window)
         mask = window.inner_mask(0.5)
         D = conj - target
-        if metric == "column":
-            defects.append(float(np.max(np.linalg.norm(D[:, mask], axis=0))))
-        elif metric == "op":
-            defects.append(float(np.linalg.norm(D[np.ix_(mask, mask)], 2)))
-        else:
-            raise ValueError(f"unknown metric {metric!r}")
+        defects.append(float(np.max(np.linalg.norm(D[:, mask], axis=0))))
     defects = np.asarray(defects)
     top = float(np.max(defects))
     slope = None
-    if top > floor:
+    if top > 1e-11:
         slope = float(np.polyfit(np.log(h_grid), np.log(np.maximum(defects, 1e-300)), 1)[0])
     return EgorovReport(defects, np.asarray(h_grid, dtype=float), slope, top)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -232,14 +233,22 @@ class QuantizedTransform:
 
     Wraps either an exact ModeMap or a dense matrix (weighted diffeomorphism
     shift, unitary on L^2 but only approximately unitary after window
-    truncation; the inner-window unitarity defect is recorded).
+    truncation; see ``truncation_defect``).
     """
 
-    def __init__(self, mode_map: ModeMap | None = None, dense: np.ndarray | None = None,
-                 truncation_defect: float | None = None):
+    def __init__(self, mode_map: ModeMap | None = None, dense: np.ndarray | None = None):
         self.mode_map = mode_map
         self._dense = dense
-        self.truncation_defect = truncation_defect
+
+    @cached_property
+    def truncation_defect(self) -> float | None:
+        """|| (Phi^H Phi - I) P_half ||_2 of a dense transform, computed on
+        first read; None for an exact mode map."""
+        if self._dense is None:
+            return None
+        mask = FrequencyWindow((len(self._dense) - 1) // 2).inner_mask(0.5)
+        gram = self._dense.conj().T @ self._dense - np.eye(len(self._dense))
+        return float(np.linalg.norm(gram[:, mask], 2))
 
     def matrix(self) -> np.ndarray:
         if self.mode_map is not None:
@@ -425,12 +434,4 @@ class Realization:
         fam, w = self.family, self.window
         if fam.is_isometric or g == self.group.identity:
             return QuantizedTransform(mode_map=ModeMap(w, *fam.mode_map(g, w.modes)))
-        dense = weighted_shift_matrix(fam.diffeo(g), w)
-        return QuantizedTransform(dense=dense, truncation_defect=_inner_unitarity_defect(dense, w))
-
-
-def _inner_unitarity_defect(dense: np.ndarray, window: FrequencyWindow) -> float:
-    """|| (Phi^H Phi - I) P_half ||_2, the recorded truncation defect."""
-    mask = window.inner_mask(0.5)
-    gram = dense.conj().T @ dense - np.eye(window.dim)
-    return float(np.linalg.norm(gram[:, mask], 2))
+        return QuantizedTransform(dense=weighted_shift_matrix(fam.diffeo(g), w))

@@ -1,5 +1,6 @@
-"""The narrative demos that walk through the transform, symbol and
-semiclassical APIs run to completion from a clean working directory."""
+"""The narrative demos run to completion from a clean working directory.
+
+Demo 05 is left out: its three decompositions take about 20 s."""
 
 import os
 import subprocess
@@ -14,7 +15,10 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("demo", ["01_circle_and_winding.py",
                                   "02_groups_and_quantized_transforms.py",
                                   "03_symbol_algebra_and_ellipticity.py",
-                                  "06_semiclassical_traces.py"])
+                                  "04_fredholm_index.py",
+                                  "06_semiclassical_traces.py",
+                                  "07_algebraic_index_theorem.py",
+                                  "08_experiment_configs.py"])
 def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,

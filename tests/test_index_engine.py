@@ -56,7 +56,7 @@ class TestNumericalIndex:
         pa, pb = winding_problem(2), winding_problem(-1)
         A = pa.operator(96)
         B = pb.operator(96)
-        prod = A @ B
+        prod = A.multiply(B)
         data = index_of_matrix(prod.realize(), prod.window)
         assert data.index == 2 + (-1)
 
@@ -100,8 +100,8 @@ class TestParametrix:
         A = LabeledOperator.from_transform(R, 1)
         E = LabeledOperator.from_transform(R, 3)
         unit = LabeledOperator.unit(R)
-        assert (unit - E @ A).norm_fro() < 1e-12
-        assert (unit - A @ E).norm_fro() < 1e-12
+        assert (unit - E.multiply(A)).norm_fro() < 1e-12
+        assert (unit - A.multiply(E)).norm_fro() < 1e-12
         # the Neumann parametrix from r = delta_{g^{-1}} (x) 1 reproduces
         # Phi_{g^{-1}} away from the zero-section cut; the remainders reduce
         # to the exact cut projector
@@ -232,6 +232,17 @@ class TestGuards:
                                         {0: 1e-6, 1: -0.5e-6, -1: -0.5e-6})})
         with pytest.raises(NoSpectralGap):
             numerical_index(p, (48, 64, 96))
+
+    @pytest.mark.parametrize("windows", [(), (64,), (64, 64), (96, 64)])
+    def test_sweep_needs_two_increasing_windows(self, windows):
+        p = z2_sample()
+        sweeps = [lambda: numerical_index(p, windows),
+                  lambda: localized_index(p, (0,), windows),
+                  lambda: decomposition_check(p, windows),
+                  lambda: chi_vanishing_check(shift_neumann_problem(), 1, windows)]
+        for sweep in sweeps:
+            with pytest.raises(ValueError, match="at least two strictly increasing"):
+                sweep()
 
     def test_small_window_rejected(self):
         from gindexlab.errors import WindowTooSmall

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gindexlab import index_engine
 from gindexlab.cli import main
 from gindexlab.errors import ParseError, SchemaError
 from gindexlab.lab import (DEFAULT_NUMERICS, RunRecord, emit_reports,
@@ -21,6 +22,14 @@ WINDING = {
     "experiment": "index",
     "expect": {"index": 1},
     "numerics": {"windows": [32, 48, 64]},
+}
+
+Z2_PIPELINE = {
+    "group": {"kind": "cyclic", "m": 2},
+    "realization": {"kind": "reflection"},
+    "symbols": {"e": {"plus": {"0": 2.0}, "minus": {"1": 2.0}},
+                "r": {"plus": {"0": 1.0}, "minus": {"0": 1.0}}},
+    "experiment": "full_pipeline",
 }
 
 
@@ -66,7 +75,7 @@ class TestConfig:
             parse_config(bad)
 
     @pytest.mark.parametrize("windows", [[], "abc", [4, 64], [64.0, 128], [True, 64],
-                                         [64, None]])
+                                         [64, None], [64], [64, 64], [128, 64]])
     def test_bad_windows_rejected(self, windows):
         bad = {**MINIMAL, "numerics": {"windows": windows}}
         with pytest.raises(SchemaError, match="numerics.windows"):
@@ -104,18 +113,26 @@ class TestRun:
         assert record.exit_code == 1
 
     def test_algebraic_step_uses_configured_decomposition(self):
-        cfg = {
-            "group": {"kind": "cyclic", "m": 2},
-            "realization": {"kind": "reflection"},
-            "symbols": {"e": {"plus": {"0": 2.0}, "minus": {"1": 2.0}},
-                        "r": {"plus": {"0": 1.0}, "minus": {"0": 1.0}}},
-            "experiment": "full_pipeline",
-            "numerics": {"windows": [32, 48], "inner_fraction": 0.4},
-        }
+        cfg = {**Z2_PIPELINE, "numerics": {"windows": [32, 48], "inner_fraction": 0.4}}
         payloads = run(parse_config(cfg)).payloads
         localized = payloads["localized"]["per_class"]
         for label, entry in payloads["algebraic"]["per_class"].items():
             assert entry["analytic_index"] == localized[label]
+
+    def test_one_svd_per_window_at_configured_numerics(self, monkeypatch):
+        index_engine.calibrate_sign()    # the sign calibration sweeps its own problem
+        calls = []
+        svd_index = index_engine.index_of_matrix
+
+        def spy(mat, window, zero_tol=index_engine.DEFAULT_ZERO_TOL, inner_fraction=0.5):
+            calls.append((window.cutoff, zero_tol, inner_fraction))
+            return svd_index(mat, window, zero_tol, inner_fraction)
+
+        monkeypatch.setattr(index_engine, "index_of_matrix", spy)
+        cfg = {**Z2_PIPELINE,
+               "numerics": {"windows": [32, 48], "zero_tol": 1e-7, "inner_fraction": 0.4}}
+        run(parse_config(cfg))
+        assert calls == [(32, 1e-7, 0.4), (48, 1e-7, 0.4)]
 
     def test_undecided_ellipticity(self):
         cfg = {

@@ -105,12 +105,12 @@ class TestLabeled:
     def test_unit_law(self):
         B = self.rnd(0)
         unit = LabeledOperator.unit(self.R)
-        assert (unit @ B - B).norm_fro() < 1e-12
-        assert (B @ unit - B).norm_fro() < 1e-12
+        assert (unit.multiply(B) - B).norm_fro() < 1e-12
+        assert (B.multiply(unit) - B).norm_fro() < 1e-12
 
     def test_delta_products(self):
         A = LabeledOperator.from_transform(self.R, 1)
-        prod = A @ A
+        prod = A.multiply(A)
         assert prod.support == [0]
         assert np.max(np.abs(prod.parts[0] - np.eye(W.dim))) < 1e-12
 
@@ -122,8 +122,8 @@ class TestLabeled:
 
     def test_associative(self):
         A, B, C = self.rnd(3), self.rnd(4), self.rnd(5)
-        lhs = ((A @ B) @ C).realize()
-        rhs = (A @ (B @ C)).realize()
+        lhs = A.multiply(B).multiply(C).realize()
+        rhs = A.multiply(B.multiply(C)).realize()
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_assemble_2I_plus_R(self):
@@ -145,7 +145,7 @@ class TestLabeled:
         other = fam("cyclic", "rotation", m=2).at(W)
         B = LabeledOperator.unit(other)
         with pytest.raises(GroupMismatch):
-            _ = self.rnd(0) @ B
+            _ = self.rnd(0).multiply(B)
 
     def test_prune(self):
         A = self.rnd(0)
