@@ -6,10 +6,15 @@ Conventions used throughout the package:
 * Fourier coefficients ``c_k = (1/M) sum_j f(x_j) exp(-i k x_j)`` for
   ``k = -floor(M/2) .. ceil(M/2)-1`` (so ``f(x) = sum_k c_k exp(i k x)``
   for band-limited ``f``).
+
+Off-grid evaluation of such sums goes through :func:`fourier_sum`, which
+splits the modes into sqrt(M) blocks so that no M x M exponential table is
+ever formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,32 @@ def dft(values: np.ndarray) -> np.ndarray:
 def idft(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dft`."""
     return np.fft.ifft(np.fft.ifftshift(coeffs)) * len(coeffs)
+
+
+def fourier_sum(coeffs: np.ndarray, first_mode: int, points: np.ndarray) -> np.ndarray:
+    """``f(x) = sum_k c_k e^{ikx}`` over the modes ``k = first_mode .. first_mode+M-1``.
+
+    ``coeffs`` has shape (M,) or (M, L); the result has shape (P,) or (P, L)
+    for P points.  With ``B = ceil(sqrt(M))`` and ``k = first_mode + qB + r``,
+    ``f(x) = sum_q e^{i(first_mode+qB)x} sum_r c_{qB+r} e^{irx}``: two P x sqrt(M)
+    exponential tables and one P x B by B x L product per block q, so
+    O(P sqrt(M)) exponentials and O(P (sqrt(M) + L)) memory, never a P x M table.
+    """
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    c = np.asarray(coeffs, dtype=complex)
+    M = c.shape[0]
+    B = math.isqrt(M - 1) + 1
+    Q = -(-M // B)
+    blocks = np.zeros((Q * B, c.size // M), dtype=complex)
+    blocks[:M] = c.reshape(M, -1)
+    blocks = blocks.reshape(Q, B, -1)
+    x = 1j * points[:, None]
+    inner = np.exp(x * np.arange(B))
+    outer = np.exp(x * (first_mode + B * np.arange(Q)))
+    out = np.zeros((len(points), blocks.shape[2]), dtype=complex)
+    for q in range(Q):
+        out += outer[:, q, None] * (inner @ blocks[q])
+    return out.reshape((len(points),) + c.shape[1:])
 
 
 class PeriodicFunction:
@@ -105,9 +136,7 @@ class PeriodicFunction:
 
     def eval_at(self, points: np.ndarray) -> np.ndarray:
         """Trigonometric-interpolation evaluation at arbitrary points."""
-        points = np.atleast_1d(np.asarray(points, dtype=float))
-        modes = self.grid.modes
-        return np.exp(1j * np.outer(points, modes)) @ self.coeffs
+        return fourier_sum(self.coeffs, -(self.grid.size // 2), points)
 
     # -- pointwise algebra -------------------------------------------------
 
@@ -198,10 +227,6 @@ class PeriodicFunction:
 
     def norm_inf(self) -> float:
         return self.max_abs()
-
-    def norm_l2(self) -> float:
-        """Grid l2 norm normalized so that ||1|| = 1 (matches coefficient l2)."""
-        return float(np.sqrt(np.mean(np.abs(self.values) ** 2)))
 
 
 def winding_number(f: PeriodicFunction) -> int:

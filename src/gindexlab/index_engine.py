@@ -73,7 +73,6 @@ class IndexReport:
     sv_gap: float
     stabilization: list[WindowIndexData]
     zero_tol: float
-    stabilized: bool
 
     def as_dict(self) -> dict:
         return {
@@ -82,7 +81,6 @@ class IndexReport:
             "cokernel_dim": self.cokernel_dim,
             "sv_gap": self.sv_gap,
             "zero_tol": self.zero_tol,
-            "stabilized": self.stabilized,
             "stabilization": [vars(w) | {} for w in self.stabilization],
         }
 
@@ -124,21 +122,23 @@ def index_of_matrix(mat: np.ndarray, window: FrequencyWindow,
 def numerical_index(problem: GOperatorProblem, windows,
                     zero_tol: float = DEFAULT_ZERO_TOL,
                     inner_fraction: float = 0.5) -> IndexReport:
-    """Stabilized Fredholm index over an increasing window schedule."""
+    """Stabilized Fredholm index over an increasing window schedule.
+
+    Raises NoSpectralGap when no window has a gap and NonStabilized when the
+    windows disagree, so a returned report is always stabilized.
+    """
     _require_windows(windows)
     rows = [_window_index(problem, cutoff, zero_tol, inner_fraction) for cutoff in windows]
     if all(r.sv_gap < GAP_REQUIREMENT for r in rows):
         raise NoSpectralGap(
             f"sv_gap below {GAP_REQUIREMENT:g} at every window: "
             + ", ".join(f"{r.cutoff}:{r.sv_gap:.2e}" for r in rows))
-    indices = {r.index for r in rows}
-    stabilized = len(indices) == 1
-    if not stabilized:
+    if len({r.index for r in rows}) > 1:
         raise NonStabilized(f"index varies across windows: "
                             + ", ".join(f"{r.cutoff}:{r.index}" for r in rows))
     last = rows[-1]
     return IndexReport(last.index, last.kernel_dim, last.cokernel_dim,
-                       last.sv_gap, rows, zero_tol, stabilized)
+                       last.sv_gap, rows, zero_tol)
 
 
 def winding_index_oracle(symbol: CrossedSymbol, sign: int) -> int:
@@ -149,11 +149,14 @@ def winding_index_oracle(symbol: CrossedSymbol, sign: int) -> int:
     return sign * (winding_number(coeff.minus) - winding_number(coeff.plus))
 
 
+CALIBRATION_WINDOWS = (32, 48, 64)
+
+
 @lru_cache(maxsize=1)
-def calibrate_sign(k_min: int = 4, windows: tuple = (32, 48, 64)) -> int:
+def calibrate_sign() -> int:
     """Pin the index sign convention from the w = 1 winding calibration run."""
     from .samples import winding_problem
-    report = numerical_index(winding_problem(1, k_min=k_min), windows)
+    report = numerical_index(winding_problem(1), CALIBRATION_WINDOWS)
     if report.index not in (1, -1):
         raise NonStabilized(f"calibration run returned index {report.index}")
     return report.index

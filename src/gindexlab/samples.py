@@ -61,17 +61,6 @@ def shift_neumann_problem(theta: float = 1.0, c: float = 0.3,
     return GOperatorProblem(fam, coeffs, k_min=k_min, name="shift_neumann")
 
 
-def half_wave_problem(t: float = 0.7, c: float = 0.3, k_min: int = 4) -> GOperatorProblem:
-    """Half-wave flow sample: 1 + c op(f) e^{i t |D|} over integer_shift(t)."""
-    fam = RealizationFamily(build_group("integer_shift", theta=t), "half_wave")
-    f = {0: 0.5 * c, 1: 0.3 * c}
-    coeffs = {
-        0: ({0: 1.0}, {0: 1.0}),
-        1: (f, dict(f)),
-    }
-    return GOperatorProblem(fam, coeffs, k_min=k_min, name="half_wave")
-
-
 def curved_z2_problem(eps: float = 0.3, k_min: int = 4) -> GOperatorProblem:
     """cyclic(2) realized by a conjugated rotation: A = 2 + op(1) Phi_curved."""
     fam = RealizationFamily(build_group("cyclic", m=2), "curved_rotation", eps=eps)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import FrequencyWindow, PeriodicFunction, PeriodicGrid
+from .circle import FrequencyWindow, PeriodicFunction, PeriodicGrid, fourier_sum
 from .errors import (GroupMismatch, IllConditionedFit, NonIsometricAction,
                      OrderOverflow, ResidualNotTraceClass, TraceDivergence)
 from .groups import Element
@@ -732,10 +732,8 @@ def _transport_curved(term: SampledTerm, family: RealizationFamily,
     X = diff.inverse(x)
     scale = diff.deriv(X)
     M = term.grid.size
-    F = np.fft.fft(term.values, axis=0) / M
-    kvec = np.fft.fftfreq(M, d=1.0 / M)
-    basis = np.exp(1j * np.outer(X, kvec))          # (M, M)
-    rows_at_X = basis @ F                           # a(X_i, xi_lattice)
+    F = np.fft.fftshift(np.fft.fft(term.values, axis=0), axes=0) / M   # modes ascending
+    rows_at_X = fourier_sum(F, -(M // 2), X)        # a(X_i, xi_lattice)
     queries = scale[:, None] * term.lattice.points[None, :]
     out = np.empty_like(term.values)
     for i in range(M):

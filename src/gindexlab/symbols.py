@@ -233,6 +233,19 @@ def _regular_rep_tensor(a: CrossedSymbol) -> np.ndarray:
     return out
 
 
+def _regular_rep_verdict(tensor: np.ndarray, grid: PeriodicGrid,
+                         tol: float) -> EllipticityVerdict:
+    """Ellipticity from the smallest singular value of a regular-representation tensor."""
+    svals = np.linalg.svd(tensor, compute_uv=False)      # (2, M, n)
+    mins = svals[..., -1]
+    flat = int(np.argmin(mins))
+    sheet_idx, point_idx = np.unravel_index(flat, mins.shape)
+    value = float(mins[sheet_idx, point_idx])
+    verdict = "elliptic" if value > tol else "not_elliptic"
+    return EllipticityVerdict(verdict, value, 1 if sheet_idx == 0 else -1,
+                              float(grid.nodes[point_idx]), "regular_representation")
+
+
 def is_elliptic(a: CrossedSymbol, tol: float = ELLIPTIC_TOL) -> EllipticityVerdict:
     """Invertibility of the symbol in the crossed product algebra.
 
@@ -244,15 +257,7 @@ def is_elliptic(a: CrossedSymbol, tol: float = ELLIPTIC_TOL) -> EllipticityVerdi
     """
     grp = a.group
     if grp.is_finite:
-        tensor = _regular_rep_tensor(a)
-        svals = np.linalg.svd(tensor, compute_uv=False)      # (2, M, n)
-        mins = svals[..., -1]
-        flat = int(np.argmin(mins))
-        sheet_idx, point_idx = np.unravel_index(flat, mins.shape)
-        value = float(mins[sheet_idx, point_idx])
-        verdict = "elliptic" if value > tol else "not_elliptic"
-        return EllipticityVerdict(verdict, value, 1 if sheet_idx == 0 else -1,
-                                  float(a.grid.nodes[point_idx]), "regular_representation")
+        return _regular_rep_verdict(_regular_rep_tensor(a), a.grid, tol)
     # integer shift: dominance
     e = grp.identity
     a_e = a.coeff(e)
@@ -280,17 +285,20 @@ def invert_principal(a: CrossedSymbol, tol: float = ELLIPTIC_TOL,
     residuals meet the 1e-8 contract; barely elliptic symbols whose inverses
     are rougher than ``max_grid`` resolves raise NotElliptic.
     """
-    verdict = is_elliptic(a, tol)
+    grp = a.group
+    if grp.is_finite:       # the verdict reads the tensor the first inversion uses
+        tensor = _regular_rep_tensor(a)
+        verdict = _regular_rep_verdict(tensor, a.grid, tol)
+    else:
+        verdict = is_elliptic(a, tol)
     if not verdict.is_elliptic:
         raise NotElliptic(f"symbol verdict {verdict.verdict}, "
                           f"min singular value {verdict.min_singular_value:.3e}")
     work = a
     while True:
-        grp = work.group
         if grp.is_finite:
             els = grp.elements()
             e_idx = els.index(grp.identity)
-            tensor = _regular_rep_tensor(work)
             inv = np.linalg.inv(tensor)                       # (2, M, n, n)
             coeffs = {}
             for j, k in enumerate(els):
@@ -311,6 +319,8 @@ def invert_principal(a: CrossedSymbol, tol: float = ELLIPTIC_TOL,
                 f"inverse residual {res:.2e} above {INVERSE_RESID_TOL} at grid "
                 f"{work.grid.size}; symbol too close to the ellipticity boundary")
         work = _refined(work)
+        if grp.is_finite:
+            tensor = _regular_rep_tensor(work)
 
 
 def _refined(a: CrossedSymbol) -> CrossedSymbol:

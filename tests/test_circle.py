@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gindexlab.circle import (FrequencyWindow, PeriodicFunction, PeriodicGrid,
-                              dft, grid_for_window, idft, winding_number)
+                              dft, fourier_sum, grid_for_window, idft, winding_number)
 from gindexlab.errors import (DivisionNearZero, GridMismatch, NearZeroValue,
                               UnresolvedWinding, WindowTooSmall)
 
@@ -109,6 +110,49 @@ class TestPointwise:
         via_affine = f.compose_affine(-1, 0.7)
         via_eval = f.compose(-GRID.nodes + 0.7)
         assert np.max(np.abs(via_affine.values - via_eval.values)) < 1e-9
+
+
+def dense_fourier_sum(coeffs, first_mode, points):
+    """Reference: the full P x M exponential table times the coefficients."""
+    modes = first_mode + np.arange(len(coeffs))
+    return np.exp(1j * np.outer(np.atleast_1d(points), modes)) @ coeffs
+
+
+@st.composite
+def fourier_cases(draw):
+    """(M, first mode, columns or None for 1-D coefficients, points, seed)."""
+    M = draw(st.integers(4, 160))
+    first = draw(st.one_of(st.just(-(M // 2)), st.integers(-M, M)))
+    columns = draw(st.sampled_from([None, 1, 3]))
+    points = draw(st.lists(st.floats(-2 * np.pi, 4 * np.pi), min_size=1, max_size=12))
+    return M, first, columns, points, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestFourierSum:
+    @settings(max_examples=40, deadline=None)
+    @given(fourier_cases())
+    @example((4, -2, None, [7.0], 0))
+    @example((5, -2, 3, [-1.0, 0.3, 6.5], 1))
+    @example((16, -8, 1, [2.0], 2))
+    @example((17, 3, None, [-4.0, 12.0], 3))
+    @example((2048, -1024, None, [1.0, -3.0], 4))
+    def test_matches_dense_sum(self, case):
+        M, first, columns, points, seed = case
+        rng = np.random.default_rng(seed)
+        shape = (M,) if columns is None else (M, columns)
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = fourier_sum(c, first, np.asarray(points))
+        want = dense_fourier_sum(c, first, points)
+        assert got.shape == want.shape
+        # relative to sum_k |c_k|, the bound on |f| at any point
+        assert np.all(np.abs(got - want) <= 1e-12 * np.sum(np.abs(c), axis=0))
+
+    def test_eval_at_is_trig_interpolation(self):
+        f = randf(3)
+        x = np.array([-1.0, 0.4, 9.0])
+        want = dense_fourier_sum(f.coeffs, GRID.modes[0], x)
+        assert np.max(np.abs(f.eval_at(x) - want)) <= 1e-12 * np.sum(np.abs(f.coeffs))
+        assert np.max(np.abs(f.eval_at(GRID.nodes) - f.values)) <= 1e-12 * f.norm_inf()
 
 
 class TestWindow:

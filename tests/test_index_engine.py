@@ -233,6 +233,16 @@ class TestGuards:
         with pytest.raises(NoSpectralGap):
             numerical_index(p, (48, 64, 96))
 
+    def test_disagreeing_windows_raise(self, monkeypatch):
+        from gindexlab import index_engine
+        from gindexlab.errors import NonStabilized
+        from gindexlab.index_engine import WindowIndexData
+        monkeypatch.setattr(index_engine, "_window_index",
+                            lambda problem, cutoff, zero_tol, inner_fraction:
+                            WindowIndexData(cutoff, cutoff // 32, cutoff // 32, 0, 1e6, 0.0))
+        with pytest.raises(NonStabilized, match="32:1, 64:2"):
+            numerical_index(winding_problem(1), (32, 64))
+
     @pytest.mark.parametrize("windows", [(), (64,), (64, 64), (96, 64)])
     def test_sweep_needs_two_increasing_windows(self, windows):
         p = z2_sample()

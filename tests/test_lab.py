@@ -81,6 +81,16 @@ class TestConfig:
         with pytest.raises(SchemaError, match="numerics.windows"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("sheet, value, shown", [("plus", float("nan"), "nan"),
+                                                     ("minus", [0.0, float("inf")], "inf")])
+    def test_non_finite_coefficient_rejected(self, tmp_path, sheet, value, shown):
+        symbols = {"e": {"plus": {"0": 1.0}, "minus": {"0": 1.0}}}
+        symbols["e"][sheet] = {"0": 1.0, "-2": value}
+        path = write(tmp_path, {**MINIMAL, "symbols": symbols})   # JSON NaN / Infinity
+        with pytest.raises(SchemaError,
+                           match=rf"symbols\['e'\]\.{sheet}: coefficient of mode -2 .*{shown}"):
+            load_config(path)
+
     def test_one_problem_per_config(self):
         cfg = parse_config(dict(MINIMAL))
         assert cfg.problem() is cfg.problem()

@@ -265,6 +265,23 @@ class TestEgorov:
             rep = egorov_defect(family, g, term, H_DIAG)
             assert rep.max_defect < 1e-9
 
+    def test_curved_transport_matches_dense_sum(self):
+        from gindexlab.samples import egorov_curved_term
+        from gindexlab.semiclass import _transport_curved
+        grid = PeriodicGrid(128)
+        term = egorov_curved_term(grid)
+        curved = RealizationFamily(build_group("cyclic", m=2), "curved_rotation", eps=0.3)
+        got = _transport_curved(term, curved, 1).values
+        diff = curved.diffeo(1)
+        X = diff.inverse(grid.nodes)
+        queries = diff.deriv(X)[:, None] * term.lattice.points[None, :]
+        F = np.fft.fft(term.values, axis=0) / grid.size
+        kvec = np.fft.fftfreq(grid.size, d=1.0 / grid.size)
+        rows_at_X = np.exp(1j * np.outer(X, kvec)) @ F
+        want = np.array([lattice_interp(term.lattice, rows_at_X[i], queries[i], term.extend)
+                         for i in range(grid.size)])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.sum(np.abs(F), axis=0))
+
     def test_curved_first_order(self):
         from gindexlab.samples import egorov_curved_term
         term = egorov_curved_term(GRID)

@@ -77,6 +77,20 @@ class TestStar:
             a.star(b)
 
 
+class TestTransport:
+    def test_curved_matches_dense_sum(self):
+        curved = RealizationFamily(build_group("cyclic", m=2), "curved_rotation", eps=0.3)
+        sym = random_symbol(curved, 17, deg=3).coeff(1)
+        C = curved.canonical(1)
+        moved = sym.transport(C)
+        for s in (1, -1):
+            src = sym.sheet(C.sheet_after(s))
+            x = C.base(s, GRID.nodes)
+            want = np.exp(1j * np.outer(x, GRID.modes)) @ src.coeffs
+            err = np.max(np.abs(moved.sheet(s).values - want))
+            assert err <= 1e-12 * np.sum(np.abs(src.coeffs))
+
+
 class TestRegularRepresentation:
     def test_hand_2x2(self):
         a = CrossedSymbol(Z2, {0: PrincipalSymbol.constant(GRID, 2.0),
@@ -168,6 +182,17 @@ class TestInversion:
         unit = CrossedSymbol.unit(z, GRID)
         assert (a.star(r) - unit).norm_inf() < 1e-8
         assert (r.star(a) - unit).norm_inf() < 1e-8
+
+    def test_first_pass_reuses_the_verdict_tensor(self, monkeypatch):
+        from gindexlab import symbols
+        built = []
+        original = symbols._regular_rep_tensor
+        monkeypatch.setattr(symbols, "_regular_rep_tensor",
+                            lambda a: built.append(a.grid.size) or original(a))
+        a = CrossedSymbol(Z2, {0: PrincipalSymbol.constant(GRID, 2.0),
+                               1: PrincipalSymbol.constant(GRID, 1.0)})
+        invert_principal(a)
+        assert built == [GRID.size]
 
     def test_raises_for_non_elliptic(self):
         t = fam("trivial", "trivial")
