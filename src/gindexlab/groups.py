@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+import numpy as np
+
 from .errors import InvalidParameter, UnsupportedGroup
 
 Element = Any
@@ -146,6 +148,37 @@ class GroupSpec:
         if self.kind == "integer_shift":
             return [0]
         return self.elements()
+
+    # -- irreducible representations ------------------------------------------
+
+    def irreps(self) -> list[dict[Element, np.ndarray]]:
+        """The irreducible unitary representations, each as g -> (d, d) matrix.
+
+        trivial: the unit; cyclic(m): the m characters r^j -> e^{2 pi i q j/m};
+        dihedral(m): r^j s^f -> R^j S^f with (R, S) = (+-1, +-1) in dimension
+        one (R = -1 only for even m) and, for 1 <= q <= (m - 1) // 2,
+        R = rotation by 2 pi q / m, S = diag(1, -1) in dimension two.
+        """
+        if self.kind == "integer_shift":
+            raise UnsupportedGroup("integer_shift has no finite set of irreps")
+        if self.kind == "trivial":
+            return [{(): np.ones((1, 1), dtype=complex)}]
+        m = self.m
+        if self.kind == "cyclic":
+            return [{j: np.full((1, 1), np.exp(2j * math.pi * q * j / m)) for j in range(m)}
+                    for q in range(m)]
+        signs = [(r, s) for r in ((1, -1) if m % 2 == 0 else (1,)) for s in (1, -1)]
+        out = [{(j, f): np.full((1, 1), complex(r ** j * s ** f)) for j, f in self.elements()}
+               for r, s in signs]
+        for q in range(1, (m - 1) // 2 + 1):
+            rep = {}
+            for j, f in self.elements():
+                t = 2 * math.pi * q * j / m
+                rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]],
+                               dtype=complex)
+                rep[(j, f)] = rot @ np.diag([1.0, -1.0]) if f else rot
+            out.append(rep)
+        return out
 
     # -- the homomorphism chi: G -> Z ---------------------------------------
 

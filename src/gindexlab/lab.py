@@ -114,12 +114,11 @@ def _parse_coeff_table(obj, where: str) -> dict[int, complex]:
             mode = int(key)
         except ValueError as exc:
             raise SchemaError(f"{where}: bad mode index {key!r}") from exc
-        if isinstance(val, (int, float)):
-            out[mode] = complex(val)
-        elif isinstance(val, list) and len(val) == 2:
-            out[mode] = complex(val[0], val[1])
-        else:
-            raise SchemaError(f"{where}: coefficient must be a number or [re, im]")
+        parts = val if isinstance(val, list) and len(val) == 2 else [val]
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+            raise SchemaError(f"{where}: coefficient of mode {mode} must be a number or "
+                              f"[re, im] of numbers, got {val!r}")
+        out[mode] = complex(*parts)
         if not cmath.isfinite(out[mode]):
             raise SchemaError(f"{where}: coefficient of mode {mode} is not finite: {val!r}")
     return out

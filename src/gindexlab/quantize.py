@@ -197,26 +197,45 @@ class LabeledOperator:
 
     # -- algebra -----------------------------------------------------------------
 
-    def multiply(self, other: "LabeledOperator") -> "LabeledOperator":
-        """Graded product: (A B)_m = sum_{gh=m} K_g (Phi_g L_h Phi_{g^{-1}})."""
+    def conjugated_part(self, g: Element, h: Element, memo: dict | None = None) -> np.ndarray:
+        """Phi_g K_h Phi_{g^{-1}}, memoized per (g, h) in ``memo`` when one is
+        given; a memo serves one right factor only."""
+        if memo is None:
+            return self.realization.conjugate(g, self.parts[h])
+        if (g, h) not in memo:
+            memo[g, h] = self.realization.conjugate(g, self.parts[h])
+        return memo[g, h]
+
+    def multiply(self, other: "LabeledOperator",
+                 conjugates: dict | None = None) -> "LabeledOperator":
+        """Graded product: (A B)_m = sum_{gh=m} K_g (Phi_g L_h Phi_{g^{-1}}).
+
+        This is the general path, valid for every family, and the oracle of
+        the index engine's group-Fourier blocks (``index_engine._block_traces``),
+        which finite isometric problems take instead.  ``conjugates`` memoizes
+        the conjugated parts of ``other`` across calls (``conjugated_part``).
+        """
         self._check_compatible(other)
         grp = self.group
-        real = self.realization
         out: dict[Element, np.ndarray] = {}
         for g in self.support:
             K = self.parts[g]
             for h in other.support:
                 m = grp.mul(g, h)
-                contrib = K @ real.conjugate(g, other.parts[h])
+                contrib = K @ other.conjugated_part(g, h, conjugates)
                 out[m] = out[m] + contrib if m in out else contrib
-        return LabeledOperator(real, out)
+        return LabeledOperator(self.realization, out)
 
-    def power(self, n: int, prune_tol: float | None = None) -> "LabeledOperator":
+    def power(self, n: int, prune_tol: float | None = None,
+              conjugates: dict | None = None) -> "LabeledOperator":
+        """Left-associated power; each part of ``self`` is conjugated once,
+        into ``conjugates`` when the caller passes a memo to reuse."""
         if n < 1:
             raise ValueError("power needs n >= 1")
+        conjugates = {} if conjugates is None else conjugates
         acc = self
         for _ in range(n - 1):
-            acc = acc.multiply(self)
+            acc = acc.multiply(self, conjugates)
             if prune_tol is not None:
                 acc = acc.prune(prune_tol)
         return acc

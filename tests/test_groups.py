@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gindexlab.errors import InvalidParameter, UnsupportedGroup
 from gindexlab.groups import build_group
@@ -71,3 +73,36 @@ class TestStructure:
         assert g.element_order((1, 0)) == 6
         assert g.element_order((0, 1)) == 2
         assert g.element_order((3, 0)) == 2
+
+
+finite_groups = st.one_of(st.just(("trivial", 1)),
+                          st.tuples(st.just("cyclic"), st.integers(1, 8)),
+                          st.tuples(st.just("dihedral"), st.integers(1, 8)))
+
+
+class TestIrreps:
+    @settings(max_examples=12, deadline=None)
+    @given(finite_groups)
+    def test_complete_unitary_homomorphisms(self, spec):
+        g = build_group(spec[0], m=spec[1])
+        els = g.elements()
+        irreps = g.irreps()
+        assert sum(len(rep[g.identity]) ** 2 for rep in irreps) == g.order
+        for rep in irreps:
+            d = len(rep[g.identity])
+            for a in els:
+                assert np.allclose(rep[a].conj().T @ rep[a], np.eye(d), atol=1e-12)
+                for b in els:
+                    assert np.allclose(rep[a] @ rep[b], rep[g.mul(a, b)], atol=1e-12)
+
+    @settings(max_examples=12, deadline=None)
+    @given(finite_groups)
+    def test_characters_orthonormal(self, spec):
+        g = build_group(spec[0], m=spec[1])
+        chars = np.array([[np.trace(rep[x]) for x in g.elements()] for rep in g.irreps()])
+        gram = chars.conj() @ chars.T / g.order
+        assert np.allclose(gram, np.eye(len(chars)), atol=1e-12)
+
+    def test_integer_shift_has_none(self):
+        with pytest.raises(UnsupportedGroup):
+            build_group("integer_shift", theta=1.0).irreps()

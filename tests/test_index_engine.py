@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gindexlab import index_engine
 from gindexlab.circle import FrequencyWindow, PeriodicGrid, grid_for_window
 from gindexlab.errors import NoHomomorphism
 from gindexlab.groups import build_group
@@ -169,6 +170,67 @@ class TestTraceProduct:
                                   N=N, k_min=p.k_min)
                 expect = tr_g(data.left_remainder, cls) - tr_g(data.right_remainder, cls)
                 assert abs(value - expect) < 1e-12
+
+
+def random_problem(kind, m, real, seed=0, eps=0.0):
+    """Dominant identity with a minus-sheet winding, small random trig elsewhere."""
+    rng = np.random.default_rng(seed)
+    kw = {"eps": eps} if real == "curved_rotation" else {}
+    fam = RealizationFamily(build_group(kind, m=m), real, **kw)
+
+    def trig():
+        return {k: 0.2 * complex(*rng.normal(size=2)) / (1 + abs(k)) for k in range(-2, 3)}
+
+    coeffs = {g: ({0: 3.0}, {1: 3.0}) if g == fam.group.identity else (trig(), trig())
+              for g in fam.group.elements()}
+    return GOperatorProblem(fam, coeffs)
+
+
+def partial_support_problem():
+    """cyclic(4) rotation supported on the subgroup {0, 2}."""
+    fam = RealizationFamily(build_group("cyclic", m=4), "rotation")
+    return GOperatorProblem(fam, {0: ({0: 2.0}, {1: 2.0}), 2: ({0: 0.5, 1: 0.3}, {0: 0.5})})
+
+
+class TestBlockPath:
+    @pytest.mark.parametrize("N", [2, 4])
+    @pytest.mark.parametrize("build", [
+        z2_sample,
+        lambda: random_problem("cyclic", 3, "rotation"),
+        lambda: random_problem("dihedral", 2, "dihedral"),
+        lambda: dihedral_sample(3),
+        lambda: random_problem("dihedral", 4, "dihedral"),
+        lambda: random_problem("cyclic", 3, "curved_rotation", eps=0.0),
+        lambda: curved_z2_problem(eps=0.0),
+        partial_support_problem,
+        unit_problem,
+    ])
+    def test_matches_graded_oracle(self, build, N):
+        p = build()
+        for cutoff in (32, 48):
+            graded = index_engine._graded_traces(p, cutoff, N, 0.5)
+            block = index_engine._block_traces(p, cutoff, N, 0.5)
+            for g_side, b_side in ((graded.left, block.left), (graded.right, block.right)):
+                assert set(b_side) == set(g_side)
+                for l, value in g_side.items():
+                    assert abs(b_side[l] - value) < 1e-12
+
+    @pytest.mark.parametrize("build, path", [
+        (lambda: curved_z2_problem(eps=0.3), "_graded_traces"),
+        (shift_neumann_problem, "_graded_traces"),
+        (lambda: curved_z2_problem(eps=0.0), "_block_traces"),
+        (lambda: dihedral_sample(3), "_block_traces"),
+    ])
+    def test_path_choice(self, monkeypatch, build, path):
+        taken = []
+        for name in ("_block_traces", "_graded_traces"):
+            original = getattr(index_engine, name)
+            monkeypatch.setattr(index_engine, name,
+                                lambda *args, _name=name, _fn=original:
+                                taken.append(_name) or _fn(*args))
+        p = build()
+        localized_index(p, (p.group.identity,), (32, 48), strict=False)
+        assert taken == [path, path]
 
 
 class TestLocalized:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,9 @@ from gindexlab.cli import main
 from gindexlab.errors import ParseError, SchemaError
 from gindexlab.lab import (DEFAULT_NUMERICS, RunRecord, emit_reports,
                            load_config, parse_config, run)
+from gindexlab.samples import dihedral_sample
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = {
     "group": {"kind": "trivial"},
@@ -31,6 +38,19 @@ Z2_PIPELINE = {
                 "r": {"plus": {"0": 1.0}, "minus": {"0": 1.0}}},
     "experiment": "full_pipeline",
 }
+
+
+def dihedral_localized_config() -> dict:
+    """The localized experiment on ``dihedral_sample(0)``'s coefficients."""
+    p = dihedral_sample(0)
+
+    def table(coeffs):
+        return {str(k): [complex(c).real, complex(c).imag] for k, c in coeffs.items()}
+
+    return {"group": {"kind": "dihedral", "m": 3}, "realization": {"kind": "dihedral"},
+            "symbols": {p.group.label(g): {"plus": table(plus), "minus": table(minus)}
+                        for g, (plus, minus) in p.symbol_coeffs.items()},
+            "experiment": "localized", "numerics": {"windows": [48, 64, 96]}}
 
 
 def write(tmp_path, obj, name="cfg.json"):
@@ -90,6 +110,13 @@ class TestConfig:
         with pytest.raises(SchemaError,
                            match=rf"symbols\['e'\]\.{sheet}: coefficient of mode -2 .*{shown}"):
             load_config(path)
+
+    @pytest.mark.parametrize("value", [["x", 1], [1, "y"], [None, 1], True, [True, 0],
+                                       "2", [1, 2, 3]])
+    def test_bad_coefficient_rejected(self, value):
+        symbols = {"e": {"plus": {"0": 1.0}, "minus": {"0": 1.0, "3": value}}}
+        with pytest.raises(SchemaError, match=r"symbols\['e'\]\.minus: coefficient of mode 3"):
+            parse_config({**MINIMAL, "symbols": symbols})
 
     def test_one_problem_per_config(self):
         cfg = parse_config(dict(MINIMAL))
@@ -177,6 +204,22 @@ class TestReports:
             emit_reports(run(cfg), tmp_path / d)
         for name in ("report.json", "meta.json", "index_index.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+    def test_report_independent_of_blas_threads(self, tmp_path):
+        cfg = write(tmp_path, dihedral_localized_config())
+        reports = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads}
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run([sys.executable, "-m", "gindexlab.cli", "run", str(cfg),
+                                   "--out", str(out)], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestCLI:

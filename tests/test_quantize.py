@@ -8,7 +8,7 @@ from gindexlab.quantize import (FullSymbol, LabeledOperator, assemble, op_classi
                                 op_h_term)
 from gindexlab.semiclass import SampledTerm, XiLattice
 from gindexlab.symbols import PrincipalSymbol
-from gindexlab.transforms import RealizationFamily
+from gindexlab.transforms import Realization, RealizationFamily
 
 W = FrequencyWindow(16)
 GRID = grid_for_window(W)
@@ -146,6 +146,22 @@ class TestLabeled:
         B = LabeledOperator.unit(other)
         with pytest.raises(GroupMismatch):
             _ = self.rnd(0).multiply(B)
+
+    def test_power_conjugates_each_part_once(self, monkeypatch):
+        # dense curved conjugations are the costly ones; values stay bit-identical
+        R = RealizationFamily(build_group("cyclic", m=2), "curved_rotation", eps=0.3).at(W)
+        rng = np.random.default_rng(6)
+        X = LabeledOperator(R, {g: rng.normal(size=(W.dim, W.dim)) for g in (0, 1)})
+        expect = X.multiply(X).multiply(X)
+        calls = []
+        original = Realization.conjugate
+        monkeypatch.setattr(Realization, "conjugate",
+                            lambda self, g, mat: calls.append(g) or original(self, g, mat))
+        got = X.power(3)
+        assert sorted(calls) == [0, 0, 1, 1]
+        assert got.support == expect.support
+        for g in expect.support:
+            assert np.array_equal(got.parts[g], expect.parts[g])
 
     def test_prune(self):
         A = self.rnd(0)
