@@ -22,7 +22,9 @@ import numpy as np
 from .errors import DivisionNearZero, GridMismatch, NearZeroValue, UnresolvedWinding, WindowTooSmall
 
 NEAR_ZERO = 1e-8          # invertibility threshold for functions on the grid
-ROUNDTRIP_TOL = 1e-12     # DFT round-trip accuracy contract
+MIN_CUTOFF = 8            # smallest window cutoff an index sweep or curved shift accepts
+MIN_GRID = 64             # smallest power-of-two build grid
+INNER_FRACTION = 0.5      # inner sub-window |k| <= INNER_FRACTION * N_F
 
 
 @dataclass(frozen=True)
@@ -268,19 +270,20 @@ class FrequencyWindow:
     def index_of(self, k: int) -> int:
         return k + self.cutoff
 
-    def inner_mask(self, fraction: float = 0.5) -> np.ndarray:
+    def inner_mask(self, fraction: float = INNER_FRACTION) -> np.ndarray:
         """Boolean mask of the inner sub-window |k| <= fraction * N_F."""
         return np.abs(self.modes) <= fraction * self.cutoff
 
-    def require(self, minimum: int = 8):
-        if self.cutoff < minimum:
-            raise WindowTooSmall(f"window cutoff {self.cutoff} below required {minimum}")
+    def require(self):
+        if self.cutoff < MIN_CUTOFF:
+            raise WindowTooSmall(f"window cutoff {self.cutoff} below required {MIN_CUTOFF}")
 
 
-def grid_for_window(window: FrequencyWindow, min_size: int = 64) -> PeriodicGrid:
+def power_of_two_grid(need: int) -> PeriodicGrid:
+    """The smallest power-of-two grid with at least ``need`` and MIN_GRID nodes."""
+    return PeriodicGrid(1 << (max(need, MIN_GRID) - 1).bit_length())
+
+
+def grid_for_window(window: FrequencyWindow) -> PeriodicGrid:
     """Power-of-two grid resolving all mode differences |j - k| <= 2 N_F."""
-    need = max(4 * (window.cutoff + 1), min_size)
-    size = 1
-    while size < need:
-        size *= 2
-    return PeriodicGrid(size)
+    return power_of_two_grid(4 * (window.cutoff + 1))

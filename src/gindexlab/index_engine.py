@@ -44,17 +44,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circle import FrequencyWindow, grid_for_window, winding_number
+from .circle import INNER_FRACTION, FrequencyWindow, grid_for_window, winding_number
 from .errors import (NoHomomorphism, NonStabilized, NoSpectralGap,
                      UnsupportedGroup)
 from .groups import Element
-from .quantize import FullSymbol, LabeledOperator, assemble
+from .quantize import K_MIN, PRUNE_TOL, LabeledOperator, quantize_crossed
+from .samples import winding_problem
 from .symbols import CrossedSymbol
 from .problems import GOperatorProblem
 
 GAP_REQUIREMENT = 1e3
 DEFAULT_ZERO_TOL = 1e-8
 DRIFT_TOL = 1e-3
+CHI_TOL = 1e-3             # |ind_<g0>| below this counts as vanishing
+PARAMETRIX_ORDER = 4       # Neumann order N of the parametrix
 
 
 def _require_windows(windows):
@@ -99,7 +102,7 @@ class IndexReport:
 
 def index_of_matrix(mat: np.ndarray, window: FrequencyWindow,
                     zero_tol: float = DEFAULT_ZERO_TOL,
-                    inner_fraction: float = 0.5) -> WindowIndexData:
+                    inner_fraction: float = INNER_FRACTION) -> WindowIndexData:
     """Interior kernel/cokernel counts of one window matrix.
 
     Null singular vectors supported near the window edge are truncation
@@ -133,7 +136,7 @@ def index_of_matrix(mat: np.ndarray, window: FrequencyWindow,
 
 def numerical_index(problem: GOperatorProblem, windows,
                     zero_tol: float = DEFAULT_ZERO_TOL,
-                    inner_fraction: float = 0.5) -> IndexReport:
+                    inner_fraction: float = INNER_FRACTION) -> IndexReport:
     """Stabilized Fredholm index over an increasing window schedule.
 
     Raises NoSpectralGap when no window has a gap and NonStabilized when the
@@ -167,7 +170,6 @@ CALIBRATION_WINDOWS = (32, 48, 64)
 @lru_cache(maxsize=1)
 def calibrate_sign() -> int:
     """Pin the index sign convention from the w = 1 winding calibration run."""
-    from .samples import winding_problem
     report = numerical_index(winding_problem(1), CALIBRATION_WINDOWS)
     if report.index not in (1, -1):
         raise NonStabilized(f"calibration run returned index {report.index}")
@@ -181,37 +183,26 @@ def calibrate_sign() -> int:
 @dataclass
 class ParametrixData:
     """Full parametrix, built only by :func:`parametrix`; the localized path
-    traces S^{N-1} S directly and never forms E or the remainders."""
+    reads remainder traces alone and never forms E or the remainders."""
 
     E: LabeledOperator                 # almost inverse
     left_remainder: LabeledOperator    # 1 - E A   (= S1^N exactly)
     right_remainder: LabeledOperator   # 1 - A E   (= S2^N exactly)
 
 
-def _inverse_start(A: LabeledOperator, r: CrossedSymbol, k_min: int,
-                   unit_fill: bool) -> LabeledOperator:
-    """E0 = op(r), with the zero-section convention of A."""
-    e = A.group.identity
-    spec = [(g, FullSymbol.from_principal(r.coeff(g), order=0, k_min=k_min,
-                                          unit_fill=unit_fill and g == e))
-            for g in r.support]
-    return assemble(A.realization, spec)
-
-
-def _neumann_start(A: LabeledOperator, r: CrossedSymbol, k_min: int,
-                   unit_fill: bool, prune_tol: float):
-    """E0 = op(r) and the first remainders S1 = 1 - E0 A, S2 = 1 - A E0."""
+def _neumann_start(A: LabeledOperator, r: CrossedSymbol, k_min: int, unit_fill: bool):
+    """E0 = op(r), with the zero-section convention of A, and the first
+    remainders S1 = 1 - E0 A, S2 = 1 - A E0."""
     real = A.realization
-    E0 = _inverse_start(A, r, k_min, unit_fill)
+    E0 = quantize_crossed(real, r, k_min, unit_fill)
     unit = LabeledOperator.unit(real)
-    S1 = (unit - E0.multiply(A)).prune(prune_tol)
-    S2 = (unit - A.multiply(E0)).prune(prune_tol)
+    S1 = (unit - E0.multiply(A)).prune()
+    S2 = (unit - A.multiply(E0)).prune()
     return E0, S1, S2
 
 
-def parametrix(A: LabeledOperator, r: CrossedSymbol, N: int = 4,
-               k_min: int = 4, unit_fill: bool = False,
-               prune_tol: float = 1e-13) -> ParametrixData:
+def parametrix(A: LabeledOperator, r: CrossedSymbol, N: int = PARAMETRIX_ORDER,
+               k_min: int = K_MIN, unit_fill: bool = False) -> ParametrixData:
     """Neumann-series almost inverse E = (1 + S1 + ... + S1^{N-1}) E0.
 
     E0 quantizes the symbol inverse r with the same zero-section convention as
@@ -220,15 +211,15 @@ def parametrix(A: LabeledOperator, r: CrossedSymbol, N: int = 4,
     """
     if N < 2:
         raise ValueError("parametrix order N must be >= 2")
-    E0, S1, S2 = _neumann_start(A, r, k_min, unit_fill, prune_tol)
+    E0, S1, S2 = _neumann_start(A, r, k_min, unit_fill)
     unit = LabeledOperator.unit(A.realization)
     # Horner form of (1 + S1 + ... + S1^{N-1})
     acc = unit
     for _ in range(N - 1):
-        acc = (unit + S1.multiply(acc)).prune(prune_tol)
-    E = acc.multiply(E0).prune(prune_tol)
-    R1 = S1.power(N, prune_tol)
-    R2 = S2.power(N, prune_tol)
+        acc = (unit + S1.multiply(acc)).prune()
+    E = acc.multiply(E0).prune()
+    R1 = S1.power(N)
+    R2 = S2.power(N)
     return ParametrixData(E, R1, R2)
 
 
@@ -250,7 +241,7 @@ def _inner_diagonal(K: np.ndarray, phi, rows: np.ndarray,
 
 
 def tr_g(X: LabeledOperator, cls: tuple[Element, ...],
-         inner_fraction: float = 0.5) -> complex:
+         inner_fraction: float = INNER_FRACTION) -> complex:
     """Localized trace sum_{l in <g>} tr(X_l Phi_l) over the inner window."""
     rows = np.flatnonzero(X.window.inner_mask(inner_fraction))
     total = 0.0 + 0.0j
@@ -263,7 +254,7 @@ def tr_g(X: LabeledOperator, cls: tuple[Element, ...],
 
 
 def tr_g_product(X: LabeledOperator, Y: LabeledOperator, cls: tuple[Element, ...],
-                 inner_fraction: float = 0.5, conjugates: dict | None = None) -> complex:
+                 inner_fraction: float = INNER_FRACTION, conjugates: dict | None = None) -> complex:
     """``tr_g(X.multiply(Y), cls)`` without forming the product.
 
     For each pair gh = l in the class only the inner-window diagonal of
@@ -308,8 +299,7 @@ class _WindowTraces:
                 - sum((self.right[l] for l in cls if l in self.right), 0j))
 
 
-def _power_traces(S: LabeledOperator, N: int, inner_fraction: float,
-                  prune_tol: float) -> dict[Element, complex]:
+def _power_traces(S: LabeledOperator, N: int, inner_fraction: float) -> dict[Element, complex]:
     """Tr_l(S^N) for every l in the support of S^N = S^{N-1} S, graded path.
 
     S^{N-1} keeps the left-associated order of ``power``: the graded product
@@ -320,10 +310,10 @@ def _power_traces(S: LabeledOperator, N: int, inner_fraction: float,
     isometric problems take the block path instead (``_block_traces``).
     """
     conjugates: dict = {}           # S's conjugated parts, for every product by S
-    head = S.power(N - 1, prune_tol, conjugates)
+    head = S.power(N - 1, conjugates)
     grp = S.group
     if not grp.is_finite:
-        full = head.multiply(S, conjugates).prune(prune_tol)
+        full = head.multiply(S, conjugates).prune()
         return {l: tr_g(full, (l,), inner_fraction) for l in full.support}
     support = sorted({grp.mul(g, h) for g in head.support for h in S.support}, key=repr)
     return {l: tr_g_product(head, S, (l,), inner_fraction, conjugates) for l in support}
@@ -334,7 +324,7 @@ def _window_index(problem: GOperatorProblem, cutoff: int, zero_tol: float,
     """SVD index data of one window; each window's SVD runs once per numerics."""
     key = (cutoff, zero_tol, inner_fraction)
     if key not in problem._index_cache:
-        FrequencyWindow(cutoff).require(8)
+        FrequencyWindow(cutoff).require()
         A = problem.operator(cutoff)
         problem._index_cache[key] = index_of_matrix(A.realize(), A.window, zero_tol,
                                                     inner_fraction)
@@ -385,7 +375,7 @@ def _products(grp, left, right) -> set:
 
 
 def _block_traces(problem: GOperatorProblem, cutoff: int, N: int,
-                  inner_fraction: float, prune_tol: float = 1e-13) -> _WindowTraces:
+                  inner_fraction: float) -> _WindowTraces:
     """Remainder traces of one window of a finite isometric problem, block path.
 
     Each operator is dropped once its blocks exist, each block once used, and
@@ -398,8 +388,8 @@ def _block_traces(problem: GOperatorProblem, cutoff: int, N: int,
     irreps = grp.irreps()
     A = problem.operator(cutoff)
     window, dim = A.window, A.window.dim
-    E0 = _inverse_start(A, problem.principal_inverse(grid_for_window(window)),
-                        problem.k_min, problem.unit_fill)
+    E0 = quantize_crossed(A.realization, problem.principal_inverse(grid_for_window(window)),
+                          problem.k_min, problem.unit_fill)
     keys = [_products(grp, E0.support, A.support) | {grp.identity},
             _products(grp, A.support, E0.support) | {grp.identity}]
     A_hat = _fourier_blocks(A, irreps)
@@ -419,7 +409,7 @@ def _block_traces(problem: GOperatorProblem, cutoff: int, N: int,
         norms = {l: np.linalg.norm(_inverse_fourier(irreps, parts, l)) for l in keys_S}
         del parts
         top = max(norms.values())
-        support = first = {l for l in keys_S if norms[l] > prune_tol * top} if top > 0 else keys_S
+        support = first = {l for l in keys_S if norms[l] > PRUNE_TOL * top} if top > 0 else keys_S
         for _ in range(N - 1):
             support = _products(grp, support, first)
         T = [_block_power_trace(blocks.pop(0), N, rows, dim) for _ in irreps]
@@ -428,14 +418,14 @@ def _block_traces(problem: GOperatorProblem, cutoff: int, N: int,
 
 
 def _graded_traces(problem: GOperatorProblem, cutoff: int, N: int,
-                   inner_fraction: float, prune_tol: float = 1e-13) -> _WindowTraces:
+                   inner_fraction: float) -> _WindowTraces:
     """Remainder traces of one window, graded path; the block path's oracle."""
     A = problem.operator(cutoff)
     r = problem.principal_inverse(grid_for_window(A.window))
-    S1, S2 = _neumann_start(A, r, problem.k_min, problem.unit_fill, prune_tol)[1:]
+    S1, S2 = _neumann_start(A, r, problem.k_min, problem.unit_fill)[1:]
     del A
-    return _WindowTraces(_power_traces(S1, N, inner_fraction, prune_tol),
-                         _power_traces(S2, N, inner_fraction, prune_tol))
+    return _WindowTraces(_power_traces(S1, N, inner_fraction),
+                         _power_traces(S2, N, inner_fraction))
 
 
 def _window_traces(problem: GOperatorProblem, cutoff: int, N: int,
@@ -448,13 +438,13 @@ def _window_traces(problem: GOperatorProblem, cutoff: int, N: int,
     Curved (eps > 0) and integer_shift problems take the graded path.
     """
     key = (cutoff, N, inner_fraction)
-    if key not in problem._parametrix_cache:
+    if key not in problem._trace_cache:
         if N < 2:
             raise ValueError("parametrix order N must be >= 2")
         path = (_block_traces if problem.group.is_finite and problem.family.is_isometric
                 else _graded_traces)
-        problem._parametrix_cache[key] = path(problem, cutoff, N, inner_fraction)
-    return problem._parametrix_cache[key]
+        problem._trace_cache[key] = path(problem, cutoff, N, inner_fraction)
+    return problem._trace_cache[key]
 
 
 def _classes_for(problem: GOperatorProblem, traces: _WindowTraces) -> list[tuple[Element, ...]]:
@@ -467,15 +457,15 @@ def _classes_for(problem: GOperatorProblem, traces: _WindowTraces) -> list[tuple
 
 
 def localized_index(problem: GOperatorProblem, cls: tuple[Element, ...],
-                    windows, N: int = 4,
-                    inner_fraction: float = 0.5, drift_tol: float = DRIFT_TOL,
-                    strict: bool = True) -> LocalizedValue:
-    """ind_<g> = Tr_g(1 - EA) - Tr_g(1 - AE), stabilized over the windows."""
+                    windows, N: int = PARAMETRIX_ORDER, inner_fraction: float = INNER_FRACTION,
+                    drift_tol: float = DRIFT_TOL) -> LocalizedValue:
+    """ind_<g> = Tr_g(1 - EA) - Tr_g(1 - AE), stabilized over the windows;
+    ``drift_tol=math.inf`` reports the drift without checking it."""
     _require_windows(windows)
     series = [(cutoff, _window_traces(problem, cutoff, N, inner_fraction).value(cls))
               for cutoff in windows]
     drift = abs(series[-1][1] - series[-2][1])
-    if strict and drift > drift_tol:
+    if drift > drift_tol:
         raise NonStabilized(f"class {class_label(problem, cls)} drift {drift:.2e} "
                             f"over windows {tuple(windows)}")
     return LocalizedValue(cls, series[-1][1], drift, series)
@@ -503,8 +493,8 @@ def class_label(problem: GOperatorProblem, cls: tuple[Element, ...]) -> str:
     return "<" + problem.group.label(cls[0]) + ">"
 
 
-def decomposition_check(problem: GOperatorProblem, windows, N: int = 4,
-                        inner_fraction: float = 0.5, drift_tol: float = DRIFT_TOL,
+def decomposition_check(problem: GOperatorProblem, windows, N: int = PARAMETRIX_ORDER,
+                        inner_fraction: float = INNER_FRACTION, drift_tol: float = DRIFT_TOL,
                         zero_tol: float = DEFAULT_ZERO_TOL,
                         index_windows=None) -> LocalizedIndexReport:
     """Compare the sum of localized indices against the SVD Fredholm index.
@@ -530,9 +520,9 @@ class ChiVanishingReport:
     ok: bool
 
 
-def chi_vanishing_check(problem: GOperatorProblem, g0: Element, windows, N: int = 4,
-                        inner_fraction: float = 0.5, drift_tol: float = DRIFT_TOL,
-                        tol: float = 1e-3) -> ChiVanishingReport:
+def chi_vanishing_check(problem: GOperatorProblem, g0: Element, windows,
+                        N: int = PARAMETRIX_ORDER, inner_fraction: float = INNER_FRACTION,
+                        drift_tol: float = DRIFT_TOL, tol: float = CHI_TOL) -> ChiVanishingReport:
     """Vanishing of ind_<g0> when an integer homomorphism has chi(g0) != 0."""
     grp = problem.group
     if not grp.has_nonzero_chi or grp.chi(g0) == 0:

@@ -19,17 +19,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as VERSION
-from .circle import PeriodicGrid, grid_for_window, FrequencyWindow
+from .circle import (INNER_FRACTION, MIN_CUTOFF, PeriodicGrid, grid_for_window,
+                     FrequencyWindow)
 from .errors import GIndexError, IoError, ParseError, SchemaError
 from .groups import build_group
-from .index_engine import (calibrate_sign, decomposition_check, numerical_index,
+from .index_engine import (CHI_TOL, DEFAULT_ZERO_TOL, DRIFT_TOL, PARAMETRIX_ORDER,
+                           calibrate_sign, decomposition_check, numerical_index,
                            chi_vanishing_check, winding_index_oracle)
 from .problems import GOperatorProblem
+from .quantize import K_MIN
 from .samples import (annulus_term, egorov_curved_term, egorov_isometry_term,
                       reflection_term)
-from .semiclass import (StarSeries, XiLattice, algebraic_index, egorov_defect,
-                        symbol_parametrix_h, trace_power_law)
-from .symbols import is_elliptic
+from .semiclass import (DIAG_H_GRID, NEG_POWER_TOL, StarSeries, XiLattice,
+                        algebraic_index, egorov_defect, symbol_parametrix_h,
+                        trace_power_law)
+from .symbols import ELLIPTIC_TOL, is_elliptic
 from .transforms import RealizationFamily
 
 EXPERIMENTS = ("ellipticity", "index", "localized", "algebraic", "egorov",
@@ -37,22 +41,22 @@ EXPERIMENTS = ("ellipticity", "index", "localized", "algebraic", "egorov",
 
 DEFAULT_NUMERICS = {
     "windows": [64, 128, 192],
-    "zero_tol": 1e-8,
-    "inner_fraction": 0.5,
-    "parametrix_order": 4,
+    "zero_tol": DEFAULT_ZERO_TOL,
+    "inner_fraction": INNER_FRACTION,
+    "parametrix_order": PARAMETRIX_ORDER,
     "symbol_grid": 256,
     "lattice_radius": 3.0,
     "lattice_points": 601,
     "eps": 0.5,
     "h_grid": {"hi": 0.05, "lo": 0.005, "n": 8},
-    "diag_h_grid": {"hi": 0.2, "lo": 0.02, "n": 8},
+    "diag_h_grid": dict(DIAG_H_GRID),
     "tolerances": {
-        "elliptic": 1e-6,
+        "elliptic": ELLIPTIC_TOL,
         "decomposition": 1e-2,
-        "drift": 1e-3,
-        "chi_vanishing": 1e-3,
+        "drift": DRIFT_TOL,
+        "chi_vanishing": CHI_TOL,
         "c0_match": 1e-2,
-        "neg_power": 1e-3,
+        "neg_power": NEG_POWER_TOL,
         "egorov_isometry": 1e-9,
         "egorov_slope": [0.9, 1.3],
     },
@@ -66,7 +70,7 @@ _EXIT = {PASS: 0, FAIL: 1, UNDECIDED: 2}
 class ExperimentConfig:
     raw: dict
     group_desc: dict
-    realization_desc: dict
+    family: RealizationFamily
     symbols: dict            # label -> {"plus": {mode: complex}, "minus": {...}}
     experiment: str
     k_min: int
@@ -77,15 +81,10 @@ class ExperimentConfig:
     name: str
     _problem: GOperatorProblem | None = field(default=None, repr=False, compare=False)
 
-    def family(self) -> RealizationFamily:
-        group = build_group(self.group_desc)
-        kind = self.realization_desc.get("kind", _default_realization(group.kind))
-        return RealizationFamily(group, kind, eps=float(self.realization_desc.get("eps", 0.0)))
-
     def problem(self) -> GOperatorProblem:
         """The config's one problem, so every step shares its caches."""
         if self._problem is None:
-            fam = self.family()
+            fam = self.family
             coeffs = {}
             for label, sheets in self.symbols.items():
                 g = fam.group.parse(label)
@@ -100,9 +99,9 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _default_realization(group_kind: str) -> str:
-    return {"trivial": "trivial", "cyclic": "rotation",
-            "dihedral": "dihedral", "integer_shift": "rotation"}[group_kind]
+def _is_number(x, types=(int, float)) -> bool:
+    """A JSON number of ``types``; a bool is never a number here."""
+    return isinstance(x, types) and not isinstance(x, bool)
 
 
 def _parse_coeff_table(obj, where: str) -> dict[int, complex]:
@@ -115,7 +114,7 @@ def _parse_coeff_table(obj, where: str) -> dict[int, complex]:
         except ValueError as exc:
             raise SchemaError(f"{where}: bad mode index {key!r}") from exc
         parts = val if isinstance(val, list) and len(val) == 2 else [val]
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        if not all(_is_number(x) for x in parts):
             raise SchemaError(f"{where}: coefficient of mode {mode} must be a number or "
                               f"[re, im] of numbers, got {val!r}")
         out[mode] = complex(*parts)
@@ -124,13 +123,19 @@ def _parse_coeff_table(obj, where: str) -> dict[int, complex]:
     return out
 
 
-def _check_windows(windows):
+def _check_numerics(num: dict):
+    windows = num["windows"]
     if (not isinstance(windows, list) or len(windows) < 2
-            or not all(isinstance(w, int) and not isinstance(w, bool) and w >= 8
-                       for w in windows)
+            or not all(_is_number(w, int) and w >= MIN_CUTOFF for w in windows)
             or any(a >= b for a, b in zip(windows, windows[1:]))):
         raise SchemaError(f"numerics.windows must be at least two strictly increasing "
-                          f"integers >= 8, got {windows!r}")
+                          f"integers >= {MIN_CUTOFF}, got {windows!r}")
+    for key in ("zero_tol", "inner_fraction"):
+        if not (_is_number(num[key]) and 0 < num[key] < 1):
+            raise SchemaError(f"numerics.{key} must be a number in (0, 1), got {num[key]!r}")
+    if not (_is_number(num["parametrix_order"], int) and num["parametrix_order"] >= 2):
+        raise SchemaError(f"numerics.parametrix_order must be an integer >= 2, "
+                          f"got {num['parametrix_order']!r}")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -163,10 +168,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         group = build_group(group_desc)
     except GIndexError as exc:
         raise SchemaError(f"group: {exc}") from exc
-    realization_desc = raw.get("realization", {"kind": _default_realization(group.kind)})
+    realization = raw.get("realization", {})
+    natural = {"trivial": "trivial", "cyclic": "rotation",
+               "dihedral": "dihedral", "integer_shift": "rotation"}[group.kind]
     try:
-        RealizationFamily(group, realization_desc.get("kind", _default_realization(group.kind)),
-                          eps=float(realization_desc.get("eps", 0.0)))
+        family = RealizationFamily(group, realization.get("kind", natural),
+                                   eps=float(realization.get("eps", 0.0)))
     except GIndexError as exc:
         raise SchemaError(f"realization: {exc}") from exc
     symbols = {}
@@ -189,14 +196,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
             numerics["tolerances"].update(val)
         else:
             numerics[key] = val
-    _check_windows(numerics["windows"])
+    _check_numerics(numerics)
     return ExperimentConfig(
         raw=raw,
         group_desc=group_desc,
-        realization_desc=realization_desc,
+        family=family,
         symbols=symbols,
         experiment=experiment,
-        k_min=int(raw.get("k_min", 4)),
+        k_min=int(raw.get("k_min", K_MIN)),
         unit_fill=bool(raw.get("unit_fill", False)),
         numerics=numerics,
         out_dir=raw.get("out_dir"),
@@ -279,9 +286,8 @@ def _sweep(config: ExperimentConfig) -> dict:
     """The analytic sweep's numerics, read here only: the index, localized,
     chi-vanishing and algebraic steps all pass on these same values."""
     num = config.numerics
-    return {"windows": tuple(num["windows"]), "N": int(num["parametrix_order"]),
-            "zero_tol": float(num["zero_tol"]),
-            "inner_fraction": float(num["inner_fraction"]),
+    return {"windows": tuple(num["windows"]), "N": num["parametrix_order"],
+            "zero_tol": num["zero_tol"], "inner_fraction": num["inner_fraction"],
             "drift_tol": float(num["tolerances"]["drift"])}
 
 
@@ -380,7 +386,7 @@ def _exp_algebraic(config: ExperimentConfig):
 
 
 def _exp_egorov(config: ExperimentConfig):
-    fam = config.family()
+    fam = config.family
     grid = PeriodicGrid(int(config.numerics["symbol_grid"]))
     h_grid = _h_grid_from(config.numerics["diag_h_grid"])
     tols = config.numerics["tolerances"]
@@ -410,7 +416,7 @@ def _first_nontrivial_label(fam: RealizationFamily) -> str:
 
 
 def _exp_trace_asymptotics(config: ExperimentConfig):
-    fam = config.family()
+    fam = config.family
     grid = PeriodicGrid(int(config.numerics["symbol_grid"]))
     lattice = XiLattice(3.5, 701)
     h_grid = _h_grid_from(config.numerics["diag_h_grid"])

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .circle import FrequencyWindow, PeriodicGrid, grid_for_window
 from .groups import Element
-from .quantize import FullSymbol, LabeledOperator, assemble
+from .quantize import K_MIN, LabeledOperator, quantize_crossed
 from .symbols import CrossedSymbol, PrincipalSymbol, invert_principal
 from .transforms import Realization, RealizationFamily
 
@@ -26,12 +26,12 @@ class GOperatorProblem:
 
     family: RealizationFamily
     symbol_coeffs: dict[Element, CoeffPair]
-    k_min: int = 4
+    k_min: int = K_MIN
     unit_fill: bool = False
     name: str = ""
     _realizations: dict[int, Realization] = field(default_factory=dict, repr=False)
     _inverses: dict[int, CrossedSymbol] = field(default_factory=dict, repr=False)
-    _parametrix_cache: dict[tuple, object] = field(default_factory=dict, repr=False)
+    _trace_cache: dict[tuple, object] = field(default_factory=dict, repr=False)
     _index_cache: dict[tuple, object] = field(default_factory=dict, repr=False)
 
     @property
@@ -49,20 +49,10 @@ class GOperatorProblem:
             coeffs[g] = PrincipalSymbol.from_coeffs(grid, plus, minus)
         return CrossedSymbol(self.family, coeffs, grid)
 
-    def full_symbols(self, grid: PeriodicGrid) -> list[tuple[Element, FullSymbol]]:
-        sym = self.symbol(grid)
-        e = self.group.identity
-        out = []
-        for g in sym.support:
-            out.append((g, FullSymbol.from_principal(
-                sym.coeff(g), order=0, k_min=self.k_min,
-                unit_fill=self.unit_fill and g == e)))
-        return out
-
     def operator(self, cutoff: int) -> LabeledOperator:
         real = self.realization(cutoff)
-        grid = grid_for_window(real.window)
-        return assemble(real, self.full_symbols(grid))
+        return quantize_crossed(real, self.symbol(grid_for_window(real.window)),
+                                self.k_min, self.unit_fill)
 
     def principal_inverse(self, grid: PeriodicGrid) -> CrossedSymbol:
         if grid.size not in self._inverses:

@@ -22,6 +22,9 @@ from .errors import GroupMismatch, WindowMismatch, WindowTooSmallForH
 from .groups import Element
 from .transforms import Realization
 
+K_MIN = 4            # default zero-section cut |k| < k_min
+PRUNE_TOL = 1e-13    # parts below this fraction of the largest part norm are dropped
+
 
 # ---------------------------------------------------------------------------
 # classical (h-free) symbols of nonpositive order
@@ -39,7 +42,7 @@ class FullSymbol:
     plus: PeriodicFunction
     minus: PeriodicFunction
     order: int = 0
-    k_min: int = 4
+    k_min: int = K_MIN
     unit_fill: bool = False
 
     def __post_init__(self):
@@ -53,12 +56,12 @@ class FullSymbol:
         return self.plus.grid
 
     @classmethod
-    def from_principal(cls, sym, order: int = 0, k_min: int = 4,
+    def from_principal(cls, sym, order: int = 0, k_min: int = K_MIN,
                        unit_fill: bool = False) -> "FullSymbol":
         return cls(sym.plus, sym.minus, order, k_min, unit_fill)
 
     @classmethod
-    def constant(cls, grid: PeriodicGrid, c: complex, k_min: int = 4,
+    def constant(cls, grid: PeriodicGrid, c: complex, k_min: int = K_MIN,
                  unit_fill: bool = False) -> "FullSymbol":
         f = PeriodicFunction.constant(grid, c)
         return cls(f, f, 0, k_min, unit_fill)
@@ -186,13 +189,13 @@ class LabeledOperator:
         return LabeledOperator(self.realization,
                                {g: scalar * m for g, m in self.parts.items()})
 
-    def prune(self, rel_tol: float = 1e-13) -> "LabeledOperator":
-        """Drop parts with negligible Frobenius norm (keeps shift supports finite)."""
+    def prune(self) -> "LabeledOperator":
+        """Drop parts with norm <= PRUNE_TOL x the largest (keeps shift supports finite)."""
         norms = {g: np.linalg.norm(m) for g, m in self.parts.items()}
         top = max(norms.values(), default=0.0)
         if top == 0.0:
             return self
-        kept = {g: m for g, m in self.parts.items() if norms[g] > rel_tol * top}
+        kept = {g: m for g, m in self.parts.items() if norms[g] > PRUNE_TOL * top}
         return LabeledOperator(self.realization, kept)
 
     # -- algebra -----------------------------------------------------------------
@@ -226,18 +229,15 @@ class LabeledOperator:
                 out[m] = out[m] + contrib if m in out else contrib
         return LabeledOperator(self.realization, out)
 
-    def power(self, n: int, prune_tol: float | None = None,
-              conjugates: dict | None = None) -> "LabeledOperator":
-        """Left-associated power; each part of ``self`` is conjugated once,
-        into ``conjugates`` when the caller passes a memo to reuse."""
+    def power(self, n: int, conjugates: dict | None = None) -> "LabeledOperator":
+        """Left-associated power, pruned after each product; each part of ``self``
+        is conjugated once, into ``conjugates`` when the caller passes a memo."""
         if n < 1:
             raise ValueError("power needs n >= 1")
         conjugates = {} if conjugates is None else conjugates
         acc = self
         for _ in range(n - 1):
-            acc = acc.multiply(self, conjugates)
-            if prune_tol is not None:
-                acc = acc.prune(prune_tol)
+            acc = acc.multiply(self, conjugates).prune()
         return acc
 
     def realize(self) -> np.ndarray:
@@ -258,4 +258,14 @@ def assemble(realization: Realization, spec: list[tuple[Element, FullSymbol]]) -
         mat = op_classical(sym, realization.window)
         parts[g] = parts[g] + mat if g in parts else mat
     return LabeledOperator(realization, parts)
+
+
+def quantize_crossed(realization: Realization, sym, k_min: int,
+                     unit_fill: bool) -> LabeledOperator:
+    """op of a crossed symbol's coefficients at order 0; ``unit_fill`` fills
+    the zero-section cut of the identity coefficient with 1."""
+    e = realization.group.identity
+    return assemble(realization, [
+        (g, FullSymbol.from_principal(sym.coeff(g), k_min=k_min, unit_fill=unit_fill and g == e))
+        for g in sym.support])
 

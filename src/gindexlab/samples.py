@@ -6,17 +6,19 @@ import numpy as np
 
 from .groups import build_group
 from .problems import GOperatorProblem
+from .quantize import K_MIN
+from .semiclass import SampledTerm, StarSeries, XiLattice, zero_section_cut
 from .transforms import RealizationFamily
 
 
-def winding_problem(w: int, k_min: int = 4) -> GOperatorProblem:
+def winding_problem(w: int, k_min: int = K_MIN) -> GOperatorProblem:
     """Trivial group, plus sheet 1, minus sheet e^{i w x}: the calibration family."""
     fam = RealizationFamily(build_group("trivial"), "trivial")
     coeffs = {(): ({0: 1.0}, {w: 1.0})}
     return GOperatorProblem(fam, coeffs, k_min=k_min, name=f"winding_w{w}")
 
 
-def z2_sample(k_min: int = 4) -> GOperatorProblem:
+def z2_sample(k_min: int = K_MIN) -> GOperatorProblem:
     """Z/2 reflection sample: a_e = 2 on plus / 2 e^{ix} on minus, a_s = 1."""
     fam = RealizationFamily(build_group("cyclic", m=2), "reflection")
     coeffs = {
@@ -31,8 +33,8 @@ def _random_trig(rng: np.random.Generator, deg: int, scale: float) -> dict[int, 
             for k in range(-deg, deg + 1)}
 
 
-def dihedral_sample(seed: int, k_min: int = 4, twist: int = 1) -> GOperatorProblem:
-    """Randomized elliptic dihedral(3) operator with a minus-sheet winding twist.
+def dihedral_sample(seed: int, k_min: int = K_MIN) -> GOperatorProblem:
+    """Randomized elliptic dihedral(3) operator whose identity minus sheet winds once.
 
     A dominant identity coefficient guarantees ellipticity; small random trig
     polynomials sit on the other five elements.  Deterministic per seed.
@@ -43,14 +45,14 @@ def dihedral_sample(seed: int, k_min: int = 4, twist: int = 1) -> GOperatorProbl
     coeffs = {}
     for g in grp.elements():
         if g == grp.identity:
-            coeffs[g] = ({0: 3.0}, {twist: 3.0})
+            coeffs[g] = ({0: 3.0}, {1: 3.0})
         else:
             coeffs[g] = (_random_trig(rng, 2, 0.35), _random_trig(rng, 2, 0.35))
     return GOperatorProblem(fam, coeffs, k_min=k_min, name=f"dihedral3_seed{seed}")
 
 
 def shift_neumann_problem(theta: float = 1.0, c: float = 0.3,
-                          k_min: int = 4) -> GOperatorProblem:
+                          k_min: int = K_MIN) -> GOperatorProblem:
     """integer_shift sample A = 1 + c op(f) Phi_1 with ||c f||_inf < 1."""
     fam = RealizationFamily(build_group("integer_shift", theta=theta), "rotation")
     f = {0: 0.5 * c, 1: 0.25 * c, -2: 0.15 * c}
@@ -61,7 +63,7 @@ def shift_neumann_problem(theta: float = 1.0, c: float = 0.3,
     return GOperatorProblem(fam, coeffs, k_min=k_min, name="shift_neumann")
 
 
-def curved_z2_problem(eps: float = 0.3, k_min: int = 4) -> GOperatorProblem:
+def curved_z2_problem(eps: float = 0.3, k_min: int = K_MIN) -> GOperatorProblem:
     """cyclic(2) realized by a conjugated rotation: A = 2 + op(1) Phi_curved."""
     fam = RealizationFamily(build_group("cyclic", m=2), "curved_rotation", eps=eps)
     coeffs = {
@@ -75,45 +77,41 @@ def curved_z2_problem(eps: float = 0.3, k_min: int = 4) -> GOperatorProblem:
 # semiclassical diagnostic symbols
 # ---------------------------------------------------------------------------
 
-def _meshed(grid, lattice, fn):
-    from .semiclass import SampledTerm
-    return SampledTerm.from_callable(grid, lattice, fn, "zero")
-
-
 def weyl_test_terms(grid, lattice):
     """Two rapidly decaying symbols for Weyl-trace comparisons."""
-    t1 = _meshed(grid, lattice,
-                 lambda X, XI: (2.0 + np.cos(X)) * XI ** 2 * np.exp(-2.0 * XI ** 2))
-    t2 = _meshed(grid, lattice,
-                 lambda X, XI: (1.0 + 0.5 * np.sin(2 * X)) * XI ** 4 * np.exp(-2.0 * XI ** 2))
+    t1 = SampledTerm.from_callable(
+        grid, lattice, lambda X, XI: (2.0 + np.cos(X)) * XI ** 2 * np.exp(-2.0 * XI ** 2))
+    t2 = SampledTerm.from_callable(
+        grid, lattice,
+        lambda X, XI: (1.0 + 0.5 * np.sin(2 * X)) * XI ** 4 * np.exp(-2.0 * XI ** 2))
     return [t1, t2]
 
 
 def annulus_term(grid, lattice):
     """Analytic even annulus profile, zero-section content negligible."""
-    return _meshed(grid, lattice,
-                   lambda X, XI: (2.0 + np.cos(X)) * XI ** 2 * np.exp(-2.0 * XI ** 2))
+    return SampledTerm.from_callable(
+        grid, lattice, lambda X, XI: (2.0 + np.cos(X)) * XI ** 2 * np.exp(-2.0 * XI ** 2))
 
 
 def reflection_term(grid, lattice):
     """Even profile with mass at the zero section (reflection trace tests)."""
-    return _meshed(grid, lattice,
-                   lambda X, XI: (1.0 + np.cos(X)) * np.exp(-2.0 * XI ** 2))
+    return SampledTerm.from_callable(
+        grid, lattice, lambda X, XI: (1.0 + np.cos(X)) * np.exp(-2.0 * XI ** 2))
 
 
 def star_consistency_pairs(grid, lattice, family_trivial, family_z2):
     """Two symbol pairs with single-mode x-factors (drift-free norm law)."""
-    from .semiclass import StarSeries
-    a = _meshed(grid, lattice,
-                lambda X, XI: np.exp(1j * X) * np.exp(-((XI - 1.2) / 0.32) ** 2))
-    b = _meshed(grid, lattice,
-                lambda X, XI: np.exp(1j * X) * XI * np.exp(-((XI - 1.4) / 0.35) ** 2))
+    a = SampledTerm.from_callable(
+        grid, lattice, lambda X, XI: np.exp(1j * X) * np.exp(-((XI - 1.2) / 0.32) ** 2))
+    b = SampledTerm.from_callable(
+        grid, lattice, lambda X, XI: np.exp(1j * X) * XI * np.exp(-((XI - 1.4) / 0.35) ** 2))
     pair1 = (StarSeries(family_trivial, grid, lattice, 0.25, {((), 0): a}),
              StarSeries(family_trivial, grid, lattice, 0.25, {((), 0): b}))
     even1 = lambda XI: np.exp(-((np.abs(XI) - 1.2) / 0.32) ** 2)
     even2 = lambda XI: np.exp(-((np.abs(XI) - 1.4) / 0.35) ** 2)
-    c = _meshed(grid, lattice, lambda X, XI: np.exp(1j * X) * even1(XI))
-    d = _meshed(grid, lattice, lambda X, XI: np.exp(-1j * X) * XI * even2(XI) / 2)
+    c = SampledTerm.from_callable(grid, lattice, lambda X, XI: np.exp(1j * X) * even1(XI))
+    d = SampledTerm.from_callable(grid, lattice,
+                                  lambda X, XI: np.exp(-1j * X) * XI * even2(XI) / 2)
     e = family_z2.group.identity
     pair2 = (StarSeries(family_z2, grid, lattice, 0.25, {(e, 0): c, (1, 0): d}),
              StarSeries(family_z2, grid, lattice, 0.25, {(1, 0): c, (e, 0): d}))
@@ -122,7 +120,6 @@ def star_consistency_pairs(grid, lattice, family_trivial, family_z2):
 
 def egorov_curved_term(grid):
     """Gaussian annulus on a wide lattice covering the curved-stretched support."""
-    from .semiclass import SampledTerm, XiLattice
     lattice = XiLattice(7.5, 1501)
     return SampledTerm.from_callable(
         grid, lattice,
@@ -131,7 +128,6 @@ def egorov_curved_term(grid):
 
 def egorov_isometry_term(grid):
     """Zero-section-cut annulus for exact-transport checks."""
-    from .semiclass import SampledTerm, XiLattice, zero_section_cut
     lattice = XiLattice(4.0, 801)
     chi = zero_section_cut(lattice, 0.3)
     vals = np.exp(1j * grid.nodes)[:, None] * \

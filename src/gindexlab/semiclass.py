@@ -24,8 +24,15 @@ from .circle import FrequencyWindow, PeriodicFunction, PeriodicGrid, fourier_sum
 from .errors import (GroupMismatch, IllConditionedFit, NonIsometricAction,
                      OrderOverflow, ResidualNotTraceClass, TraceDivergence)
 from .groups import Element
+from .quantize import op_h_term
 from .symbols import CrossedSymbol, PrincipalSymbol, invert_principal
 from .transforms import RealizationFamily
+
+XI_STENCIL_REACH = 2         # lattice points the dxi stencil reaches past each end
+TRACE_EDGE_TOL = 1e-8        # lattice-edge values allowed in a traced term, relative
+POWER_LAW_FLOOR = 1e-12      # |tau_g| below this has no power law
+NEG_POWER_TOL = 1e-3         # h^{-1} coefficient allowed in the algebraic index
+DIAG_H_GRID = {"hi": 0.2, "lo": 0.02, "n": 8}   # diagnostic h-grid, descending
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +111,12 @@ def lattice_interp(lattice: XiLattice, values: np.ndarray, queries: np.ndarray,
     return out
 
 
-def _pad_xi(values: np.ndarray, extend: str, width: int = 2) -> np.ndarray:
+def _pad_xi(values: np.ndarray, extend: str) -> np.ndarray:
     if extend == "zero":
-        pad = np.zeros(values.shape[:-1] + (width,), dtype=values.dtype)
+        pad = np.zeros(values.shape[:-1] + (XI_STENCIL_REACH,), dtype=values.dtype)
         return np.concatenate([pad, values, pad], axis=-1)
-    left = np.repeat(values[..., :1], width, axis=-1)
-    right = np.repeat(values[..., -1:], width, axis=-1)
+    left = np.repeat(values[..., :1], XI_STENCIL_REACH, axis=-1)
+    right = np.repeat(values[..., -1:], XI_STENCIL_REACH, axis=-1)
     return np.concatenate([left, values, right], axis=-1)
 
 
@@ -472,12 +479,12 @@ class TraceSeries:
         return float(np.max(np.abs(self.values)))
 
 
-def default_h_grid(n: int = 8, lo: float = 0.02, hi: float = 0.2) -> np.ndarray:
-    """Logarithmically spaced, descending (largest h first)."""
-    return np.geomspace(hi, lo, n)
+def default_h_grid() -> np.ndarray:
+    """DIAG_H_GRID, logarithmically spaced, descending (largest h first)."""
+    return np.geomspace(DIAG_H_GRID["hi"], DIAG_H_GRID["lo"], DIAG_H_GRID["n"])
 
 
-def _traceable_terms(series: StarSeries, boundary_tol: float = 1e-8):
+def _traceable_terms(series: StarSeries):
     """Validate trace-class surrogates: no unit, negligible lattice-edge values."""
     if abs(series.unit) > 1e-14:
         raise TraceDivergence(f"series has unit component {series.unit!r}")
@@ -485,7 +492,7 @@ def _traceable_terms(series: StarSeries, boundary_tol: float = 1e-8):
     for (g, j), term in series._sorted_terms():
         edge = max(float(np.max(np.abs(term.values[:, 0]))),
                    float(np.max(np.abs(term.values[:, -1]))))
-        if edge > boundary_tol * scale:
+        if edge > TRACE_EDGE_TOL * scale:
             raise ResidualNotTraceClass(
                 f"term (g={series.group.label(g)}, j={j}) carries lattice-edge "
                 f"values {edge:.2e}; not trace-class on the window")
@@ -597,12 +604,12 @@ class PowerLawReport:
 
 
 def trace_power_law(series: StarSeries, cls: tuple[Element, ...],
-                    h_grid: np.ndarray, floor: float = 1e-12) -> PowerLawReport:
+                    h_grid: np.ndarray) -> PowerLawReport:
     """Log-log slope of |tau_g| over the h-grid (None below the noise floor)."""
     ts = tau_g(series, cls, h_grid)
     mags = np.abs(ts.values)
     top = float(np.max(mags))
-    if top < floor:
+    if top < POWER_LAW_FLOOR:
         return PowerLawReport(None, top, ts.values, ts.h_grid)
     logs = np.log(np.maximum(mags, 1e-300))
     slope = float(np.polyfit(np.log(ts.h_grid), logs, 1)[0])
@@ -624,7 +631,7 @@ class AlgebraicIndexResult:
 
 def algebraic_index(a: StarSeries, cls: tuple[Element, ...], N: int,
                     h_grid: np.ndarray, r: StarSeries | None = None,
-                    neg_tol: float = 1e-3) -> AlgebraicIndexResult:
+                    neg_tol: float = NEG_POWER_TOL) -> AlgebraicIndexResult:
     """tau_g(1 - r*a) - tau_g(1 - a*r), Laurent-fitted on powers -1 .. N-2.
 
     The constant term is the localized algebraic index; the h^{-1} coefficient
@@ -658,7 +665,6 @@ def algebraic_index(a: StarSeries, cls: tuple[Element, ...], N: int,
 
 def realize_series(series: StarSeries, h: float, window: FrequencyWindow) -> np.ndarray:
     """Dense window matrix  unit I + sum h^j op_h(a_{g,j}) Phi_g  (oracle use)."""
-    from .quantize import op_h_term
     real = series.family.at(window)
     out = series.unit * np.eye(window.dim, dtype=complex)
     for (g, j), term in series._sorted_terms():
@@ -693,7 +699,6 @@ def egorov_defect(family: RealizationFamily, g: Element, term: SampledTerm,
     l2 deviation of an inner column (the columnwise symbol defect, which
     exhibits the clean O(h) law); the slope is None below a 1e-11 floor.
     """
-    from .quantize import op_h_term
     radius = term.xi_support_radius()
     if radius is None or radius == 0.0:
         raise ValueError("egorov defect needs a compactly supported symbol")
@@ -709,7 +714,7 @@ def egorov_defect(family: RealizationFamily, g: Element, term: SampledTerm,
         A = op_h_term(term, h, window)
         conj = real.phi(g).left_mul(real.phi_inv(g).right_mul(A))
         target = op_h_term(transported, h, window)
-        mask = window.inner_mask(0.5)
+        mask = window.inner_mask()
         D = conj - target
         defects.append(float(np.max(np.linalg.norm(D[:, mask], axis=0))))
     defects = np.asarray(defects)

@@ -24,6 +24,9 @@ from .transforms import CanonicalTransform, RealizationFamily
 
 ELLIPTIC_TOL = 1e-6     # singular-value floor separating invertible from noise
 INVERSE_RESID_TOL = 1e-8
+NEUMANN_TAIL_TOL = 1e-10    # integer_shift inverse: stop once the geometric tail is below
+NEUMANN_MAX_TERMS = 200
+MAX_INVERSE_GRID = 4096     # finest grid the inversion refines to
 
 
 @dataclass(frozen=True)
@@ -273,24 +276,22 @@ def is_elliptic(a: CrossedSymbol, tol: float = ELLIPTIC_TOL) -> EllipticityVerdi
     return EllipticityVerdict(verdict, float(margin), sheet, point, "dominance")
 
 
-def invert_principal(a: CrossedSymbol, tol: float = ELLIPTIC_TOL,
-                     tail_tol: float = 1e-10, max_terms: int = 200,
-                     max_grid: int = 4096) -> CrossedSymbol:
+def invert_principal(a: CrossedSymbol) -> CrossedSymbol:
     """Inverse of an elliptic symbol in the crossed product.
 
     Finite groups: pointwise inversion of the regular-representation matrices,
     coefficients read back from the first block-row.  integer_shift: Neumann
     series around the dominant identity coefficient.  The grid refines
     automatically (exact coefficient zero-padding) until the two-sided
-    residuals meet the 1e-8 contract; barely elliptic symbols whose inverses
-    are rougher than ``max_grid`` resolves raise NotElliptic.
+    residuals meet INVERSE_RESID_TOL; barely elliptic symbols whose inverses
+    are rougher than MAX_INVERSE_GRID resolves raise NotElliptic.
     """
     grp = a.group
     if grp.is_finite:       # the verdict reads the tensor the first inversion uses
         tensor = _regular_rep_tensor(a)
-        verdict = _regular_rep_verdict(tensor, a.grid, tol)
+        verdict = _regular_rep_verdict(tensor, a.grid, ELLIPTIC_TOL)
     else:
-        verdict = is_elliptic(a, tol)
+        verdict = is_elliptic(a)
     if not verdict.is_elliptic:
         raise NotElliptic(f"symbol verdict {verdict.verdict}, "
                           f"min singular value {verdict.min_singular_value:.3e}")
@@ -310,24 +311,20 @@ def invert_principal(a: CrossedSymbol, tol: float = ELLIPTIC_TOL,
                                             PeriodicFunction(work.grid, vals[1]))
             r = CrossedSymbol(work.family, coeffs, work.grid)
         else:
-            r = _invert_neumann(work, tail_tol, max_terms)
+            r = _invert_neumann(work)
         res = _inverse_residual(work, r)
         if res <= INVERSE_RESID_TOL:
             return r
-        if 2 * work.grid.size > max_grid:
+        if 2 * work.grid.size > MAX_INVERSE_GRID:
             raise NotElliptic(
                 f"inverse residual {res:.2e} above {INVERSE_RESID_TOL} at grid "
                 f"{work.grid.size}; symbol too close to the ellipticity boundary")
-        work = _refined(work)
+        work = work.resampled(PeriodicGrid(2 * work.grid.size))
         if grp.is_finite:
             tensor = _regular_rep_tensor(work)
 
 
-def _refined(a: CrossedSymbol) -> CrossedSymbol:
-    return a.resampled(PeriodicGrid(2 * a.grid.size))
-
-
-def _invert_neumann(a: CrossedSymbol, tail_tol: float, max_terms: int) -> CrossedSymbol:
+def _invert_neumann(a: CrossedSymbol) -> CrossedSymbol:
     grp = a.group
     e = grp.identity
     u = CrossedSymbol(a.family, {e: PrincipalSymbol(
@@ -343,13 +340,14 @@ def _invert_neumann(a: CrossedSymbol, tail_tol: float, max_terms: int) -> Crosse
     # r = u * (1 + w + w*w + ...), truncated when the geometric tail drops
     acc = CrossedSymbol.unit(a.family, a.grid)
     power = CrossedSymbol.unit(a.family, a.grid)
-    for j in range(1, max_terms + 1):
+    for j in range(1, NEUMANN_MAX_TERMS + 1):
         power = power.star(w)
         acc = acc + power
-        if power.norm_inf() < tail_tol * (1.0 - q):
+        if power.norm_inf() < NEUMANN_TAIL_TOL * (1.0 - q):
             break
     else:
-        raise NeumannDivergence(f"tail above {tail_tol} after {max_terms} terms")
+        raise NeumannDivergence(
+            f"tail above {NEUMANN_TAIL_TOL} after {NEUMANN_MAX_TERMS} terms")
     return u.star(acc)
 
 

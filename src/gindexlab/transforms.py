@@ -32,11 +32,12 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import FrequencyWindow, PeriodicGrid
+from .circle import FrequencyWindow, PeriodicGrid, power_of_two_grid
 from .errors import InvalidParameter, NonIsometricAction, NotADiffeo
 from .groups import Element, GroupSpec
 
 TWO_PI = 2.0 * math.pi
+DIFFEO_CHECK_TOL = 1e-10    # allowed |alpha(alpha^{-1}(x)) - x| on a grid
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +103,11 @@ class CircleDiffeo:
 
         return cls(fwd, inv, der, sign=1)
 
-    def check(self, grid: PeriodicGrid, tol: float = 1e-10):
+    def check(self, grid: PeriodicGrid):
         """Verify alpha o alpha^{-1} = id and derivative positivity on the grid."""
         x = grid.nodes
         err = np.max(np.abs(self.forward(self.inverse(x)) - x))
-        if err > tol:
+        if err > DIFFEO_CHECK_TOL:
             raise NotADiffeo(f"alpha o alpha^-1 deviates from id by {err:.2e}")
         d = self.deriv(x) * self.sign
         if np.min(d) <= 0:
@@ -246,7 +247,7 @@ class QuantizedTransform:
         first read; None for an exact mode map."""
         if self._dense is None:
             return None
-        mask = FrequencyWindow((len(self._dense) - 1) // 2).inner_mask(0.5)
+        mask = FrequencyWindow((len(self._dense) - 1) // 2).inner_mask()
         gram = self._dense.conj().T @ self._dense - np.eye(len(self._dense))
         return float(np.linalg.norm(gram[:, mask], 2))
 
@@ -266,19 +267,14 @@ class QuantizedTransform:
         return mat @ self._dense
 
 
-def weighted_shift_matrix(diffeo: CircleDiffeo, window: FrequencyWindow,
-                          build_grid: PeriodicGrid | None = None) -> np.ndarray:
+def weighted_shift_matrix(diffeo: CircleDiffeo, window: FrequencyWindow) -> np.ndarray:
     """Dense window matrix of u -> |(alpha^{-1})'|^{1/2} (u o alpha^{-1}).
 
-    Column k holds the Fourier coefficients of x -> w(x) exp(i k alpha^{-1}(x)).
-    The build grid must resolve the spectral spread of the highest column.
+    Column k holds the Fourier coefficients of x -> w(x) exp(i k alpha^{-1}(x)),
+    built on a grid of at least 8 N_F nodes so that it resolves the spectral
+    spread of the highest column.
     """
-    if build_grid is None:
-        need = max(8 * window.cutoff, 64)
-        size = 1
-        while size < need:
-            size *= 2
-        build_grid = PeriodicGrid(size)
+    build_grid = power_of_two_grid(8 * window.cutoff)
     x = build_grid.nodes
     ainv = diffeo.inverse(x)
     w = np.sqrt(np.abs(1.0 / diffeo.deriv(ainv)))
@@ -403,7 +399,7 @@ class Realization:
 
     def __init__(self, family: RealizationFamily, window: FrequencyWindow):
         if not family.is_isometric:
-            window.require(8)
+            window.require()
         self.family = family
         self.group = family.group
         self.window = window

@@ -163,7 +163,7 @@ class TestWindow:
 
     def test_require(self):
         with pytest.raises(WindowTooSmall):
-            FrequencyWindow(4).require(8)
+            FrequencyWindow(4).require()
 
     def test_grid_for_window_resolves_transfers(self):
         w = FrequencyWindow(100)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -163,7 +165,7 @@ class TestTraceProduct:
         p = build()
         windows = (32, 48)
         for cls in p.group.conjugacy_classes():
-            v = localized_index(p, cls, windows, N=N, strict=False)
+            v = localized_index(p, cls, windows, N=N, drift_tol=math.inf)
             for cutoff, value in v.per_window:
                 A = p.operator(cutoff)
                 data = parametrix(A, p.principal_inverse(grid_for_window(A.window)),
@@ -229,7 +231,7 @@ class TestBlockPath:
                                 lambda *args, _name=name, _fn=original:
                                 taken.append(_name) or _fn(*args))
         p = build()
-        localized_index(p, (p.group.identity,), (32, 48), strict=False)
+        localized_index(p, (p.group.identity,), (32, 48), drift_tol=math.inf)
         assert taken == [path, path]
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gindexlab import index_engine
+from gindexlab import circle, index_engine, semiclass, symbols
 from gindexlab.cli import main
 from gindexlab.errors import ParseError, SchemaError
 from gindexlab.lab import (DEFAULT_NUMERICS, RunRecord, emit_reports,
@@ -38,6 +38,8 @@ Z2_PIPELINE = {
                 "r": {"plus": {"0": 1.0}, "minus": {"0": 1.0}}},
     "experiment": "full_pipeline",
 }
+
+Z2_LOCALIZED = {**Z2_PIPELINE, "experiment": "localized"}
 
 
 def dihedral_localized_config() -> dict:
@@ -117,6 +119,28 @@ class TestConfig:
         symbols = {"e": {"plus": {"0": 1.0}, "minus": {"0": 1.0, "3": value}}}
         with pytest.raises(SchemaError, match=r"symbols\['e'\]\.minus: coefficient of mode 3"):
             parse_config({**MINIMAL, "symbols": symbols})
+
+    @pytest.mark.parametrize("field, value", [
+        ("zero_tol", "x"), ("zero_tol", 0.0), ("zero_tol", 1.5), ("zero_tol", float("nan")),
+        ("zero_tol", True), ("inner_fraction", 2.0), ("inner_fraction", 0),
+        ("parametrix_order", 1), ("parametrix_order", 2.5), ("parametrix_order", True),
+        ("parametrix_order", "4")])
+    def test_bad_numerics_rejected(self, field, value):
+        bad = {**Z2_LOCALIZED, "numerics": {"windows": [32, 48], field: value}}
+        with pytest.raises(SchemaError, match=f"numerics.{field}"):
+            parse_config(bad)
+
+    def test_default_numerics_are_engine_constants(self):
+        tols = DEFAULT_NUMERICS["tolerances"]
+        assert DEFAULT_NUMERICS["zero_tol"] == index_engine.DEFAULT_ZERO_TOL
+        assert DEFAULT_NUMERICS["inner_fraction"] == circle.INNER_FRACTION
+        assert DEFAULT_NUMERICS["parametrix_order"] == index_engine.PARAMETRIX_ORDER
+        assert DEFAULT_NUMERICS["diag_h_grid"] == semiclass.DIAG_H_GRID
+        assert tols["elliptic"] == symbols.ELLIPTIC_TOL
+        assert tols["drift"] == index_engine.DRIFT_TOL
+        assert tols["chi_vanishing"] == index_engine.CHI_TOL
+        assert tols["neg_power"] == semiclass.NEG_POWER_TOL
+        assert json.loads(json.dumps(DEFAULT_NUMERICS)) == DEFAULT_NUMERICS
 
     def test_one_problem_per_config(self):
         cfg = parse_config(dict(MINIMAL))

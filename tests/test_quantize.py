@@ -166,7 +166,7 @@ class TestLabeled:
     def test_prune(self):
         A = self.rnd(0)
         A.parts[1] *= 1e-16
-        assert LabeledOperator(self.R, A.parts).prune(1e-13).support == [0]
+        assert LabeledOperator(self.R, A.parts).prune().support == [0]
 
 
 class TestOpH:

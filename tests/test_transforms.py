@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gindexlab.circle import FrequencyWindow, PeriodicGrid
 from gindexlab.errors import InvalidParameter, NonIsometricAction, NotADiffeo
@@ -179,6 +180,47 @@ class TestQuantized:
         fam = family("cyclic", "curved_rotation", m=2, eps=0.3)
         with pytest.raises(NonIsometricAction):
             fam.mode_map(1, W16.modes)
+
+
+@st.composite
+def mode_maps(draw, window):
+    """A ModeMap on ``window`` with either sign and random unit phases."""
+    sign = draw(st.sampled_from([1, -1]))
+    angles = draw(st.lists(st.floats(-np.pi, np.pi), min_size=window.dim,
+                           max_size=window.dim))
+    return ModeMap(window, sign, np.exp(1j * np.array(angles)))
+
+
+windows = st.integers(1, 12).map(FrequencyWindow)
+
+
+class TestModeMapLaws:
+    """Every ModeMap operation against products of the dense matrix()."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_compose(self, data):
+        w = data.draw(windows)
+        a, b = data.draw(mode_maps(w)), data.draw(mode_maps(w))
+        assert np.max(np.abs(a.compose(b).matrix() - a.matrix() @ b.matrix())) < 1e-14
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_adjoint(self, data):
+        a = data.draw(mode_maps(data.draw(windows)))
+        assert np.max(np.abs(a.adjoint().matrix() - a.matrix().conj().T)) < 1e-14
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), st.integers(0, 2 ** 32 - 1))
+    def test_left_right_mul_conjugate(self, data, seed):
+        w = data.draw(windows)
+        a = data.draw(mode_maps(w))
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(w.dim, w.dim)) + 1j * rng.normal(size=(w.dim, w.dim))
+        phi = a.matrix()
+        assert np.max(np.abs(a.left_mul(X) - phi @ X)) < 1e-12
+        assert np.max(np.abs(a.right_mul(X) - X @ phi)) < 1e-12
+        assert np.max(np.abs(a.conjugate(X) - phi @ X @ phi.conj().T)) < 1e-12
 
 
 class TestCurvedShift:
