@@ -4,9 +4,11 @@ Group actions and exact quantized canonical transformations
 
 Finite extensions of Z act on the cosphere bundle {+,-} x S^1 through
 canonical transformations; their quantizations are exact unitaries on a
-Fourier window.  Rotations, reflections, dihedral elements and the half-wave
-flow are mode maps (a sign and a phase vector); a conjugated rotation is
-realized as a dense weighted shift whose truncation defect is recorded.
+Fourier window.  ``Realization.phi(g)`` returns one object per element:
+rotations, reflections, dihedral elements and the half-wave flow are a
+``ModeMap`` (a sign and a phase vector, composed directly), and a conjugated
+rotation is a ``WeightedShift``, a dense matrix whose truncation defect is
+recorded.
 """
 
 import numpy as np
@@ -25,7 +27,7 @@ real = fam.at(window)
 worst = 0.0
 for a in grp.elements():
     for b in grp.elements():
-        lhs = real.phi(a).mode_map.compose(real.phi(b).mode_map).matrix()
+        lhs = real.phi(a).compose(real.phi(b)).matrix()
         rhs = real.phi(grp.mul(a, b)).matrix()
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
 print(f"quantized group law Phi_g Phi_h = Phi_gh, worst deviation: {worst:.2e}")
@@ -46,7 +48,7 @@ print(f"half-wave t=0.3 moves sheet +1 by {(Ch.base(1, x) - x)[0]:+.2f}, "
 curved = RealizationFamily(build_group("cyclic", m=2), "curved_rotation", eps=0.3)
 print("\ncurved weighted shift: window truncation defect on the inner half")
 for cutoff in (128, 256, 512):
-    qt = curved.at(FrequencyWindow(cutoff)).phi(1)
-    print(f"  N_F = {cutoff:4d}: unitarity defect {qt.truncation_defect:.3e}")
+    shift = curved.at(FrequencyWindow(cutoff)).phi(1)
+    print(f"  N_F = {cutoff:4d}: unitarity defect {shift.truncation_defect:.3e}")
 print("the defect decays superalgebraically as the window grows; the operator")
 print("itself is exactly unitary on L^2, only its truncation is not.")

@@ -7,13 +7,11 @@ __version__ = "0.1.0"
 from .circle import (FrequencyWindow, PeriodicFunction, PeriodicGrid, dft,
                      grid_for_window, idft, winding_number)
 from .groups import GroupSpec, build_group
-from .transforms import (CanonicalTransform, CircleDiffeo, ModeMap,
-                         QuantizedTransform, Realization, RealizationFamily,
-                         weighted_shift_matrix)
+from .transforms import (CanonicalTransform, CircleDiffeo, ModeMap, Realization,
+                         RealizationFamily, WeightedShift, weighted_shift_matrix)
 from .symbols import (CrossedSymbol, EllipticityVerdict, PrincipalSymbol,
                       invert_principal, is_elliptic)
-from .quantize import (FullSymbol, LabeledOperator, assemble, op_classical,
-                       op_h_term)
+from .quantize import LabeledOperator, op_classical, op_h_term
 from .problems import GOperatorProblem
 from .index_engine import (IndexReport, LocalizedIndexReport, calibrate_sign,
                            decomposition_check, index_of_matrix,

@@ -24,6 +24,7 @@ from .errors import DivisionNearZero, GridMismatch, NearZeroValue, UnresolvedWin
 NEAR_ZERO = 1e-8          # invertibility threshold for functions on the grid
 MIN_CUTOFF = 8            # smallest window cutoff an index sweep or curved shift accepts
 MIN_GRID = 64             # smallest power-of-two build grid
+MIN_GRID_SIZE = 4         # fewest nodes a PeriodicGrid accepts
 INNER_FRACTION = 0.5      # inner sub-window |k| <= INNER_FRACTION * N_F
 
 
@@ -34,8 +35,8 @@ class PeriodicGrid:
     size: int
 
     def __post_init__(self):
-        if self.size < 4:
-            raise ValueError(f"grid size must be >= 4, got {self.size}")
+        if self.size < MIN_GRID_SIZE:
+            raise ValueError(f"grid size must be >= {MIN_GRID_SIZE}, got {self.size}")
 
     @property
     def nodes(self) -> np.ndarray:

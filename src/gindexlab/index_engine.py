@@ -52,6 +52,7 @@ from .quantize import K_MIN, PRUNE_TOL, LabeledOperator, quantize_crossed
 from .samples import winding_problem
 from .symbols import CrossedSymbol
 from .problems import GOperatorProblem
+from .transforms import ModeMap, WeightedShift
 
 GAP_REQUIREMENT = 1e3
 DEFAULT_ZERO_TOL = 1e-8
@@ -223,17 +224,16 @@ def parametrix(A: LabeledOperator, r: CrossedSymbol, N: int = PARAMETRIX_ORDER,
     return ParametrixData(E, R1, R2)
 
 
-def _inner_diagonal(K: np.ndarray, phi, rows: np.ndarray,
+def _inner_diagonal(K: np.ndarray, phi: ModeMap | WeightedShift, rows: np.ndarray,
                     C: np.ndarray | None = None) -> np.ndarray:
     """Entries ``rows`` of diag(K C Phi), C = 1 when None; no product is formed."""
-    if phi.mode_map is not None:
-        mm = phi.mode_map
-        cols = mm._perm()[rows]
+    if isinstance(phi, ModeMap):
+        cols = phi._perm()[rows]
         if C is None:
             diag = K[rows, cols]
         else:
             diag = np.einsum("kj,jk->k", K[rows], C[:, cols])
-        return diag * mm.phases[rows]
+        return diag * phi.phases[rows]
     right = phi.matrix()[:, rows]
     if C is not None:
         right = C @ right

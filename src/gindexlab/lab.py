@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as VERSION
-from .circle import (INNER_FRACTION, MIN_CUTOFF, PeriodicGrid, grid_for_window,
-                     FrequencyWindow)
+from .circle import (INNER_FRACTION, MIN_CUTOFF, MIN_GRID_SIZE, PeriodicGrid,
+                     grid_for_window, FrequencyWindow)
 from .errors import GIndexError, IoError, ParseError, SchemaError
 from .groups import build_group
 from .index_engine import (CHI_TOL, DEFAULT_ZERO_TOL, DRIFT_TOL, PARAMETRIX_ORDER,
@@ -104,6 +105,12 @@ def _is_number(x, types=(int, float)) -> bool:
     return isinstance(x, types) and not isinstance(x, bool)
 
 
+def _require(ok: bool, field: str, want: str, value):
+    """The SchemaError that names ``field``, unless ``ok``."""
+    if not ok:
+        raise SchemaError(f"{field} must be {want}, got {value!r}")
+
+
 def _parse_coeff_table(obj, where: str) -> dict[int, complex]:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected a mode -> [re, im] table")
@@ -125,17 +132,26 @@ def _parse_coeff_table(obj, where: str) -> dict[int, complex]:
 
 def _check_numerics(num: dict):
     windows = num["windows"]
-    if (not isinstance(windows, list) or len(windows) < 2
-            or not all(_is_number(w, int) and w >= MIN_CUTOFF for w in windows)
-            or any(a >= b for a, b in zip(windows, windows[1:]))):
-        raise SchemaError(f"numerics.windows must be at least two strictly increasing "
-                          f"integers >= {MIN_CUTOFF}, got {windows!r}")
+    _require(isinstance(windows, list) and len(windows) >= 2
+             and all(_is_number(w, int) and w >= MIN_CUTOFF for w in windows)
+             and all(a < b for a, b in zip(windows, windows[1:])),
+             "numerics.windows", f"at least two strictly increasing integers >= {MIN_CUTOFF}",
+             windows)
     for key in ("zero_tol", "inner_fraction"):
-        if not (_is_number(num[key]) and 0 < num[key] < 1):
-            raise SchemaError(f"numerics.{key} must be a number in (0, 1), got {num[key]!r}")
-    if not (_is_number(num["parametrix_order"], int) and num["parametrix_order"] >= 2):
-        raise SchemaError(f"numerics.parametrix_order must be an integer >= 2, "
-                          f"got {num['parametrix_order']!r}")
+        _require(_is_number(num[key]) and 0 < num[key] < 1,
+                 f"numerics.{key}", "a number in (0, 1)", num[key])
+    _require(_is_number(num["parametrix_order"], int) and num["parametrix_order"] >= 2,
+             "numerics.parametrix_order", "an integer >= 2", num["parametrix_order"])
+    _require(_is_number(num["symbol_grid"], int) and num["symbol_grid"] >= MIN_GRID_SIZE,
+             "numerics.symbol_grid", f"an integer >= {MIN_GRID_SIZE}", num["symbol_grid"])
+    for key, tol in num["tolerances"].items():
+        if key == "egorov_slope":
+            _require(isinstance(tol, list) and len(tol) == 2 and all(map(_is_number, tol))
+                     and tol[0] <= tol[1], "numerics.tolerances.egorov_slope",
+                     "a pair [lo, hi] of numbers", tol)
+        else:
+            _require(_is_number(tol) and 0 < tol < math.inf,
+                     f"numerics.tolerances.{key}", "a positive number", tol)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -162,22 +178,35 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if experiment not in EXPERIMENTS:
         raise SchemaError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
     group_desc = raw.get("group", {"kind": "trivial"})
-    if "kind" not in group_desc:
+    if not isinstance(group_desc, dict) or "kind" not in group_desc:
         raise SchemaError("group descriptor needs 'kind'")
+    for key, types, want in (("m", int, "an integer"), ("theta", (int, float), "a number")):
+        if key in group_desc:
+            _require(_is_number(group_desc[key], types), f"group.{key}", want, group_desc[key])
     try:
         group = build_group(group_desc)
     except GIndexError as exc:
         raise SchemaError(f"group: {exc}") from exc
     realization = raw.get("realization", {})
+    _require(isinstance(realization, dict), "realization", "an object", realization)
     natural = {"trivial": "trivial", "cyclic": "rotation",
                "dihedral": "dihedral", "integer_shift": "rotation"}[group.kind]
+    kind, eps = realization.get("kind", natural), realization.get("eps", 0.0)
+    _require(isinstance(kind, str), "realization.kind", "a string", kind)
+    _require(_is_number(eps), "realization.eps", "a number", eps)
     try:
-        family = RealizationFamily(group, realization.get("kind", natural),
-                                   eps=float(realization.get("eps", 0.0)))
+        family = RealizationFamily(group, kind, eps=float(eps))
     except GIndexError as exc:
         raise SchemaError(f"realization: {exc}") from exc
+    k_min = raw.get("k_min", K_MIN)
+    _require(_is_number(k_min, int) and k_min >= 1, "k_min", "an integer >= 1", k_min)
+    unit_fill = raw.get("unit_fill", False)
+    _require(isinstance(unit_fill, bool), "unit_fill", "true or false", unit_fill)
+    raw_symbols = raw.get("symbols", {})
+    _require(isinstance(raw_symbols, dict), "symbols", "an object of element -> sheet tables",
+             raw_symbols)
     symbols = {}
-    for label, sheets in raw.get("symbols", {}).items():
+    for label, sheets in raw_symbols.items():
         try:
             group.parse(label)
         except GIndexError as exc:
@@ -189,10 +218,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "minus": _parse_coeff_table(sheets["minus"], f"symbols[{label!r}].minus"),
         }
     numerics = json.loads(json.dumps(DEFAULT_NUMERICS))
-    for key, val in raw.get("numerics", {}).items():
+    raw_numerics = raw.get("numerics", {})
+    _require(isinstance(raw_numerics, dict), "numerics", "an object", raw_numerics)
+    for key, val in raw_numerics.items():
         if key not in DEFAULT_NUMERICS:
             raise SchemaError(f"unknown numerics field {key!r}")
         if key == "tolerances":
+            _require(isinstance(val, dict), "numerics.tolerances", "an object", val)
+            for name in val:
+                if name not in DEFAULT_NUMERICS["tolerances"]:
+                    raise SchemaError(f"unknown numerics.tolerances field {name!r}")
             numerics["tolerances"].update(val)
         else:
             numerics[key] = val
@@ -203,8 +238,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         family=family,
         symbols=symbols,
         experiment=experiment,
-        k_min=int(raw.get("k_min", K_MIN)),
-        unit_fill=bool(raw.get("unit_fill", False)),
+        k_min=k_min,
+        unit_fill=unit_fill,
         numerics=numerics,
         out_dir=raw.get("out_dir"),
         expect=raw.get("expect", {}),

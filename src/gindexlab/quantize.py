@@ -1,7 +1,10 @@
 """Kohn-Nirenberg quantization on a Fourier window and g-graded operators.
 
 ``op(a)`` acts on mode k through column k: ``A[j, k]`` is the (j-k)-th Fourier
-coefficient of ``x -> a(x, k)``.  A LabeledOperator keeps the g-grading of
+coefficient of ``x -> a(x, k)``.  There is one quantizer per kind of symbol:
+``op_classical`` for order-zero principal data (the sheet functions of a
+``PrincipalSymbol`` outside a zero-section cut) and ``op_h_term`` for one
+sampled semiclassical term.  A LabeledOperator keeps the g-grading of
 ``sum_g K_g Phi_g`` so that class-localized traces remain computable after
 products; multiplication uses exact matrix conjugation,
 
@@ -13,13 +16,12 @@ holds exactly (all isometric families here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .circle import FrequencyWindow, PeriodicFunction, PeriodicGrid
+from .circle import FrequencyWindow
 from .errors import GroupMismatch, WindowMismatch, WindowTooSmallForH
 from .groups import Element
+from .symbols import CrossedSymbol, PrincipalSymbol
 from .transforms import Realization
 
 K_MIN = 4            # default zero-section cut |k| < k_min
@@ -27,57 +29,28 @@ PRUNE_TOL = 1e-13    # parts below this fraction of the largest part norm are dr
 
 
 # ---------------------------------------------------------------------------
-# classical (h-free) symbols of nonpositive order
+# classical (h-free) symbols of order zero
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FullSymbol:
-    """Sheet data times |k|^order outside a zero-section cut.
+def op_classical(sym: PrincipalSymbol, window: FrequencyWindow, k_min: int = K_MIN,
+                 unit_fill: bool = False) -> np.ndarray:
+    """Dense window matrix of the Kohn-Nirenberg quantization of the order-zero
+    symbol with principal data ``sym``:
 
-        a(x, k) = plus(x) |k|^order   for k >= k_min,
-                  minus(x) |k|^order  for k <= -k_min,
-                  fill                for |k| < k_min  (0, or 1 if unit_fill).
+        a(x, k) = plus(x)   for k >= k_min,
+                  minus(x)  for k <= -k_min,
+                  fill      for |k| < k_min  (0, or 1 if unit_fill).
     """
-
-    plus: PeriodicFunction
-    minus: PeriodicFunction
-    order: int = 0
-    k_min: int = K_MIN
-    unit_fill: bool = False
-
-    def __post_init__(self):
-        if self.order > 0:
-            raise ValueError("only orders m <= 0 are supported")
-        if self.k_min < 1:
-            raise ValueError("k_min must be >= 1")
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.plus.grid
-
-    @classmethod
-    def from_principal(cls, sym, order: int = 0, k_min: int = K_MIN,
-                       unit_fill: bool = False) -> "FullSymbol":
-        return cls(sym.plus, sym.minus, order, k_min, unit_fill)
-
-    @classmethod
-    def constant(cls, grid: PeriodicGrid, c: complex, k_min: int = K_MIN,
-                 unit_fill: bool = False) -> "FullSymbol":
-        f = PeriodicFunction.constant(grid, c)
-        return cls(f, f, 0, k_min, unit_fill)
-
-
-def op_classical(a: FullSymbol, window: FrequencyWindow) -> np.ndarray:
-    """Dense window matrix of the Kohn-Nirenberg quantization of ``a``."""
-    grid = a.grid
-    M = grid.size
+    if k_min < 1:
+        raise ValueError("k_min must be >= 1")
+    M = sym.grid.size
     if M < 2 * window.cutoff + 2:
         raise WindowMismatch(
             f"symbol grid {M} cannot resolve mode transfers up to {2 * window.cutoff}")
     ks = window.modes
     dim = window.dim
-    c_plus = np.fft.fft(a.plus.values) / M      # index d mod M = coeff of e^{idx}
-    c_minus = np.fft.fft(a.minus.values) / M
+    c_plus = np.fft.fft(sym.plus.values) / M      # index d mod M = coeff of e^{idx}
+    c_minus = np.fft.fft(sym.minus.values) / M
     out = np.zeros((dim, dim), dtype=complex)
     J = ks[:, None]
     T = J - ks[None, :]
@@ -85,14 +58,12 @@ def op_classical(a: FullSymbol, window: FrequencyWindow) -> np.ndarray:
     # alias guard on the true mode transfer: past +-M/2 the gather would wrap
     rep = np.abs(T) <= M // 2 - 1
     for sheet, cvec in ((1, c_plus), (-1, c_minus)):
-        cols = ks >= a.k_min if sheet == 1 else ks <= -a.k_min
+        cols = ks >= k_min if sheet == 1 else ks <= -k_min
         if not np.any(cols):
             continue
-        prof = np.abs(ks[cols]).astype(float) ** a.order
-        block = cvec[D[:, cols]] * np.where(rep[:, cols], 1.0, 0.0)
-        out[:, cols] = block * prof[None, :]
-    if a.unit_fill:
-        idx = np.where(np.abs(ks) < a.k_min)[0]
+        out[:, cols] = cvec[D[:, cols]] * np.where(rep[:, cols], 1.0, 0.0)
+    if unit_fill:
+        idx = np.where(np.abs(ks) < k_min)[0]
         out[idx, idx] = 1.0
     return out
 
@@ -251,21 +222,11 @@ class LabeledOperator:
         return float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in self.parts.values())))
 
 
-def assemble(realization: Realization, spec: list[tuple[Element, FullSymbol]]) -> LabeledOperator:
-    """Quantize a list of (g, symbol) pairs into a LabeledOperator."""
-    parts: dict[Element, np.ndarray] = {}
-    for g, sym in spec:
-        mat = op_classical(sym, realization.window)
-        parts[g] = parts[g] + mat if g in parts else mat
-    return LabeledOperator(realization, parts)
-
-
-def quantize_crossed(realization: Realization, sym, k_min: int,
+def quantize_crossed(realization: Realization, sym: CrossedSymbol, k_min: int,
                      unit_fill: bool) -> LabeledOperator:
     """op of a crossed symbol's coefficients at order 0; ``unit_fill`` fills
     the zero-section cut of the identity coefficient with 1."""
     e = realization.group.identity
-    return assemble(realization, [
-        (g, FullSymbol.from_principal(sym.coeff(g), k_min=k_min, unit_fill=unit_fill and g == e))
-        for g in sym.support])
-
+    return LabeledOperator(realization, {
+        g: op_classical(sym.coeff(g), realization.window, k_min, unit_fill and g == e)
+        for g in sym.support})

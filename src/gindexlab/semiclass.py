@@ -77,12 +77,13 @@ def _lagrange_weights(u: np.ndarray) -> np.ndarray:
 
 
 def lattice_interp(lattice: XiLattice, values: np.ndarray, queries: np.ndarray,
-                   extend: str, paired: bool = False) -> np.ndarray:
+                   extend: str, rows: np.ndarray | None = None) -> np.ndarray:
     """Interpolate ``values`` sampled on the lattice at arbitrary xi.
 
-    values has the lattice on its last axis.  ``paired=True`` pairs
-    ``queries[i]`` with ``values[i, :]`` (both leading axes equal); otherwise
-    the same queries apply to every leading slice, returning
+    values has the lattice on its last axis.  With ``rows`` (an index array
+    shaped like ``queries``) ``queries[i]`` reads the row ``values[rows[i], :]``
+    of a 2-D table, which is gathered entry by entry and never copied whole;
+    otherwise the same queries apply to every leading slice, returning
     ``values.shape[:-1] + queries.shape``.
     """
     q = np.asarray(queries, dtype=float)
@@ -97,15 +98,14 @@ def lattice_interp(lattice: XiLattice, values: np.ndarray, queries: np.ndarray,
     base = np.clip(np.floor(t).astype(int) - 2, 0, lattice.n - 6)
     u = t - base
     w = _lagrange_weights(u)                      # (6, *q.shape)
-    if paired:
-        rows = np.arange(values.shape[0])
-        out = np.zeros(values.shape[0], dtype=values.dtype)
-        for j in range(6):
-            out = out + w[j] * values[rows, base + j]
-    else:
+    if rows is None:
         out = np.zeros(values.shape[:-1] + q.shape, dtype=values.dtype)
         for j in range(6):
             out = out + values[..., base + j] * w[j]
+    else:
+        out = np.zeros(q.shape, dtype=values.dtype)
+        for j in range(6):
+            out = out + w[j] * values[rows, base + j]
     if extend == "zero":
         out = out * inside
     return out
@@ -223,24 +223,15 @@ class SampledTerm:
         return lattice_interp(self.lattice, self.values, np.asarray(xi, dtype=float),
                               self.extend)
 
-    def coeff_row(self, m: int, xi: np.ndarray) -> np.ndarray:
-        """Fourier coefficient ahat(m, xi) at arbitrary xi (0 beyond the grid's band)."""
-        M = self.grid.size
-        if abs(m) > M // 2 - 1:
-            return np.zeros(np.asarray(xi).shape, dtype=complex)
-        row = np.fft.fft(self.values, axis=0)[m % M, :] / M
-        return lattice_interp(self.lattice, row, np.asarray(xi, dtype=float), self.extend)
-
-    def coeff_rows_paired(self, ms: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """ahat(ms[i], xi[i]) with per-entry rows (used by sheet-swapping traces).
+    def coeff_rows(self, ms: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Fourier coefficients ahat(ms[i], xi[i]) at arbitrary xi.
 
         Transfers past the grid's resolvable band are zero, not aliased.
         """
         M = self.grid.size
         F = np.fft.fft(self.values, axis=0) / M
-        rows = F[np.mod(ms, M), :]
-        out = lattice_interp(self.lattice, rows, np.asarray(xi, dtype=float),
-                             self.extend, paired=True)
+        out = lattice_interp(self.lattice, F, np.asarray(xi, dtype=float), self.extend,
+                             rows=np.mod(ms, M))
         return out * (np.abs(ms) <= M // 2 - 1)
 
 
@@ -261,11 +252,17 @@ def zero_section_cut(lattice: XiLattice, eps: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact transport of sampled symbols by the isometric actions
+# transport of sampled symbols by the group actions
 # ---------------------------------------------------------------------------
 
 def transport_term(term: SampledTerm, family: RealizationFamily, g: Element) -> SampledTerm:
-    """term o C_g for the isometric action (exact)."""
+    """term o C_g, sampled on the lattice.
+
+    Exact for the isometric actions.  For a curved diffeomorphism,
+    C_g(x, xi) = (alpha_g(x), xi / alpha_g'(x)) is read through
+    alpha_{g^{-1}} = alpha_g^{-1}: the x slice is evaluated spectrally, the xi
+    slice by lattice interpolation.
+    """
     C = family.canonical(g)
     aff = C.affine_base()
     if C.kind == "halfwave":
@@ -277,7 +274,18 @@ def transport_term(term: SampledTerm, family: RealizationFamily, g: Element) -> 
         out[:, neg] = term.shift_x(t).values[:, neg]
         return term._like(out)
     if aff is None:
-        raise NonIsometricAction("transport_term requires an isometric base map")
+        diff = family.diffeo(family.group.inv(g))
+        X = diff.inverse(term.grid.nodes)
+        scale = diff.deriv(X)
+        M = term.grid.size
+        F = np.fft.fftshift(np.fft.fft(term.values, axis=0), axes=0) / M   # modes ascending
+        rows_at_X = fourier_sum(F, -(M // 2), X)        # a(X_i, xi_lattice)
+        queries = scale[:, None] * term.lattice.points[None, :]
+        out = np.empty_like(term.values)
+        for i in range(M):
+            out[i, :] = lattice_interp(term.lattice, rows_at_X[i, :], queries[i, :],
+                                       term.extend)
+        return SampledTerm(term.grid, term.lattice, out, term.extend)
     sign, shift = aff
     if sign == 1:
         return term.shift_x(shift)
@@ -504,11 +512,7 @@ def _term_trace(term: SampledTerm, family: RealizationFamily, l: Element,
     """Per-mode contributions to tr(op_h(term) Phi_l) = sum_k p(k) ahat((1-s)k, s h k)."""
     ks = np.arange(-k_max, k_max + 1)
     s, p = family.mode_map(l, ks)
-    if s == 1:
-        vals = term.coeff_row(0, h * ks)
-    else:
-        vals = term.coeff_rows_paired(2 * ks, -h * ks)
-    return p * vals
+    return p * term.coeff_rows((1 - s) * ks, s * h * ks)
 
 
 def tau_g(series: StarSeries, cls: tuple[Element, ...], h_grid: np.ndarray) -> TraceSeries:
@@ -702,17 +706,14 @@ def egorov_defect(family: RealizationFamily, g: Element, term: SampledTerm,
     radius = term.xi_support_radius()
     if radius is None or radius == 0.0:
         raise ValueError("egorov defect needs a compactly supported symbol")
-    if family.is_isometric:
-        transported = transport_term(term, family, family.group.inv(g))
-    else:
-        transported = _transport_curved(term, family, g)
+    transported = transport_term(term, family, family.group.inv(g))
     defects = []
     for h in np.asarray(h_grid, dtype=float):
         cutoff = int(math.ceil(window_factor * radius / h))
         window = FrequencyWindow(cutoff)
         real = family.at(window)
         A = op_h_term(term, h, window)
-        conj = real.phi(g).left_mul(real.phi_inv(g).right_mul(A))
+        conj = real.phi(g).left_mul(real.phi(family.group.inv(g)).right_mul(A))
         target = op_h_term(transported, h, window)
         mask = window.inner_mask()
         D = conj - target
@@ -723,25 +724,3 @@ def egorov_defect(family: RealizationFamily, g: Element, term: SampledTerm,
     if top > 1e-11:
         slope = float(np.polyfit(np.log(h_grid), np.log(np.maximum(defects, 1e-300)), 1)[0])
     return EgorovReport(defects, np.asarray(h_grid, dtype=float), slope, top)
-
-
-def _transport_curved(term: SampledTerm, family: RealizationFamily,
-                      g: Element) -> SampledTerm:
-    """a o C_{g^{-1}} for a curved diffeomorphism action, sampled on the lattice.
-
-    C_{g^{-1}}(x, xi) = (alpha^{-1}(x), xi alpha'(alpha^{-1}(x))); the x slice
-    is evaluated spectrally, the xi slice by paired lattice interpolation.
-    """
-    diff = family.diffeo(g)
-    x = term.grid.nodes
-    X = diff.inverse(x)
-    scale = diff.deriv(X)
-    M = term.grid.size
-    F = np.fft.fftshift(np.fft.fft(term.values, axis=0), axes=0) / M   # modes ascending
-    rows_at_X = fourier_sum(F, -(M // 2), X)        # a(X_i, xi_lattice)
-    queries = scale[:, None] * term.lattice.points[None, :]
-    out = np.empty_like(term.values)
-    for i in range(M):
-        out[i, :] = lattice_interp(term.lattice, rows_at_X[i, :], queries[i, :],
-                                   term.extend)
-    return SampledTerm(term.grid, term.lattice, out, term.extend)

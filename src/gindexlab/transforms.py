@@ -20,7 +20,9 @@ action ``Phi_g e_k = p(k) e_{s k}`` has one source,
 semiclassical trace functionals both read it, and the symbol transports read
 the same affine data through ``CanonicalTransform.affine_base``.  Elements
 acting by a curved diffeomorphism have no exact action and are quantized as
-a dense weighted shift (``weighted_shift_matrix``).
+a ``WeightedShift``, the dense ``weighted_shift_matrix`` with its recorded
+truncation defect.  ``Realization.phi`` returns one of these two objects per
+element; both offer ``matrix``, ``left_mul`` and ``right_mul``.
 """
 
 from __future__ import annotations
@@ -229,41 +231,28 @@ class ModeMap:
         return out
 
 
-class QuantizedTransform:
-    """Quantized canonical transformation attached to a group element.
+class WeightedShift:
+    """Dense window matrix of a curved element's weighted shift
+    (``weighted_shift_matrix``): unitary on L^2, but only approximately
+    unitary after window truncation (see ``truncation_defect``)."""
 
-    Wraps either an exact ModeMap or a dense matrix (weighted diffeomorphism
-    shift, unitary on L^2 but only approximately unitary after window
-    truncation; see ``truncation_defect``).
-    """
-
-    def __init__(self, mode_map: ModeMap | None = None, dense: np.ndarray | None = None):
-        self.mode_map = mode_map
+    def __init__(self, window: FrequencyWindow, dense: np.ndarray):
+        self.window = window
         self._dense = dense
 
     @cached_property
-    def truncation_defect(self) -> float | None:
-        """|| (Phi^H Phi - I) P_half ||_2 of a dense transform, computed on
-        first read; None for an exact mode map."""
-        if self._dense is None:
-            return None
-        mask = FrequencyWindow((len(self._dense) - 1) // 2).inner_mask()
-        gram = self._dense.conj().T @ self._dense - np.eye(len(self._dense))
-        return float(np.linalg.norm(gram[:, mask], 2))
+    def truncation_defect(self) -> float:
+        """|| (Phi^H Phi - I) P_half ||_2, computed on first read."""
+        gram = self._dense.conj().T @ self._dense - np.eye(self.window.dim)
+        return float(np.linalg.norm(gram[:, self.window.inner_mask()], 2))
 
     def matrix(self) -> np.ndarray:
-        if self.mode_map is not None:
-            return self.mode_map.matrix()
         return self._dense
 
     def left_mul(self, mat: np.ndarray) -> np.ndarray:
-        if self.mode_map is not None:
-            return self.mode_map.left_mul(mat)
         return self._dense @ mat
 
     def right_mul(self, mat: np.ndarray) -> np.ndarray:
-        if self.mode_map is not None:
-            return self.mode_map.right_mul(mat)
         return mat @ self._dense
 
 
@@ -309,7 +298,7 @@ class RealizationFamily:
     row of the validity table in ``_validate`` plus one branch: in ``diffeo``
     for a circle-map kind (an affine map gets its mode action and its
     symbol transports from ``CircleDiffeo.affine``, any other map is
-    quantized as a dense weighted shift), or in ``mode_map`` and
+    quantized as a ``WeightedShift``), or in ``mode_map`` and
     ``canonical`` for a flow with no base map, like ``half_wave``.
     """
 
@@ -395,7 +384,8 @@ class RealizationFamily:
 
 
 class Realization:
-    """A RealizationFamily instantiated on a fixed Fourier window; caches Phi_g."""
+    """A RealizationFamily instantiated on a fixed Fourier window; caches each
+    Phi_g as a ModeMap (exact elements) or a WeightedShift (curved ones)."""
 
     def __init__(self, family: RealizationFamily, window: FrequencyWindow):
         if not family.is_isometric:
@@ -403,31 +393,25 @@ class Realization:
         self.family = family
         self.group = family.group
         self.window = window
-        self._cache: dict[Element, QuantizedTransform] = {}
+        self._cache: dict[Element, ModeMap | WeightedShift] = {}
 
-    def canonical(self, g: Element) -> CanonicalTransform:
-        return self.family.canonical(g)
-
-    def phi(self, g: Element) -> QuantizedTransform:
+    def phi(self, g: Element) -> ModeMap | WeightedShift:
         if g in self._cache:
             return self._cache[g]
-        qt = self._build(g)
-        self._cache[g] = qt
-        return qt
-
-    def phi_inv(self, g: Element) -> QuantizedTransform:
-        """Phi_{g^{-1}} = Phi_g^{-1} (exactly for the isometric families)."""
-        return self.phi(self.group.inv(g))
+        phi = self._build(g)
+        self._cache[g] = phi
+        return phi
 
     def conjugate(self, g: Element, mat: np.ndarray) -> np.ndarray:
-        """Phi_g @ mat @ Phi_{g^{-1}}."""
+        """Phi_g @ mat @ Phi_{g^{-1}}; Phi_{g^{-1}} = Phi_g^{-1} exactly for the
+        isometric families."""
         phi_g = self.phi(g)
-        if phi_g.mode_map is not None:
-            return phi_g.mode_map.conjugate(mat)
-        return phi_g.left_mul(self.phi_inv(g).right_mul(mat))
+        if isinstance(phi_g, ModeMap):
+            return phi_g.conjugate(mat)
+        return phi_g.left_mul(self.phi(self.group.inv(g)).right_mul(mat))
 
-    def _build(self, g: Element) -> QuantizedTransform:
+    def _build(self, g: Element) -> ModeMap | WeightedShift:
         fam, w = self.family, self.window
         if fam.is_isometric or g == self.group.identity:
-            return QuantizedTransform(mode_map=ModeMap(w, *fam.mode_map(g, w.modes)))
-        return QuantizedTransform(dense=weighted_shift_matrix(fam.diffeo(g), w))
+            return ModeMap(w, *fam.mode_map(g, w.modes))
+        return WeightedShift(w, weighted_shift_matrix(fam.diffeo(g), w))

@@ -88,7 +88,7 @@ def test_criterion_2_unitary_indices():
             ab = family.group.mul(a, b)
             if not family.group.is_finite and abs(ab) > 1:
                 continue
-            lhs = R.phi(a).mode_map.compose(R.phi(b).mode_map).matrix()
+            lhs = R.phi(a).compose(R.phi(b)).matrix()
             ok = ok and np.max(np.abs(lhs - R.phi(ab).matrix())) <= 1e-9
     # decaying truncation defect for the curved shift
     defs = []

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -124,10 +125,27 @@ class TestConfig:
         ("zero_tol", "x"), ("zero_tol", 0.0), ("zero_tol", 1.5), ("zero_tol", float("nan")),
         ("zero_tol", True), ("inner_fraction", 2.0), ("inner_fraction", 0),
         ("parametrix_order", 1), ("parametrix_order", 2.5), ("parametrix_order", True),
-        ("parametrix_order", "4")])
+        ("parametrix_order", "4"), ("symbol_grid", 3), ("symbol_grid", 256.0),
+        ("tolerances", {"drfit": 1e-3}),
+        ("tolerances", {"egorov_slope": [1.3, 0.9]}), ("tolerances", [])])
     def test_bad_numerics_rejected(self, field, value):
         bad = {**Z2_LOCALIZED, "numerics": {"windows": [32, 48], field: value}}
         with pytest.raises(SchemaError, match=f"numerics.{field}"):
+            parse_config(bad)
+
+    @pytest.mark.parametrize("path, value", [
+        ("k_min", "x"), ("k_min", 0), ("k_min", 2.0), ("unit_fill", "no"), ("unit_fill", 1),
+        ("realization", []), ("realization.eps", "x"), ("realization.kind", []),
+        ("symbols", []), ("group", 5), ("group.m", "x"), ("group.theta", "x"),
+        ("numerics", []), ("numerics.tolerances.drift", "x")])
+    def test_bad_field_rejected(self, path, value):
+        bad = json.loads(json.dumps(Z2_LOCALIZED))
+        *parents, leaf = path.split(".")
+        node = bad
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = value
+        with pytest.raises(SchemaError, match=re.escape(path)):
             parse_config(bad)
 
     def test_default_numerics_are_engine_constants(self):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gindexlab.circle import FrequencyWindow, PeriodicFunction, PeriodicGrid, grid_for_window
 from gindexlab.errors import GroupMismatch, WindowTooSmallForH
 from gindexlab.groups import build_group
-from gindexlab.quantize import (FullSymbol, LabeledOperator, assemble, op_classical,
-                                op_h_term)
+from gindexlab.quantize import LabeledOperator, op_classical, op_h_term, quantize_crossed
 from gindexlab.semiclass import SampledTerm, XiLattice
-from gindexlab.symbols import PrincipalSymbol
+from gindexlab.symbols import CrossedSymbol, PrincipalSymbol
 from gindexlab.transforms import Realization, RealizationFamily
 
 W = FrequencyWindow(16)
@@ -22,21 +22,20 @@ def fam(kind, real, m=1, theta=1.0):
 
 class TestOpClassical:
     def test_unit(self):
-        a = FullSymbol.constant(GRID, 1.0, k_min=1, unit_fill=True)
-        assert np.max(np.abs(op_classical(a, W) - np.eye(W.dim))) == 0.0
+        a = PrincipalSymbol.constant(GRID, 1.0)
+        assert np.max(np.abs(op_classical(a, W, k_min=1, unit_fill=True) - np.eye(W.dim))) == 0.0
 
     def test_mode_shift(self):
         f = PeriodicFunction.from_coeff_dict(GRID, {1: 1.0})
-        a = FullSymbol(f, f, 0, 1, False)
-        mat = op_classical(a, W)
+        mat = op_classical(PrincipalSymbol(f, f), W, k_min=1)
         col = mat[:, W.index_of(5)]
         assert abs(col[W.index_of(6)] - 1.0) < 1e-13
         assert np.sum(np.abs(col)) == pytest.approx(1.0, abs=1e-12)
 
     def test_positive_mode_projection(self):
-        a = FullSymbol(PeriodicFunction.constant(GRID, 1.0),
-                       PeriodicFunction.constant(GRID, 0.0), 0, 1, False)
-        mat = op_classical(a, W)
+        a = PrincipalSymbol(PeriodicFunction.constant(GRID, 1.0),
+                            PeriodicFunction.constant(GRID, 0.0))
+        mat = op_classical(a, W, k_min=1)
         diag = np.diag(mat).real
         assert np.array_equal(diag, (W.modes >= 1).astype(float))
 
@@ -44,20 +43,18 @@ class TestOpClassical:
         rng = np.random.default_rng(0)
         c1 = {k: rng.normal() for k in range(-2, 3)}
         c2 = {k: rng.normal() for k in range(-2, 3)}
-        s1 = FullSymbol(PeriodicFunction.from_coeff_dict(GRID, c1),
-                        PeriodicFunction.from_coeff_dict(GRID, c2), 0, 2, False)
-        both = FullSymbol(s1.plus * 2.0, s1.minus * 2.0, 0, 2, False)
-        assert np.max(np.abs(op_classical(both, W) - 2 * op_classical(s1, W))) < 1e-12
+        s1 = PrincipalSymbol.from_coeffs(GRID, c1, c2)
+        both = PrincipalSymbol(s1.plus * 2.0, s1.minus * 2.0)
+        assert np.max(np.abs(op_classical(both, W, k_min=2)
+                             - 2 * op_classical(s1, W, k_min=2))) < 1e-12
 
     def test_multiplication_operators_compose(self):
         # x-only symbols: op(f g) = op(f) op(g) away from the window boundary
         f = PeriodicFunction.from_coeff_dict(GRID, {1: 0.7, 0: 0.2})
         g = PeriodicFunction.from_coeff_dict(GRID, {-1: 0.5, 2: 0.1})
-        af = FullSymbol(f, f, 0, 1, True)
-        ag = FullSymbol(g, g, 0, 1, True)
-        afg = FullSymbol(f * g, f * g, 0, 1, True)
-        prod = op_classical(af, W) @ op_classical(ag, W)
-        target = op_classical(afg, W)
+        op = lambda s: op_classical(PrincipalSymbol(s, s), W, k_min=1, unit_fill=True)
+        prod = op(f) @ op(g)
+        target = op(f * g)
         inner = np.abs(W.modes) <= W.cutoff - 4
         # fill region differs (product of fills vs fill of product); compare off-cut
         offcut = np.abs(W.modes) >= 4
@@ -70,8 +67,7 @@ class TestEgorovTransport:
         rng = np.random.default_rng(1)
         pl = {k: rng.normal() + 1j * rng.normal() for k in range(-2, 3)}
         mi = {k: rng.normal() + 1j * rng.normal() for k in range(-2, 3)}
-        return FullSymbol(PeriodicFunction.from_coeff_dict(GRID, pl),
-                          PeriodicFunction.from_coeff_dict(GRID, mi), 0, 2, False)
+        return PrincipalSymbol.from_coeffs(GRID, pl, mi)
 
     @pytest.mark.parametrize("kind,real,m,theta", [
         ("dihedral", "dihedral", 4, 0.0),
@@ -81,14 +77,36 @@ class TestEgorovTransport:
         f = fam(kind, real, m=m, theta=theta)
         R = f.at(W)
         sym = self.make_symbol()
-        A = op_classical(sym, W)
+        A = op_classical(sym, W, k_min=2)
         mask = np.abs(W.modes) <= W.cutoff // 2
         els = f.group.elements() if f.group.is_finite else [1, -1, 2]
         for g in els:
-            conj = R.phi(g).mode_map.conjugate(A)
-            moved = PrincipalSymbol(sym.plus, sym.minus).transport(f.canonical(f.group.inv(g)))
-            target = op_classical(FullSymbol.from_principal(moved, k_min=sym.k_min), W)
+            conj = R.phi(g).conjugate(A)
+            moved = sym.transport(f.canonical(f.group.inv(g)))
+            target = op_classical(moved, W, k_min=2)
             assert np.max(np.abs((conj - target)[np.ix_(mask, mask)])) < 1e-10
+
+
+LABELED_FAMILIES = [fam("cyclic", "rotation", m=3), fam("dihedral", "dihedral", m=3),
+                    fam("cyclic", "reflection", m=2), fam("cyclic", "curved_rotation", m=3),
+                    fam("integer_shift", "half_wave", theta=0.3)]
+
+
+@st.composite
+def labeled_operators(draw, n):
+    """``n`` LabeledOperators on one family of LABELED_FAMILIES (eps = 0 for the
+    curved rotation), each with random parts on a drawn support."""
+    family = draw(st.sampled_from(LABELED_FAMILIES))
+    els = family.group.elements() if family.group.is_finite else list(range(-2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    R = family.at(W)
+    ops = []
+    for _ in range(n):
+        support = draw(st.lists(st.sampled_from(els), min_size=1, unique=True))
+        ops.append(LabeledOperator(R, {
+            g: rng.normal(size=(W.dim, W.dim)) + 1j * rng.normal(size=(W.dim, W.dim))
+            for g in support}))
+    return ops
 
 
 class TestLabeled:
@@ -114,25 +132,29 @@ class TestLabeled:
         assert prod.support == [0]
         assert np.max(np.abs(prod.parts[0] - np.eye(W.dim))) < 1e-12
 
-    def test_realize_homomorphism(self):
-        A, B = self.rnd(1), self.rnd(2)
+    @settings(max_examples=15, deadline=None)
+    @given(labeled_operators(2))
+    def test_realize_homomorphism(self, ops):
+        A, B = ops
         lhs = A.multiply(B).realize()
         rhs = A.realize() @ B.realize()
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.linalg.norm(rhs)
 
-    def test_associative(self):
-        A, B, C = self.rnd(3), self.rnd(4), self.rnd(5)
+    @settings(max_examples=15, deadline=None)
+    @given(labeled_operators(3))
+    def test_associative(self, ops):
+        A, B, C = ops
         lhs = A.multiply(B).multiply(C).realize()
         rhs = A.multiply(B.multiply(C)).realize()
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.linalg.norm(rhs)
 
-    def test_assemble_2I_plus_R(self):
+    def test_quantize_crossed_2I_plus_R(self):
         w2 = FrequencyWindow(2)
         grid = grid_for_window(w2)
         R2 = self.fam.at(w2)
-        spec = [(0, FullSymbol.constant(grid, 2.0, k_min=1, unit_fill=False)),
-                (1, FullSymbol.constant(grid, 1.0, k_min=1, unit_fill=False))]
-        dense = assemble(R2, spec).realize()
+        sym = CrossedSymbol(self.fam, {0: PrincipalSymbol.constant(grid, 2.0),
+                                       1: PrincipalSymbol.constant(grid, 1.0)})
+        dense = quantize_crossed(R2, sym, k_min=1, unit_fill=False).realize()
         # explicit 5x5: 2 I + R off the zero-mode cut (mode 0 is cut on both parts)
         expect = np.zeros((5, 5), dtype=complex)
         for idx, k in enumerate(range(-2, 3)):
@@ -214,12 +236,15 @@ class TestOpH:
 
 class TestTraceConvergence:
     def test_negative_order_traces_converge(self):
-        # symbols of order <= -2 have window-stable traces (summable tails)
+        # symbols of order <= -2 have window-stable traces (summable tails):
+        # op(|k|^-2) is op(1) with column k scaled by |k|^-2 outside the cut
         grid = grid_for_window(FrequencyWindow(96))
-        sym = FullSymbol(PeriodicFunction.constant(grid, 1.0),
-                         PeriodicFunction.constant(grid, 1.0), order=-2, k_min=2)
-        traces = [complex(np.trace(op_classical(sym, FrequencyWindow(nf))))
-                  for nf in (24, 48, 96)]
+        sym = PrincipalSymbol.constant(grid, 1.0)
+        traces = []
+        for nf in (24, 48, 96):
+            w = FrequencyWindow(nf)
+            profile = np.maximum(np.abs(w.modes), 1).astype(float) ** -2
+            traces.append(complex(np.trace(op_classical(sym, w, k_min=2) * profile[None, :])))
         assert abs(traces[2] - traces[1]) < abs(traces[1] - traces[0])
         band = 2 * sum(1.0 / k ** 2 for k in range(49, 97))
         assert abs(traces[2] - traces[1]) <= band + 1e-12

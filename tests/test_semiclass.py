@@ -267,11 +267,10 @@ class TestEgorov:
 
     def test_curved_transport_matches_dense_sum(self):
         from gindexlab.samples import egorov_curved_term
-        from gindexlab.semiclass import _transport_curved
         grid = PeriodicGrid(128)
         term = egorov_curved_term(grid)
         curved = RealizationFamily(build_group("cyclic", m=2), "curved_rotation", eps=0.3)
-        got = _transport_curved(term, curved, 1).values
+        got = transport_term(term, curved, 1).values     # a o C_1, C_1 = C_1^{-1} on Z/2
         diff = curved.diffeo(1)
         X = diff.inverse(grid.nodes)
         queries = diff.deriv(X)[:, None] * term.lattice.points[None, :]

@@ -132,7 +132,7 @@ class TestQuantized:
             ab = fam.group.mul(a, b)
             if not fam.group.is_finite and abs(ab) > 2:
                 continue
-            lhs = R.phi(a).mode_map.compose(R.phi(b).mode_map).matrix()
+            lhs = R.phi(a).compose(R.phi(b)).matrix()
             assert np.max(np.abs(lhs - R.phi(ab).matrix())) < 1e-9
 
     def test_unitarity_exact_families(self):
