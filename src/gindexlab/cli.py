@@ -47,7 +47,7 @@ def _tolerance_hint(step: str, config) -> str:
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
     print(f"OK {args.config}: experiment={config.experiment} "
-          f"group={config.group_desc.get('kind')} hash={config.config_hash()[:12]}")
+          f"group={config.problem.group.kind} hash={config.config_hash()[:12]}")
     return 0
 
 

@@ -1,10 +1,11 @@
 """Config-driven experiment runner.
 
 A JSON config describes one G-operator (group, realization, symbol table) and
-an experiment kind; ``run`` executes it, grades the result PASS / FAIL /
-UNDECIDED against the configured tolerances, and ``emit_reports`` persists
-the payloads.  All numeric outputs are deterministic: fixed summation orders,
-no threading, seeds only where a config requests randomized symbols.
+an experiment kind.  ``parse_config`` checks every field and builds the
+config's one ``GOperatorProblem``; ``run`` executes the experiment on it,
+grades the result PASS / FAIL / UNDECIDED against the configured tolerances,
+and ``emit_reports`` persists the payloads.  All numeric outputs are
+deterministic: fixed summation orders, no threading, no random draws.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +26,14 @@ from .circle import (INNER_FRACTION, MIN_CUTOFF, MIN_GRID_SIZE, PeriodicGrid,
 from .errors import GIndexError, IoError, ParseError, SchemaError
 from .groups import build_group
 from .index_engine import (CHI_TOL, DEFAULT_ZERO_TOL, DRIFT_TOL, PARAMETRIX_ORDER,
-                           calibrate_sign, decomposition_check, numerical_index,
-                           chi_vanishing_check, winding_index_oracle)
+                           calibrate_sign, class_label, decomposition_check,
+                           numerical_index, chi_vanishing_check, winding_index_oracle)
 from .problems import GOperatorProblem
 from .quantize import K_MIN
 from .samples import (annulus_term, egorov_curved_term, egorov_isometry_term,
                       reflection_term)
-from .semiclass import (DIAG_H_GRID, NEG_POWER_TOL, StarSeries, XiLattice,
+from .semiclass import (DIAG_H_GRID, MIN_H_POINTS, MIN_H_SPAN, MIN_LATTICE_POINTS,
+                        NEG_POWER_TOL, StarSeries, XiLattice,
                         algebraic_index, egorov_defect, symbol_parametrix_h,
                         trace_power_law)
 from .symbols import ELLIPTIC_TOL, is_elliptic
@@ -63,36 +65,18 @@ DEFAULT_NUMERICS = {
     },
 }
 
+PIPELINE = ("ellipticity", "index", "localized", "algebraic")   # the full_pipeline steps
 PASS, FAIL, UNDECIDED = "PASS", "FAIL", "UNDECIDED"
-_EXIT = {PASS: 0, FAIL: 1, UNDECIDED: 2}
 
 
 @dataclass
 class ExperimentConfig:
     raw: dict
-    group_desc: dict
-    family: RealizationFamily
-    symbols: dict            # label -> {"plus": {mode: complex}, "minus": {...}}
+    problem: GOperatorProblem    # the config's one problem: every step shares its caches
     experiment: str
-    k_min: int
-    unit_fill: bool
     numerics: dict
     out_dir: str | None
     expect: dict
-    name: str
-    _problem: GOperatorProblem | None = field(default=None, repr=False, compare=False)
-
-    def problem(self) -> GOperatorProblem:
-        """The config's one problem, so every step shares its caches."""
-        if self._problem is None:
-            fam = self.family
-            coeffs = {}
-            for label, sheets in self.symbols.items():
-                g = fam.group.parse(label)
-                coeffs[g] = (dict(sheets["plus"]), dict(sheets["minus"]))
-            self._problem = GOperatorProblem(fam, coeffs, k_min=self.k_min,
-                                             unit_fill=self.unit_fill, name=self.name)
-        return self._problem
 
     def config_hash(self) -> str:
         semantic = {k: v for k, v in self.raw.items() if k != "out_dir"}
@@ -111,7 +95,13 @@ def _require(ok: bool, field: str, want: str, value):
         raise SchemaError(f"{field} must be {want}, got {value!r}")
 
 
-def _parse_coeff_table(obj, where: str) -> dict[int, complex]:
+def _known(obj: dict, keys, prefix: str):
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"unknown config field {prefix + key!r}")
+
+
+def _parse_coeff_table(obj, where: str, max_mode: float) -> dict[int, complex]:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected a mode -> [re, im] table")
     out = {}
@@ -120,6 +110,8 @@ def _parse_coeff_table(obj, where: str) -> dict[int, complex]:
             mode = int(key)
         except ValueError as exc:
             raise SchemaError(f"{where}: bad mode index {key!r}") from exc
+        if abs(mode) > max_mode:
+            raise SchemaError(f"{where}: mode {mode} is not resolved (|k| <= {max_mode})")
         parts = val if isinstance(val, list) and len(val) == 2 else [val]
         if not all(_is_number(x) for x in parts):
             raise SchemaError(f"{where}: coefficient of mode {mode} must be a number or "
@@ -128,6 +120,16 @@ def _parse_coeff_table(obj, where: str) -> dict[int, complex]:
         if not cmath.isfinite(out[mode]):
             raise SchemaError(f"{where}: coefficient of mode {mode} is not finite: {val!r}")
     return out
+
+
+def _max_mode(experiment: str, num: dict) -> float:
+    """The largest |mode| resolved on every grid the experiment samples symbols on."""
+    sizes = []
+    if experiment in ("ellipticity", "algebraic", "full_pipeline"):
+        sizes.append(num["symbol_grid"])
+    if experiment in ("index", "localized", "algebraic", "full_pipeline"):
+        sizes.append(grid_for_window(FrequencyWindow(num["windows"][0])).size)
+    return min(sizes) // 2 - 1 if sizes else math.inf
 
 
 def _check_numerics(num: dict):
@@ -144,6 +146,22 @@ def _check_numerics(num: dict):
              "numerics.parametrix_order", "an integer >= 2", num["parametrix_order"])
     _require(_is_number(num["symbol_grid"], int) and num["symbol_grid"] >= MIN_GRID_SIZE,
              "numerics.symbol_grid", f"an integer >= {MIN_GRID_SIZE}", num["symbol_grid"])
+    radius, points = num["lattice_radius"], num["lattice_points"]
+    _require(_is_number(radius) and 0 < radius < math.inf,
+             "numerics.lattice_radius", "a positive number", radius)
+    _require(_is_number(points, int) and points >= MIN_LATTICE_POINTS and points % 2 == 1,
+             "numerics.lattice_points", f"an odd integer >= {MIN_LATTICE_POINTS}", points)
+    _require(_is_number(num["eps"]) and 0 < 2 * num["eps"] < radius,
+             "numerics.eps", "a number with 0 < 2 eps < lattice_radius", num["eps"])
+    for key in ("h_grid", "diag_h_grid"):
+        h = num[key]
+        _require(isinstance(h, dict) and sorted(h) == ["hi", "lo", "n"],
+                 f"numerics.{key}", "an object {hi, lo, n}", h)
+        _require(_is_number(h["n"], int) and h["n"] >= MIN_H_POINTS,
+                 f"numerics.{key}.n", f"an integer >= {MIN_H_POINTS}", h["n"])
+        _require(_is_number(h["hi"]) and _is_number(h["lo"]) and 0 < h["lo"] and h["hi"] < math.inf
+                 and h["hi"] / h["lo"] >= MIN_H_SPAN, f"numerics.{key}",
+                 "numbers 0 < lo, hi spanning a decade (hi >= 10 lo)", h)
     for key, tol in num["tolerances"].items():
         if key == "egorov_slope":
             _require(isinstance(tol, list) and len(tol) == 2 and all(map(_is_number, tol))
@@ -154,26 +172,39 @@ def _check_numerics(num: dict):
                      f"numerics.tolerances.{key}", "a positive number", tol)
 
 
+def _parse_expect(expect, group) -> dict:
+    """``expect`` with ``element`` parsed; by default the first non-identity element."""
+    _require(isinstance(expect, dict), "expect", "an object", expect)
+    _known(expect, ("index", "verdict", "element"), "expect.")
+    index, label = expect.get("index"), expect.get("element")
+    _require(index is None or _is_number(index, int), "expect.index", "an integer", index)
+    _require(label is None or isinstance(label, str), "expect.element", "a string", label)
+    if label is None:
+        others = [g for g in group.elements() if g != group.identity] if group.is_finite else [1]
+        return {**expect, "element": next(iter(others), group.identity)}
+    try:
+        return {**expect, "element": group.parse(label)}
+    except GIndexError as exc:
+        raise SchemaError(f"expect.element: {exc}") from exc
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate an experiment config file, filling defaults."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"config file {path} does not exist")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return parse_config(raw)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
+    """Check every field of a config and build its one ``GOperatorProblem``."""
     if not isinstance(raw, dict):
         raise SchemaError("top level must be an object")
-    known = {"name", "seed", "group", "realization", "symbols", "k_min",
-             "unit_fill", "experiment", "numerics", "out_dir", "expect"}
-    for key in raw:
-        if key not in known:
-            raise SchemaError(f"unknown config field {key!r}")
+    _known(raw, ("name", "seed", "group", "realization", "symbols", "k_min",
+                 "unit_fill", "experiment", "numerics", "out_dir", "expect"), "")
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise SchemaError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
@@ -198,53 +229,41 @@ def parse_config(raw: dict) -> ExperimentConfig:
         family = RealizationFamily(group, kind, eps=float(eps))
     except GIndexError as exc:
         raise SchemaError(f"realization: {exc}") from exc
+    if experiment in ("algebraic", "full_pipeline") and not family.is_isometric:
+        raise SchemaError(f"the {experiment} experiment needs an isometric realization")
     k_min = raw.get("k_min", K_MIN)
     _require(_is_number(k_min, int) and k_min >= 1, "k_min", "an integer >= 1", k_min)
     unit_fill = raw.get("unit_fill", False)
     _require(isinstance(unit_fill, bool), "unit_fill", "true or false", unit_fill)
+    raw_numerics = raw.get("numerics", {})
+    _require(isinstance(raw_numerics, dict), "numerics", "an object", raw_numerics)
+    _known(raw_numerics, DEFAULT_NUMERICS, "numerics.")
+    tolerances = raw_numerics.get("tolerances", {})
+    _require(isinstance(tolerances, dict), "numerics.tolerances", "an object", tolerances)
+    _known(tolerances, DEFAULT_NUMERICS["tolerances"], "numerics.tolerances.")
+    defaults = json.loads(json.dumps(DEFAULT_NUMERICS))
+    numerics = {**defaults, **raw_numerics,
+                "tolerances": {**defaults["tolerances"], **tolerances}}
+    _check_numerics(numerics)
     raw_symbols = raw.get("symbols", {})
     _require(isinstance(raw_symbols, dict), "symbols", "an object of element -> sheet tables",
              raw_symbols)
-    symbols = {}
+    max_mode = _max_mode(experiment, numerics)
+    coeffs = {}
     for label, sheets in raw_symbols.items():
         try:
-            group.parse(label)
+            g = group.parse(label)
         except GIndexError as exc:
             raise SchemaError(f"symbols: {exc}") from exc
         if not isinstance(sheets, dict) or not {"plus", "minus"} <= set(sheets):
             raise SchemaError(f"symbols[{label!r}] needs 'plus' and 'minus' tables")
-        symbols[label] = {
-            "plus": _parse_coeff_table(sheets["plus"], f"symbols[{label!r}].plus"),
-            "minus": _parse_coeff_table(sheets["minus"], f"symbols[{label!r}].minus"),
-        }
-    numerics = json.loads(json.dumps(DEFAULT_NUMERICS))
-    raw_numerics = raw.get("numerics", {})
-    _require(isinstance(raw_numerics, dict), "numerics", "an object", raw_numerics)
-    for key, val in raw_numerics.items():
-        if key not in DEFAULT_NUMERICS:
-            raise SchemaError(f"unknown numerics field {key!r}")
-        if key == "tolerances":
-            _require(isinstance(val, dict), "numerics.tolerances", "an object", val)
-            for name in val:
-                if name not in DEFAULT_NUMERICS["tolerances"]:
-                    raise SchemaError(f"unknown numerics.tolerances field {name!r}")
-            numerics["tolerances"].update(val)
-        else:
-            numerics[key] = val
-    _check_numerics(numerics)
-    return ExperimentConfig(
-        raw=raw,
-        group_desc=group_desc,
-        family=family,
-        symbols=symbols,
-        experiment=experiment,
-        k_min=k_min,
-        unit_fill=unit_fill,
-        numerics=numerics,
-        out_dir=raw.get("out_dir"),
-        expect=raw.get("expect", {}),
-        name=raw.get("name", experiment),
-    )
+        coeffs[g] = tuple(_parse_coeff_table(sheets[s], f"symbols[{label!r}].{s}", max_mode)
+                          for s in ("plus", "minus"))
+    expect = _parse_expect(raw.get("expect", {}), group)
+    problem = GOperatorProblem(family, coeffs, k_min=k_min, unit_fill=unit_fill,
+                               name=raw.get("name", experiment))
+    return ExperimentConfig(raw=raw, problem=problem, experiment=experiment,
+                            numerics=numerics, out_dir=raw.get("out_dir"), expect=expect)
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +280,14 @@ class RunRecord:
     version: str = VERSION
 
     @property
-    def worst(self) -> str:
-        order = {FAIL: 0, UNDECIDED: 1, PASS: 2}
-        if not self.verdicts:
-            return PASS
-        return min(self.verdicts.values(), key=lambda v: order[v])
-
-    @property
     def exit_code(self) -> int:
-        return _EXIT[self.worst]
+        """The worst verdict's code: 1 on any FAIL, else 2 on any UNDECIDED, else 0."""
+        verdicts = set(self.verdicts.values())
+        return 1 if FAIL in verdicts else 2 if UNDECIDED in verdicts else 0
 
 
 def _h_grid_from(desc: dict) -> np.ndarray:
-    return np.geomspace(float(desc["hi"]), float(desc["lo"]), int(desc["n"]))
+    return np.geomspace(desc["hi"], desc["lo"], desc["n"])
 
 
 def _cx(z: complex) -> list:
@@ -285,9 +299,7 @@ def run(config: ExperimentConfig) -> RunRecord:
     payloads: dict = {}
     verdicts: dict = {}
     timings: dict = {}
-    steps = [config.experiment]
-    if config.experiment == "full_pipeline":
-        steps = ["ellipticity", "index", "localized", "algebraic"]
+    steps = PIPELINE if config.experiment == "full_pipeline" else (config.experiment,)
     for step in steps:
         t0 = time.perf_counter()
         fn = _EXPERIMENT_TABLE[step]
@@ -299,10 +311,9 @@ def run(config: ExperimentConfig) -> RunRecord:
 
 
 def _exp_ellipticity(config: ExperimentConfig):
-    problem = config.problem()
-    grid = PeriodicGrid(int(config.numerics["symbol_grid"]))
-    verdict = is_elliptic(problem.symbol(grid),
-                          tol=float(config.numerics["tolerances"]["elliptic"]))
+    grid = PeriodicGrid(config.numerics["symbol_grid"])
+    verdict = is_elliptic(config.problem.symbol(grid),
+                          tol=config.numerics["tolerances"]["elliptic"])
     payload = {
         "verdict": verdict.verdict,
         "min_singular_value": verdict.min_singular_value,
@@ -323,11 +334,11 @@ def _sweep(config: ExperimentConfig) -> dict:
     num = config.numerics
     return {"windows": tuple(num["windows"]), "N": num["parametrix_order"],
             "zero_tol": num["zero_tol"], "inner_fraction": num["inner_fraction"],
-            "drift_tol": float(num["tolerances"]["drift"])}
+            "drift_tol": num["tolerances"]["drift"]}
 
 
 def _exp_index(config: ExperimentConfig):
-    problem = config.problem()
+    problem = config.problem
     sweep = _sweep(config)
     report = numerical_index(problem, sweep["windows"], sweep["zero_tol"],
                              sweep["inner_fraction"])
@@ -340,15 +351,15 @@ def _exp_index(config: ExperimentConfig):
         payload["winding_oracle"] = oracle
         grade = PASS if oracle == report.index else FAIL
     expected = config.expect.get("index")
-    if expected is not None and report.index != int(expected):
+    if expected is not None and report.index != expected:
         grade = FAIL
     return payload, grade
 
 
 def _exp_localized(config: ExperimentConfig):
-    problem = config.problem()
+    problem = config.problem
     sweep = _sweep(config)
-    tol = float(config.numerics["tolerances"]["decomposition"])
+    tol = config.numerics["tolerances"]["decomposition"]
     report = decomposition_check(problem, **sweep)
     payload = report.as_dict()
     rounded = int(np.rint(report.total.real))
@@ -359,7 +370,7 @@ def _exp_localized(config: ExperimentConfig):
         for g0 in (1, 2):      # chi(g0) = g0 on integer_shift, the one group with chi
             rep = chi_vanishing_check(
                 problem, g0, sweep["windows"], sweep["N"], sweep["inner_fraction"],
-                sweep["drift_tol"], tol=float(config.numerics["tolerances"]["chi_vanishing"]))
+                sweep["drift_tol"], tol=config.numerics["tolerances"]["chi_vanishing"])
             vanish[problem.group.label(g0)] = {"value": _cx(rep.value), "ok": rep.ok}
             if not rep.ok:
                 grade = FAIL
@@ -368,18 +379,15 @@ def _exp_localized(config: ExperimentConfig):
 
 
 def _exp_algebraic(config: ExperimentConfig):
-    problem = config.problem()
+    problem = config.problem
     fam = problem.family
-    if not fam.is_isometric:
-        raise SchemaError("algebraic experiment needs an isometric realization")
     num = config.numerics
-    grid = PeriodicGrid(int(num["symbol_grid"]))
-    lattice = XiLattice(float(num["lattice_radius"]), int(num["lattice_points"]))
-    eps = float(num["eps"])
+    grid = PeriodicGrid(num["symbol_grid"])
+    lattice = XiLattice(num["lattice_radius"], num["lattice_points"])
     sweep = _sweep(config)
     h_grid = _h_grid_from(num["h_grid"])
     tols = num["tolerances"]
-    series = StarSeries.from_crossed(problem.symbol(grid), lattice, eps, unit_fill=True)
+    series = StarSeries.from_crossed(problem.symbol(grid), lattice, num["eps"], unit_fill=True)
     r = symbol_parametrix_h(series, sweep["N"])
     analytic = decomposition_check(problem, **sweep)
     classes = (fam.group.conjugacy_classes() if fam.group.is_finite
@@ -390,11 +398,10 @@ def _exp_algebraic(config: ExperimentConfig):
     for cls in classes:
         if not all(fam.group.is_torsion(l) for l in cls):
             continue
-        label = "<" + fam.group.label(cls[0]) + ">"
-        result = algebraic_index(series, cls, sweep["N"], h_grid, r=r,
-                                 neg_tol=float(tols["neg_power"]))
+        label = class_label(problem, cls)
+        result = algebraic_index(series, cls, sweep["N"], h_grid, r=r, neg_tol=tols["neg_power"])
         ind_g = analytic.per_class.get(label, 0.0 + 0.0j)
-        match = abs(result.constant_term - ind_g) < float(tols["c0_match"])
+        match = abs(result.constant_term - ind_g) < tols["c0_match"]
         per_class[label] = {
             "fit": result.fit.as_dict(),
             "constant_term": _cx(result.constant_term),
@@ -421,15 +428,15 @@ def _exp_algebraic(config: ExperimentConfig):
 
 
 def _exp_egorov(config: ExperimentConfig):
-    fam = config.family
-    grid = PeriodicGrid(int(config.numerics["symbol_grid"]))
+    fam = config.problem.family
+    grid = PeriodicGrid(config.numerics["symbol_grid"])
     h_grid = _h_grid_from(config.numerics["diag_h_grid"])
     tols = config.numerics["tolerances"]
-    g = fam.group.parse(config.expect.get("element", _first_nontrivial_label(fam)))
+    g = config.expect["element"]
     if fam.is_isometric:
         term = egorov_isometry_term(grid)
         rep = egorov_defect(fam, g, term, h_grid)
-        ok = rep.max_defect < float(tols["egorov_isometry"])
+        ok = rep.max_defect < tols["egorov_isometry"]
     else:
         term = egorov_curved_term(grid)
         rep = egorov_defect(fam, g, term, h_grid, window_factor=2.0)
@@ -441,21 +448,12 @@ def _exp_egorov(config: ExperimentConfig):
     return payload, PASS if ok else FAIL
 
 
-def _first_nontrivial_label(fam: RealizationFamily) -> str:
-    if fam.group.kind == "integer_shift":
-        return "1"
-    for g in fam.group.elements():
-        if g != fam.group.identity:
-            return fam.group.label(g)
-    return fam.group.label(fam.group.identity)
-
-
 def _exp_trace_asymptotics(config: ExperimentConfig):
-    fam = config.family
-    grid = PeriodicGrid(int(config.numerics["symbol_grid"]))
+    fam = config.problem.family
+    grid = PeriodicGrid(config.numerics["symbol_grid"])
     lattice = XiLattice(3.5, 701)
     h_grid = _h_grid_from(config.numerics["diag_h_grid"])
-    g = fam.group.parse(config.expect.get("element", _first_nontrivial_label(fam)))
+    g = config.expect["element"]
     C = fam.canonical(g)
     e = fam.group.identity
     if g == e:

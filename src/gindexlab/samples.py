@@ -6,26 +6,25 @@ import numpy as np
 
 from .groups import build_group
 from .problems import GOperatorProblem
-from .quantize import K_MIN
 from .semiclass import SampledTerm, StarSeries, XiLattice, zero_section_cut
 from .transforms import RealizationFamily
 
 
-def winding_problem(w: int, k_min: int = K_MIN) -> GOperatorProblem:
+def winding_problem(w: int) -> GOperatorProblem:
     """Trivial group, plus sheet 1, minus sheet e^{i w x}: the calibration family."""
     fam = RealizationFamily(build_group("trivial"), "trivial")
     coeffs = {(): ({0: 1.0}, {w: 1.0})}
-    return GOperatorProblem(fam, coeffs, k_min=k_min, name=f"winding_w{w}")
+    return GOperatorProblem(fam, coeffs, name=f"winding_w{w}")
 
 
-def z2_sample(k_min: int = K_MIN) -> GOperatorProblem:
+def z2_sample() -> GOperatorProblem:
     """Z/2 reflection sample: a_e = 2 on plus / 2 e^{ix} on minus, a_s = 1."""
     fam = RealizationFamily(build_group("cyclic", m=2), "reflection")
     coeffs = {
         0: ({0: 2.0}, {1: 2.0}),
         1: ({0: 1.0}, {0: 1.0}),
     }
-    return GOperatorProblem(fam, coeffs, k_min=k_min, name="z2_reflection")
+    return GOperatorProblem(fam, coeffs, name="z2_reflection")
 
 
 def _random_trig(rng: np.random.Generator, deg: int, scale: float) -> dict[int, complex]:
@@ -33,7 +32,7 @@ def _random_trig(rng: np.random.Generator, deg: int, scale: float) -> dict[int, 
             for k in range(-deg, deg + 1)}
 
 
-def dihedral_sample(seed: int, k_min: int = K_MIN) -> GOperatorProblem:
+def dihedral_sample(seed: int) -> GOperatorProblem:
     """Randomized elliptic dihedral(3) operator whose identity minus sheet winds once.
 
     A dominant identity coefficient guarantees ellipticity; small random trig
@@ -48,11 +47,10 @@ def dihedral_sample(seed: int, k_min: int = K_MIN) -> GOperatorProblem:
             coeffs[g] = ({0: 3.0}, {1: 3.0})
         else:
             coeffs[g] = (_random_trig(rng, 2, 0.35), _random_trig(rng, 2, 0.35))
-    return GOperatorProblem(fam, coeffs, k_min=k_min, name=f"dihedral3_seed{seed}")
+    return GOperatorProblem(fam, coeffs, name=f"dihedral3_seed{seed}")
 
 
-def shift_neumann_problem(theta: float = 1.0, c: float = 0.3,
-                          k_min: int = K_MIN) -> GOperatorProblem:
+def shift_neumann_problem(theta: float = 1.0, c: float = 0.3) -> GOperatorProblem:
     """integer_shift sample A = 1 + c op(f) Phi_1 with ||c f||_inf < 1."""
     fam = RealizationFamily(build_group("integer_shift", theta=theta), "rotation")
     f = {0: 0.5 * c, 1: 0.25 * c, -2: 0.15 * c}
@@ -60,17 +58,17 @@ def shift_neumann_problem(theta: float = 1.0, c: float = 0.3,
         0: ({0: 1.0}, {0: 1.0}),
         1: (f, dict(f)),
     }
-    return GOperatorProblem(fam, coeffs, k_min=k_min, name="shift_neumann")
+    return GOperatorProblem(fam, coeffs, name="shift_neumann")
 
 
-def curved_z2_problem(eps: float = 0.3, k_min: int = K_MIN) -> GOperatorProblem:
+def curved_z2_problem(eps: float = 0.3) -> GOperatorProblem:
     """cyclic(2) realized by a conjugated rotation: A = 2 + op(1) Phi_curved."""
     fam = RealizationFamily(build_group("cyclic", m=2), "curved_rotation", eps=eps)
     coeffs = {
         0: ({0: 2.0}, {0: 2.0}),
         1: ({0: 1.0}, {0: 1.0}),
     }
-    return GOperatorProblem(fam, coeffs, k_min=k_min, name=f"curved_z2_eps{eps}")
+    return GOperatorProblem(fam, coeffs, name=f"curved_z2_eps{eps}")
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,9 @@ TRACE_EDGE_TOL = 1e-8        # lattice-edge values allowed in a traced term, rel
 POWER_LAW_FLOOR = 1e-12      # |tau_g| below this has no power law
 NEG_POWER_TOL = 1e-3         # h^{-1} coefficient allowed in the algebraic index
 DIAG_H_GRID = {"hi": 0.2, "lo": 0.02, "n": 8}   # diagnostic h-grid, descending
+MIN_LATTICE_POINTS = 17      # fewest points an (odd) XiLattice accepts
+MIN_H_POINTS = 6             # fewest points a trace h-grid accepts
+MIN_H_SPAN = 10.0 - 1e-9     # least max(h) / min(h) of a trace h-grid: a decade
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +50,8 @@ class XiLattice:
     n: int
 
     def __post_init__(self):
-        if self.n < 16 or self.n % 2 == 0:
-            raise ValueError("lattice needs an odd number of points, >= 17")
+        if self.n < MIN_LATTICE_POINTS or self.n % 2 == 0:
+            raise ValueError(f"lattice needs an odd number of points, >= {MIN_LATTICE_POINTS}")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
@@ -477,7 +480,7 @@ class TraceSeries:
 
     def __post_init__(self):
         h = np.asarray(self.h_grid, dtype=float)
-        if len(h) < 6 or np.max(h) / np.min(h) < 10.0 - 1e-9:
+        if len(h) < MIN_H_POINTS or np.max(h) / np.min(h) < MIN_H_SPAN:
             raise ValueError("h_grid needs >= 6 points spanning a decade")
 
     def __sub__(self, other: "TraceSeries") -> "TraceSeries":

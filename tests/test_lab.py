@@ -79,6 +79,12 @@ class TestConfig:
         with pytest.raises(ParseError):
             load_config(tmp_path / "nope.json")
 
+    def test_unreadable_file(self, tmp_path):
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe{")
+        for path in (tmp_path, tmp_path / "binary.json"):
+            with pytest.raises(ParseError, match="cannot read config file"):
+                load_config(path)
+
     def test_unknown_element(self):
         bad = dict(MINIMAL)
         bad["symbols"] = {"q": {"plus": {}, "minus": {}}}
@@ -127,7 +133,14 @@ class TestConfig:
         ("parametrix_order", 1), ("parametrix_order", 2.5), ("parametrix_order", True),
         ("parametrix_order", "4"), ("symbol_grid", 3), ("symbol_grid", 256.0),
         ("tolerances", {"drfit": 1e-3}),
-        ("tolerances", {"egorov_slope": [1.3, 0.9]}), ("tolerances", [])])
+        ("tolerances", {"egorov_slope": [1.3, 0.9]}), ("tolerances", []),
+        ("lattice_points", "x"), ("lattice_points", 600), ("lattice_points", 601.7),
+        ("lattice_points", 15), ("lattice_radius", -1), ("eps", "x"), ("eps", 2.0),
+        ("eps", 0), ("h_grid", []), ("h_grid", {"hi": 0.05, "lo": 0.005, "n": "x"}),
+        ("h_grid", {"hi": 0.05, "lo": 0.01, "n": 8}), ("h_grid", {"hi": 0.05, "lo": 0.005}),
+        ("h_grid", {"hi": 0.05, "lo": 0, "n": 8}),
+        ("diag_h_grid", {"hi": 0.2, "lo": 0.02, "n": 4.5}),
+        ("diag_h_grid", {"hi": 0.2, "lo": 0.02, "n": 5})])
     def test_bad_numerics_rejected(self, field, value):
         bad = {**Z2_LOCALIZED, "numerics": {"windows": [32, 48], field: value}}
         with pytest.raises(SchemaError, match=f"numerics.{field}"):
@@ -137,7 +150,9 @@ class TestConfig:
         ("k_min", "x"), ("k_min", 0), ("k_min", 2.0), ("unit_fill", "no"), ("unit_fill", 1),
         ("realization", []), ("realization.eps", "x"), ("realization.kind", []),
         ("symbols", []), ("group", 5), ("group.m", "x"), ("group.theta", "x"),
-        ("numerics", []), ("numerics.tolerances.drift", "x")])
+        ("numerics", []), ("numerics.tolerances.drift", "x"), ("expect", []),
+        ("expect.index", "1"), ("expect.index", 1.5), ("expect.index", True),
+        ("expect.element", "q"), ("expect.element", 1), ("expect.indx", 1)])
     def test_bad_field_rejected(self, path, value):
         bad = json.loads(json.dumps(Z2_LOCALIZED))
         *parents, leaf = path.split(".")
@@ -147,6 +162,42 @@ class TestConfig:
         node[leaf] = value
         with pytest.raises(SchemaError, match=re.escape(path)):
             parse_config(bad)
+
+    @pytest.mark.parametrize("experiment, sheet, mode, windows", [
+        ("ellipticity", "plus", 200, [64, 128]), ("index", "minus", 1000, [32, 48]),
+        ("full_pipeline", "plus", 130, [64, 128]), ("localized", "minus", -128, [32, 48])])
+    def test_mode_beyond_sampled_grid_rejected(self, experiment, sheet, mode, windows):
+        # symbol_grid 256 and grid_for_window(32) = 256 both resolve |k| <= 127
+        symbols = json.loads(json.dumps(Z2_PIPELINE["symbols"]))
+        symbols["r"][sheet][str(mode)] = 0.5
+        bad = {**Z2_PIPELINE, "experiment": experiment, "symbols": symbols,
+               "numerics": {"windows": windows}}
+        with pytest.raises(SchemaError, match=rf"symbols\['r'\]\.{sheet}: mode {mode} "):
+            parse_config(bad)
+
+    @pytest.mark.parametrize("experiment, mode", [("egorov", 1000), ("trace_asymptotics", 1000),
+                                                  ("ellipticity", 127), ("localized", -127)])
+    def test_mode_on_sampled_grid_accepted(self, experiment, mode):
+        symbols = {"e": {"plus": {str(mode): 1.0}, "minus": {"0": 1.0}}}
+        cfg = parse_config({**Z2_PIPELINE, "experiment": experiment, "symbols": symbols,
+                            "numerics": {"windows": [32, 48]}})
+        if abs(mode) < 128:      # the 256-point grid both steps sample on resolves it
+            cfg.problem.symbol(circle.PeriodicGrid(256))
+
+    def test_algebraic_needs_isometric_realization(self):
+        bad = {**Z2_PIPELINE, "realization": {"kind": "curved_rotation", "eps": 0.3}}
+        with pytest.raises(SchemaError, match="isometric"):
+            parse_config(bad)
+
+    def test_expect_element_parsed_once(self):
+        cfg = parse_config({**Z2_PIPELINE, "experiment": "egorov"})
+        assert cfg.expect == {"element": 1}
+        dihedral = {"group": {"kind": "dihedral", "m": 3}, "experiment": "egorov",
+                    "expect": {"element": "rs"}}
+        cfg = parse_config(dihedral)
+        assert cfg.problem.group.label(cfg.expect["element"]) == "rs"
+        shift = {"group": {"kind": "integer_shift", "theta": 1.0}, "experiment": "egorov"}
+        assert parse_config(shift).expect == {"element": 1}
 
     def test_default_numerics_are_engine_constants(self):
         tols = DEFAULT_NUMERICS["tolerances"]
@@ -162,7 +213,8 @@ class TestConfig:
 
     def test_one_problem_per_config(self):
         cfg = parse_config(dict(MINIMAL))
-        assert cfg.problem() is cfg.problem()
+        assert cfg.problem is cfg.problem
+        assert cfg.problem.symbol_coeffs == {(): ({0: 1.0}, {0: 1.0})}   # element-keyed
 
     def test_hash_semantic_only(self):
         a = parse_config(dict(MINIMAL))

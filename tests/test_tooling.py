@@ -1,6 +1,8 @@
 """The benchmark's span recorder (benchmark/tracing.py) wraps program functions
-by module, class and attribute name.  A renamed or deleted target would only
-show up as a KeyError in a traced benchmark run; these tests name it first."""
+by module, class and attribute name, and its workloads (benchmark/workloads.py)
+feed generated configs to ``parse_config``.  A renamed or deleted target, or a
+schema check that refuses a workload config, would only show up as a failed
+benchmark run; these tests name it first.  Both files are loaded read-only."""
 
 import importlib
 import importlib.util
@@ -8,17 +10,20 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+from gindexlab.lab import parse_config
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
 
-def _tracing_module():
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+def _benchmark_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARK / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACING_MODULE = _tracing_module()
+TRACING_MODULE = _benchmark_module("tracing")
+WORKLOADS = _benchmark_module("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("prefix, modname, clsname, attr", TRACING_MODULE.TRACED,
@@ -33,3 +38,10 @@ def test_traced_target_resolves(prefix, modname, clsname, attr):
 def test_lab_span_resolves(name):
     modname, attr = name.split(".")
     assert callable(getattr(importlib.import_module(f"gindexlab.{modname}"), attr, None))
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workload_configs_parse(workload):
+    for seed in range(21):
+        config, _ = WORKLOADS[workload](seed)
+        assert parse_config(config).experiment == config["experiment"]
