@@ -112,15 +112,16 @@ class GroupSpec:
         return tuple(sorted(cls, key=repr))
 
     def conjugacy_classes(self, support: Iterable[Element] | None = None) -> list[tuple[Element, ...]]:
-        """Partition into conjugacy classes.
+        """The conjugacy classes that meet ``support`` (all of them when None).
 
-        Finite kinds: the full partition.  integer_shift: classes are
+        Finite kinds: classes in partition order.  integer_shift: classes are
         singletons, so a finite ``support`` must be supplied.
         """
         if self.kind == "integer_shift":
             if support is None:
                 raise UnsupportedGroup("integer_shift needs an explicit support")
             return [(g,) for g in sorted(set(support))]
+        wanted = set(self.elements() if support is None else support)
         seen: set[Element] = set()
         classes = []
         for g in self.elements():
@@ -128,7 +129,8 @@ class GroupSpec:
                 continue
             cls = self.conjugacy_class(g)
             seen.update(cls)
-            classes.append(cls)
+            if wanted.intersection(cls):
+                classes.append(cls)
         return classes
 
     def element_order(self, g: Element) -> int | None:

@@ -447,15 +447,6 @@ def _window_traces(problem: GOperatorProblem, cutoff: int, N: int,
     return problem._trace_cache[key]
 
 
-def _classes_for(problem: GOperatorProblem, traces: _WindowTraces) -> list[tuple[Element, ...]]:
-    grp = problem.group
-    support = sorted(set(traces.left) | set(traces.right), key=repr)
-    if grp.is_finite:
-        return [c for c in grp.conjugacy_classes()
-                if any(l in support for l in c)]
-    return grp.conjugacy_classes(support=support)
-
-
 def localized_index(problem: GOperatorProblem, cls: tuple[Element, ...],
                     windows, N: int = PARAMETRIX_ORDER, inner_fraction: float = INNER_FRACTION,
                     drift_tol: float = DRIFT_TOL) -> LocalizedValue:
@@ -502,7 +493,8 @@ def decomposition_check(problem: GOperatorProblem, windows, N: int = PARAMETRIX_
     The classes are those the first window's remainder traces touch.
     """
     _require_windows(windows)
-    classes = _classes_for(problem, _window_traces(problem, windows[0], N, inner_fraction))
+    traces = _window_traces(problem, windows[0], N, inner_fraction)
+    classes = problem.group.conjugacy_classes(support=set(traces.left) | set(traces.right))
     values = [localized_index(problem, cls, windows, N, inner_fraction, drift_tol)
               for cls in classes]
     per_class = {class_label(problem, v.cls): v.value for v in values}

@@ -36,7 +36,7 @@ from .semiclass import (DIAG_H_GRID, MIN_H_POINTS, MIN_H_SPAN, MIN_LATTICE_POINT
                         NEG_POWER_TOL, StarSeries, XiLattice,
                         algebraic_index, egorov_defect, symbol_parametrix_h,
                         trace_power_law)
-from .symbols import ELLIPTIC_TOL, is_elliptic
+from .symbols import ELLIPTIC_TOL, VERDICTS, is_elliptic
 from .transforms import RealizationFamily
 
 EXPERIMENTS = ("ellipticity", "index", "localized", "algebraic", "egorov",
@@ -178,6 +178,9 @@ def _parse_expect(expect, group) -> dict:
     _known(expect, ("index", "verdict", "element"), "expect.")
     index, label = expect.get("index"), expect.get("element")
     _require(index is None or _is_number(index, int), "expect.index", "an integer", index)
+    verdict = expect.get("verdict")
+    _require(verdict is None or verdict in VERDICTS, "expect.verdict", f"one of {VERDICTS}",
+             verdict)
     _require(label is None or isinstance(label, str), "expect.element", "a string", label)
     if label is None:
         others = [g for g in group.elements() if g != group.identity] if group.is_finite else [1]
@@ -257,6 +260,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise SchemaError(f"symbols: {exc}") from exc
         if not isinstance(sheets, dict) or not {"plus", "minus"} <= set(sheets):
             raise SchemaError(f"symbols[{label!r}] needs 'plus' and 'minus' tables")
+        _known(sheets, ("plus", "minus"), f"symbols[{label!r}].")
         coeffs[g] = tuple(_parse_coeff_table(sheets[s], f"symbols[{label!r}].{s}", max_mode)
                           for s in ("plus", "minus"))
     expect = _parse_expect(raw.get("expect", {}), group)
@@ -390,14 +394,10 @@ def _exp_algebraic(config: ExperimentConfig):
     series = StarSeries.from_crossed(problem.symbol(grid), lattice, num["eps"], unit_fill=True)
     r = symbol_parametrix_h(series, sweep["N"])
     analytic = decomposition_check(problem, **sweep)
-    classes = (fam.group.conjugacy_classes() if fam.group.is_finite
-               else fam.group.conjugacy_classes(support=[0]))
     per_class = {}
     total_c0 = 0.0 + 0.0j
     grade = PASS
-    for cls in classes:
-        if not all(fam.group.is_torsion(l) for l in cls):
-            continue
+    for cls in fam.group.conjugacy_classes(support=fam.group.torsion_elements()):
         label = class_label(problem, cls)
         result = algebraic_index(series, cls, sweep["N"], h_grid, r=r, neg_tol=tols["neg_power"])
         ind_g = analytic.per_class.get(label, 0.0 + 0.0j)

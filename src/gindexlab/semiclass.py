@@ -261,22 +261,16 @@ def zero_section_cut(lattice: XiLattice, eps: float) -> np.ndarray:
 def transport_term(term: SampledTerm, family: RealizationFamily, g: Element) -> SampledTerm:
     """term o C_g, sampled on the lattice.
 
-    Exact for the isometric actions.  For a curved diffeomorphism,
+    Exact for the isometric actions: on sheet s, C_g(x, xi) =
+    (sign x + shift_s, sign xi), so the term is shifted by each sheet's shift
+    and then reflected when sign = -1 (the xi = 0 column is shifted only when
+    both sheets share the shift).  For a curved diffeomorphism,
     C_g(x, xi) = (alpha_g(x), xi / alpha_g'(x)) is read through
     alpha_{g^{-1}} = alpha_g^{-1}: the x slice is evaluated spectrally, the xi
     slice by lattice interpolation.
     """
     C = family.canonical(g)
-    aff = C.affine_base()
-    if C.kind == "halfwave":
-        t = C.t
-        out = term.values.copy()
-        pos = term.lattice.points > 0
-        neg = term.lattice.points < 0
-        out[:, pos] = term.shift_x(-t).values[:, pos]
-        out[:, neg] = term.shift_x(t).values[:, neg]
-        return term._like(out)
-    if aff is None:
+    if C.sheets is None:
         diff = family.diffeo(family.group.inv(g))
         X = diff.inverse(term.grid.nodes)
         scale = diff.deriv(X)
@@ -289,10 +283,16 @@ def transport_term(term: SampledTerm, family: RealizationFamily, g: Element) -> 
             out[i, :] = lattice_interp(term.lattice, rows_at_X[i, :], queries[i, :],
                                        term.extend)
         return SampledTerm(term.grid, term.lattice, out, term.extend)
-    sign, shift = aff
-    if sign == 1:
-        return term.shift_x(shift)
-    return term.reflect().shift_x(shift)
+    (sign, up), (_, down) = C.sheets
+    if up == down:
+        shifted = term.shift_x(up)
+    else:
+        xi = sign * term.lattice.points     # the fiber coordinate after the reflection
+        out = term.values.copy()
+        for shift, cols in ((up, xi > 0), (down, xi < 0)):
+            out[:, cols] = term.shift_x(shift).values[:, cols]
+        shifted = term._like(out)
+    return shifted.reflect() if sign == -1 else shifted
 
 
 # ---------------------------------------------------------------------------

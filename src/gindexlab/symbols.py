@@ -27,6 +27,7 @@ INVERSE_RESID_TOL = 1e-8
 NEUMANN_TAIL_TOL = 1e-10    # integer_shift inverse: stop once the geometric tail is below
 NEUMANN_MAX_TERMS = 200
 MAX_INVERSE_GRID = 4096     # finest grid the inversion refines to
+VERDICTS = ("elliptic", "not_elliptic", "undecided")    # of is_elliptic
 
 
 @dataclass(frozen=True)
@@ -67,16 +68,10 @@ class PrincipalSymbol:
         """The pullback a o C (exact for affine base maps)."""
         out = []
         for s in (1, -1):
-            s2 = C.sheet_after(s)
-            src = self.sheet(s2)
-            aff = C.affine_base()
-            if aff is not None:
-                sign, shift = aff
-                out.append(src.compose_affine(sign, shift))
-            elif C.kind == "halfwave":
-                out.append(src.compose_affine(1, -s * C.t))
-            else:
-                out.append(src.compose(C.base(s, self.grid.nodes)))
+            src = self.sheet(C.sheet_after(s))
+            affine = C.sheet_affine(s)
+            out.append(src.compose(C.base(s, self.grid.nodes)) if affine is None
+                       else src.compose_affine(*affine))
         return PrincipalSymbol(out[0], out[1])
 
     def __mul__(self, other):
@@ -196,7 +191,7 @@ class CrossedSymbol:
 
 @dataclass(frozen=True)
 class EllipticityVerdict:
-    verdict: str                     # 'elliptic' | 'not_elliptic' | 'undecided'
+    verdict: str                     # one of VERDICTS
     min_singular_value: float
     witness_sheet: int               # +1 / -1
     witness_point: float

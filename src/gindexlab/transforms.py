@@ -14,13 +14,17 @@ isometric families below).  The quantization is the half-density shift
     (Phi_g u)(x) = |(alpha_g^{-1})'(x)|^{1/2} u(alpha_g^{-1}(x)),
 
 which is unitary on L^2 and reduces to exact diagonal / mode-permutation
-matrices for rotations, reflections and the half-wave flow.  That exact
-action ``Phi_g e_k = p(k) e_{s k}`` has one source,
-``RealizationFamily.mode_map``: the window unitaries (``ModeMap``) and the
-semiclassical trace functionals both read it, and the symbol transports read
-the same affine data through ``CanonicalTransform.affine_base``.  Elements
-acting by a curved diffeomorphism have no exact action and are quantized as
-a ``WeightedShift``, the dense ``weighted_shift_matrix`` with its recorded
+matrices for rotations, reflections and the half-wave flow.
+``RealizationFamily.canonical`` is the one description of how an element
+moves each sheet: an affine base map ``(sign, shift)`` per sheet for the
+isometric elements (the half-wave flow, which has no base map, shifts the
+two sheets oppositely), or the circle diffeomorphism of a curved element.
+The exact action ``Phi_g e_k = p(k) e_{s k}`` (``RealizationFamily.mode_map``,
+read by the window unitaries ``ModeMap`` and the semiclassical trace
+functionals) and both symbol transports (``PrincipalSymbol.transport``,
+``semiclass.transport_term``) are derived from it.  Elements acting by a
+curved diffeomorphism have no exact action and are quantized as a
+``WeightedShift``, the dense ``weighted_shift_matrix`` with its recorded
 truncation defect.  ``Realization.phi`` returns one of these two objects per
 element; both offer ``matrix``, ``left_mul`` and ``right_mul``.
 """
@@ -120,49 +124,42 @@ class CircleDiffeo:
 # canonical transformations
 # ---------------------------------------------------------------------------
 
+Affine = tuple[int, float]              # (sign, shift): x -> sign * x + shift
+
+
 @dataclass(frozen=True)
 class CanonicalTransform:
     """Action of a group element on the cosphere bundle {+1,-1} x S^1.
 
-    ``kind='diffeo'`` carries a CircleDiffeo (both sheets share the base map,
-    sheets swap iff orientation-reversing); ``kind='halfwave'`` translates
-    sheet +1 by -t and sheet -1 by +t.
+    ``sheets`` holds, for sheets +1 and -1, the affine base map
+    ``(sign, shift)`` of an isometric element: ``(s, x, xi)`` goes to
+    ``(sign s, sign x + shift_s, sign xi)``.  A rotation or reflection moves
+    both sheets alike; the half-wave flow shifts them by ``-t`` and ``+t``.
+    A curved element has ``sheets=None`` and carries its ``diffeo`` (both
+    sheets share the base map, and swap iff it reverses orientation).
     """
 
-    kind: str                              # 'diffeo' | 'halfwave'
+    sheets: tuple[Affine, Affine] | None
     diffeo: CircleDiffeo | None = None
-    t: float = 0.0
 
     @property
     def sheet_swap(self) -> bool:
-        return self.kind == "diffeo" and self.diffeo.sign == -1
+        sign = self.diffeo.sign if self.sheets is None else self.sheets[0][0]
+        return sign == -1
 
     def sheet_after(self, sheet: int) -> int:
         return -sheet if self.sheet_swap else sheet
 
+    def sheet_affine(self, sheet: int) -> Affine | None:
+        """(sign, shift) of the base map on ``sheet``; None for a curved element."""
+        return None if self.sheets is None else self.sheets[0 if sheet > 0 else 1]
+
     def base(self, sheet: int, x: np.ndarray) -> np.ndarray:
         """Base-point image of (sheet, x)."""
-        if self.kind == "diffeo":
+        if self.sheets is None:
             return self.diffeo.forward(x)
-        return np.asarray(x, dtype=float) - sheet * self.t
-
-    def affine_base(self) -> tuple[int, float] | None:
-        """(sign, shift) when the base map is exactly affine, else None."""
-        if self.kind == "halfwave":
-            return None
-        return self.diffeo.affine
-
-    def inverse(self) -> "CanonicalTransform":
-        if self.kind == "halfwave":
-            return CanonicalTransform("halfwave", t=-self.t)
-        d = self.diffeo
-        if d.affine is not None:
-            sign, shift = d.affine
-            return CanonicalTransform("diffeo", diffeo=CircleDiffeo.affine(sign, -sign * shift))
-        inv = CircleDiffeo(d.inverse, d.forward,
-                           lambda x, _d=d: 1.0 / _d.deriv(_d.inverse(x)),
-                           d.sign)
-        return CanonicalTransform("diffeo", diffeo=inv)
+        sign, shift = self.sheet_affine(sheet)
+        return sign * np.asarray(x, dtype=float) + shift
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +290,11 @@ class RealizationFamily:
     * ``curved_rotation``  : cyclic(m) by phi o R_{2 pi j/m} o phi^{-1}, phi = x + eps sin x
     * ``half_wave``        : integer_shift(t) by exp(i n t |D|)
 
-    ``mode_map`` is the one exact mode action ``Phi_g e_k = p(k) e_{s k}``;
-    window unitaries and trace functionals both read it.  A new kind is one
-    row of the validity table in ``_validate`` plus one branch: in ``diffeo``
-    for a circle-map kind (an affine map gets its mode action and its
-    symbol transports from ``CircleDiffeo.affine``, any other map is
-    quantized as a ``WeightedShift``), or in ``mode_map`` and
+    ``canonical`` is the one description of each element's action on the
+    sheets; the exact mode action ``mode_map`` and both symbol transports
+    read it.  A new kind is one row of the validity table in ``_validate``
+    plus one branch: in ``diffeo`` for a circle-map kind (an affine map is
+    exact, any other is quantized as a ``WeightedShift``), or in
     ``canonical`` for a flow with no base map, like ``half_wave``.
     """
 
@@ -358,7 +354,8 @@ class RealizationFamily:
         raise InvalidParameter(f"half_wave has no underlying circle diffeomorphism")
 
     def mode_map(self, g: Element, ks: np.ndarray) -> tuple[int, np.ndarray]:
-        """(sign s, phases p) with Phi_g e_k = p(k) e_{s k} for the modes ``ks``.
+        """(sign s, phases p) with Phi_g e_k = p(k) e_{s k} for the modes ``ks``:
+        p(k) = exp(-i s k shift), with the shift of the sheet of k.
 
         Raises NonIsometricAction for elements acting by a curved
         diffeomorphism, which have no exact mode action.
@@ -366,18 +363,21 @@ class RealizationFamily:
         ks = np.asarray(ks)
         if g == self.group.identity:
             return 1, np.ones(ks.shape, dtype=complex)
-        if self.kind == "half_wave":
-            return 1, np.exp(1j * self.group.theta * g * np.abs(ks))
-        affine = self.diffeo(g).affine
-        if affine is None:
+        sheets = self.canonical(g).sheets
+        if sheets is None:
             raise NonIsometricAction("curved realizations have no exact mode action")
-        sign, shift = affine
+        (sign, up), (_, down) = sheets
+        shift = up if up == down else np.where(ks >= 0, up, down)
         return sign, np.exp(-1j * sign * ks * shift)
 
     def canonical(self, g: Element) -> CanonicalTransform:
+        """The one description of how g moves each cosphere sheet."""
         if self.kind == "half_wave":
-            return CanonicalTransform("halfwave", t=self.group.theta * g)
-        return CanonicalTransform("diffeo", diffeo=self.diffeo(g))
+            t = self.group.theta * g
+            return CanonicalTransform(((1, -t), (1, t)))
+        d = self.diffeo(g)
+        return CanonicalTransform(None, d) if d.affine is None \
+            else CanonicalTransform((d.affine, d.affine))
 
     def at(self, window: FrequencyWindow) -> "Realization":
         return Realization(self, window)

@@ -22,6 +22,11 @@ class TestBuild:
         assert classes == {frozenset({"e"}), frozenset({"r", "r2"}),
                            frozenset({"s", "rs", "r2s"})}
 
+    def test_classes_meeting_support(self):
+        g = build_group("dihedral", m=3)
+        assert g.conjugacy_classes(support=[(2, 1)]) == [((0, 1), (1, 1), (2, 1))]
+        assert g.conjugacy_classes(support=[(0, 0), (1, 0)]) == [((0, 0),), ((1, 0), (2, 0))]
+
     def test_dihedral4_has_five_classes(self):
         assert len(build_group("dihedral", m=4).conjugacy_classes()) == 5
 

@@ -152,10 +152,11 @@ class TestConfig:
         ("symbols", []), ("group", 5), ("group.m", "x"), ("group.theta", "x"),
         ("numerics", []), ("numerics.tolerances.drift", "x"), ("expect", []),
         ("expect.index", "1"), ("expect.index", 1.5), ("expect.index", True),
-        ("expect.element", "q"), ("expect.element", 1), ("expect.indx", 1)])
+        ("expect.element", "q"), ("expect.element", 1), ("expect.indx", 1),
+        ("symbols['e'].minsu", {"1": 1.0}), ("expect.verdict", "eliptic")])
     def test_bad_field_rejected(self, path, value):
         bad = json.loads(json.dumps(Z2_LOCALIZED))
-        *parents, leaf = path.split(".")
+        *parents, leaf = path.replace("['", ".").replace("']", "").split(".")
         node = bad
         for key in parents:
             node = node.setdefault(key, {})

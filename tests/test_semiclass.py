@@ -261,9 +261,33 @@ class TestEgorov:
         term = egorov_isometry_term(GRID)
         for family, g in ((fam("cyclic", "rotation", m=4), 1),
                           (Z2, 1),
+                          (fam("dihedral", "dihedral", m=3), (1, 1)),
                           (fam("integer_shift", "half_wave", theta=0.3), 1)):
             rep = egorov_defect(family, g, term, H_DIAG)
             assert rep.max_defect < 1e-9
+
+    @pytest.mark.parametrize("family", [
+        fam("cyclic", "rotation", m=3), Z2, fam("dihedral", "dihedral", m=3),
+        fam("dihedral", "dihedral", m=4),
+        RealizationFamily(build_group("cyclic", m=3), "curved_rotation", eps=0.0),
+        fam("integer_shift", "half_wave", theta=0.3)],
+        ids=["rotation3", "reflection", "dihedral3", "dihedral4", "curved_eps0", "half_wave"])
+    def test_transport_is_pullback(self, family):
+        """transport_term(a, g) = a(C_g.base(s, x), sign xi) on each sheet s."""
+        grid, lattice = PeriodicGrid(32), XiLattice(3.0, 61)
+        fn = lambda X, XI: (np.exp(1j * X) + 0.5 * np.exp(-2j * X) + 0.2) \
+            * (1.0 + 0.3 * XI) * np.exp(-(XI - 0.4) ** 2)
+        term = SampledTerm.from_callable(grid, lattice, fn)
+        xi = lattice.points
+        els = family.group.elements() if family.group.is_finite else range(-2, 3)
+        for g in els:
+            C = family.canonical(g)
+            sign = -1 if C.sheet_swap else 1
+            got = transport_term(term, family, g).values
+            for s in (1, -1):
+                cols = s * xi > 0
+                want = fn(C.base(s, grid.nodes)[:, None], sign * xi[None, cols])
+                assert np.max(np.abs(got[:, cols] - want)) < 1e-12, (g, s)
 
     def test_curved_transport_matches_dense_sum(self):
         from gindexlab.samples import egorov_curved_term

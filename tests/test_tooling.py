@@ -2,17 +2,26 @@
 by module, class and attribute name, and its workloads (benchmark/workloads.py)
 feed generated configs to ``parse_config``.  A renamed or deleted target, or a
 schema check that refuses a workload config, would only show up as a failed
-benchmark run; these tests name it first.  Both files are loaded read-only."""
+benchmark run; these tests name it first.  Both files are loaded read-only.
+The README and the docstrings name program objects the same way; a stale
+name there is caught by ``test_doc_references_resolve``."""
 
+import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
+import gindexlab
 from gindexlab.lab import parse_config
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "benchmark"
+PACKAGE = ROOT / "src" / "gindexlab"
+# a backticked dotted name, optionally called: `RealizationFamily.mode_map(g, ks)`
+DOTTED = re.compile(r"`+([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`+")
 
 
 def _benchmark_module(name: str):
@@ -45,3 +54,42 @@ def test_workload_configs_parse(workload):
     for seed in range(21):
         config, _ = WORKLOADS[workload](seed)
         assert parse_config(config).experiment == config["experiment"]
+
+
+def _documents():
+    yield "README.md", (ROOT / "README.md").read_text()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node)
+                if doc:
+                    yield f"{path.name}:{getattr(node, 'name', 'module')}", doc
+
+
+def _resolves(name: str) -> bool:
+    """False only for a name rooted at a gindexlab module or export that is missing."""
+    head, *rest = name.split(".")
+    if head == "gindexlab":
+        obj = gindexlab
+    elif (PACKAGE / f"{head}.py").exists():
+        obj = importlib.import_module(f"gindexlab.{head}")
+    elif head in vars(gindexlab):
+        obj = vars(gindexlab)[head]
+    else:
+        return True
+    for attr in rest:
+        if attr in getattr(obj, "__dataclass_fields__", {}):
+            return True
+        if obj is gindexlab and (PACKAGE / f"{attr}.py").exists():
+            obj = importlib.import_module(f"gindexlab.{attr}")
+        elif hasattr(obj, attr):
+            obj = getattr(obj, attr)
+        else:
+            return False
+    return True
+
+
+def test_doc_references_resolve():
+    stale = [f"{where}: {m.group(1)}" for where, text in _documents()
+             for m in DOTTED.finditer(text) if not _resolves(m.group(1))]
+    assert not stale, "stale references:\n" + "\n".join(stale)

@@ -63,24 +63,13 @@ class TestCanonical:
                 # compare as circle points
                 assert np.max(np.abs(np.exp(1j * z) - np.exp(1j * Cab.base(s, pts)))) < 1e-10
 
-    def test_inverse(self):
-        fam = family("cyclic", "curved_rotation", m=2, eps=0.3)
-        C = fam.canonical(1)
-        Ci = C.inverse()
-        x = np.linspace(0, 2 * np.pi, 11)
-        assert np.max(np.abs(Ci.base(1, C.base(1, x)) - x)) < 1e-10
-
-    @pytest.mark.parametrize("g", [(1, 1), (2, 0)])
-    def test_affine_inverse(self, g):
-        fam = family("dihedral", "dihedral", m=3)
-        C = fam.canonical(g)
-        Ci = C.inverse()
-        sign, shift = C.affine_base()
-        assert Ci.affine_base() == (sign, -sign * shift)
-        x = np.linspace(0, 2 * np.pi, 11)
-        for s in (1, -1):
-            y = Ci.base(C.sheet_after(s), C.base(s, x))
-            assert np.max(np.abs(np.exp(1j * y) - np.exp(1j * x))) < 1e-12
+    def test_sheet_affine(self):
+        hw = family("integer_shift", "half_wave", theta=0.3).canonical(2)
+        assert (hw.sheet_affine(1), hw.sheet_affine(-1)) == ((1, -0.6), (1, 0.6))
+        rs = family("dihedral", "dihedral", m=3).canonical((1, 1))
+        assert rs.sheet_affine(1) == rs.sheet_affine(-1) == (-1, 2 * np.pi / 3)
+        curved = family("cyclic", "curved_rotation", m=3, eps=0.3).canonical(1)
+        assert curved.sheet_affine(1) is None and not curved.sheet_swap
 
 
 class TestDiffeo:
