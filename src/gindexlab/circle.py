@@ -268,9 +268,6 @@ class FrequencyWindow:
     def modes(self) -> np.ndarray:
         return np.arange(-self.cutoff, self.cutoff + 1)
 
-    def index_of(self, k: int) -> int:
-        return k + self.cutoff
-
     def inner_mask(self, fraction: float = INNER_FRACTION) -> np.ndarray:
         """Boolean mask of the inner sub-window |k| <= fraction * N_F."""
         return np.abs(self.modes) <= fraction * self.cutoff

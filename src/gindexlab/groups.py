@@ -133,19 +133,6 @@ class GroupSpec:
                 classes.append(cls)
         return classes
 
-    def element_order(self, g: Element) -> int | None:
-        """Order of g; None for infinite order."""
-        if self.kind == "integer_shift":
-            return 1 if g == 0 else None
-        n, x = 1, g
-        while x != self.identity:
-            x = self.mul(x, g)
-            n += 1
-        return n
-
-    def is_torsion(self, g: Element) -> bool:
-        return self.element_order(g) is not None
-
     def torsion_elements(self) -> list[Element]:
         if self.kind == "integer_shift":
             return [0]
@@ -220,43 +207,10 @@ class GroupSpec:
                 return g
         raise InvalidParameter(f"unknown element {label!r} for {self.kind} group")
 
-    # -- sanity -----------------------------------------------------------------
 
-    def check_axioms(self):
-        """Exhaustive spot-check of the group axioms for finite kinds."""
-        if not self.is_finite:
-            # homomorphism property of chi on a sample
-            for a in range(-3, 4):
-                for b in range(-3, 4):
-                    assert self.chi(self.mul(a, b)) == self.chi(a) + self.chi(b)
-            return
-        els = self.elements()
-        e = self.identity
-        for a in els:
-            assert self.mul(a, e) == a and self.mul(e, a) == a
-            assert self.mul(a, self.inv(a)) == e
-            for b in els:
-                ab = self.mul(a, b)
-                assert self.contains(ab)
-                for c in els:
-                    assert self.mul(ab, c) == self.mul(a, self.mul(b, c))
-
-
-def build_group(descriptor: dict | str, **params) -> GroupSpec:
-    """Build a validated GroupSpec from a descriptor.
-
-    Accepts either ``build_group({"kind": "cyclic", "m": 4})`` or
-    ``build_group("cyclic", m=4)``.
-    """
-    if isinstance(descriptor, str):
-        descriptor = {"kind": descriptor, **params}
-    kind = descriptor.get("kind")
-    if kind is None:
-        raise InvalidParameter("group descriptor missing 'kind'")
-    spec = GroupSpec(
-        kind=kind,
-        m=int(descriptor.get("m", 1)),
-        theta=float(descriptor.get("theta", 1.0 if kind == "integer_shift" else 0.0)),
-    )
-    spec.check_axioms()
-    return spec
+def build_group(kind: str, **params) -> GroupSpec:
+    """A validated GroupSpec from a kind and GroupSpec's ``m`` / ``theta``, e.g.
+    ``build_group("cyclic", m=4)``; ``theta`` defaults to 1 on integer_shift."""
+    if kind == "integer_shift":
+        params["theta"] = float(params.get("theta", 1.0))
+    return GroupSpec(kind, **params)

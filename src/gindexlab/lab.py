@@ -1,19 +1,20 @@
 """Config-driven experiment runner.
 
 A JSON config describes one G-operator (group, realization, symbol table) and
-an experiment kind.  ``parse_config`` checks every field and builds the
-config's one ``GOperatorProblem``; ``run`` executes the experiment on it,
-grades the result PASS / FAIL / UNDECIDED against the configured tolerances,
-and ``emit_reports`` persists the payloads.  All numeric outputs are
-deterministic: fixed summation orders, no threading, no random draws.
+an experiment kind.  ``parse_config`` checks it against ``FIELDS`` (one row per
+field: path, what its value must be, check, default) and the rules the table
+cannot state, and builds its one ``GOperatorProblem``; ``run`` executes the
+experiment on it, grades the result PASS / FAIL / UNDECIDED against the
+configured tolerances, and ``emit_reports`` persists the payloads.  All numeric
+outputs are deterministic: fixed summation orders, no threading, no random draws.
 """
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,28 +43,114 @@ from .transforms import RealizationFamily
 EXPERIMENTS = ("ellipticity", "index", "localized", "algebraic", "egorov",
                "trace_asymptotics", "full_pipeline")
 
-DEFAULT_NUMERICS = {
-    "windows": [64, 128, 192],
-    "zero_tol": DEFAULT_ZERO_TOL,
-    "inner_fraction": INNER_FRACTION,
-    "parametrix_order": PARAMETRIX_ORDER,
-    "symbol_grid": 256,
-    "lattice_radius": 3.0,
-    "lattice_points": 601,
-    "eps": 0.5,
-    "h_grid": {"hi": 0.05, "lo": 0.005, "n": 8},
-    "diag_h_grid": dict(DIAG_H_GRID),
-    "tolerances": {
-        "elliptic": ELLIPTIC_TOL,
-        "decomposition": 1e-2,
-        "drift": DRIFT_TOL,
-        "chi_vanishing": CHI_TOL,
-        "c0_match": 1e-2,
-        "neg_power": NEG_POWER_TOL,
-        "egorov_isometry": 1e-9,
-        "egorov_slope": [0.9, 1.3],
-    },
+
+def _is_number(x, types=(int, float)) -> bool:
+    """A finite JSON number of ``types`` (a float holds it); never a bool."""
+    return isinstance(x, types) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _at_least(lo: int) -> tuple:
+    return f"an integer >= {lo}", lambda x: _is_number(x, int) and x >= lo
+
+
+# value kinds: (what the value must be, as its SchemaError says; the check)
+_STRING = ("a string", lambda x: isinstance(x, str))
+_OBJECT = ("an object", lambda x: isinstance(x, dict))
+_NUMBER = ("a number", _is_number)
+_INTEGER = ("an integer", lambda x: _is_number(x, int))
+_POSITIVE = ("a positive number", lambda x: _is_number(x) and x > 0)
+_UNIT = ("a number in (0, 1)", lambda x: _is_number(x) and 0 < x < 1)
+_H_GRID = ("an object {hi, lo, n} with hi >= 10 lo", _OBJECT[1])
+OPTIONAL, REQUIRED = object(), object()   # defaults: absent stays absent / must be given
+
+# One row per config field: dotted path -> (value kind, default).  An object
+# with rows below it is walked key by key; any other value is checked whole.
+FIELDS = {
+    "name": (_STRING, OPTIONAL),
+    "seed": (_INTEGER, OPTIONAL),
+    "out_dir": (_STRING, OPTIONAL),
+    "experiment": ((f"one of {EXPERIMENTS}", lambda x: x in EXPERIMENTS), REQUIRED),
+    "group": (_OBJECT, {"kind": "trivial"}),
+    "group.kind": (_STRING, REQUIRED),
+    "group.m": (_at_least(1), OPTIONAL),
+    "group.theta": (_NUMBER, OPTIONAL),
+    "realization": (_OBJECT, {}),
+    "realization.kind": (_STRING, OPTIONAL),
+    "realization.eps": (_NUMBER, 0.0),
+    "symbols": (("an object of element -> sheet tables", _OBJECT[1]), {}),
+    "k_min": (_at_least(1), K_MIN),
+    "unit_fill": (("true or false", lambda x: isinstance(x, bool)), False),
+    "numerics": (_OBJECT, {}),
+    "numerics.windows": ((f"at least two strictly increasing integers >= {MIN_CUTOFF}",
+                          lambda w: isinstance(w, list) and len(w) >= 2
+                          and all(_is_number(k, int) and k >= MIN_CUTOFF for k in w)
+                          and all(a < b for a, b in zip(w, w[1:]))), [64, 128, 192]),
+    "numerics.zero_tol": (_UNIT, DEFAULT_ZERO_TOL),
+    "numerics.inner_fraction": (_UNIT, INNER_FRACTION),
+    "numerics.parametrix_order": (_at_least(2), PARAMETRIX_ORDER),
+    "numerics.symbol_grid": (_at_least(MIN_GRID_SIZE), 256),
+    "numerics.lattice_radius": (_POSITIVE, 3.0),
+    "numerics.lattice_points": ((f"an odd integer >= {MIN_LATTICE_POINTS}",
+                                 lambda n: _is_number(n, int) and n >= MIN_LATTICE_POINTS
+                                 and n % 2 == 1), 601),
+    "numerics.eps": (("a number with 0 < 2 eps < lattice_radius", _POSITIVE[1]), 0.5),
+    "numerics.h_grid": (_H_GRID, {"hi": 0.05, "lo": 0.005, "n": 8}),
+    "numerics.h_grid.hi": (_POSITIVE, REQUIRED),
+    "numerics.h_grid.lo": (_POSITIVE, REQUIRED),
+    "numerics.h_grid.n": (_at_least(MIN_H_POINTS), REQUIRED),
+    "numerics.diag_h_grid": (_H_GRID, dict(DIAG_H_GRID)),
+    "numerics.diag_h_grid.hi": (_POSITIVE, REQUIRED),
+    "numerics.diag_h_grid.lo": (_POSITIVE, REQUIRED),
+    "numerics.diag_h_grid.n": (_at_least(MIN_H_POINTS), REQUIRED),
+    "numerics.tolerances": (_OBJECT, {}),
+    "numerics.tolerances.elliptic": (_POSITIVE, ELLIPTIC_TOL),
+    "numerics.tolerances.decomposition": (_POSITIVE, 1e-2),
+    "numerics.tolerances.drift": (_POSITIVE, DRIFT_TOL),
+    "numerics.tolerances.chi_vanishing": (_POSITIVE, CHI_TOL),
+    "numerics.tolerances.c0_match": (_POSITIVE, 1e-2),
+    "numerics.tolerances.neg_power": (_POSITIVE, NEG_POWER_TOL),
+    "numerics.tolerances.egorov_isometry": (_POSITIVE, 1e-9),
+    "numerics.tolerances.egorov_slope": (("a pair [lo, hi] of numbers with lo <= hi",
+                                          lambda t: isinstance(t, list) and len(t) == 2
+                                          and all(map(_is_number, t)) and t[0] <= t[1]),
+                                         [0.9, 1.3]),
+    "expect": (_OBJECT, {}),
+    "expect.index": (_INTEGER, OPTIONAL),
+    "expect.verdict": ((f"one of {VERDICTS}", lambda x: x in VERDICTS), OPTIONAL),
+    "expect.element": (_STRING, OPTIONAL),
 }
+_LEVELS = {path.rpartition(".")[0] for path in FIELDS}   # the objects the walk enters
+
+
+def _fail(path: str, value):
+    raise SchemaError(f"{path} must be {FIELDS[path][0][0]}, got {value!r}")
+
+
+def _known(obj: dict, keys, prefix: str):
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"unknown config field {f'{prefix}{key}'!r}")
+
+
+def _walk(obj: dict, path: str) -> dict:
+    """A copy of the object at ``path`` ("" on top), checked and with defaults filled."""
+    prefix = f"{path}." if path else ""
+    rows = {field[len(prefix):]: field for field in FIELDS if field.rpartition(".")[0] == path}
+    _known(obj, rows, prefix)
+    out = {}
+    for key, field in rows.items():
+        (want, check), default = FIELDS[field]
+        if key not in obj and default is REQUIRED:
+            raise SchemaError(f"missing config field {field!r}, which must be {want}")
+        if key in obj or default is not OPTIONAL:
+            value = obj[key] if key in obj else json.loads(json.dumps(default))
+            if not check(value):
+                _fail(field, value)
+            out[key] = _walk(value, field) if field in _LEVELS else value
+    return out
+
+
+DEFAULT_NUMERICS = _walk({}, "numerics")
 
 PIPELINE = ("ellipticity", "index", "localized", "algebraic")   # the full_pipeline steps
 PASS, FAIL, UNDECIDED = "PASS", "FAIL", "UNDECIDED"
@@ -84,23 +171,6 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _is_number(x, types=(int, float)) -> bool:
-    """A JSON number of ``types``; a bool is never a number here."""
-    return isinstance(x, types) and not isinstance(x, bool)
-
-
-def _require(ok: bool, field: str, want: str, value):
-    """The SchemaError that names ``field``, unless ``ok``."""
-    if not ok:
-        raise SchemaError(f"{field} must be {want}, got {value!r}")
-
-
-def _known(obj: dict, keys, prefix: str):
-    for key in obj:
-        if key not in keys:
-            raise SchemaError(f"unknown config field {prefix + key!r}")
-
-
 def _parse_coeff_table(obj, where: str, max_mode: float) -> dict[int, complex]:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected a mode -> [re, im] table")
@@ -114,11 +184,9 @@ def _parse_coeff_table(obj, where: str, max_mode: float) -> dict[int, complex]:
             raise SchemaError(f"{where}: mode {mode} is not resolved (|k| <= {max_mode})")
         parts = val if isinstance(val, list) and len(val) == 2 else [val]
         if not all(_is_number(x) for x in parts):
-            raise SchemaError(f"{where}: coefficient of mode {mode} must be a number or "
-                              f"[re, im] of numbers, got {val!r}")
+            raise SchemaError(f"{where}: coefficient of mode {mode} must be a finite number or "
+                              f"[re, im] of finite numbers, got {val!r}")
         out[mode] = complex(*parts)
-        if not cmath.isfinite(out[mode]):
-            raise SchemaError(f"{where}: coefficient of mode {mode} is not finite: {val!r}")
     return out
 
 
@@ -132,56 +200,9 @@ def _max_mode(experiment: str, num: dict) -> float:
     return min(sizes) // 2 - 1 if sizes else math.inf
 
 
-def _check_numerics(num: dict):
-    windows = num["windows"]
-    _require(isinstance(windows, list) and len(windows) >= 2
-             and all(_is_number(w, int) and w >= MIN_CUTOFF for w in windows)
-             and all(a < b for a, b in zip(windows, windows[1:])),
-             "numerics.windows", f"at least two strictly increasing integers >= {MIN_CUTOFF}",
-             windows)
-    for key in ("zero_tol", "inner_fraction"):
-        _require(_is_number(num[key]) and 0 < num[key] < 1,
-                 f"numerics.{key}", "a number in (0, 1)", num[key])
-    _require(_is_number(num["parametrix_order"], int) and num["parametrix_order"] >= 2,
-             "numerics.parametrix_order", "an integer >= 2", num["parametrix_order"])
-    _require(_is_number(num["symbol_grid"], int) and num["symbol_grid"] >= MIN_GRID_SIZE,
-             "numerics.symbol_grid", f"an integer >= {MIN_GRID_SIZE}", num["symbol_grid"])
-    radius, points = num["lattice_radius"], num["lattice_points"]
-    _require(_is_number(radius) and 0 < radius < math.inf,
-             "numerics.lattice_radius", "a positive number", radius)
-    _require(_is_number(points, int) and points >= MIN_LATTICE_POINTS and points % 2 == 1,
-             "numerics.lattice_points", f"an odd integer >= {MIN_LATTICE_POINTS}", points)
-    _require(_is_number(num["eps"]) and 0 < 2 * num["eps"] < radius,
-             "numerics.eps", "a number with 0 < 2 eps < lattice_radius", num["eps"])
-    for key in ("h_grid", "diag_h_grid"):
-        h = num[key]
-        _require(isinstance(h, dict) and sorted(h) == ["hi", "lo", "n"],
-                 f"numerics.{key}", "an object {hi, lo, n}", h)
-        _require(_is_number(h["n"], int) and h["n"] >= MIN_H_POINTS,
-                 f"numerics.{key}.n", f"an integer >= {MIN_H_POINTS}", h["n"])
-        _require(_is_number(h["hi"]) and _is_number(h["lo"]) and 0 < h["lo"] and h["hi"] < math.inf
-                 and h["hi"] / h["lo"] >= MIN_H_SPAN, f"numerics.{key}",
-                 "numbers 0 < lo, hi spanning a decade (hi >= 10 lo)", h)
-    for key, tol in num["tolerances"].items():
-        if key == "egorov_slope":
-            _require(isinstance(tol, list) and len(tol) == 2 and all(map(_is_number, tol))
-                     and tol[0] <= tol[1], "numerics.tolerances.egorov_slope",
-                     "a pair [lo, hi] of numbers", tol)
-        else:
-            _require(_is_number(tol) and 0 < tol < math.inf,
-                     f"numerics.tolerances.{key}", "a positive number", tol)
-
-
-def _parse_expect(expect, group) -> dict:
+def _parse_expect(expect: dict, group) -> dict:
     """``expect`` with ``element`` parsed; by default the first non-identity element."""
-    _require(isinstance(expect, dict), "expect", "an object", expect)
-    _known(expect, ("index", "verdict", "element"), "expect.")
-    index, label = expect.get("index"), expect.get("element")
-    _require(index is None or _is_number(index, int), "expect.index", "an integer", index)
-    verdict = expect.get("verdict")
-    _require(verdict is None or verdict in VERDICTS, "expect.verdict", f"one of {VERDICTS}",
-             verdict)
-    _require(label is None or isinstance(label, str), "expect.element", "a string", label)
+    label = expect.get("element")
     if label is None:
         others = [g for g in group.elements() if g != group.identity] if group.is_finite else [1]
         return {**expect, "element": next(iter(others), group.identity)}
@@ -203,57 +224,34 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Check every field of a config and build its one ``GOperatorProblem``."""
+    """Check a config against ``FIELDS`` and the rules that span fields, fill
+    its defaults, and build its one ``GOperatorProblem``."""
     if not isinstance(raw, dict):
         raise SchemaError("top level must be an object")
-    _known(raw, ("name", "seed", "group", "realization", "symbols", "k_min",
-                 "unit_fill", "experiment", "numerics", "out_dir", "expect"), "")
-    experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise SchemaError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    group_desc = raw.get("group", {"kind": "trivial"})
-    if not isinstance(group_desc, dict) or "kind" not in group_desc:
-        raise SchemaError("group descriptor needs 'kind'")
-    for key, types, want in (("m", int, "an integer"), ("theta", (int, float), "a number")):
-        if key in group_desc:
-            _require(_is_number(group_desc[key], types), f"group.{key}", want, group_desc[key])
+    cfg = _walk(raw, "")
+    experiment, numerics = cfg["experiment"], cfg["numerics"]
+    if not 2 * numerics["eps"] < numerics["lattice_radius"]:
+        _fail("numerics.eps", numerics["eps"])
+    for key in ("h_grid", "diag_h_grid"):
+        if numerics[key]["hi"] / numerics[key]["lo"] < MIN_H_SPAN:
+            _fail(f"numerics.{key}", numerics[key])
     try:
-        group = build_group(group_desc)
+        group = build_group(**cfg["group"])
     except GIndexError as exc:
         raise SchemaError(f"group: {exc}") from exc
-    realization = raw.get("realization", {})
-    _require(isinstance(realization, dict), "realization", "an object", realization)
     natural = {"trivial": "trivial", "cyclic": "rotation",
                "dihedral": "dihedral", "integer_shift": "rotation"}[group.kind]
-    kind, eps = realization.get("kind", natural), realization.get("eps", 0.0)
-    _require(isinstance(kind, str), "realization.kind", "a string", kind)
-    _require(_is_number(eps), "realization.eps", "a number", eps)
+    realization = cfg["realization"]
     try:
-        family = RealizationFamily(group, kind, eps=float(eps))
+        family = RealizationFamily(group, realization.get("kind", natural),
+                                   eps=float(realization["eps"]))
     except GIndexError as exc:
         raise SchemaError(f"realization: {exc}") from exc
     if experiment in ("algebraic", "full_pipeline") and not family.is_isometric:
         raise SchemaError(f"the {experiment} experiment needs an isometric realization")
-    k_min = raw.get("k_min", K_MIN)
-    _require(_is_number(k_min, int) and k_min >= 1, "k_min", "an integer >= 1", k_min)
-    unit_fill = raw.get("unit_fill", False)
-    _require(isinstance(unit_fill, bool), "unit_fill", "true or false", unit_fill)
-    raw_numerics = raw.get("numerics", {})
-    _require(isinstance(raw_numerics, dict), "numerics", "an object", raw_numerics)
-    _known(raw_numerics, DEFAULT_NUMERICS, "numerics.")
-    tolerances = raw_numerics.get("tolerances", {})
-    _require(isinstance(tolerances, dict), "numerics.tolerances", "an object", tolerances)
-    _known(tolerances, DEFAULT_NUMERICS["tolerances"], "numerics.tolerances.")
-    defaults = json.loads(json.dumps(DEFAULT_NUMERICS))
-    numerics = {**defaults, **raw_numerics,
-                "tolerances": {**defaults["tolerances"], **tolerances}}
-    _check_numerics(numerics)
-    raw_symbols = raw.get("symbols", {})
-    _require(isinstance(raw_symbols, dict), "symbols", "an object of element -> sheet tables",
-             raw_symbols)
     max_mode = _max_mode(experiment, numerics)
     coeffs = {}
-    for label, sheets in raw_symbols.items():
+    for label, sheets in cfg["symbols"].items():
         try:
             g = group.parse(label)
         except GIndexError as exc:
@@ -263,11 +261,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _known(sheets, ("plus", "minus"), f"symbols[{label!r}].")
         coeffs[g] = tuple(_parse_coeff_table(sheets[s], f"symbols[{label!r}].{s}", max_mode)
                           for s in ("plus", "minus"))
-    expect = _parse_expect(raw.get("expect", {}), group)
-    problem = GOperatorProblem(family, coeffs, k_min=k_min, unit_fill=unit_fill,
-                               name=raw.get("name", experiment))
+    problem = GOperatorProblem(family, coeffs, k_min=cfg["k_min"], unit_fill=cfg["unit_fill"],
+                               name=cfg.get("name", experiment))
     return ExperimentConfig(raw=raw, problem=problem, experiment=experiment,
-                            numerics=numerics, out_dir=raw.get("out_dir"), expect=expect)
+                            numerics=numerics, out_dir=cfg.get("out_dir"),
+                            expect=_parse_expect(cfg["expect"], group))
 
 
 # ---------------------------------------------------------------------------

@@ -121,11 +121,6 @@ class LabeledOperator:
         e = realization.group.identity
         return cls(realization, {e: np.eye(realization.window.dim, dtype=complex)})
 
-    @classmethod
-    def from_transform(cls, realization: Realization, g: Element) -> "LabeledOperator":
-        """delta_g (x) I, i.e. the bare quantized transform Phi_g."""
-        return cls(realization, {g: np.eye(realization.window.dim, dtype=complex)})
-
     # -- plumbing -------------------------------------------------------------
 
     @property
@@ -217,9 +212,6 @@ class LabeledOperator:
         for g in self.support:
             out += self.realization.phi(g).right_mul(self.parts[g])
         return out
-
-    def norm_fro(self) -> float:
-        return float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in self.parts.values())))
 
 
 def quantize_crossed(realization: Realization, sym: CrossedSymbol, k_min: int,

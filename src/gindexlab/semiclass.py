@@ -375,9 +375,6 @@ class StarSeries:
     def _sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (repr(kv[0][0]), kv[0][1]))
 
-    def max_h_order(self) -> int:
-        return max((j for (_, j) in self.terms), default=0)
-
     def copy_with(self, terms, unit) -> "StarSeries":
         return StarSeries(self.family, self.grid, self.lattice, self.eps, terms, unit)
 

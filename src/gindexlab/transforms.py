@@ -197,10 +197,6 @@ class ModeMap:
         return ModeMap(self.window, self.sign * other.sign,
                        self.phases[perm] * other.phases)
 
-    def adjoint(self) -> "ModeMap":
-        perm = self._perm()
-        return ModeMap(self.window, self.sign, np.conj(self.phases[perm]))
-
     def left_mul(self, mat: np.ndarray) -> np.ndarray:
         """Phi @ mat without densifying Phi."""
         perm = self._perm()

@@ -6,6 +6,20 @@ from gindexlab.errors import InvalidParameter, UnsupportedGroup
 from gindexlab.groups import build_group
 
 
+def check_axioms(group):
+    """Exhaustive check of the group axioms of a finite group: O(|G|^3)."""
+    els = group.elements()
+    e = group.identity
+    for a in els:
+        assert group.mul(a, e) == a and group.mul(e, a) == a
+        assert group.mul(a, group.inv(a)) == e
+        for b in els:
+            ab = group.mul(a, b)
+            assert group.contains(ab)
+            for c in els:
+                assert group.mul(ab, c) == group.mul(a, group.mul(b, c))
+
+
 class TestBuild:
     def test_cyclic4(self):
         g = build_group("cyclic", m=4)
@@ -13,7 +27,7 @@ class TestBuild:
         classes = g.conjugacy_classes()
         assert len(classes) == 4
         assert all(len(c) == 1 for c in classes)
-        assert all(g.is_torsion(x) for x in g.elements())
+        assert g.torsion_elements() == g.elements()
 
     def test_dihedral3(self):
         g = build_group("dihedral", m=3)
@@ -50,7 +64,7 @@ class TestBuild:
 class TestStructure:
     @pytest.mark.parametrize("kind,m", [("trivial", 1), ("cyclic", 5), ("dihedral", 4)])
     def test_axioms(self, kind, m):
-        build_group(kind, m=m).check_axioms()
+        check_axioms(build_group(kind, m=m))
 
     def test_dihedral_relation(self):
         g = build_group("dihedral", m=5)
@@ -72,12 +86,6 @@ class TestStructure:
                 assert g.parse(g.label(x)) == x
         z = build_group("integer_shift", theta=1.0)
         assert z.parse("-3") == -3
-
-    def test_element_order(self):
-        g = build_group("dihedral", m=6)
-        assert g.element_order((1, 0)) == 6
-        assert g.element_order((0, 1)) == 2
-        assert g.element_order((3, 0)) == 2
 
 
 finite_groups = st.one_of(st.just(("trivial", 1)),

@@ -140,7 +140,8 @@ class TestConfig:
         ("h_grid", {"hi": 0.05, "lo": 0.01, "n": 8}), ("h_grid", {"hi": 0.05, "lo": 0.005}),
         ("h_grid", {"hi": 0.05, "lo": 0, "n": 8}),
         ("diag_h_grid", {"hi": 0.2, "lo": 0.02, "n": 4.5}),
-        ("diag_h_grid", {"hi": 0.2, "lo": 0.02, "n": 5})])
+        ("diag_h_grid", {"hi": 0.2, "lo": 0.02, "n": 5}),
+        ("tolerances", {"egorov_slope": [0.9, float("inf")]})])
     def test_bad_numerics_rejected(self, field, value):
         bad = {**Z2_LOCALIZED, "numerics": {"windows": [32, 48], field: value}}
         with pytest.raises(SchemaError, match=f"numerics.{field}"):
@@ -153,7 +154,9 @@ class TestConfig:
         ("numerics", []), ("numerics.tolerances.drift", "x"), ("expect", []),
         ("expect.index", "1"), ("expect.index", 1.5), ("expect.index", True),
         ("expect.element", "q"), ("expect.element", 1), ("expect.indx", 1),
-        ("symbols['e'].minsu", {"1": 1.0}), ("expect.verdict", "eliptic")])
+        ("symbols['e'].minsu", {"1": 1.0}), ("expect.verdict", "eliptic"),
+        ("realization.esp", 0.3), ("group.mm", 5), ("out_dir", 5), ("name", 5), ("seed", "x"),
+        ("realization.eps", float("inf")), ("group.theta", float("nan"))])
     def test_bad_field_rejected(self, path, value):
         bad = json.loads(json.dumps(Z2_LOCALIZED))
         *parents, leaf = path.replace("['", ".").replace("']", "").split(".")
@@ -327,6 +330,11 @@ class TestCLI:
         p = write(tmp_path, {**MINIMAL, "experiment": "nope"})
         assert main(["validate", str(p)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_run_bad_out_dir_is_one_error_line(self, tmp_path, capsys):
+        p = write(tmp_path, {**MINIMAL, "out_dir": 5})
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: out_dir must be a string, got 5"]
 
     def test_run_writes_reports(self, tmp_path, capsys):
         p = write(tmp_path, WINDING)

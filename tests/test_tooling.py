@@ -4,18 +4,20 @@ feed generated configs to ``parse_config``.  A renamed or deleted target, or a
 schema check that refuses a workload config, would only show up as a failed
 benchmark run; these tests name it first.  Both files are loaded read-only.
 The README and the docstrings name program objects the same way; a stale
-name there is caught by ``test_doc_references_resolve``."""
+name there is caught by ``test_doc_references_resolve``, and a config field
+the README does not list by ``test_readme_lists_every_config_field``."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 import gindexlab
-from gindexlab.lab import parse_config
+from gindexlab.lab import FIELDS, OPTIONAL, REQUIRED, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "benchmark"
@@ -93,3 +95,18 @@ def test_doc_references_resolve():
     stale = [f"{where}: {m.group(1)}" for where, text in _documents()
              for m in DOTTED.finditer(text) if not _resolves(m.group(1))]
     assert not stale, "stale references:\n" + "\n".join(stale)
+
+
+def test_readme_lists_every_config_field():
+    """README has one line per ``lab.FIELDS`` row, in the form
+    ``  - `path`: what it must be[; required | ; default `json`]...``."""
+    listed = re.findall(r"^  - `([\w.]+)`: (.*)$", (ROOT / "README.md").read_text(), re.M)
+    assert sorted(path for path, _ in listed) == sorted(FIELDS)
+    for path, text in listed:
+        (want, _), default = FIELDS[path]
+        if default is REQUIRED:
+            assert text == f"{want}; required", path
+        elif default is not OPTIONAL:
+            assert text.startswith(f"{want}; default `{json.dumps(default)}`"), path
+        else:
+            assert text.startswith(want), path
