@@ -33,7 +33,7 @@ print(f"residual |a * r - 1| = {(a.star(r) - unit).norm_inf():.2e}")
 # the star product twists by the group action: for the reflection s,
 # (f Phi_s)(f Phi_s) has e-coefficient f(x) f(-x)
 f = PrincipalSymbol.from_coeffs(grid, {1: 1.0})      # e^{ix} on both sheets
-b = CrossedSymbol.delta(fam, 1, f)
+b = CrossedSymbol(fam, {1: f})
 sq = b.star(b)
 print(f"(e^(ix) Phi_s)^2 -> e-coefficient constantly "
       f"{sq.coeff(0).plus.values[0].real:.1f} (= e^(ix) e^(-ix))")

@@ -16,14 +16,13 @@ exactly for the isometric families, to first order in h for curved shifts.
 import numpy as np
 
 from gindexlab import (PeriodicGrid, RealizationFamily, StarSeries, XiLattice,
-                       build_group, default_h_grid, egorov_defect, laurent_fit,
-                       tau_g, trace_power_law)
+                       build_group, egorov_defect, laurent_fit, tau_g, trace_power_law)
 from gindexlab.samples import (annulus_term, egorov_curved_term,
                                egorov_isometry_term, reflection_term)
 
 grid = PeriodicGrid(256)
 lattice = XiLattice(3.5, 701)
-h_grid = default_h_grid()
+h_grid = np.geomspace(0.2, 0.02, 8)
 
 triv = RealizationFamily(build_group("trivial"), "trivial")
 z2 = RealizationFamily(build_group("cyclic", m=2), "reflection")

@@ -202,10 +202,17 @@ class GroupSpec:
                 return int(label)
             except ValueError as exc:
                 raise InvalidParameter(f"bad integer_shift element {label!r}") from exc
-        for g in self.elements():
-            if self.label(g) == label:
-                return g
-        raise InvalidParameter(f"unknown element {label!r} for {self.kind} group")
+        # read r^j s^f off the label without listing the group; keep it only
+        # if ``label`` gives the same string back, so "r1" and "r07" stay refused
+        rot, f = (label[:-1], 1) if self.kind == "dihedral" and label.endswith("s") else (label, 0)
+        j = {"": 0, "e": 0, "r": 1}.get(rot)
+        digits = rot[1:]
+        if j is None and rot[:1] == "r" and digits.isdecimal() and len(digits) <= len(str(self.m)):
+            j = int(digits)     # a j with more digits than m is no element anyway
+        g = {"trivial": (), "cyclic": j, "dihedral": (j, f)}[self.kind]
+        if j is None or not self.contains(g) or self.label(g) != label:
+            raise InvalidParameter(f"unknown element {label!r} for {self.kind} group")
+        return g
 
 
 def build_group(kind: str, **params) -> GroupSpec:

@@ -35,8 +35,7 @@ from .samples import (annulus_term, egorov_curved_term, egorov_isometry_term,
                       reflection_term)
 from .semiclass import (DIAG_H_GRID, MIN_H_POINTS, MIN_H_SPAN, MIN_LATTICE_POINTS,
                         NEG_POWER_TOL, StarSeries, XiLattice,
-                        algebraic_index, egorov_defect, symbol_parametrix_h,
-                        trace_power_law)
+                        algebraic_index, egorov_defect, trace_power_law)
 from .symbols import ELLIPTIC_TOL, VERDICTS, is_elliptic
 from .transforms import RealizationFamily
 
@@ -76,7 +75,7 @@ FIELDS = {
     "group.theta": (_NUMBER, OPTIONAL),
     "realization": (_OBJECT, {}),
     "realization.kind": (_STRING, OPTIONAL),
-    "realization.eps": (_NUMBER, 0.0),
+    "realization.eps": (_NUMBER, OPTIONAL),
     "symbols": (("an object of element -> sheet tables", _OBJECT[1]), {}),
     "k_min": (_at_least(1), K_MIN),
     "unit_fill": (("true or false", lambda x: isinstance(x, bool)), False),
@@ -201,11 +200,13 @@ def _max_mode(experiment: str, num: dict) -> float:
 
 
 def _parse_expect(expect: dict, group) -> dict:
-    """``expect`` with ``element`` parsed; by default the first non-identity element."""
+    """``expect`` with ``element`` parsed; by default the first element other than
+    the identity (r, s on dihedral(1), 1 on integer_shift) if there is one."""
     label = expect.get("element")
     if label is None:
-        others = [g for g in group.elements() if g != group.identity] if group.is_finite else [1]
-        return {**expect, "element": next(iter(others), group.identity)}
+        first = {"trivial": (), "cyclic": 1 % group.m, "integer_shift": 1,
+                 "dihedral": (1, 0) if group.m > 1 else (0, 1)}[group.kind]
+        return {**expect, "element": first}
     try:
         return {**expect, "element": group.parse(label)}
     except GIndexError as exc:
@@ -230,6 +231,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise SchemaError("top level must be an object")
     cfg = _walk(raw, "")
     experiment, numerics = cfg["experiment"], cfg["numerics"]
+    realization, expect = cfg["realization"], cfg["expect"]
+    if "eps" in realization and realization.get("kind") != "curved_rotation":
+        raise SchemaError("realization.eps is read only by the curved_rotation realization")
+    for key, readers in (("index", ("index", "full_pipeline")),
+                         ("verdict", ("ellipticity", "full_pipeline"))):
+        if key in expect and experiment not in readers:
+            raise SchemaError(f"expect.{key} is read only by the {readers} experiments")
     if not 2 * numerics["eps"] < numerics["lattice_radius"]:
         _fail("numerics.eps", numerics["eps"])
     for key in ("h_grid", "diag_h_grid"):
@@ -241,10 +249,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise SchemaError(f"group: {exc}") from exc
     natural = {"trivial": "trivial", "cyclic": "rotation",
                "dihedral": "dihedral", "integer_shift": "rotation"}[group.kind]
-    realization = cfg["realization"]
     try:
         family = RealizationFamily(group, realization.get("kind", natural),
-                                   eps=float(realization["eps"]))
+                                   eps=float(realization.get("eps", 0.0)))
     except GIndexError as exc:
         raise SchemaError(f"realization: {exc}") from exc
     if experiment in ("algebraic", "full_pipeline") and not family.is_isometric:
@@ -265,7 +272,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                name=cfg.get("name", experiment))
     return ExperimentConfig(raw=raw, problem=problem, experiment=experiment,
                             numerics=numerics, out_dir=cfg.get("out_dir"),
-                            expect=_parse_expect(cfg["expect"], group))
+                            expect=_parse_expect(expect, group))
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +389,20 @@ def _exp_localized(config: ExperimentConfig):
 
 def _exp_algebraic(config: ExperimentConfig):
     problem = config.problem
-    fam = problem.family
     num = config.numerics
     grid = PeriodicGrid(num["symbol_grid"])
     lattice = XiLattice(num["lattice_radius"], num["lattice_points"])
     sweep = _sweep(config)
     h_grid = _h_grid_from(num["h_grid"])
     tols = num["tolerances"]
-    series = StarSeries.from_crossed(problem.symbol(grid), lattice, num["eps"], unit_fill=True)
-    r = symbol_parametrix_h(series, sweep["N"])
+    series = StarSeries.from_crossed(problem.symbol(grid), lattice, num["eps"])
+    results = algebraic_index(series, sweep["N"], h_grid, neg_tol=tols["neg_power"])
     analytic = decomposition_check(problem, **sweep)
     per_class = {}
     total_c0 = 0.0 + 0.0j
     grade = PASS
-    for cls in fam.group.conjugacy_classes(support=fam.group.torsion_elements()):
+    for cls, result in results.items():
         label = class_label(problem, cls)
-        result = algebraic_index(series, cls, sweep["N"], h_grid, r=r, neg_tol=tols["neg_power"])
         ind_g = analytic.per_class.get(label, 0.0 + 0.0j)
         match = abs(result.constant_term - ind_g) < tols["c0_match"]
         per_class[label] = {

@@ -10,7 +10,9 @@ transforms enter traces only through their exact mode action
 
     Phi e_k = p(k) e_{s k},   tr(op_h(a) Phi) = sum_k p(k) ahat((1-s)k, s h k),
 
-so the trace functionals never need dense window matrices.
+so the trace functionals never need dense window matrices.  One
+``algebraic_index`` call forms the residuals 1 - r*a and 1 - a*r once and
+returns a result per torsion class, which the caller loops over.
 """
 
 from __future__ import annotations
@@ -278,10 +280,8 @@ def transport_term(term: SampledTerm, family: RealizationFamily, g: Element) -> 
         F = np.fft.fftshift(np.fft.fft(term.values, axis=0), axes=0) / M   # modes ascending
         rows_at_X = fourier_sum(F, -(M // 2), X)        # a(X_i, xi_lattice)
         queries = scale[:, None] * term.lattice.points[None, :]
-        out = np.empty_like(term.values)
-        for i in range(M):
-            out[i, :] = lattice_interp(term.lattice, rows_at_X[i, :], queries[i, :],
-                                       term.extend)
+        out = lattice_interp(term.lattice, rows_at_X, queries, term.extend,
+                             rows=np.broadcast_to(np.arange(M)[:, None], queries.shape))
         return SampledTerm(term.grid, term.lattice, out, term.extend)
     (sign, up), (_, down) = C.sheets
     if up == down:
@@ -323,13 +323,12 @@ class StarSeries:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def unit_series(cls, family, grid, lattice, eps, value: complex = 1.0) -> "StarSeries":
-        return cls(family, grid, lattice, eps, {}, unit=value)
+    def unit_series(cls, family, grid, lattice, eps) -> "StarSeries":
+        return cls(family, grid, lattice, eps, {}, unit=1.0)
 
     @classmethod
-    def from_crossed(cls, symbol: CrossedSymbol, lattice: XiLattice, eps: float,
-                     unit_fill: bool = True) -> "StarSeries":
-        """Embed order-zero principal data:  unit + chi(xi) (sigma - unit)."""
+    def from_crossed(cls, symbol: CrossedSymbol, lattice: XiLattice, eps: float) -> "StarSeries":
+        """Embed order-zero principal data:  1 + chi(xi) (sigma - 1)."""
         family, grid = symbol.family, symbol.grid
         chi = zero_section_cut(lattice, eps)
         pos = lattice.points > 0
@@ -341,10 +340,10 @@ class StarSeries:
             vals = np.zeros((grid.size, lattice.n), dtype=complex)
             vals[:, pos] = sym.plus.values[:, None]
             vals[:, neg] = sym.minus.values[:, None]
-            if unit_fill and g == e:
+            if g == e:
                 vals = vals - 1.0
             terms[(g, 0)] = SampledTerm(grid, lattice, vals * chi[None, :], "clamp")
-        return cls(family, grid, lattice, eps, terms, unit=1.0 if unit_fill else 0.0)
+        return cls(family, grid, lattice, eps, terms, unit=1.0)
 
     def leading_crossed(self) -> CrossedSymbol:
         """Extract the order-zero principal symbol from the plateau."""
@@ -450,13 +449,9 @@ class StarSeries:
 def symbol_parametrix_h(a: StarSeries, N: int) -> StarSeries:
     """Almost inverse r = r0 * (1 + w + ... + w^N), w = 1 - a * r0,
     with r0 the pointwise inverse of the leading crossed symbol embedded with
-    the same zero-section cut and unit convention as ``a``."""
-    r0_crossed = invert_principal(a.leading_crossed())
-    r0 = StarSeries.from_crossed(r0_crossed, a.lattice, a.eps,
-                                 unit_fill=(a.unit != 0.0))
-    # leading_crossed of the embedding reproduces the inverse on the plateau;
-    # grids must match the series
-    one = StarSeries.unit_series(a.family, a.grid, a.lattice, a.eps, 1.0)
+    the same zero-section cut as ``a``."""
+    r0 = StarSeries.from_crossed(invert_principal(a.leading_crossed()), a.lattice, a.eps)
+    one = StarSeries.unit_series(a.family, a.grid, a.lattice, a.eps)
     w = one - a.star(r0, N)
     acc = one
     for _ in range(N):
@@ -485,11 +480,6 @@ class TraceSeries:
 
     def scale(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-
-def default_h_grid() -> np.ndarray:
-    """DIAG_H_GRID, logarithmically spaced, descending (largest h first)."""
-    return np.geomspace(DIAG_H_GRID["hi"], DIAG_H_GRID["lo"], DIAG_H_GRID["n"])
 
 
 def _traceable_terms(series: StarSeries):
@@ -633,11 +623,12 @@ class AlgebraicIndexResult:
     negative_power_ok: bool
 
 
-def algebraic_index(a: StarSeries, cls: tuple[Element, ...], N: int,
-                    h_grid: np.ndarray, r: StarSeries | None = None,
-                    neg_tol: float = NEG_POWER_TOL) -> AlgebraicIndexResult:
-    """tau_g(1 - r*a) - tau_g(1 - a*r), Laurent-fitted on powers -1 .. N-2.
+def algebraic_index(a: StarSeries, N: int, h_grid: np.ndarray, r: StarSeries | None = None,
+                    neg_tol: float = NEG_POWER_TOL) -> dict[tuple, AlgebraicIndexResult]:
+    """tau_g(1 - r*a) - tau_g(1 - a*r), Laurent-fitted on powers -1 .. N-2,
+    for every torsion class <g> of ``a``'s group.
 
+    The two residuals do not depend on the class, so they are formed once.
     The constant term is the localized algebraic index; the h^{-1} coefficient
     is flagged against ``neg_tol`` scaled by the value magnitude over the grid.
     """
@@ -645,22 +636,19 @@ def algebraic_index(a: StarSeries, cls: tuple[Element, ...], N: int,
         raise OrderOverflow("algebraic index needs N >= 3")
     if r is None:
         r = symbol_parametrix_h(a, N)
-    one = StarSeries.unit_series(a.family, a.grid, a.lattice, a.eps, 1.0)
+    one = StarSeries.unit_series(a.family, a.grid, a.lattice, a.eps)
     res_left = one - r.star(a, N)     # 1 - r * a
     res_right = one - a.star(r, N)    # 1 - a * r
-    if abs(res_left.unit) < 1e-12 and abs(res_right.unit) < 1e-12:
-        diff = tau_g(res_left, cls, h_grid) - tau_g(res_right, cls, h_grid)
-    else:
-        # zero-fill symbols leave plateau parts in each residual that only
-        # cancel between the two; trace the star commutator directly
-        diff = tau_g(res_left - res_right, cls, h_grid)
-    fit = laurent_fit(diff, -1, N - 2)
-    c0 = fit.coeff(0)
-    cm1 = fit.coeff(-1)
     h_min = float(np.min(np.asarray(h_grid, dtype=float)))
-    scale = max(diff.scale() * h_min, 1e-12)
-    ok = abs(cm1) < neg_tol * max(scale, 1.0)
-    return AlgebraicIndexResult(fit, diff, c0, cm1, ok)
+    out = {}
+    for cls in a.group.conjugacy_classes(support=a.group.torsion_elements()):
+        diff = tau_g(res_left, cls, h_grid) - tau_g(res_right, cls, h_grid)
+        fit = laurent_fit(diff, -1, N - 2)
+        cm1 = fit.coeff(-1)
+        scale = max(diff.scale() * h_min, 1e-12)
+        ok = abs(cm1) < neg_tol * max(scale, 1.0)
+        out[cls] = AlgebraicIndexResult(fit, diff, fit.coeff(0), cm1, ok)
+    return out
 
 
 # ---------------------------------------------------------------------------

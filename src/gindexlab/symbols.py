@@ -123,10 +123,6 @@ class CrossedSymbol:
     def unit(cls, family: RealizationFamily, grid: PeriodicGrid) -> "CrossedSymbol":
         return cls(family, {family.group.identity: PrincipalSymbol.constant(grid, 1.0)}, grid)
 
-    @classmethod
-    def delta(cls, family: RealizationFamily, g: Element, sym: PrincipalSymbol) -> "CrossedSymbol":
-        return cls(family, {g: sym})
-
     # -- plumbing --------------------------------------------------------------
 
     @property

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +88,19 @@ class TestStructure:
                 assert g.parse(g.label(x)) == x
         z = build_group("integer_shift", theta=1.0)
         assert z.parse("-3") == -3
+
+    @pytest.mark.parametrize("kind, m", [("trivial", 1)] + [
+        (kind, m) for kind in ("cyclic", "dihedral") for m in range(1, 7)])
+    def test_parse_accepts_exactly_the_labels(self, kind, m):
+        group = build_group(kind, m=m)
+        oracle = {group.label(g): g for g in group.elements()}
+        candidates = {"".join(t) for n in range(4) for t in itertools.product("ers0167 ", repeat=n)}
+        for label in candidates | {"r07", "r10", "es", "r1s", "r0s", "r\u0663", "r\u00b2"}:
+            try:
+                got = group.parse(label)
+            except InvalidParameter:
+                got = None
+            assert got == oracle.get(label.strip()), label
 
 
 finite_groups = st.one_of(st.just(("trivial", 1)),

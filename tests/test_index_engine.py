@@ -87,8 +87,8 @@ class TestOracle:
     def test_equal_windings_cancel(self):
         fam = RealizationFamily(build_group("trivial"), "trivial")
         grid = PeriodicGrid(256)
-        sym = CrossedSymbol.delta(fam, (), PrincipalSymbol.from_coeffs(
-            grid, {1: 1.0}, {1: 1.0}))
+        sym = CrossedSymbol(fam, {(): PrincipalSymbol.from_coeffs(
+            grid, {1: 1.0}, {1: 1.0})})
         assert winding_index_oracle(sym, calibrate_sign()) == 0
 
 
@@ -114,7 +114,7 @@ class TestParametrix:
         # Phi_{g^{-1}} away from the zero-section cut; the remainders reduce
         # to the exact cut projector
         grid = grid_for_window(R.window)
-        r = CrossedSymbol.delta(fam, 3, PrincipalSymbol.constant(grid, 1.0))
+        r = CrossedSymbol(fam, {3: PrincipalSymbol.constant(grid, 1.0)})
         data = parametrix(A, r, N=3, k_min=1)
         cut = np.abs(R.window.modes) < 1
         off = ~cut

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gindexlab import circle, index_engine, semiclass, symbols
+from gindexlab import circle, groups, index_engine, semiclass, symbols
 from gindexlab.cli import main
 from gindexlab.errors import ParseError, SchemaError
 from gindexlab.lab import (DEFAULT_NUMERICS, RunRecord, emit_reports,
@@ -156,7 +156,8 @@ class TestConfig:
         ("expect.element", "q"), ("expect.element", 1), ("expect.indx", 1),
         ("symbols['e'].minsu", {"1": 1.0}), ("expect.verdict", "eliptic"),
         ("realization.esp", 0.3), ("group.mm", 5), ("out_dir", 5), ("name", 5), ("seed", "x"),
-        ("realization.eps", float("inf")), ("group.theta", float("nan"))])
+        ("realization.eps", float("inf")), ("group.theta", float("nan")),
+        ("realization.eps", 0.7), ("expect.index", 3), ("expect.verdict", "elliptic")])
     def test_bad_field_rejected(self, path, value):
         bad = json.loads(json.dumps(Z2_LOCALIZED))
         *parents, leaf = path.replace("['", ".").replace("']", "").split(".")
@@ -202,6 +203,29 @@ class TestConfig:
         assert cfg.problem.group.label(cfg.expect["element"]) == "rs"
         shift = {"group": {"kind": "integer_shift", "theta": 1.0}, "experiment": "egorov"}
         assert parse_config(shift).expect == {"element": 1}
+        for group, first in (({"kind": "trivial"}, ()), ({"kind": "cyclic", "m": 1}, 0),
+                             ({"kind": "dihedral", "m": 1}, (0, 1))):    # order one: s or e
+            assert parse_config({"group": group, "experiment": "egorov"}).expect == {
+                "element": first}
+
+    def test_huge_group_parses(self):
+        cfg = parse_config({"group": {"kind": "cyclic", "m": 10**300}, "experiment": "egorov",
+                            "symbols": {"r" + "9" * 299: {"plus": {"0": 1.0}, "minus": {}}}})
+        assert cfg.expect["element"] == 1
+        assert list(cfg.problem.symbol_coeffs) == [10**299 - 1]
+
+    @pytest.mark.parametrize("kind, labels, first", [
+        ("cyclic", ["e", "r", "r4"], 1), ("dihedral", ["e", "r3", "s", "r4s"], (1, 0))])
+    def test_parse_never_lists_the_group(self, monkeypatch, kind, labels, first):
+        def refuse(self):
+            raise AssertionError("GroupSpec.elements called while parsing")
+
+        monkeypatch.setattr(groups.GroupSpec, "elements", refuse)
+        table = {label: {"plus": {"0": 1.0}, "minus": {"0": 1.0}} for label in labels}
+        base = {"group": {"kind": kind, "m": 5}, "symbols": table, "experiment": "egorov"}
+        assert parse_config(base).expect["element"] == first
+        cfg = parse_config({**base, "expect": {"element": labels[-1]}})
+        assert cfg.problem.group.label(cfg.expect["element"]) == labels[-1]
 
     def test_default_numerics_are_engine_constants(self):
         tols = DEFAULT_NUMERICS["tolerances"]
@@ -268,6 +292,27 @@ class TestRun:
                "numerics": {"windows": [32, 48], "zero_tol": 1e-7, "inner_fraction": 0.4}}
         run(parse_config(cfg))
         assert calls == [(32, 1e-7, 0.4), (48, 1e-7, 0.4)]
+
+    def test_one_residual_pair_per_algebraic_run(self, monkeypatch):
+        star = semiclass.StarSeries.star
+        calls = []
+
+        def spy(self, other, N):
+            calls.append(N)
+            return star(self, other, N)
+
+        monkeypatch.setattr(semiclass.StarSeries, "star", spy)
+        numerics = {"windows": [32, 48], "parametrix_order": 3, "symbol_grid": 64,
+                    "lattice_points": 201}
+        counts = []
+        for base, classes in ((WINDING, 1), (Z2_PIPELINE, 2)):
+            calls.clear()
+            record = run(parse_config({**base, "expect": {}, "experiment": "algebraic",
+                                       "numerics": numerics}))
+            assert len(record.payloads["algebraic"]["per_class"]) == classes
+            counts.append(len(calls))
+        # symbol_parametrix_h makes N + 2 star products, the residual pair 2 more
+        assert counts == [3 + 2 + 2] * 2
 
     def test_undecided_ellipticity(self):
         cfg = {

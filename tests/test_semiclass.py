@@ -8,7 +8,7 @@ from gindexlab.groups import build_group
 from gindexlab.samples import (annulus_term, reflection_term,
                                star_consistency_pairs, winding_problem, z2_sample)
 from gindexlab.semiclass import (SampledTerm, StarSeries, TraceSeries, XiLattice,
-                                 algebraic_index, default_h_grid, egorov_defect,
+                                 algebraic_index, egorov_defect,
                                  lattice_interp, laurent_fit, realize_series,
                                  symbol_parametrix_h, tau_g, trace_power_law,
                                  transport_term, zero_section_cut)
@@ -16,7 +16,7 @@ from gindexlab.transforms import RealizationFamily
 
 GRID = PeriodicGrid(256)
 LAT = XiLattice(3.5, 701)
-H_DIAG = default_h_grid()                      # [0.2 .. 0.02]
+H_DIAG = np.geomspace(0.2, 0.02, 8)            # [0.2 .. 0.02]
 H_ALG = np.geomspace(0.05, 0.005, 8)
 
 
@@ -125,7 +125,7 @@ class TestSymbolParametrix:
         extra = SampledTerm(GRID, LAT,
                             np.ones((GRID.size, 1)) * chi[None, :] + 0j, "clamp")
         p = winding_problem(0)
-        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5, unit_fill=True)
+        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5)
         a = a + StarSeries(TRIV, GRID, LAT, 0.5, {((), 0): extra})
         r = symbol_parametrix_h(a, 3)
         probe = r.terms[((), 0)].sample(np.array([2.5]))[:, 0] + r.unit
@@ -133,7 +133,7 @@ class TestSymbolParametrix:
 
     def test_residual_orders(self):
         p = z2_sample()
-        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5, unit_fill=True)
+        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5)
         r = symbol_parametrix_h(a, 4)
         one = StarSeries.unit_series(Z2, GRID, LAT, 0.5)
         res = one - a.star(r, 4)
@@ -194,7 +194,7 @@ class TestTau:
 
     def test_clamp_edge_rejected(self):
         p = winding_problem(1)
-        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5, unit_fill=True)
+        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5)
         bad = StarSeries(TRIV, GRID, LAT, 0.5, dict(a.terms))
         with pytest.raises(ResidualNotTraceClass):
             tau_g(bad, ((),), H_DIAG)
@@ -202,14 +202,14 @@ class TestTau:
 
 class TestLaurent:
     def test_pure_pole(self):
-        h = default_h_grid()
+        h = H_DIAG
         ts = TraceSeries(h, 3.0 / h + 0j)
         fit = laurent_fit(ts, -1, 2)
         assert abs(fit.coeff(-1) - 3.0) < 1e-8
         assert abs(fit.coeff(0)) < 1e-8
 
     def test_affine(self):
-        h = default_h_grid()
+        h = H_DIAG
         ts = TraceSeries(h, 2.0 + 5.0 * h + 0j)
         fit = laurent_fit(ts, -1, 2)
         assert abs(fit.coeff(0) - 2.0) < 1e-9
@@ -316,42 +316,55 @@ class TestEgorov:
 class TestAlgebraicIndex:
     def test_unit_is_zero(self):
         p = winding_problem(0)
-        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5, unit_fill=True)
-        res = algebraic_index(a, ((),), 4, H_ALG)
+        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5)
+        res = algebraic_index(a, 4, H_ALG)[((),)]
         assert abs(res.constant_term) < 1e-8
         assert abs(res.negative_power) < 1e-8
 
     def test_winding_constant_term(self):
         p = winding_problem(1)
-        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5, unit_fill=True)
-        res = algebraic_index(a, ((),), 4, H_ALG)
+        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5)
+        res = algebraic_index(a, 4, H_ALG)[((),)]
         assert abs(res.constant_term - 1.0) < 1e-2
         assert res.negative_power_ok
 
     def test_z2_classes(self):
         p = z2_sample()
-        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5, unit_fill=True)
-        r = symbol_parametrix_h(a, 4)
-        c_e = algebraic_index(a, (0,), 4, H_ALG, r=r).constant_term
-        c_s = algebraic_index(a, (1,), 4, H_ALG, r=r).constant_term
-        assert abs(c_e - 1.0) < 1e-2
-        assert abs(c_s) < 1e-2
+        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5)
+        results = algebraic_index(a, 4, H_ALG)
+        assert abs(results[(0,)].constant_term - 1.0) < 1e-2
+        assert abs(results[(1,)].constant_term) < 1e-2
 
     def test_almost_inverse_independence(self):
         p = winding_problem(1)
-        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5, unit_fill=True)
+        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5)
         r1 = symbol_parametrix_h(a, 4)
         # different normalization: perturb r0 by an admissible h-order-1 term
         bump = SampledTerm.from_callable(
             GRID, LAT, lambda X, XI: 0.2 * np.cos(X) * np.exp(-((np.abs(XI) - 1.0) / 0.3) ** 2))
         r2 = r1 + StarSeries(TRIV, GRID, LAT, 0.5, {((), 1): bump})
-        c1 = algebraic_index(a, ((),), 4, H_ALG, r=r1).constant_term
-        c2 = algebraic_index(a, ((),), 4, H_ALG, r=r2).constant_term
+        c1 = algebraic_index(a, 4, H_ALG, r=r1)[((),)].constant_term
+        c2 = algebraic_index(a, 4, H_ALG, r=r2)[((),)].constant_term
         assert abs(c1 - c2) < 1e-3
 
     def test_order_compatibility(self):
         p = winding_problem(1)
-        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5, unit_fill=True)
-        c3 = algebraic_index(a, ((),), 3, H_ALG).constant_term
-        c4 = algebraic_index(a, ((),), 4, H_ALG).constant_term
+        a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5)
+        c3 = algebraic_index(a, 3, H_ALG)[((),)].constant_term
+        c4 = algebraic_index(a, 4, H_ALG)[((),)].constant_term
         assert abs(c3 - c4) < 1e-3
+
+    @pytest.mark.parametrize("problem, classes", [(winding_problem(1), [((),)]),
+                                                  (z2_sample(), [(0,), (1,)])],
+                             ids=["trivial", "z2"])
+    def test_one_result_per_torsion_class(self, problem, classes):
+        a = StarSeries.from_crossed(problem.symbol(GRID), LAT, 0.5)
+        assert list(algebraic_index(a, 3, H_ALG)) == classes
+
+    def test_unit_zero_series_rejected(self):
+        a = StarSeries.from_crossed(winding_problem(1).symbol(GRID), LAT, 0.5)
+        r = symbol_parametrix_h(a, 3)
+        no_unit = a - StarSeries.unit_series(TRIV, GRID, LAT, 0.5)
+        assert no_unit.unit == 0.0
+        with pytest.raises(TraceDivergence):
+            algebraic_index(no_unit, 3, H_ALG, r=r)

@@ -42,14 +42,14 @@ class TestStar:
         one = PrincipalSymbol.constant(GRID, 1.0)
         for g in d3.group.elements():
             for h in d3.group.elements():
-                prod = CrossedSymbol.delta(d3, g, one).star(CrossedSymbol.delta(d3, h, one))
+                prod = CrossedSymbol(d3, {g: one}).star(CrossedSymbol(d3, {h: one}))
                 assert prod.support == [d3.group.mul(g, h)]
                 assert np.max(np.abs(prod.coeff(d3.group.mul(g, h)).values() - 1.0)) < 1e-12
 
     def test_reflection_square(self):
         # a = delta_s (x) e^{ix} on both sheets: (a*a)_e = f(x) f(-x) = 1
         f = PrincipalSymbol.from_coeffs(GRID, {1: 1.0})
-        a = CrossedSymbol.delta(Z2, 1, f)
+        a = CrossedSymbol(Z2, {1: f})
         sq = a.star(a)
         assert sq.support == [0]
         assert np.max(np.abs(sq.coeff(0).values() - 1.0)) < 1e-12
@@ -116,7 +116,7 @@ class TestEllipticity:
     def test_pointwise_unitary(self):
         t = fam("trivial", "trivial")
         sym = PrincipalSymbol.from_coeffs(GRID, {0: 1.0}, {1: 1.0})
-        v = is_elliptic(CrossedSymbol.delta(t, (), sym))
+        v = is_elliptic(CrossedSymbol(t, {(): sym}))
         assert v.is_elliptic
         assert v.min_singular_value == pytest.approx(1.0, abs=1e-10)
 
@@ -130,7 +130,7 @@ class TestEllipticity:
     def test_not_elliptic(self):
         sym = PrincipalSymbol.from_coeffs(GRID, {1: 1.0, 0: -1.0})  # vanishes at x = 0
         t = fam("trivial", "trivial")
-        v = is_elliptic(CrossedSymbol.delta(t, (), sym))
+        v = is_elliptic(CrossedSymbol(t, {(): sym}))
         assert v.verdict == "not_elliptic"
 
     def test_shift_dominance(self):
@@ -147,7 +147,7 @@ class TestEllipticity:
         a = random_symbol(d3, 21, scale=0.2)
         a = a + CrossedSymbol.unit(d3, GRID) + CrossedSymbol.unit(d3, GRID)
         u_fn = PrincipalSymbol.from_coeffs(GRID, {1: 1.0})       # unimodular
-        u = CrossedSymbol.delta(d3, d3.group.identity, u_fn)
+        u = CrossedSymbol(d3, {d3.group.identity: u_fn})
         v0 = is_elliptic(a).min_singular_value
         v1 = is_elliptic(u.star(a).star(u)).min_singular_value
         assert v1 == pytest.approx(v0, rel=1e-8)
@@ -156,14 +156,14 @@ class TestEllipticity:
 class TestInversion:
     def test_constant(self):
         t = fam("trivial", "trivial")
-        a = CrossedSymbol.delta(t, (), PrincipalSymbol.constant(GRID, 2.0))
+        a = CrossedSymbol(t, {(): PrincipalSymbol.constant(GRID, 2.0)})
         r = invert_principal(a)
         assert np.max(np.abs(r.coeff(()).values() - 0.5)) < 1e-12
 
     def test_group_inverse(self):
         d3 = fam("dihedral", "dihedral", m=3)
         g = (1, 0)
-        a = CrossedSymbol.delta(d3, g, PrincipalSymbol.constant(GRID, 1.0))
+        a = CrossedSymbol(d3, {g: PrincipalSymbol.constant(GRID, 1.0)})
         r = invert_principal(a)
         assert r.support == [d3.group.inv(g)]
 
@@ -198,7 +198,7 @@ class TestInversion:
         t = fam("trivial", "trivial")
         sym = PrincipalSymbol.from_coeffs(GRID, {1: 1.0, 0: -1.0})
         with pytest.raises(NotElliptic):
-            invert_principal(CrossedSymbol.delta(t, (), sym))
+            invert_principal(CrossedSymbol(t, {(): sym}))
 
     @pytest.mark.parametrize("seed", range(50))
     def test_verdict_agrees_with_inversion(self, seed):
