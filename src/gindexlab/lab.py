@@ -238,6 +238,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
                          ("verdict", ("ellipticity", "full_pipeline"))):
         if key in expect and experiment not in readers:
             raise SchemaError(f"expect.{key} is read only by the {readers} experiments")
+    if experiment == "trace_asymptotics":
+        for key in ("lattice_radius", "lattice_points", "eps", "h_grid"):
+            if key in raw.get("numerics", {}):
+                raise SchemaError(f"numerics.{key} is not read by the trace_asymptotics "
+                                  "experiment, which samples on its own lattice and "
+                                  "numerics.diag_h_grid")
     if not 2 * numerics["eps"] < numerics["lattice_radius"]:
         _fail("numerics.eps", numerics["eps"])
     for key in ("h_grid", "diag_h_grid"):

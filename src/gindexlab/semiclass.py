@@ -13,6 +13,13 @@ transforms enter traces only through their exact mode action
 so the trace functionals never need dense window matrices.  One
 ``algebraic_index`` call forms the residuals 1 - r*a and 1 - a*r once and
 returns a result per torsion class, which the caller loops over.
+
+Each derivative and each x-FFT is computed once where it is used: a star
+product builds the d_xi ladder of each left factor once and takes one FFT per
+transported right factor, whose x-derivatives are inverse FFTs of that
+table rescaled in place; ``tau_g`` takes one FFT per term for the whole h-grid.
+These tables live only inside the loop over their term, so no per-term
+cache outlives its loop and memory stays at a few terms' worth.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .errors import (GroupMismatch, IllConditionedFit, NonIsometricAction,
 from .groups import Element
 from .quantize import op_h_term
 from .symbols import CrossedSymbol, PrincipalSymbol, invert_principal
-from .transforms import RealizationFamily
+from .transforms import CanonicalTransform, RealizationFamily
 
 XI_STENCIL_REACH = 2         # lattice points the dxi stencil reaches past each end
 TRACE_EDGE_TOL = 1e-8        # lattice-edge values allowed in a traced term, relative
@@ -116,13 +123,14 @@ def lattice_interp(lattice: XiLattice, values: np.ndarray, queries: np.ndarray,
     return out
 
 
-def _pad_xi(values: np.ndarray, extend: str) -> np.ndarray:
-    if extend == "zero":
-        pad = np.zeros(values.shape[:-1] + (XI_STENCIL_REACH,), dtype=values.dtype)
-        return np.concatenate([pad, values, pad], axis=-1)
-    left = np.repeat(values[..., :1], XI_STENCIL_REACH, axis=-1)
-    right = np.repeat(values[..., -1:], XI_STENCIL_REACH, axis=-1)
-    return np.concatenate([left, values, right], axis=-1)
+def _xi_stencil(p: np.ndarray, out: np.ndarray, scale: float):
+    """(-p[j+4] + 8 p[j+3] - 8 p[j+1] + p[j]) / scale into ``out``, summed in
+    that order (``8 p[j+3] - p[j+4]`` rounds as ``-p[j+4] + 8 p[j+3]``)."""
+    np.multiply(p[..., 3:-1], 8.0, out=out)
+    out -= p[..., 4:]
+    out -= 8.0 * p[..., 1:-3]
+    out += p[..., :-4]
+    out /= scale
 
 
 # ---------------------------------------------------------------------------
@@ -203,40 +211,36 @@ class SampledTerm:
         return self._like(np.fft.ifft((1j * k)[:, None] * F, axis=0))
 
     def dxi(self) -> "SampledTerm":
-        """4th-order centered d/dxi (extension-aware padding)."""
-        p = _pad_xi(self.values, self.extend)
-        d = (-p[..., 4:] + 8.0 * p[..., 3:-1] - 8.0 * p[..., 1:-3] + p[..., :-4]) \
-            / (12.0 * self.lattice.delta)
+        """4th-order centered d/dxi (extension-aware padding).
+
+        The stencil writes into one output.  Only the XI_STENCIL_REACH columns
+        at each end read past the lattice; they are computed from small edge
+        blocks padded with zeros (``zero``) or the boundary value (``clamp``).
+        """
+        v, r = self.values, XI_STENCIL_REACH
+        scale = 12.0 * self.lattice.delta
+        d = np.empty_like(v)
+        _xi_stencil(v, d[:, r:-r], scale)
+        mode = "constant" if self.extend == "zero" else "edge"
+        _xi_stencil(np.pad(v[:, :2 * r], ((0, 0), (r, 0)), mode=mode), d[:, :r], scale)
+        _xi_stencil(np.pad(v[:, -2 * r:], ((0, 0), (0, r)), mode=mode), d[:, -r:], scale)
         return self._like(d, "zero" if self.extend == "clamp" else self.extend)
-
-    def shift_x(self, c: float) -> "SampledTerm":
-        if c == 0.0:
-            return self
-        M = self.grid.size
-        k = np.fft.fftfreq(M, d=1.0 / M)
-        F = np.fft.fft(self.values, axis=0)
-        return self._like(np.fft.ifft(np.exp(1j * k * c)[:, None] * F, axis=0))
-
-    def reflect(self) -> "SampledTerm":
-        """(x, xi) -> (-x, -xi); exact on the symmetric lattice."""
-        vals = self.values[:, ::-1]
-        vals = np.roll(vals[::-1, :], 1, axis=0)    # x_j -> -x_j is index M-j mod M
-        return self._like(vals)
 
     def sample(self, xi: np.ndarray) -> np.ndarray:
         """Values a(x_nodes, xi) for arbitrary xi, shape (M, len(xi))."""
         return lattice_interp(self.lattice, self.values, np.asarray(xi, dtype=float),
                               self.extend)
 
-    def coeff_rows(self, ms: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Fourier coefficients ahat(ms[i], xi[i]) at arbitrary xi.
+    def coeff_rows(self, F: np.ndarray, ms: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Fourier coefficients ahat(ms[i], xi[i]) at arbitrary xi, read from
+        ``F = np.fft.fft(self.values, axis=0)``, which the caller takes once
+        per term; the 1/M scale applies to the gathered values only.
 
         Transfers past the grid's resolvable band are zero, not aliased.
         """
         M = self.grid.size
-        F = np.fft.fft(self.values, axis=0) / M
         out = lattice_interp(self.lattice, F, np.asarray(xi, dtype=float), self.extend,
-                             rows=np.mod(ms, M))
+                             rows=np.mod(ms, M)) / M
         return out * (np.abs(ms) <= M // 2 - 1)
 
 
@@ -283,16 +287,47 @@ def transport_term(term: SampledTerm, family: RealizationFamily, g: Element) -> 
         out = lattice_interp(term.lattice, rows_at_X, queries, term.extend,
                              rows=np.broadcast_to(np.arange(M)[:, None], queries.shape))
         return SampledTerm(term.grid, term.lattice, out, term.extend)
+    return term._like(_isometric_transport(term, C, None))
+
+
+def _reflect(values: np.ndarray) -> np.ndarray:
+    """(x, xi) -> (-x, -xi); exact on the symmetric lattice.  x_j -> -x_j is
+    index M-j mod M, and so is the mode k -> -k of an x-FFT table."""
+    return np.roll(values[::-1, ::-1], 1, axis=0)
+
+
+def _isometric_transport(term: SampledTerm, C: CanonicalTransform,
+                         F: np.ndarray | None) -> np.ndarray:
+    """Values of term o C for an isometric C (see ``transport_term``); with a
+    table ``F`` the x-FFT of the result is written into it too.
+
+    A shift is a phase on the x-FFT table and the reflection the same index
+    reversal on either table, so this takes one forward FFT (none when C
+    shifts nothing and no table is asked for) and one inverse FFT when C
+    shifts.
+    """
     (sign, up), (_, down) = C.sheets
+    if up == down == 0.0:
+        values = _reflect(term.values) if sign == -1 else term.values
+        if F is not None:
+            np.fft.fft(values, axis=0, out=F)
+        return values
+    G = np.fft.fft(term.values, axis=0, out=F)
+    k = np.fft.fftfreq(term.grid.size, d=1.0 / term.grid.size)
     if up == down:
-        shifted = term.shift_x(up)
-    else:
+        np.multiply(np.exp(1j * k * up)[:, None], G, out=G)
+        values = np.fft.ifft(G, axis=0)
+    else:           # the half-wave flow, -t and t on the two sheets
         xi = sign * term.lattice.points     # the fiber coordinate after the reflection
-        out = term.values.copy()
         for shift, cols in ((up, xi > 0), (down, xi < 0)):
-            out[:, cols] = term.shift_x(shift).values[:, cols]
-        shifted = term._like(out)
-    return shifted.reflect() if sign == -1 else shifted
+            G[:, cols] = np.exp(1j * k * shift)[:, None] * G[:, cols]
+        values = np.fft.ifft(G, axis=0)
+        values[:, xi == 0] = term.values[:, xi == 0]
+    if sign == -1:
+        values = _reflect(values)
+        if F is not None:
+            F[...] = _reflect(F)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -401,45 +436,66 @@ class StarSeries:
 
         per group pair, sum_kappa ((-i h)^kappa / kappa!) d_xi^kappa a_g .
         d_x^kappa (b_h o C_{g^{-1}}), group-twisted per the Egorov law.
+
+        Each derivative and each FFT is taken once.  The d_xi ladder of a left
+        factor a_g is built lazily, as deep as its pairs need, and dropped
+        when the loop moves to the next factor.  Each right factor is
+        transported with one x-FFT (a shift is a phase on that table), and
+        its kappa-th term (-i)^kappa / kappa! d_x^kappa is one inverse FFT of
+        k^kappa / kappa! times the table.  Products accumulate in place into
+        one buffer per output key, which the product owns, in the order of
+        the pairwise recursion (left factor, right factor, kappa).  No
+        per-term table outlives its loop.
         """
         self._check(other)
         if N < 1:
             raise OrderOverflow("truncation order must be >= 1")
         grp = self.group
-        out: dict[tuple[Element, int], SampledTerm] = {}
+        out: dict[tuple[Element, int], np.ndarray] = {}
+        clamp = set()                  # keys with a clamp-extended contribution
 
-        def add(key, term):
-            out[key] = out[key] + term if key in out else term
+        def add(key, values, extend):
+            if key in out:
+                out[key] += values
+            else:
+                out[key] = values.copy()
+            if extend == "clamp":
+                clamp.add(key)
 
         # unit cross terms
         if self.unit != 0.0:
             for (h, j2), tb in other._sorted_terms():
                 if j2 < N:
-                    add((h, j2), self.unit * tb)
+                    add((h, j2), tb.values * self.unit, tb.extend)
         if other.unit != 0.0:
             for (g, j1), ta in self._sorted_terms():
                 if j1 < N:
-                    add((g, j1), other.unit * ta)
+                    add((g, j1), ta.values * other.unit, ta.extend)
 
+        k = np.fft.fftfreq(self.grid.size, d=1.0 / self.grid.size)[:, None]
+        F = np.empty((self.grid.size, self.lattice.n), dtype=complex)
+        prod = np.empty_like(F)        # an x-derivative of the right factor, then the product
+        rights = other._sorted_terms()
         for (g, j1), ta in self._sorted_terms():
-            if j1 >= N:
-                continue
-            C_ginv = grp.inv(g)
-            for (h, j2), tb in other._sorted_terms():
+            ladder = [ta]              # d_xi^kappa a_g, kappa = 0, 1, ...
+            C = self.family.canonical(grp.inv(g))
+            for (h, j2), tb in rights:
                 if j1 + j2 >= N:
                     continue
-                m = grp.mul(g, h)
-                twisted = transport_term(tb, self.family, C_ginv)
-                da, db = ta, twisted
-                add((m, j1 + j2), da * db)
-                kappa = 1
-                while j1 + j2 + kappa < N:
-                    da = da.dxi()
-                    db = db.dx()
-                    coeff = (-1j) ** kappa / math.factorial(kappa)
-                    add((m, j1 + j2 + kappa), coeff * (da * db))
-                    kappa += 1
-        return self.copy_with(out, self.unit * other.unit)
+                m, j = grp.mul(g, h), j1 + j2
+                twisted = _isometric_transport(tb, C, F if j + 1 < N else None)
+                extend = "clamp" if ta.extend == tb.extend == "clamp" else "zero"
+                add((m, j), np.multiply(ta.values, twisted, out=prod), extend)
+                for kappa in range(1, N - j):
+                    if kappa == len(ladder):
+                        ladder.append(ladder[-1].dxi())
+                    F *= k / kappa     # now the table of (-i)^kappa / kappa! d_x^kappa b
+                    np.fft.ifft(F, axis=0, out=prod)
+                    prod *= ladder[kappa].values
+                    add((m, j + kappa), prod, "zero")
+        return self.copy_with({key: SampledTerm(self.grid, self.lattice, vals,
+                                                "clamp" if key in clamp else "zero")
+                               for key, vals in out.items()}, self.unit * other.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +553,13 @@ def _traceable_terms(series: StarSeries):
     return series._sorted_terms()
 
 
-def _term_trace(term: SampledTerm, family: RealizationFamily, l: Element,
+def _term_trace(term: SampledTerm, F: np.ndarray, family: RealizationFamily, l: Element,
                 h: float, k_max: int) -> np.ndarray:
-    """Per-mode contributions to tr(op_h(term) Phi_l) = sum_k p(k) ahat((1-s)k, s h k)."""
+    """Per-mode contributions to tr(op_h(term) Phi_l) = sum_k p(k) ahat((1-s)k, s h k),
+    with ``F`` the term's x-FFT."""
     ks = np.arange(-k_max, k_max + 1)
     s, p = family.mode_map(l, ks)
-    return p * term.coeff_rows((1 - s) * ks, s * h * ks)
+    return p * term.coeff_rows(F, (1 - s) * ks, s * h * ks)
 
 
 def tau_g(series: StarSeries, cls: tuple[Element, ...], h_grid: np.ndarray) -> TraceSeries:
@@ -510,29 +567,33 @@ def tau_g(series: StarSeries, cls: tuple[Element, ...], h_grid: np.ndarray) -> T
 
     The mode sum runs to |h k| <= lattice radius (the symbol support); the
     outer 10% band of the lattice must contribute below 1e-4 (1 + |trace|),
-    otherwise the trace has not saturated and TraceDivergence is raised.
+    otherwise the trace has not saturated and TraceDivergence is raised (at
+    the first such h).  The loop runs over terms outside and h inside, so each
+    term is FFT'd once and its table dropped before the next; each h sums its
+    terms in term order.
     """
     terms = _traceable_terms(series)
     h_grid = np.asarray(h_grid, dtype=float)
-    values = np.zeros(len(h_grid), dtype=complex)
+    totals = [0.0 + 0.0j] * len(h_grid)
+    tails = [0.0] * len(h_grid)
     radius = series.lattice.radius
-    for i, h in enumerate(h_grid):
+    bands = []                          # per h: the mode cut and the outer band
+    for h in h_grid:
         k_max = int(math.ceil(radius / h)) + 3
-        ks = np.arange(-k_max, k_max + 1)
-        outer = np.abs(h * ks) >= 0.9 * radius
-        total = 0.0 + 0.0j
-        tail = 0.0
-        for (g, j), term in terms:
-            if g not in cls:
-                continue
-            contrib = (h ** j) * _term_trace(term, series.family, g, h, k_max)
-            total += complex(np.sum(contrib))
-            tail += float(np.sum(np.abs(contrib[outer])))
-        values[i] = total
+        bands.append((h, k_max, np.abs(h * np.arange(-k_max, k_max + 1)) >= 0.9 * radius))
+    for (g, j), term in terms:
+        if g not in cls:
+            continue
+        F = np.fft.fft(term.values, axis=0)
+        for i, (h, k_max, outer) in enumerate(bands):
+            contrib = (h ** j) * _term_trace(term, F, series.family, g, h, k_max)
+            totals[i] += complex(np.sum(contrib))
+            tails[i] += float(np.sum(np.abs(contrib[outer])))
+    for h, total, tail in zip(h_grid, totals, tails):
         if tail > 1e-4 * (1.0 + abs(total)):
             raise TraceDivergence(
                 f"trace at h={h:.4g} has un-saturated outer-band mass {tail:.2e}")
-    return TraceSeries(h_grid, values)
+    return TraceSeries(h_grid, np.array(totals, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,9 @@ Z2_PIPELINE = {
 }
 
 Z2_LOCALIZED = {**Z2_PIPELINE, "experiment": "localized"}
+# well-formed fields that parse_config refuses on an experiment that never reads them
+REFUSED_ON = {f"numerics.{key}": "trace_asymptotics"
+              for key in ("lattice_points", "lattice_radius", "eps", "h_grid")}
 
 
 def dihedral_localized_config() -> dict:
@@ -157,9 +160,12 @@ class TestConfig:
         ("symbols['e'].minsu", {"1": 1.0}), ("expect.verdict", "eliptic"),
         ("realization.esp", 0.3), ("group.mm", 5), ("out_dir", 5), ("name", 5), ("seed", "x"),
         ("realization.eps", float("inf")), ("group.theta", float("nan")),
-        ("realization.eps", 0.7), ("expect.index", 3), ("expect.verdict", "elliptic")])
+        ("realization.eps", 0.7), ("expect.index", 3), ("expect.verdict", "elliptic"),
+        ("numerics.lattice_points", 17), ("numerics.lattice_radius", 0.5),
+        ("numerics.eps", 0.2), ("numerics.h_grid", {"hi": 0.9, "lo": 0.01, "n": 6})])
     def test_bad_field_rejected(self, path, value):
         bad = json.loads(json.dumps(Z2_LOCALIZED))
+        bad["experiment"] = REFUSED_ON.get(path, bad["experiment"])
         *parents, leaf = path.replace("['", ".").replace("']", "").split(".")
         node = bad
         for key in parents:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gindexlab.circle import FrequencyWindow, PeriodicGrid
 from gindexlab.errors import (IllConditionedFit, NonIsometricAction,
@@ -57,6 +60,153 @@ class TestLattice:
         err = np.max(np.abs(d.values[0, interior] / np.cos(GRID.nodes[0])
                             - expect[interior]))
         assert err < 1e-6
+
+    @pytest.mark.parametrize("extend", ["zero", "clamp"])
+    def test_dxi_matches_padded_stencil(self, extend):
+        """Bitwise the same as the stencil on a copy padded by two columns."""
+        v = random_term(np.random.default_rng(11), extend).values
+        fill = (np.zeros_like(v[:, :1]),) * 2 if extend == "zero" else (v[:, :1], v[:, -1:])
+        p = np.concatenate([fill[0], fill[0], v, fill[1], fill[1]], axis=1)
+        want = (-p[..., 4:] + 8.0 * p[..., 3:-1] - 8.0 * p[..., 1:-3] + p[..., :-4]) \
+            / (12.0 * SMALL_LAT.delta)
+        got = SampledTerm(SMALL_GRID, SMALL_LAT, v, extend).dxi()
+        assert np.array_equal(got.values, want)
+        assert got.extend == "zero"
+
+
+SMALL_GRID = PeriodicGrid(32)
+SMALL_LAT = XiLattice(3.0, 61)
+STAR_FAMILIES = {
+    "reflection": Z2,
+    "rotation3": fam("cyclic", "rotation", m=3),
+    "dihedral3": fam("dihedral", "dihedral", m=3),
+    "half_wave": fam("integer_shift", "half_wave", theta=0.3),
+}
+
+
+def random_term(rng, extend):
+    """A trigonometric polynomial in x times a xi-profile: a bump for 'zero',
+    a non-constant plateau for 'clamp'."""
+    x = SMALL_GRID.nodes[:, None]
+    xs = sum((rng.normal() + 1j * rng.normal()) / (1 + abs(k)) * np.exp(1j * k * x)
+             for k in range(-3, 4))
+    xi = SMALL_LAT.points[None, :]
+    if extend == "zero":
+        prof = np.exp(-((xi - rng.uniform(-1, 1)) / rng.uniform(0.4, 0.8)) ** 2)
+    else:
+        prof = 1.0 + 0.5 * np.tanh(xi / rng.uniform(0.5, 1.5))
+    return SampledTerm(SMALL_GRID, SMALL_LAT, xs * prof, extend)
+
+
+def oracle_star(a: StarSeries, b: StarSeries, N: int) -> StarSeries:
+    """The pairwise recursion: transport b_h for each pair, then step d_xi and
+    d_x once per order, per pair."""
+    out = {}
+
+    def add(key, term):
+        out[key] = out[key] + term if key in out else term
+
+    if a.unit != 0.0:
+        for (h, j2), tb in b._sorted_terms():
+            if j2 < N:
+                add((h, j2), a.unit * tb)
+    if b.unit != 0.0:
+        for (g, j1), ta in a._sorted_terms():
+            if j1 < N:
+                add((g, j1), b.unit * ta)
+    grp = a.group
+    for (g, j1), ta in a._sorted_terms():
+        for (h, j2), tb in b._sorted_terms():
+            if j1 + j2 >= N:
+                continue
+            m = grp.mul(g, h)
+            da, db = ta, transport_term(tb, a.family, grp.inv(g))
+            add((m, j1 + j2), da * db)
+            for kappa in range(1, N - j1 - j2):
+                da, db = da.dxi(), db.dx()
+                add((m, j1 + j2 + kappa), (-1j) ** kappa / math.factorial(kappa) * (da * db))
+    return a.copy_with(out, a.unit * b.unit)
+
+
+@st.composite
+def star_cases(draw, name):
+    """(left, right, N): the left series has a term on every element (so every
+    transport of the family is used), the right one 1-3 drawn terms."""
+    family = STAR_FAMILIES[name]
+    N = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    els = family.group.elements() if family.group.is_finite else [-2, -1, 0, 1, 2]
+    extends = st.sampled_from(["zero", "clamp"])
+    left = {(g, draw(st.integers(0, N - 1))): random_term(rng, draw(extends)) for g in els}
+    keys = draw(st.lists(st.tuples(st.sampled_from(els), st.integers(0, N - 1)),
+                         min_size=1, max_size=3, unique=True))
+    right = {key: random_term(rng, draw(extends)) for key in keys}
+    a, b = (StarSeries(family, SMALL_GRID, SMALL_LAT, 0.5, terms,
+                       unit=draw(st.sampled_from([0.0, 1.0]))) for terms in (left, right))
+    return a, b, N
+
+
+class TestStarReuse:
+    """``star`` takes each derivative and FFT once; the pairwise recursion is
+    its oracle."""
+
+    @pytest.mark.parametrize("name", sorted(STAR_FAMILIES))
+    def test_matches_pairwise_recursion(self, name):
+        @settings(max_examples=4, deadline=None)
+        @given(star_cases(name))
+        def check(case):
+            a, b, N = case
+            got, want = a.star(b, N), oracle_star(a, b, N)
+            assert got.terms.keys() == want.terms.keys()
+            assert got.unit == want.unit
+            scale = max((t.norm_inf() for t in want.terms.values()), default=0.0)
+            for key, t in want.terms.items():
+                assert got.terms[key].extend == t.extend
+                assert np.max(np.abs(got.terms[key].values - t.values)) <= 1e-12 * scale, key
+
+        check()
+
+    @pytest.mark.parametrize("name", ["reflection", "dihedral3"])
+    def test_inputs_unchanged(self, name):
+        family = STAR_FAMILIES[name]
+        rng = np.random.default_rng(3)
+        e = family.group.identity
+        g = family.group.elements()[-1]
+        a = StarSeries(family, SMALL_GRID, SMALL_LAT, 0.5,
+                       {(e, 0): random_term(rng, "clamp"), (g, 1): random_term(rng, "zero")},
+                       unit=1.0)
+        b = StarSeries(family, SMALL_GRID, SMALL_LAT, 0.5,
+                       {(e, 0): random_term(rng, "zero"), (g, 0): random_term(rng, "clamp")},
+                       unit=1.0)
+        before = {(id(s), key): t.values.copy() for s in (a, b) for key, t in s.terms.items()}
+        a.star(b, 4)
+        a.star(a, 4)
+        for s in (a, b):
+            for key, t in s.terms.items():
+                assert np.array_equal(t.values, before[(id(s), key)])
+
+    def test_one_dxi_ladder_per_left_factor(self, monkeypatch):
+        calls = []
+        dxi = SampledTerm.dxi
+
+        def spy(term):
+            calls.append(term)
+            return dxi(term)
+
+        monkeypatch.setattr(SampledTerm, "dxi", spy)
+        rng = np.random.default_rng(5)
+        a = StarSeries(Z2, SMALL_GRID, SMALL_LAT, 0.5,
+                       {(0, 0): random_term(rng, "zero"), (1, 1): random_term(rng, "clamp"),
+                        (0, 2): random_term(rng, "zero"), (1, 4): random_term(rng, "zero")})
+        b = StarSeries(Z2, SMALL_GRID, SMALL_LAT, 0.5,
+                       {(0, 1): random_term(rng, "zero"), (1, 0): random_term(rng, "zero"),
+                        (0, 3): random_term(rng, "zero")})
+        N = 4
+        a.star(b, N)
+        depth = sum(max((N - 1 - j1 - j2 for (_, j2) in b.terms if j1 + j2 < N), default=0)
+                    for (_, j1) in a.terms)
+        assert depth == 6            # 3 + 2 + 1 + 0: one ladder per left factor
+        assert len(calls) == depth
 
 
 class TestStarProduct:
