@@ -15,9 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import GIndexError
+from .errors import GIndexError, IoError
 from .index_engine import calibrate_sign
-from .lab import emit_reports, load_config, run
+from .lab import TRACE_SLOPE_TOL, emit_reports, load_config, run
 
 
 def _cmd_run(args) -> int:
@@ -39,7 +39,7 @@ def _tolerance_hint(step: str, config) -> str:
         "localized": f" (residual < {tols['decomposition']:g})",
         "algebraic": f" (|c0 - ind_g| < {tols['c0_match']:g})",
         "egorov": f" (slope in {tols['egorov_slope']} / defect < {tols['egorov_isometry']:g})",
-        "trace_asymptotics": " (slope within 0.05)",
+        "trace_asymptotics": f" (slope within {TRACE_SLOPE_TOL:g})",
     }
     return hints.get(step, "")
 
@@ -57,9 +57,12 @@ def _cmd_calibrate(args) -> int:
                "rule": "index = sign * (winding(minus) - winding(plus))"}
     print(json.dumps(payload))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "sign_convention.json").write_text(json.dumps(payload, sort_keys=True) + "\n")
+        out = Path(args.out) / "sign_convention.json"
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise IoError(f"cannot write {out}: {exc}") from exc
     return 0
 
 

@@ -2,10 +2,10 @@
 
 A JSON config describes one G-operator (group, realization, symbol table) and
 an experiment kind.  ``parse_config`` checks it against ``FIELDS`` (one row per
-field: path, what its value must be, check, default) and the rules the table
-cannot state, and builds its one ``GOperatorProblem``; ``run`` executes the
-experiment on it, grades the result PASS / FAIL / UNDECIDED against the
-configured tolerances, and ``emit_reports`` persists the payloads.  All numeric
+field: path, what its value must be, check, default, the steps that read it) and
+the rules the table cannot state, and builds its one ``GOperatorProblem``; ``run``
+executes the experiment on it, grades the result PASS / FAIL / UNDECIDED against
+the configured tolerances, and ``emit_reports`` persists the payloads.  All numeric
 outputs are deterministic: fixed summation orders, no threading, no random draws.
 """
 
@@ -62,8 +62,10 @@ _UNIT = ("a number in (0, 1)", lambda x: _is_number(x) and 0 < x < 1)
 _H_GRID = ("an object {hi, lo, n} with hi >= 10 lo", _OBJECT[1])
 OPTIONAL, REQUIRED = object(), object()   # defaults: absent stays absent / must be given
 
-# One row per config field: dotted path -> (value kind, default).  An object
-# with rows below it is walked key by key; any other value is checked whole.
+# One row per config field: dotted path -> (value kind, default, *the steps that
+# read it; none: every step that reads the object holding it).  An object with
+# rows below it is walked key by key; any other value is checked whole.
+_SWEEP, _DIAG = ("index", "localized", "algebraic"), ("egorov", "trace_asymptotics")
 FIELDS = {
     "name": (_STRING, OPTIONAL),
     "seed": (_INTEGER, OPTIONAL),
@@ -83,40 +85,40 @@ FIELDS = {
     "numerics.windows": ((f"at least two strictly increasing integers >= {MIN_CUTOFF}",
                           lambda w: isinstance(w, list) and len(w) >= 2
                           and all(_is_number(k, int) and k >= MIN_CUTOFF for k in w)
-                          and all(a < b for a, b in zip(w, w[1:]))), [64, 128, 192]),
-    "numerics.zero_tol": (_UNIT, DEFAULT_ZERO_TOL),
-    "numerics.inner_fraction": (_UNIT, INNER_FRACTION),
-    "numerics.parametrix_order": (_at_least(2), PARAMETRIX_ORDER),
-    "numerics.symbol_grid": (_at_least(MIN_GRID_SIZE), 256),
-    "numerics.lattice_radius": (_POSITIVE, 3.0),
+                          and all(a < b for a, b in zip(w, w[1:]))), [64, 128, 192], *_SWEEP),
+    "numerics.zero_tol": (_UNIT, DEFAULT_ZERO_TOL, *_SWEEP),
+    "numerics.inner_fraction": (_UNIT, INNER_FRACTION, *_SWEEP),
+    "numerics.parametrix_order": (_at_least(2), PARAMETRIX_ORDER, "localized", "algebraic"),
+    "numerics.symbol_grid": (_at_least(MIN_GRID_SIZE), 256, "ellipticity", "algebraic", *_DIAG),
+    "numerics.lattice_radius": (_POSITIVE, 3.0, "algebraic"),
     "numerics.lattice_points": ((f"an odd integer >= {MIN_LATTICE_POINTS}",
                                  lambda n: _is_number(n, int) and n >= MIN_LATTICE_POINTS
-                                 and n % 2 == 1), 601),
-    "numerics.eps": (("a number with 0 < 2 eps < lattice_radius", _POSITIVE[1]), 0.5),
-    "numerics.h_grid": (_H_GRID, {"hi": 0.05, "lo": 0.005, "n": 8}),
+                                 and n % 2 == 1), 601, "algebraic"),
+    "numerics.eps": (("a number with 0 < 2 eps < lattice_radius", _POSITIVE[1]), 0.5, "algebraic"),
+    "numerics.h_grid": (_H_GRID, {"hi": 0.05, "lo": 0.005, "n": 8}, "algebraic"),
     "numerics.h_grid.hi": (_POSITIVE, REQUIRED),
     "numerics.h_grid.lo": (_POSITIVE, REQUIRED),
     "numerics.h_grid.n": (_at_least(MIN_H_POINTS), REQUIRED),
-    "numerics.diag_h_grid": (_H_GRID, dict(DIAG_H_GRID)),
+    "numerics.diag_h_grid": (_H_GRID, dict(DIAG_H_GRID), *_DIAG),
     "numerics.diag_h_grid.hi": (_POSITIVE, REQUIRED),
     "numerics.diag_h_grid.lo": (_POSITIVE, REQUIRED),
     "numerics.diag_h_grid.n": (_at_least(MIN_H_POINTS), REQUIRED),
     "numerics.tolerances": (_OBJECT, {}),
-    "numerics.tolerances.elliptic": (_POSITIVE, ELLIPTIC_TOL),
-    "numerics.tolerances.decomposition": (_POSITIVE, 1e-2),
-    "numerics.tolerances.drift": (_POSITIVE, DRIFT_TOL),
-    "numerics.tolerances.chi_vanishing": (_POSITIVE, CHI_TOL),
-    "numerics.tolerances.c0_match": (_POSITIVE, 1e-2),
-    "numerics.tolerances.neg_power": (_POSITIVE, NEG_POWER_TOL),
-    "numerics.tolerances.egorov_isometry": (_POSITIVE, 1e-9),
+    "numerics.tolerances.elliptic": (_POSITIVE, ELLIPTIC_TOL, "ellipticity"),
+    "numerics.tolerances.decomposition": (_POSITIVE, 1e-2, "localized"),
+    "numerics.tolerances.drift": (_POSITIVE, DRIFT_TOL, "localized", "algebraic"),
+    "numerics.tolerances.chi_vanishing": (_POSITIVE, CHI_TOL, "localized"),
+    "numerics.tolerances.c0_match": (_POSITIVE, 1e-2, "algebraic"),
+    "numerics.tolerances.neg_power": (_POSITIVE, NEG_POWER_TOL, "algebraic"),
+    "numerics.tolerances.egorov_isometry": (_POSITIVE, 1e-9, "egorov"),
     "numerics.tolerances.egorov_slope": (("a pair [lo, hi] of numbers with lo <= hi",
                                           lambda t: isinstance(t, list) and len(t) == 2
                                           and all(map(_is_number, t)) and t[0] <= t[1]),
-                                         [0.9, 1.3]),
+                                         [0.9, 1.3], "egorov"),
     "expect": (_OBJECT, {}),
-    "expect.index": (_INTEGER, OPTIONAL),
-    "expect.verdict": ((f"one of {VERDICTS}", lambda x: x in VERDICTS), OPTIONAL),
-    "expect.element": (_STRING, OPTIONAL),
+    "expect.index": (_INTEGER, OPTIONAL, "index"),
+    "expect.verdict": ((f"one of {VERDICTS}", lambda x: x in VERDICTS), OPTIONAL, "ellipticity"),
+    "expect.element": (_STRING, OPTIONAL, *_DIAG),
 }
 _LEVELS = {path.rpartition(".")[0] for path in FIELDS}   # the objects the walk enters
 
@@ -138,7 +140,7 @@ def _walk(obj: dict, path: str) -> dict:
     _known(obj, rows, prefix)
     out = {}
     for key, field in rows.items():
-        (want, check), default = FIELDS[field]
+        (want, check), default, *_ = FIELDS[field]
         if key not in obj and default is REQUIRED:
             raise SchemaError(f"missing config field {field!r}, which must be {want}")
         if key in obj or default is not OPTIONAL:
@@ -149,10 +151,26 @@ def _walk(obj: dict, path: str) -> dict:
     return out
 
 
+def _given(obj: dict, prefix: str):
+    """The dotted path of every field ``obj`` sets, the objects the walk enters included."""
+    for key, value in obj.items():
+        yield prefix + key
+        if prefix + key in _LEVELS:
+            yield from _given(value, f"{prefix}{key}.")
+
+
 DEFAULT_NUMERICS = _walk({}, "numerics")
 
 PIPELINE = ("ellipticity", "index", "localized", "algebraic")   # the full_pipeline steps
 PASS, FAIL, UNDECIDED = "PASS", "FAIL", "UNDECIDED"
+
+# trace_asymptotics probes a fixed term: its xi-lattice and cutoff eps, the bound
+# |tau_g| of a fixed-point-free element must fall below at h = TRACE_DECAY_H, and
+# how far the log-log slope of any other element may miss its expected value
+TRACE_LATTICE = XiLattice(3.5, 701)
+TRACE_EPS = 0.25
+TRACE_DECAY_H, TRACE_DECAY_BOUND = 0.05, 1e-6
+TRACE_SLOPE_TOL = 0.05
 
 
 @dataclass
@@ -160,6 +178,7 @@ class ExperimentConfig:
     raw: dict
     problem: GOperatorProblem    # the config's one problem: every step shares its caches
     experiment: str
+    steps: tuple                 # the steps ``run`` takes: PIPELINE for full_pipeline
     numerics: dict
     out_dir: str | None
     expect: dict
@@ -232,18 +251,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     cfg = _walk(raw, "")
     experiment, numerics = cfg["experiment"], cfg["numerics"]
     realization, expect = cfg["realization"], cfg["expect"]
+    steps = PIPELINE if experiment == "full_pipeline" else (experiment,)
+    unread = [path for path in _given(raw, "") if set(steps).isdisjoint(FIELDS[path][2:] or steps)]
+    if unread:
+        raise SchemaError(f"no step of the {experiment} experiment reads {', '.join(unread)}")
     if "eps" in realization and realization.get("kind") != "curved_rotation":
         raise SchemaError("realization.eps is read only by the curved_rotation realization")
-    for key, readers in (("index", ("index", "full_pipeline")),
-                         ("verdict", ("ellipticity", "full_pipeline"))):
-        if key in expect and experiment not in readers:
-            raise SchemaError(f"expect.{key} is read only by the {readers} experiments")
-    if experiment == "trace_asymptotics":
-        for key in ("lattice_radius", "lattice_points", "eps", "h_grid"):
-            if key in raw.get("numerics", {}):
-                raise SchemaError(f"numerics.{key} is not read by the trace_asymptotics "
-                                  "experiment, which samples on its own lattice and "
-                                  "numerics.diag_h_grid")
     if not 2 * numerics["eps"] < numerics["lattice_radius"]:
         _fail("numerics.eps", numerics["eps"])
     for key in ("h_grid", "diag_h_grid"):
@@ -276,7 +289,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                           for s in ("plus", "minus"))
     problem = GOperatorProblem(family, coeffs, k_min=cfg["k_min"], unit_fill=cfg["unit_fill"],
                                name=cfg.get("name", experiment))
-    return ExperimentConfig(raw=raw, problem=problem, experiment=experiment,
+    return ExperimentConfig(raw=raw, problem=problem, experiment=experiment, steps=steps,
                             numerics=numerics, out_dir=cfg.get("out_dir"),
                             expect=_parse_expect(expect, group))
 
@@ -314,8 +327,7 @@ def run(config: ExperimentConfig) -> RunRecord:
     payloads: dict = {}
     verdicts: dict = {}
     timings: dict = {}
-    steps = PIPELINE if config.experiment == "full_pipeline" else (config.experiment,)
-    for step in steps:
+    for step in config.steps:
         t0 = time.perf_counter()
         fn = _EXPERIMENT_TABLE[step]
         payload, verdict = fn(config)
@@ -344,7 +356,7 @@ def _exp_ellipticity(config: ExperimentConfig):
 
 
 def _sweep(config: ExperimentConfig) -> dict:
-    """The analytic sweep's numerics, read here only: the index, localized,
+    """The analytic sweep's numerics, read here only: the localized,
     chi-vanishing and algebraic steps all pass on these same values."""
     num = config.numerics
     return {"windows": tuple(num["windows"]), "N": num["parametrix_order"],
@@ -354,14 +366,14 @@ def _sweep(config: ExperimentConfig) -> dict:
 
 def _exp_index(config: ExperimentConfig):
     problem = config.problem
-    sweep = _sweep(config)
-    report = numerical_index(problem, sweep["windows"], sweep["zero_tol"],
-                             sweep["inner_fraction"])
+    num = config.numerics
+    report = numerical_index(problem, tuple(num["windows"]), num["zero_tol"],
+                             num["inner_fraction"])
     payload = report.as_dict()
     payload["sign_convention"] = calibrate_sign()
     grade = PASS
     if problem.group.kind == "trivial":
-        grid = grid_for_window(FrequencyWindow(max(sweep["windows"])))
+        grid = grid_for_window(FrequencyWindow(max(num["windows"])))
         oracle = winding_index_oracle(problem.symbol(grid), calibrate_sign())
         payload["winding_oracle"] = oracle
         grade = PASS if oracle == report.index else FAIL
@@ -460,33 +472,32 @@ def _exp_egorov(config: ExperimentConfig):
 def _exp_trace_asymptotics(config: ExperimentConfig):
     fam = config.problem.family
     grid = PeriodicGrid(config.numerics["symbol_grid"])
-    lattice = XiLattice(3.5, 701)
     h_grid = _h_grid_from(config.numerics["diag_h_grid"])
     g = config.expect["element"]
     C = fam.canonical(g)
     e = fam.group.identity
     if g == e:
-        term = annulus_term(grid, lattice)
+        term = annulus_term(grid, TRACE_LATTICE)
         expected = -1.0
     elif C.sheet_swap:
-        term = reflection_term(grid, lattice)
+        term = reflection_term(grid, TRACE_LATTICE)
         expected = 0.0
     else:
-        term = annulus_term(grid, lattice)
+        term = annulus_term(grid, TRACE_LATTICE)
         expected = None            # fixed-point free: rapid decay
-    series = StarSeries(fam, grid, lattice, 0.25, {(g, 0): term})
+    series = StarSeries(fam, grid, TRACE_LATTICE, TRACE_EPS, {(g, 0): term})
     rep = trace_power_law(series, fam.group.conjugacy_class(g), h_grid)
     payload = rep.as_dict()
     payload["element"] = fam.group.label(g)
     if expected is None:
-        idx = int(np.argmin(np.abs(h_grid - 0.05)))
+        idx = int(np.argmin(np.abs(h_grid - TRACE_DECAY_H)))
         value = float(np.abs(rep.values[idx]))
         payload["value_at_h05"] = value
-        ok = value < 1e-6
+        ok = value < TRACE_DECAY_BOUND
         payload["expected"] = "decay"
     else:
         payload["expected"] = expected
-        ok = rep.slope is not None and abs(rep.slope - expected) < 0.05
+        ok = rep.slope is not None and abs(rep.slope - expected) < TRACE_SLOPE_TOL
     return payload, PASS if ok else FAIL
 
 

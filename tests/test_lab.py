@@ -3,14 +3,15 @@ import os
 import re
 import subprocess
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
 
-from gindexlab import circle, groups, index_engine, semiclass, symbols
+from gindexlab import circle, groups, index_engine, lab, semiclass, symbols
 from gindexlab.cli import main
 from gindexlab.errors import ParseError, SchemaError
-from gindexlab.lab import (DEFAULT_NUMERICS, RunRecord, emit_reports,
+from gindexlab.lab import (DEFAULT_NUMERICS, FIELDS, RunRecord, emit_reports,
                            load_config, parse_config, run)
 from gindexlab.samples import dihedral_sample
 
@@ -146,7 +147,9 @@ class TestConfig:
         ("diag_h_grid", {"hi": 0.2, "lo": 0.02, "n": 5}),
         ("tolerances", {"egorov_slope": [0.9, float("inf")]})])
     def test_bad_numerics_rejected(self, field, value):
-        bad = {**Z2_LOCALIZED, "numerics": {"windows": [32, 48], field: value}}
+        # full_pipeline reads every numerics field but diag_h_grid and egorov_slope, whose
+        # cases fail in the table walk, so no case stops at the unread-field refusal
+        bad = {**Z2_PIPELINE, "numerics": {"windows": [32, 48], field: value}}
         with pytest.raises(SchemaError, match=f"numerics.{field}"):
             parse_config(bad)
 
@@ -174,6 +177,26 @@ class TestConfig:
         with pytest.raises(SchemaError, match=re.escape(path)):
             parse_config(bad)
 
+    @pytest.mark.parametrize("experiment, fields", [
+        *((experiment, {"numerics.lattice_points": 17})
+          for experiment in ("egorov", "ellipticity", "index", "localized")),
+        ("egorov", {"numerics.windows": [32, 48]}),
+        ("trace_asymptotics", {"numerics.windows": [32, 48]}),
+        ("index", {"numerics.parametrix_order": 3}), ("localized", {"numerics.symbol_grid": 64}),
+        ("localized", {"expect.element": "r"}),
+        ("egorov", {"numerics.windows": [32, 48], "numerics.lattice_points": 17})],
+        ids=lambda p: p if isinstance(p, str) else "+".join(p))
+    def test_unread_field_refused(self, experiment, fields):
+        """A well-formed field that no step of the experiment reads stops the config,
+        and one message names every such field."""
+        bad = {**Z2_PIPELINE, "experiment": experiment, "numerics": {}, "expect": {}}
+        for path, value in fields.items():
+            obj, key = path.split(".")
+            bad[obj][key] = value
+        message = f"no step of the {experiment} experiment reads {', '.join(fields)}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            parse_config(bad)
+
     @pytest.mark.parametrize("experiment, sheet, mode, windows", [
         ("ellipticity", "plus", 200, [64, 128]), ("index", "minus", 1000, [32, 48]),
         ("full_pipeline", "plus", 130, [64, 128]), ("localized", "minus", -128, [32, 48])])
@@ -181,8 +204,8 @@ class TestConfig:
         # symbol_grid 256 and grid_for_window(32) = 256 both resolve |k| <= 127
         symbols = json.loads(json.dumps(Z2_PIPELINE["symbols"]))
         symbols["r"][sheet][str(mode)] = 0.5
-        bad = {**Z2_PIPELINE, "experiment": experiment, "symbols": symbols,
-               "numerics": {"windows": windows}}
+        numerics = {} if experiment == "ellipticity" else {"windows": windows}   # read or refused
+        bad = {**Z2_PIPELINE, "experiment": experiment, "symbols": symbols, "numerics": numerics}
         with pytest.raises(SchemaError, match=rf"symbols\['r'\]\.{sheet}: mode {mode} "):
             parse_config(bad)
 
@@ -190,8 +213,9 @@ class TestConfig:
                                                   ("ellipticity", 127), ("localized", -127)])
     def test_mode_on_sampled_grid_accepted(self, experiment, mode):
         symbols = {"e": {"plus": {str(mode): 1.0}, "minus": {"0": 1.0}}}
+        numerics = {"windows": [32, 48]} if experiment == "localized" else {}   # read or refused
         cfg = parse_config({**Z2_PIPELINE, "experiment": experiment, "symbols": symbols,
-                            "numerics": {"windows": [32, 48]}})
+                            "numerics": numerics})
         if abs(mode) < 128:      # the 256-point grid both steps sample on resolves it
             cfg.problem.symbol(circle.PeriodicGrid(256))
 
@@ -256,6 +280,60 @@ class TestConfig:
         c = parse_config({**MINIMAL, "k_min": 5})
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+
+class Recording(Mapping):
+    """A config object that adds the dotted path of every field read through it to
+    ``reads``; the objects below it are recorded the same way."""
+
+    def __init__(self, data: dict, path: str, reads: set):
+        self.data, self.path, self.reads = data, path, reads
+
+    def __getitem__(self, key):
+        path = f"{self.path}.{key}"
+        self.reads.add(path)
+        value = self.data[key]
+        return Recording(value, path, self.reads) if isinstance(value, dict) else value
+
+    def __iter__(self):
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
+
+
+def readers(path: str) -> tuple:
+    """The steps that read a field: its row's, else those of the object holding it."""
+    parent = path.rpartition(".")[0]
+    return FIELDS[path][2:] or (readers(parent) if parent else tuple(lab._EXPERIMENT_TABLE))
+
+
+def test_steps_read_the_fields_that_name_them():
+    """Each step reads exactly the ``numerics`` and ``expect`` values whose rows name
+    it as a reader (rows that name none: those of the object holding them), so the
+    fields parse_config refuses on an experiment are the ones its steps never read.
+    Bare objects such as ``numerics.tolerances`` hold no value and are left out."""
+    shift = {"group": {"kind": "integer_shift", "theta": 1.0},
+             "symbols": {"0": {"plus": {"0": 2.0}, "minus": {"1": 2.0}},
+                         "1": {"plus": {"0": 0.5}, "minus": {"0": 0.5}}},
+             "experiment": "localized", "numerics": {"windows": [32, 48]}}
+    curved = {**Z2_PIPELINE, "realization": {"kind": "curved_rotation", "eps": 0.3}}
+    configs = [{**Z2_PIPELINE, "numerics": {"windows": [32, 48], "parametrix_order": 3,
+                                            "symbol_grid": 64, "lattice_points": 201}},
+               {**Z2_PIPELINE, "experiment": "egorov"}, {**curved, "experiment": "egorov"},
+               {**Z2_PIPELINE, "experiment": "trace_asymptotics"}, shift]
+    reads = {step: set() for step in lab._EXPERIMENT_TABLE}
+    for raw in configs:
+        config = parse_config(raw)
+        numerics, expect = config.numerics, config.expect
+        for step in config.steps:
+            config.numerics = Recording(numerics, "numerics", reads[step])
+            config.expect = Recording(expect, "expect", reads[step])
+            lab._EXPERIMENT_TABLE[step](config)
+    objects = {path for path, row in FIELDS.items() if row[0] is lab._OBJECT}
+    values = {path for path in FIELDS if path.startswith(("numerics.", "expect."))} - objects
+    assert {step: paths - objects for step, paths in reads.items()} == {
+        step: {path for path in values if step in readers(path)} for step in reads}
 
 
 class TestRun:
@@ -386,6 +464,12 @@ class TestCLI:
         p = write(tmp_path, {**MINIMAL, "out_dir": 5})
         assert main(["run", str(p)]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: out_dir must be a string, got 5"]
+
+    def test_calibrate_sign_bad_out_is_one_error_line(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["calibrate-sign", "--out", str(tmp_path / "file" / "x")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write ")
 
     def test_run_writes_reports(self, tmp_path, capsys):
         p = write(tmp_path, WINDING)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import gindexlab
-from gindexlab.lab import FIELDS, OPTIONAL, REQUIRED, parse_config
+from gindexlab.lab import _EXPERIMENT_TABLE, FIELDS, OPTIONAL, REQUIRED, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "benchmark"
@@ -99,14 +99,23 @@ def test_doc_references_resolve():
 
 def test_readme_lists_every_config_field():
     """README has one line per ``lab.FIELDS`` row, in the form
-    ``  - `path`: what it must be[; required | ; default `json`]...``."""
+    ``  - `path`: what it must be[; required | ; default `json`]...[; read by `step`, ...]``,
+    the last part exactly when the row names its readers."""
     listed = re.findall(r"^  - `([\w.]+)`: (.*)$", (ROOT / "README.md").read_text(), re.M)
     assert sorted(path for path, _ in listed) == sorted(FIELDS)
     for path, text in listed:
-        (want, _), default = FIELDS[path]
+        (want, _), default, *readers = FIELDS[path]
         if default is REQUIRED:
             assert text == f"{want}; required", path
         elif default is not OPTIONAL:
             assert text.startswith(f"{want}; default `{json.dumps(default)}`"), path
         else:
             assert text.startswith(want), path
+        read_by = "; read by " + ", ".join(f"`{step}`" for step in readers)
+        assert (re.search(re.escape(read_by) + r"( \(.*\))?$", text) if readers
+                else "read by" not in text), path
+
+
+def test_field_readers_are_steps():
+    for path, (_, _, *readers) in FIELDS.items():
+        assert set(readers) <= set(_EXPERIMENT_TABLE), path
