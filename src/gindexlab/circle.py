@@ -147,22 +147,9 @@ class PeriodicFunction:
         if self.grid.size != other.grid.size:
             raise GridMismatch(f"grids of size {self.grid.size} and {other.grid.size}")
 
-    def __add__(self, other):
-        if isinstance(other, PeriodicFunction):
-            self._check_grid(other)
-            return PeriodicFunction(self.grid, self.values + other.values)
-        return PeriodicFunction(self.grid, self.values + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, PeriodicFunction):
-            self._check_grid(other)
-            return PeriodicFunction(self.grid, self.values - other.values)
-        return PeriodicFunction(self.grid, self.values - other)
-
-    def __rsub__(self, other):
-        return PeriodicFunction(self.grid, other - self.values)
+    def __add__(self, other: "PeriodicFunction") -> "PeriodicFunction":
+        self._check_grid(other)
+        return PeriodicFunction(self.grid, self.values + other.values)
 
     def __mul__(self, other):
         if isinstance(other, PeriodicFunction):
@@ -172,16 +159,10 @@ class PeriodicFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return PeriodicFunction(self.grid, -self.values)
-
     def reciprocal(self) -> "PeriodicFunction":
         if self.min_abs() < NEAR_ZERO:
             raise DivisionNearZero(f"min |f| = {self.min_abs():.3e} below {NEAR_ZERO}")
         return PeriodicFunction(self.grid, 1.0 / self.values)
-
-    def conj(self) -> "PeriodicFunction":
-        return PeriodicFunction(self.grid, np.conj(self.values))
 
     def compose(self, circle_map: np.ndarray) -> "PeriodicFunction":
         """f o m for a sampled circle map m (values of m at the grid nodes)."""
@@ -225,11 +206,8 @@ class PeriodicFunction:
     def min_abs(self) -> float:
         return float(np.min(np.abs(self.values)))
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def norm_inf(self) -> float:
-        return self.max_abs()
+        return float(np.max(np.abs(self.values)))
 
 
 def winding_number(f: PeriodicFunction) -> int:

@@ -15,9 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import GIndexError, IoError
+from .errors import GIndexError
 from .index_engine import calibrate_sign
-from .lab import TRACE_SLOPE_TOL, emit_reports, load_config, run
+from .lab import TRACE_SLOPE_TOL, emit_reports, load_config, run, write_file
 
 
 def _cmd_run(args) -> int:
@@ -57,12 +57,8 @@ def _cmd_calibrate(args) -> int:
                "rule": "index = sign * (winding(minus) - winding(plus))"}
     print(json.dumps(payload))
     if args.out:
-        out = Path(args.out) / "sign_convention.json"
-        try:
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        except OSError as exc:
-            raise IoError(f"cannot write {out}: {exc}") from exc
+        write_file(Path(args.out) / "sign_convention.json",
+                   json.dumps(payload, sort_keys=True) + "\n")
     return 0
 
 

@@ -90,16 +90,6 @@ class IndexReport:
     stabilization: list[WindowIndexData]
     zero_tol: float
 
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "kernel_dim": self.kernel_dim,
-            "cokernel_dim": self.cokernel_dim,
-            "sv_gap": self.sv_gap,
-            "zero_tol": self.zero_tol,
-            "stabilization": [vars(w) | {} for w in self.stabilization],
-        }
-
 
 def index_of_matrix(mat: np.ndarray, window: FrequencyWindow,
                     zero_tol: float = DEFAULT_ZERO_TOL,
@@ -469,15 +459,6 @@ class LocalizedIndexReport:
     fredholm_index: int
     residual: float
     drifts: dict[str, float]
-
-    def as_dict(self) -> dict:
-        return {
-            "per_class": {k: [v.real, v.imag] for k, v in self.per_class.items()},
-            "total": [self.total.real, self.total.imag],
-            "fredholm_index": self.fredholm_index,
-            "residual": self.residual,
-            "drifts": self.drifts,
-        }
 
 
 def class_label(problem: GOperatorProblem, cls: tuple[Element, ...]) -> str:

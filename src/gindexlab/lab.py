@@ -5,8 +5,10 @@ an experiment kind.  ``parse_config`` checks it against ``FIELDS`` (one row per
 field: path, what its value must be, check, default, the steps that read it) and
 the rules the table cannot state, and builds its one ``GOperatorProblem``; ``run``
 executes the experiment on it, grades the result PASS / FAIL / UNDECIDED against
-the configured tolerances, and ``emit_reports`` persists the payloads.  All numeric
-outputs are deterministic: fixed summation orders, no threading, no random draws.
+the configured tolerances, and ``emit_reports`` persists the payloads.  This module
+owns the report format: each step builds its payload here from its result's fields,
+and every file the lab writes goes through ``write_file``.  All numeric outputs are
+deterministic: fixed summation orders, no threading, no random draws.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -369,8 +371,7 @@ def _exp_index(config: ExperimentConfig):
     num = config.numerics
     report = numerical_index(problem, tuple(num["windows"]), num["zero_tol"],
                              num["inner_fraction"])
-    payload = report.as_dict()
-    payload["sign_convention"] = calibrate_sign()
+    payload = asdict(report) | {"sign_convention": calibrate_sign()}
     grade = PASS
     if problem.group.kind == "trivial":
         grid = grid_for_window(FrequencyWindow(max(num["windows"])))
@@ -388,9 +389,10 @@ def _exp_localized(config: ExperimentConfig):
     sweep = _sweep(config)
     tol = config.numerics["tolerances"]["decomposition"]
     report = decomposition_check(problem, **sweep)
-    payload = report.as_dict()
     rounded = int(np.rint(report.total.real))
-    payload["rounded_total"] = rounded
+    payload = {"per_class": {label: _cx(v) for label, v in report.per_class.items()},
+               "total": _cx(report.total), "fredholm_index": report.fredholm_index,
+               "residual": report.residual, "drifts": report.drifts, "rounded_total": rounded}
     grade = PASS if (report.residual < tol and rounded == report.fredholm_index) else FAIL
     if problem.group.has_nonzero_chi:
         vanish = {}
@@ -423,13 +425,15 @@ def _exp_algebraic(config: ExperimentConfig):
         label = class_label(problem, cls)
         ind_g = analytic.per_class.get(label, 0.0 + 0.0j)
         match = abs(result.constant_term - ind_g) < tols["c0_match"]
+        fit = result.fit
         per_class[label] = {
-            "fit": result.fit.as_dict(),
+            "fit": {"powers": list(fit.powers), "coeffs": [_cx(c) for c in fit.coeffs],
+                    "residual": fit.residual, "cond": fit.cond},
             "constant_term": _cx(result.constant_term),
             "negative_power": _cx(result.negative_power),
             "negative_power_ok": result.negative_power_ok,
             "analytic_index": _cx(ind_g),
-            "series_h": list(map(float, result.series.h_grid)),
+            "series_h": result.series.h_grid.tolist(),
             "series_values": [_cx(v) for v in result.series.values],
             "c0_matches_analytic": match,
         }
@@ -463,9 +467,9 @@ def _exp_egorov(config: ExperimentConfig):
         rep = egorov_defect(fam, g, term, h_grid, window_factor=2.0)
         lo, hi = tols["egorov_slope"]
         ok = rep.slope is not None and lo <= rep.slope <= hi
-    payload = rep.as_dict()
-    payload["element"] = fam.group.label(g)
-    payload["isometric"] = fam.is_isometric
+    payload = {"h": rep.h_grid.tolist(), "defects": rep.defects.tolist(), "slope": rep.slope,
+               "max_defect": rep.max_defect, "element": fam.group.label(g),
+               "isometric": fam.is_isometric}
     return payload, PASS if ok else FAIL
 
 
@@ -487,8 +491,8 @@ def _exp_trace_asymptotics(config: ExperimentConfig):
         expected = None            # fixed-point free: rapid decay
     series = StarSeries(fam, grid, TRACE_LATTICE, TRACE_EPS, {(g, 0): term})
     rep = trace_power_law(series, fam.group.conjugacy_class(g), h_grid)
-    payload = rep.as_dict()
-    payload["element"] = fam.group.label(g)
+    payload = {"slope": rep.slope, "max_value": rep.max_value, "h": rep.h_grid.tolist(),
+               "abs_values": np.abs(rep.values).tolist(), "element": fam.group.label(g)}
     if expected is None:
         idx = int(np.argmin(np.abs(h_grid - TRACE_DECAY_H)))
         value = float(np.abs(rep.values[idx]))
@@ -515,56 +519,59 @@ _EXPERIMENT_TABLE = {
 # persistence
 # ---------------------------------------------------------------------------
 
-def _json_dump(path: Path, obj):
+# the CSV files emit_reports writes, chosen by step; every cell is the repr of the
+# report.json value it repeats, and a series step has no imaginary part
+INDEX_COLUMNS = ("cutoff", "index", "kernel_dim", "cokernel_dim", "sv_gap", "rounding_residual")
+SERIES_COLUMN = {"egorov": "defects", "trace_asymptotics": "abs_values"}
+
+
+def write_file(path: Path, text: str) -> Path:
+    """Write ``text`` to ``path``, creating its directory: every file the lab writes
+    goes through here, and a file that cannot be written raises ``IoError``."""
     try:
-        path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def _csv_tables(step: str, payload: dict) -> dict:
+    """File name -> (header, rows) of the CSV files of one step's payload."""
+    if step == "index":
+        return {f"index_{step}.csv": (INDEX_COLUMNS, [[w[c] for c in INDEX_COLUMNS]
+                                                      for w in payload["stabilization"]])}
+    if step in SERIES_COLUMN:
+        values = payload[SERIES_COLUMN[step]]
+        return {f"series_{step}.csv": (("h", "re", "im"),
+                                       [[h, v, 0.0] for h, v in zip(payload["h"], values)])}
+    if step == "algebraic":
+        return {f"series_{step}_{label.strip('<>')}.csv": (
+            ("h", "re", "im"), [[h, *v] for h, v in zip(sub["series_h"], sub["series_values"])])
+            for label, sub in payload["per_class"].items()}
+    return {}
 
 
 def emit_reports(record: RunRecord, out_dir: str | Path) -> list[Path]:
-    """Write report.json, CSV sweeps, meta.json (and timings.json, which is
-    excluded from the byte-for-byte determinism contract)."""
+    """Write meta.json, report.json and each step's CSV files, and return their
+    paths; timings.json is written too but not listed, as it is excluded from the
+    byte-for-byte determinism contract."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {out}: {exc}") from exc
-    written = []
     meta = {"config_hash": record.config_hash, "version": record.version,
             "experiment": record.experiment}
-    _json_dump(out / "meta.json", meta)
-    written.append(out / "meta.json")
+    written = [write_file(out / "meta.json", _json(meta))]
     if record.payloads:
         report = {"config_hash": record.config_hash,
                   "verdicts": record.verdicts,
                   "payloads": record.payloads}
-        _json_dump(out / "report.json", report)
-        written.append(out / "report.json")
+        written.append(write_file(out / "report.json", _json(report)))
     for step, payload in record.payloads.items():
-        if "stabilization" in payload:
-            rows = ["cutoff,index,kernel_dim,cokernel_dim,sv_gap,rounding_residual"]
-            for w in payload["stabilization"]:
-                rows.append(f"{w['cutoff']},{w['index']},{w['kernel_dim']},"
-                            f"{w['cokernel_dim']},{w['sv_gap']!r},{w['rounding_residual']!r}")
-            p = out / f"index_{step}.csv"
-            p.write_text("\n".join(rows) + "\n")
-            written.append(p)
-        series_blocks = []
-        if "h" in payload and ("abs_values" in payload or "defects" in payload):
-            col = payload.get("abs_values", payload.get("defects"))
-            series_blocks.append((step, payload["h"], [(v, 0.0) for v in col]))
-        if "per_class" in payload and isinstance(payload["per_class"], dict):
-            for label, sub in payload["per_class"].items():
-                if isinstance(sub, dict) and "series_h" in sub:
-                    series_blocks.append((f"{step}_{label.strip('<>')}", sub["series_h"],
-                                          [(v[0], v[1]) for v in sub["series_values"]]))
-        for name, hcol, vals in series_blocks:
-            rows = ["h,re,im"]
-            for h, (re, im) in zip(hcol, vals):
-                rows.append(f"{h!r},{re!r},{im!r}")
-            p = out / f"series_{name}.csv"
-            p.write_text("\n".join(rows) + "\n")
-            written.append(p)
-    _json_dump(out / "timings.json", {"seconds": record.timings})
+        for name, (header, rows) in _csv_tables(step, payload).items():
+            lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
+            written.append(write_file(out / name, "\n".join(lines) + "\n"))
+    write_file(out / "timings.json", _json({"seconds": record.timings}))
     return written

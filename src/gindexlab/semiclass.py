@@ -186,9 +186,6 @@ class SampledTerm:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self._like(-self.values)
-
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -612,14 +609,6 @@ class LaurentFit:
             return 0.0
         return complex(self.coeffs[self.powers.index(j)])
 
-    def as_dict(self) -> dict:
-        return {
-            "powers": list(self.powers),
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
-            "residual": self.residual,
-            "cond": self.cond,
-        }
-
 
 def laurent_fit(series: TraceSeries, j_min: int, j_max: int,
                 cond_bound: float = 1e8) -> LaurentFit:
@@ -648,14 +637,6 @@ class PowerLawReport:
     max_value: float
     values: np.ndarray
     h_grid: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "max_value": self.max_value,
-            "h": list(map(float, self.h_grid)),
-            "abs_values": [float(v) for v in np.abs(self.values)],
-        }
 
 
 def trace_power_law(series: StarSeries, cls: tuple[Element, ...],
@@ -706,8 +687,7 @@ def algebraic_index(a: StarSeries, N: int, h_grid: np.ndarray, r: StarSeries | N
         diff = tau_g(res_left, cls, h_grid) - tau_g(res_right, cls, h_grid)
         fit = laurent_fit(diff, -1, N - 2)
         cm1 = fit.coeff(-1)
-        scale = max(diff.scale() * h_min, 1e-12)
-        ok = abs(cm1) < neg_tol * max(scale, 1.0)
+        ok = abs(cm1) < neg_tol * max(diff.scale() * h_min, 1.0)
         out[cls] = AlgebraicIndexResult(fit, diff, fit.coeff(0), cm1, ok)
     return out
 
@@ -732,14 +712,6 @@ class EgorovReport:
     h_grid: np.ndarray
     slope: float | None
     max_defect: float
-
-    def as_dict(self) -> dict:
-        return {
-            "h": list(map(float, self.h_grid)),
-            "defects": [float(d) for d in self.defects],
-            "slope": self.slope,
-            "max_defect": self.max_defect,
-        }
 
 
 def egorov_defect(family: RealizationFamily, g: Element, term: SampledTerm,

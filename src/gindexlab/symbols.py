@@ -84,12 +84,6 @@ class PrincipalSymbol:
     def __add__(self, other: "PrincipalSymbol") -> "PrincipalSymbol":
         return PrincipalSymbol(self.plus + other.plus, self.minus + other.minus)
 
-    def __sub__(self, other: "PrincipalSymbol") -> "PrincipalSymbol":
-        return PrincipalSymbol(self.plus - other.plus, self.minus - other.minus)
-
-    def __neg__(self):
-        return PrincipalSymbol(-self.plus, -self.minus)
-
     def norm_inf(self) -> float:
         return max(self.plus.norm_inf(), self.minus.norm_inf())
 

@@ -45,6 +45,10 @@ Z2_LOCALIZED = {**Z2_PIPELINE, "experiment": "localized"}
 # well-formed fields that parse_config refuses on an experiment that never reads them
 REFUSED_ON = {f"numerics.{key}": "trace_asymptotics"
               for key in ("lattice_points", "lattice_radius", "eps", "h_grid")}
+# small algebraic numerics: two classes of Z/2 in well under a second
+SMALL_ALGEBRAIC = {"windows": [32, 48], "parametrix_order": 3, "symbol_grid": 64,
+                   "lattice_points": 201}
+INDEX_COLUMNS = ("cutoff", "index", "kernel_dim", "cokernel_dim", "sv_gap", "rounding_residual")
 
 
 def dihedral_localized_config() -> dict:
@@ -398,6 +402,30 @@ class TestRun:
         # symbol_parametrix_h makes N + 2 star products, the residual pair 2 more
         assert counts == [3 + 2 + 2] * 2
 
+    @pytest.mark.parametrize("group, realization, element, expected", [
+        ({"kind": "cyclic", "m": 2}, "reflection", "e", -1.0),
+        ({"kind": "cyclic", "m": 4}, "rotation", "r", "decay")], ids=["identity", "rotation"])
+    def test_trace_asymptotics_grading(self, group, realization, element, expected):
+        """The identity's trace grows like 1/h; a fixed-point-free rotation's decays
+        below the bound by h = 0.05."""
+        record = run(parse_config({"group": group, "realization": {"kind": realization},
+                                   "experiment": "trace_asymptotics",
+                                   "expect": {"element": element}}))
+        payload = record.payloads["trace_asymptotics"]
+        assert record.verdicts == {"trace_asymptotics": "PASS"}
+        assert payload["expected"] == expected
+        if expected == "decay":
+            assert 1e-10 < payload["value_at_h05"] < 1e-9
+        else:
+            assert abs(payload["slope"] - expected) < lab.TRACE_SLOPE_TOL
+
+    @pytest.mark.parametrize("verdict, grade", [("elliptic", "PASS"), ("not_elliptic", "FAIL")])
+    def test_ellipticity_graded_against_expected_verdict(self, verdict, grade):
+        record = run(parse_config({**Z2_PIPELINE, "experiment": "ellipticity",
+                                   "expect": {"verdict": verdict}}))
+        assert record.payloads["ellipticity"]["verdict"] == "elliptic"
+        assert record.verdicts == {"ellipticity": grade}
+
     def test_undecided_ellipticity(self):
         cfg = {
             "group": {"kind": "integer_shift", "theta": 1.0},
@@ -408,6 +436,20 @@ class TestRun:
         record = run(parse_config(cfg))
         assert record.verdicts["ellipticity"] == "UNDECIDED"
         assert record.exit_code == 2
+
+
+def csv_rows(step: str, payload: dict) -> dict:
+    """The CSV files README documents for a step, as header + rows of report.json values."""
+    if step == "index":
+        return {"index_index.csv": (",".join(INDEX_COLUMNS), [
+            [w[c] for c in INDEX_COLUMNS] for w in payload["stabilization"]])}
+    if step in ("egorov", "trace_asymptotics"):
+        values = payload["defects" if step == "egorov" else "abs_values"]
+        return {f"series_{step}.csv": ("h,re,im", [[h, v, 0.0]
+                                                   for h, v in zip(payload["h"], values)])}
+    return {f"series_{step}_{label.strip('<>')}.csv": (
+        "h,re,im", [[h, *v] for h, v in zip(entry["series_h"], entry["series_values"])])
+        for label, entry in payload["per_class"].items()}
 
 
 class TestReports:
@@ -424,6 +466,25 @@ class TestReports:
         csv = (tmp_path / "out" / "index_index.csv").read_text().strip().splitlines()
         assert csv[0].startswith("cutoff,")
         assert len(csv) == 1 + 3   # header + one row per window
+
+    @pytest.mark.parametrize("raw", [
+        MINIMAL, {**Z2_PIPELINE, "experiment": "egorov"},
+        {**Z2_PIPELINE, "experiment": "trace_asymptotics"},
+        {**Z2_PIPELINE, "experiment": "algebraic", "numerics": SMALL_ALGEBRAIC}],
+        ids=lambda raw: raw["experiment"])
+    def test_report_files(self, tmp_path, raw):
+        """A run writes meta.json, report.json and the CSVs of its step, and timings.json,
+        which emit_reports does not list; each CSV cell is the repr of the report.json
+        value it repeats."""
+        written = emit_reports(run(parse_config(raw)), tmp_path)
+        (step, payload), = json.loads((tmp_path / "report.json").read_text())["payloads"].items()
+        tables = csv_rows(step, payload)
+        assert len(tables) == (2 if step == "algebraic" else 1)
+        assert sorted(p.name for p in written) == sorted(["meta.json", "report.json", *tables])
+        assert {p.name for p in tmp_path.iterdir()} == {p.name for p in written} | {"timings.json"}
+        for name, (header, rows) in tables.items():
+            assert (tmp_path / name).read_text().splitlines() == [
+                header, *(",".join(map(repr, row)) for row in rows)]
 
     def test_determinism_byte_for_byte(self, tmp_path):
         cfg = parse_config(WINDING)
@@ -468,6 +529,18 @@ class TestCLI:
     def test_calibrate_sign_bad_out_is_one_error_line(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         assert main(["calibrate-sign", "--out", str(tmp_path / "file" / "x")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write ")
+
+    @pytest.mark.parametrize("blocked", ["csv", "parent"])
+    def test_run_unwritable_out_is_one_error_line(self, tmp_path, capsys, blocked):
+        """A report file that is a directory, or an --out below a regular file."""
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+        if blocked == "csv":
+            out = tmp_path / "out"
+            (out / "index_index.csv").mkdir(parents=True)
+        assert main(["run", str(write(tmp_path, MINIMAL)), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write ")
 

@@ -5,7 +5,9 @@ schema check that refuses a workload config, would only show up as a failed
 benchmark run; these tests name it first.  Both files are loaded read-only.
 The README and the docstrings name program objects the same way; a stale
 name there is caught by ``test_doc_references_resolve``, and a config field
-the README does not list by ``test_readme_lists_every_config_field``."""
+the README does not list by ``test_readme_lists_every_config_field``.
+Every file the program writes goes through ``lab.write_file``, which
+``test_one_writer`` keeps so."""
 
 import ast
 import importlib
@@ -119,3 +121,21 @@ def test_readme_lists_every_config_field():
 def test_field_readers_are_steps():
     for path, (_, _, *readers) in FIELDS.items():
         assert set(readers) <= set(_EXPERIMENT_TABLE), path
+
+
+def _calls(node, scope: str):
+    """(enclosing module.class.function, called name) of every call below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            yield scope, func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _calls(child, f"{scope}.{child.name}" if named else scope)
+
+
+def test_one_writer():
+    """No program function but ``lab.write_file`` creates a directory or writes a file."""
+    writers = {scope for path in sorted(PACKAGE.glob("*.py"))
+               for scope, name in _calls(ast.parse(path.read_text()), path.stem)
+               if name in ("write_text", "write_bytes", "mkdir", "open")}
+    assert writers == {"lab.write_file"}
