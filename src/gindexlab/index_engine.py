@@ -7,12 +7,26 @@ Two finite-window facts shape all the numerics here:
   near-zero left and right singular vectors (boundary artifacts absorb the
   index), so kernel and cokernel dimensions are counted as *interior* null
   mass: the total weight of null vectors on the inner half-window.  Edge
-  artifacts carry their mass at |k| ~ N_F and drop out.
+  artifacts carry their mass at |k| ~ N_F and drop out.  The mass of a null
+  space is the same in every orthonormal basis of it, so any basis serves.
 
 * the trace of a commutator of window matrices vanishes identically, so the
   localized trace functional must also be restricted to the inner window;
   parametrix remainders decay away from the zero-section cut, which makes the
   interior trace converge to the infinite-dimensional one as windows grow.
+
+With its modes in the order 0, 1, -1, 2, -2, ..., the window of a trig
+symbol is banded, reflection parts included (a mode map k -> +-k moves a
+mode by at most one place there).  So the null spaces come from the band
+(``_banded_sides``): M^H M + mu^2 is assembled from column strips as a
+block-tridiagonal matrix and factored block by block, three steps of block
+inverse iteration find its smallest eigenvectors, and the SVD of the n x 16
+product M X gives Ritz values and vectors; the same on M^H gives the
+cokernel.  That is O(n b^2) work for band b against O(n^3) for a full SVD.
+The dense SVD (``_dense_sides``) counts every window the band path gives up
+on: a band above dim/8 (curved weighted shifts, dense perturbations), a
+failed factorization, a null space that fills every block up to dim/8, or
+unequal null counts on the two sides.  It is also the band path's oracle.
 
 The localized index reads only Tr_g(S1^N) - Tr_g(S2^N), per element, and
 never builds the almost inverse E (only ``parametrix`` does).  Two paths
@@ -32,7 +46,7 @@ compute these traces:
   product traced without forming it (``tr_g_product``) on finite groups.
 
 A sweep takes at least two strictly increasing windows (drifts compare the
-last two).  Each problem caches a window's SVD data (``_window_index``) and
+last two).  Each problem caches a window's index data (``_window_index``) and
 remainder traces (``_window_traces``) per numerics, so every check on one
 problem computes each window once.
 """
@@ -68,7 +82,7 @@ def _require_windows(windows):
 
 
 # ---------------------------------------------------------------------------
-# numerical Fredholm index via interior-weighted SVD null counting
+# numerical Fredholm index via interior-weighted null counting
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -79,6 +93,7 @@ class WindowIndexData:
     cokernel_dim: int
     sv_gap: float
     rounding_residual: float
+    solver: str                # "banded" or "dense": the path that counted this window
 
 
 @dataclass(frozen=True)
@@ -99,22 +114,32 @@ def index_of_matrix(mat: np.ndarray, window: FrequencyWindow,
     Null singular vectors supported near the window edge are truncation
     artifacts, not spectral data: they are excluded from the kernel/cokernel
     counts and from the gap (the gap compares the smallest above-threshold
-    singular value against the largest *interior* null one).
+    singular value against the largest *interior* null one).  Banded windows
+    take ``_banded_sides``; the rest, and every window it gives up on, the
+    dense SVD (``_dense_sides``).
     """
-    U, s, Vh = np.linalg.svd(mat)
-    smax = s[0] if s[0] > 0 else 1.0
-    zero = s < zero_tol * smax
     inner = window.inner_mask(inner_fraction)
+    sides, solver = _banded_sides(mat, inner, zero_tol), "banded"
+    if sides is None:
+        sides, solver = _dense_sides(mat, inner, zero_tol), "dense"
+    return _window_data(window.cutoff, zero_tol, solver, *sides)
+
+
+def _window_data(cutoff: int, zero_tol: float, solver: str, smax: float,
+                 kernel: tuple, cokernel: tuple) -> WindowIndexData:
+    """Counts and gap from each side's (singular values, inner masses of the
+    near-zero ones): right vectors for the kernel, left for the cokernel."""
+    (s_ker, v_mass), (s_coker, u_mass) = kernel, cokernel
+    threshold = zero_tol * smax
     floor = smax * 1e-18
-    if not np.any(zero):
-        gap = min(s[-1] / (zero_tol * smax), 1e18)
-        return WindowIndexData(window.cutoff, 0, 0, 0, float(gap), 0.0)
-    v_mass = np.sum(np.abs(Vh[zero][:, inner]) ** 2, axis=1)
-    u_mass = np.sum(np.abs(U[inner][:, zero]) ** 2, axis=0)
-    interior = np.maximum(v_mass, u_mass) >= 0.25
-    zero_sv = s[zero]
-    largest_interior_zero = float(np.max(zero_sv[interior])) if np.any(interior) else floor
-    nonzero = s[~zero]
+    s_all = np.concatenate([s_ker, s_coker])
+    nonzero = s_all[s_all >= threshold]
+    if v_mass.size == 0:
+        gap = min(np.min(s_all) / threshold, 1e18)
+        return WindowIndexData(cutoff, 0, 0, 0, float(gap), 0.0, solver)
+    interior = np.concatenate([s_ker[s_ker < threshold][v_mass >= 0.25],
+                               s_coker[s_coker < threshold][u_mass >= 0.25]])
+    largest_interior_zero = float(np.max(interior)) if interior.size else floor
     smallest_nonzero = float(np.min(nonzero)) if nonzero.size else smax
     gap = min(smallest_nonzero / max(largest_interior_zero, floor), 1e18)
     ker_mass = float(np.sum(v_mass))
@@ -122,7 +147,194 @@ def index_of_matrix(mat: np.ndarray, window: FrequencyWindow,
     ker = int(np.rint(ker_mass))
     coker = int(np.rint(coker_mass))
     resid = max(abs(ker_mass - ker), abs(coker_mass - coker))
-    return WindowIndexData(window.cutoff, ker - coker, ker, coker, float(gap), resid)
+    return WindowIndexData(cutoff, ker - coker, ker, coker, float(gap), resid, solver)
+
+
+def _dense_sides(mat: np.ndarray, inner: np.ndarray, zero_tol: float):
+    """Both sides from the full SVD: the fallback and the banded path's oracle."""
+    U, s, Vh = np.linalg.svd(mat)
+    smax = s[0] if s[0] > 0 else 1.0
+    zero = s < zero_tol * smax
+    v_mass = np.sum(np.abs(Vh[zero][:, inner]) ** 2, axis=1)
+    u_mass = np.sum(np.abs(U[inner][:, zero]) ** 2, axis=0)
+    return smax, (s, v_mass), (s, u_mass)
+
+
+BAND_FLOOR = 1e-15         # entries below BAND_FLOOR * max|M| lie outside the band
+RITZ_BLOCK = 16            # first block of inverse iteration; doubles while all null
+GRAM_SHIFT = 1e-7          # mu = GRAM_SHIFT * smax, above the Gram rounding floor
+POWER_STEPS = 20           # power steps on M^H M for smax
+INVERSE_STEPS = 3          # block inverse-iteration steps
+
+
+def _interleaved(dim: int) -> np.ndarray:
+    """Window positions of the modes 0, 1, -1, 2, -2, ...; in this order a mode
+    map k -> +-k, and so a reflection part, is banded."""
+    cutoff = dim // 2
+    k = np.arange(1, cutoff + 1)
+    order = np.empty(dim, dtype=np.intp)
+    order[0], order[1::2], order[2::2] = cutoff, cutoff + k, cutoff - k
+    return order
+
+
+def _band(mat: np.ndarray, order: np.ndarray) -> int:
+    """Largest offset, in the interleaved order, of an entry above the floor."""
+    mag = np.abs(mat)
+    big = (mag > BAND_FLOOR * mag.max())[order][:, order]
+    cols = np.arange(len(order))
+    first = np.argmax(big, axis=0)                       # per column, top and bottom
+    last = len(order) - 1 - np.argmax(big[::-1], axis=0)  # rows above the floor
+    reach = np.maximum(cols - first, last - cols)
+    return int(np.max(reach[big.any(axis=0)], initial=0))
+
+
+def _column_strips(mat: np.ndarray, order: np.ndarray, b: int, bs: int) -> np.ndarray:
+    """Column strips of the interleaved matrix M[order][:, order], gathered
+    without forming it: strip I holds columns I bs .. (I+1) bs and rows
+    I bs - b .. (I+1) bs + b, zero past the matrix edge (the last strip's
+    padding columns included)."""
+    n = len(order)
+    nb = -(-n // bs)
+    rows = np.arange(nb)[:, None] * bs - b + np.arange(bs + 2 * b)
+    cols = np.arange(nb)[:, None] * bs + np.arange(bs)
+    strips = mat[order[np.clip(rows, 0, n - 1)][:, :, None],
+                 order[np.minimum(cols, n - 1)][:, None, :]]
+    strips[~(((rows >= 0) & (rows < n))[:, :, None] & (cols < n)[:, None, :])] = 0
+    return strips
+
+
+def _gram(strips: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block-tridiagonal M^H M: diagonal blocks D and subdiagonal blocks F.
+
+    With blocks of at least 2b columns, strips I and I+1 share only the 2b
+    rows after strip I's first bs, so no block couples further."""
+    bs = strips.shape[2]
+    H = strips.conj().swapaxes(1, 2)
+    return H @ strips, H[1:, :, :2 * b] @ strips[:-1, bs:]
+
+
+def _block_cholesky(D: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, ...]:
+    """G = L L^H for block-tridiagonal G, returned as the inverses of the
+    diagonal factors L_I, the subdiagonal blocks W_I = F_I L_I^{-H}, and the
+    conjugate transposes of both; raises LinAlgError unless G is positive
+    definite."""
+    L = np.empty_like(D)
+    W = np.empty_like(F)
+    for i in range(len(D)):
+        L[i] = np.linalg.cholesky(D[i] - W[i - 1] @ W[i - 1].conj().T if i else D[i])
+        if i < len(F):
+            W[i] = np.linalg.solve(L[i], F[i].conj().T).conj().T
+    Linv = np.linalg.inv(L)
+    return Linv, W, Linv.conj().swapaxes(1, 2), W.conj().swapaxes(1, 2)
+
+
+def _cholesky_solve(Linv: np.ndarray, W: np.ndarray, LinvH: np.ndarray, WH: np.ndarray,
+                    Y: np.ndarray) -> np.ndarray:
+    """G^{-1} Y by forward and back substitution over the blocks."""
+    Z = np.empty_like(Y)
+    Z[0] = Linv[0] @ Y[0]
+    for i in range(1, len(Y)):
+        Z[i] = Linv[i] @ (Y[i] - W[i - 1] @ Z[i - 1])
+    Z[-1] = LinvH[-1] @ Z[-1]                       # back substitution, in place
+    for i in reversed(range(len(Y) - 1)):
+        Z[i] = LinvH[i] @ (Z[i] - WH[i] @ Z[i + 1])
+    return Z
+
+
+def _strip_apply(strips: np.ndarray, X: np.ndarray, n: int, b: int) -> np.ndarray:
+    """M X from the column strips; X and the result in the interleaved order."""
+    nb, _, bs = strips.shape
+    T = strips @ X
+    Y = np.zeros((nb + 1, bs, X.shape[2]), dtype=T.dtype)   # row r at r + b
+    Y[:nb] += T[:, :bs]
+    Y[1:, :2 * b] += T[:, bs:]
+    return Y.reshape(-1, X.shape[2])[b:b + n]
+
+
+def _start_block(n: int, k: int) -> np.ndarray:
+    """Fixed pseudo-random n x k start vectors, entries uniform in the square
+    |re|, |im| < 1/2: the SplitMix64 hash of each entry's index.  Not
+    numpy.random: numpy imports it lazily, and that first import (about
+    15 ms) would cost more than the sign calibration's three windows."""
+    z = np.arange(1, 2 * n * k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0 ** -53 - 0.5
+    return (u[0::2] + 1j * u[1::2]).reshape(n, k)
+
+
+def _largest_singular(D: np.ndarray, F: np.ndarray) -> float:
+    """smax of M from power steps on the block-tridiagonal M^H M."""
+    FH = F.conj().swapaxes(1, 2)
+    x = _start_block(D.shape[0] * D.shape[1], 1).reshape(*D.shape[:2], 1)
+    lam = 0.0
+    for _ in range(POWER_STEPS):
+        y = D @ x
+        y[1:] += F @ x[:-1]
+        y[:-1] += FH @ x[1:]
+        lam = float(np.linalg.norm(y))
+        x = y / (lam or 1.0)
+    return np.sqrt(lam)
+
+
+def _ritz_side(strips: np.ndarray, D: np.ndarray, F: np.ndarray, b: int, n: int,
+               inner: np.ndarray, smax: float, threshold: float):
+    """Ritz values and the inner masses of the near-zero right Ritz vectors of
+    the interleaved M, by block inverse iteration on G = M^H M + mu^2 (D, F
+    are overwritten); None when G does not factor or the null space fills
+    every block up to dim/8."""
+    nb, bs = D.shape[:2]
+    idx = np.arange(bs)
+    pad = idx[idx >= n - (nb - 1) * bs]
+    D[:, idx, idx] += (GRAM_SHIFT * smax) ** 2
+    D[-1, pad, pad] = smax ** 2          # the padding columns stay far from the null space
+    try:
+        factors = _block_cholesky(D, F)
+    except np.linalg.LinAlgError:
+        return None
+    k = RITZ_BLOCK
+    while True:
+        X = np.zeros((nb * bs, k), dtype=complex)
+        X[:n] = _start_block(n, k)
+        for _ in range(INVERSE_STEPS):
+            X = _cholesky_solve(*factors, X.reshape(nb, bs, k)).reshape(-1, k)
+            X = np.linalg.qr(X)[0]
+        _, s, Wh = np.linalg.svd(_strip_apply(strips, X.reshape(nb, bs, k), n, b),
+                                 full_matrices=False)
+        zero = s < threshold
+        if not zero.all():
+            V = X[:n] @ Wh[zero].conj().T
+            return s, np.sum(np.abs(V[inner]) ** 2, axis=0)
+        k *= 2
+        if k > n / 8:
+            return None
+
+
+def _banded_sides(mat: np.ndarray, inner: np.ndarray, zero_tol: float):
+    """Both sides from the band of the interleaved window, or None for the
+    dense SVD: when the band exceeds dim/8, when a side gives up, or when the
+    sides find different numbers of near-zero Ritz values (a square matrix
+    has as many null left vectors as right ones, so a block that missed part
+    of the null space shows here)."""
+    n = len(mat)
+    order = _interleaved(n)
+    b = _band(mat, order)
+    if b > n / 8:
+        return None
+    bs = max(2 * b, RITZ_BLOCK)
+    inner = inner[order]
+    strips = _column_strips(mat, order, b, bs)
+    D, F = _gram(strips, b)
+    smax = _largest_singular(D, F)
+    threshold = zero_tol * smax
+    kernel = _ritz_side(strips, D, F, b, n, inner, smax, threshold)
+    if kernel is None:
+        return None
+    strips = _column_strips(mat.T, order, b, bs).conj()       # of M^H
+    cokernel = _ritz_side(strips, *_gram(strips, b), b, n, inner, smax, threshold)
+    if cokernel is None or cokernel[1].size != kernel[1].size:
+        return None
+    return smax, kernel, cokernel
 
 
 def numerical_index(problem: GOperatorProblem, windows,
@@ -311,7 +523,7 @@ def _power_traces(S: LabeledOperator, N: int, inner_fraction: float) -> dict[Ele
 
 def _window_index(problem: GOperatorProblem, cutoff: int, zero_tol: float,
                   inner_fraction: float) -> WindowIndexData:
-    """SVD index data of one window; each window's SVD runs once per numerics."""
+    """Index data of one window, counted once per numerics."""
     key = (cutoff, zero_tol, inner_fraction)
     if key not in problem._index_cache:
         FrequencyWindow(cutoff).require()

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gindexlab import index_engine
 from gindexlab.circle import FrequencyWindow, PeriodicGrid, grid_for_window
 from gindexlab.errors import NoHomomorphism
 from gindexlab.groups import build_group
-from gindexlab.index_engine import (calibrate_sign, decomposition_check,
+from gindexlab.index_engine import (DEFAULT_ZERO_TOL, GAP_REQUIREMENT,
+                                    calibrate_sign, decomposition_check,
                                     index_of_matrix, localized_index,
                                     numerical_index, parametrix, chi_vanishing_check,
                                     tr_g, tr_g_product, winding_index_oracle)
@@ -31,6 +33,65 @@ def unit_problem():
     return GOperatorProblem(fam, {(): ({0: 1.0}, {0: 1.0})}, unit_fill=True)
 
 
+def dense_index(mat, window, zero_tol=DEFAULT_ZERO_TOL, inner_fraction=0.5):
+    """The dense SVD path alone: the oracle of the banded path."""
+    sides = index_engine._dense_sides(mat, window.inner_mask(inner_fraction), zero_tol)
+    return index_engine._window_data(window.cutoff, zero_tol, "dense", *sides)
+
+
+REALIZATIONS = {"trivial": ("trivial", {}), "reflection": ("cyclic", {"m": 2}),
+                "dihedral": ("dihedral", {"m": 3})}
+
+
+def elliptic_problem(real, degree, winding, k_min, seed):
+    """Identity sheets 3 and 3 e^{i winding x}, plus random trig polynomials of
+    the given degree on every element and sheet.  All of them together stay
+    below 1/10 in sup norm: the symbol is elliptic, and the near-null vectors
+    that a winding of 3 ties to the cut at k_min 8 fall below rounding before
+    cutoff 32 (at 1/4 they sit near the zero threshold there, gap ~2)."""
+    rng = np.random.default_rng(seed)
+    kind, kw = REALIZATIONS[real]
+    fam = RealizationFamily(build_group(kind, **kw), real)
+    elements = fam.group.elements()
+    scale = 0.1 / (len(elements) * (2 * degree + 1))
+
+    def trig():
+        return {k: scale * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+                for k in range(-degree, degree + 1)}
+
+    coeffs = {}
+    for g in elements:
+        plus, minus = trig(), trig()
+        if g == fam.group.identity:
+            plus[0] += 3.0
+            minus[winding] = minus.get(winding, 0.0) + 3.0
+        coeffs[g] = (plus, minus)
+    return GOperatorProblem(fam, coeffs, k_min=k_min)
+
+
+@st.composite
+def banded_cases(draw):
+    """(realization, degree 1-4, winding -3..3, k_min 1-8, cutoff 32-128, seed)."""
+    return (draw(st.sampled_from(sorted(REALIZATIONS))), draw(st.integers(1, 4)),
+            draw(st.integers(-3, 3)), draw(st.integers(1, 8)), draw(st.integers(32, 128)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Dimensions of the matrices the dense SVD path counted."""
+    calls = []
+    dense = index_engine._dense_sides
+    monkeypatch.setattr(index_engine, "_dense_sides",
+                        lambda mat, *args: calls.append(len(mat)) or dense(mat, *args))
+    return calls
+
+
+def winding_operator(k_min, cutoff):
+    fam = RealizationFamily(build_group("trivial"), "trivial")
+    return GOperatorProblem(fam, {(): ({0: 1.0}, {1: 1.0})}, k_min=k_min).operator(cutoff)
+
+
 class TestNumericalIndex:
     def test_identity(self):
         rep = numerical_index(unit_problem(), WINDOWS)
@@ -42,13 +103,19 @@ class TestNumericalIndex:
         lambda: RealizationFamily(build_group("integer_shift", theta=0.4), "half_wave"),
         lambda: RealizationFamily(build_group("cyclic", m=2), "curved_rotation", eps=0.3),
     ])
-    def test_unitaries_have_index_zero(self, build):
+    def test_unitaries_have_index_zero(self, dense_calls, build):
         fam = build()
+        # mode maps are banded in the interleaved order; a curved weighted
+        # shift fills the window, so its band exceeds dim/8
+        solver = "banded" if fam.is_isometric else "dense"
         for cutoff in (32, 64):
             R = fam.at(FrequencyWindow(cutoff))
             data = index_of_matrix(R.phi(1).matrix(), R.window)
             assert data.index == 0
             assert data.kernel_dim == 0 and data.cokernel_dim == 0
+            assert data.solver == solver
+            assert dense_calls == ([R.window.dim] if solver == "dense" else [])
+            dense_calls.clear()
 
     @pytest.mark.parametrize("w", range(-3, 4))
     def test_winding_family(self, w):
@@ -68,7 +135,7 @@ class TestNumericalIndex:
         data = index_of_matrix(prod.realize(), prod.window)
         assert data.index == 2 + (-1)
 
-    def test_compact_perturbation_invariance(self):
+    def test_compact_perturbation_invariance(self, dense_calls):
         p = winding_problem(1)
         A = p.operator(96)
         dense = A.realize()
@@ -81,6 +148,71 @@ class TestNumericalIndex:
         pert[np.ix_(low, low)] = block
         data = index_of_matrix(dense + pert, A.window)
         assert data.index == 1
+        # the block spans 49 interleaved positions, more than dim/8: dense path
+        assert data.solver == "dense" and dense_calls == [193]
+        assert data == dense_index(dense + pert, A.window)
+
+
+class TestBandedPath:
+    """The banded path against the dense SVD it replaces, and every way back to it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(banded_cases())
+    @example(("trivial", 2, 3, 1, 64, 0))
+    @example(("reflection", 4, -2, 4, 96, 1))
+    @example(("dihedral", 3, 1, 8, 128, 2))
+    def test_matches_dense_oracle(self, case):
+        real, degree, winding, k_min, cutoff, seed = case
+        A = elliptic_problem(real, degree, winding, k_min, seed).operator(cutoff)
+        mat = A.realize()
+        got, want = index_of_matrix(mat, A.window), dense_index(mat, A.window)
+        assert ((got.kernel_dim, got.cokernel_dim, got.index)
+                == (want.kernel_dim, want.cokernel_dim, want.index))
+        assert min(got.sv_gap, want.sv_gap) >= GAP_REQUIREMENT
+
+    def test_null_space_beyond_the_block_cap_falls_back(self, dense_calls):
+        # k_min 12 zeroes 23 columns: the 16-vector block is all null, and
+        # 32 vectors exceed dim/8 = 24 at cutoff 96
+        A = winding_operator(12, 96)
+        mat = A.realize()
+        assert index_of_matrix(mat, A.window) == dense_index(mat, A.window)
+        assert dense_calls == [193, 193]
+
+    def test_block_grows_to_hold_the_null_space(self, monkeypatch, dense_calls):
+        widths = []
+        apply = index_engine._strip_apply
+        monkeypatch.setattr(index_engine, "_strip_apply",
+                            lambda strips, X, *args: widths.append(X.shape[2])
+                            or apply(strips, X, *args))
+        A = winding_operator(12, 128)         # dim/8 = 32.1: one doubling fits
+        mat = A.realize()
+        got, want = index_of_matrix(mat, A.window), dense_index(mat, A.window)
+        assert got.solver == "banded" and widths == [16, 32, 16, 32]
+        assert ((got.kernel_dim, got.cokernel_dim, got.index)
+                == (want.kernel_dim, want.cokernel_dim, want.index))
+        assert dense_calls == [257]           # the oracle's own call
+
+    def test_unequal_null_counts_fall_back(self, monkeypatch, dense_calls):
+        ritz = index_engine._ritz_side
+        sides = []
+
+        def drop_one_cokernel_vector(*args):
+            s, mass = ritz(*args)
+            sides.append(mass.size)
+            return (s, mass[1:]) if len(sides) == 2 else (s, mass)
+
+        monkeypatch.setattr(index_engine, "_ritz_side", drop_one_cokernel_vector)
+        A = winding_problem(1).operator(64)
+        mat = A.realize()
+        assert index_of_matrix(mat, A.window) == dense_index(mat, A.window)
+        assert len(sides) == 2 and dense_calls == [129, 129]
+
+    def test_zero_matrix_does_not_factor(self, dense_calls):
+        window = FrequencyWindow(32)
+        mat = np.zeros((window.dim,) * 2, dtype=complex)
+        data = index_of_matrix(mat, window)
+        assert data == dense_index(mat, window) and data.index == 0
+        assert dense_calls == [65, 65]
 
 
 class TestOracle:
@@ -308,7 +440,7 @@ class TestGuards:
         from gindexlab.index_engine import WindowIndexData
         monkeypatch.setattr(index_engine, "_window_index",
                             lambda problem, cutoff, zero_tol, inner_fraction:
-                            WindowIndexData(cutoff, cutoff // 32, cutoff // 32, 0, 1e6, 0.0))
+                            WindowIndexData(cutoff, cutoff // 32, cutoff // 32, 0, 1e6, 0.0, "dense"))
         with pytest.raises(NonStabilized, match="32:1, 64:2"):
             numerical_index(winding_problem(1), (32, 64))
 

@@ -467,6 +467,15 @@ class TestReports:
         assert csv[0].startswith("cutoff,")
         assert len(csv) == 1 + 3   # header + one row per window
 
+    def test_index_rows_name_their_solver(self, tmp_path):
+        """report.json's stabilization rows say which path counted each window;
+        index_index.csv keeps its columns."""
+        emit_reports(run(parse_config(WINDING)), tmp_path)
+        payload = json.loads((tmp_path / "report.json").read_text())["payloads"]["index"]
+        assert [w["solver"] for w in payload["stabilization"]] == ["banded"] * 3
+        header = (tmp_path / "index_index.csv").read_text().splitlines()[0]
+        assert header == ",".join(INDEX_COLUMNS)
+
     @pytest.mark.parametrize("raw", [
         MINIMAL, {**Z2_PIPELINE, "experiment": "egorov"},
         {**Z2_PIPELINE, "experiment": "trace_asymptotics"},

@@ -7,7 +7,8 @@ The README and the docstrings name program objects the same way; a stale
 name there is caught by ``test_doc_references_resolve``, and a config field
 the README does not list by ``test_readme_lists_every_config_field``.
 Every file the program writes goes through ``lab.write_file``, which
-``test_one_writer`` keeps so."""
+``test_one_writer`` keeps so, and ``test_no_scipy`` keeps the package on
+numpy alone."""
 
 import ast
 import importlib
@@ -139,3 +140,20 @@ def test_one_writer():
                for scope, name in _calls(ast.parse(path.read_text()), path.stem)
                if name in ("write_text", "write_bytes", "mkdir", "open")}
     assert writers == {"lab.write_file"}
+
+
+def test_no_scipy():
+    """No module under src/gindexlab imports scipy.  ``import scipy.linalg``
+    alone took 0.22-0.29 s in a fresh Python 3.11 process with numpy already
+    imported (scipy 1.17, 2-vCPU Xeon VM), more than the benchmark's whole
+    set-up (about 0.21 s), and set-up runs the index engine through
+    ``calibrate_sign``; pyproject.toml declares numpy as the one dependency."""
+    imports = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports |= {(path.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.add((path.name, node.module))
+    assert not {(name, module) for name, module in imports
+                if module.split(".")[0] == "scipy"}
