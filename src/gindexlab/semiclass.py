@@ -20,6 +20,15 @@ transported right factor, whose x-derivatives are inverse FFTs of that
 table rescaled in place; ``tau_g`` takes one FFT per term for the whole h-grid.
 These tables live only inside the loop over their term, so no per-term
 cache outlives its loop and memory stays at a few terms' worth.
+
+The symbols are sheet symbols: constant in xi on each half-line away from
+the zero-section cut.  The d_xi stencil is written in difference form, which
+is exactly 0.0 on constant runs, so every derivative, and every star-product
+term of order >= 1, vanishes exactly outside a narrow xi band.  A
+zero-extended term therefore stores only its xi column span, found from
+exact zeros alone (no relative floor); clamp terms stay full width.  Star
+products, their FFTs and ``tau_g`` work on these spans, which gives the same
+numbers as full-width tables, with less work and memory.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .errors import (GroupMismatch, IllConditionedFit, NonIsometricAction,
 from .groups import Element
 from .quantize import op_h_term
 from .symbols import CrossedSymbol, PrincipalSymbol, invert_principal
-from .transforms import CanonicalTransform, RealizationFamily
+from .transforms import RealizationFamily
 
 XI_STENCIL_REACH = 2         # lattice points the dxi stencil reaches past each end
 TRACE_EDGE_TOL = 1e-8        # lattice-edge values allowed in a traced term, relative
@@ -89,14 +98,15 @@ def _lagrange_weights(u: np.ndarray) -> np.ndarray:
 
 
 def lattice_interp(lattice: XiLattice, values: np.ndarray, queries: np.ndarray,
-                   extend: str, rows: np.ndarray | None = None) -> np.ndarray:
+                   extend: str, rows: np.ndarray | None = None, lo: int = 0) -> np.ndarray:
     """Interpolate ``values`` sampled on the lattice at arbitrary xi.
 
-    values has the lattice on its last axis.  With ``rows`` (an index array
-    shaped like ``queries``) ``queries[i]`` reads the row ``values[rows[i], :]``
-    of a 2-D table, which is gathered entry by entry and never copied whole;
-    otherwise the same queries apply to every leading slice, returning
-    ``values.shape[:-1] + queries.shape``.
+    values has the lattice columns ``lo .. lo + width - 1`` on its last axis;
+    a narrower table is zero-extended and its missing columns read as 0.
+    With ``rows`` (an index array shaped like ``queries``) ``queries[i]``
+    reads the row ``values[rows[i], :]`` of a 2-D table, which is gathered
+    entry by entry and never copied whole; otherwise the same queries apply
+    to every leading slice, returning ``values.shape[:-1] + queries.shape``.
     """
     q = np.asarray(queries, dtype=float)
     inside = np.abs(q) <= lattice.radius + 1e-12
@@ -110,27 +120,44 @@ def lattice_interp(lattice: XiLattice, values: np.ndarray, queries: np.ndarray,
     base = np.clip(np.floor(t).astype(int) - 2, 0, lattice.n - 6)
     u = t - base
     w = _lagrange_weights(u)                      # (6, *q.shape)
+    width = values.shape[-1]
+
+    def column(j):
+        c = base + j - lo
+        if width == 0:
+            return 0.0
+        if width == lattice.n:
+            return values[..., c] if rows is None else values[rows, c]
+        held = (c >= 0) & (c < width)
+        c = np.clip(c, 0, width - 1)
+        return np.where(held, values[..., c] if rows is None else values[rows, c], 0.0)
+
     if rows is None:
         out = np.zeros(values.shape[:-1] + q.shape, dtype=values.dtype)
         for j in range(6):
-            out = out + values[..., base + j] * w[j]
+            out = out + column(j) * w[j]
     else:
         out = np.zeros(q.shape, dtype=values.dtype)
         for j in range(6):
-            out = out + w[j] * values[rows, base + j]
+            out = out + w[j] * column(j)
     if extend == "zero":
         out = out * inside
     return out
 
 
 def _xi_stencil(p: np.ndarray, out: np.ndarray, scale: float):
-    """(-p[j+4] + 8 p[j+3] - 8 p[j+1] + p[j]) / scale into ``out``, summed in
-    that order (``8 p[j+3] - p[j+4]`` rounds as ``-p[j+4] + 8 p[j+3]``)."""
-    np.multiply(p[..., 3:-1], 8.0, out=out)
-    out -= p[..., 4:]
-    out -= 8.0 * p[..., 1:-3]
-    out += p[..., :-4]
-    out /= scale
+    """(8 (p[j+3] - p[j+1]) - (p[j+4] - p[j])) * scale into ``out``.
+
+    The difference form is exactly 0.0 wherever the five points are equal,
+    so a term that is constant on a run of columns has a derivative that is
+    exactly zero there.  The stencil takes four passes; the scale is a fifth
+    on the float64 view.
+    """
+    np.subtract(p[..., 3:-1], p[..., 1:-3], out=out)
+    flat = out.view(float)
+    flat *= 8.0
+    out -= np.subtract(p[..., 4:], p[..., :-4])
+    flat *= scale
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +169,46 @@ class SampledTerm:
 
     ``extend='zero'`` marks compact xi-support (trace class); ``'clamp'``
     continues the boundary value as a constant plateau (order-zero data).
+    A zero-extended term stores only its xi column span: ``block`` holds the
+    lattice columns ``lo .. hi - 1``, and every other column is exactly zero.
+    A clamp term always covers the whole lattice.  ``values`` is the
+    full-width table, built on demand for the oracles.
     """
 
     def __init__(self, grid: PeriodicGrid, lattice: XiLattice, values: np.ndarray,
-                 extend: str = "zero"):
+                 extend: str = "zero", lo: int = 0):
         values = np.asarray(values, dtype=complex)
-        if values.shape != (grid.size, lattice.n):
-            raise ValueError(f"expected shape {(grid.size, lattice.n)}, got {values.shape}")
         if extend not in ("zero", "clamp"):
             raise ValueError(f"unknown extension {extend!r}")
+        width = lattice.n if extend == "clamp" or values.ndim != 2 else values.shape[1]
+        if values.shape != (grid.size, width) or not 0 <= lo <= lattice.n - width:
+            raise ValueError(f"expected shape {(grid.size, lattice.n)}, or a zero-extended "
+                             f"block of at most {lattice.n - lo} columns, at column {lo}; "
+                             f"got {values.shape}")
         self.grid = grid
         self.lattice = lattice
-        self.values = values
+        self.block = values
+        self.lo = lo
         self.extend = extend
+
+    @property
+    def hi(self) -> int:
+        return self.lo + self.block.shape[1]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.cols(0, self.lattice.n)
+
+    def cols(self, lo: int, hi: int) -> np.ndarray:
+        """Values on lattice columns lo .. hi - 1 (any integers, lo <= hi):
+        a view of ``block`` when they lie in the span, else a zero-filled copy."""
+        if self.lo <= lo and hi <= self.hi:
+            return self.block[:, lo - self.lo:hi - self.lo]
+        out = np.zeros((self.grid.size, hi - lo), dtype=complex)
+        a, b = max(lo, self.lo), min(hi, self.hi)
+        if a < b:
+            out[:, a - lo:b - lo] = self.block[:, a - self.lo:b - self.lo]
+        return out
 
     @classmethod
     def from_callable(cls, grid: PeriodicGrid, lattice: XiLattice, fn,
@@ -162,9 +216,11 @@ class SampledTerm:
         X, XI = np.meshgrid(grid.nodes, lattice.points, indexing="ij")
         return cls(grid, lattice, np.asarray(fn(X, XI), dtype=complex), extend)
 
-    def _like(self, values: np.ndarray, extend: str | None = None) -> "SampledTerm":
+    def _like(self, values: np.ndarray, extend: str | None = None,
+              lo: int | None = None) -> "SampledTerm":
         return SampledTerm(self.grid, self.lattice, values,
-                           self.extend if extend is None else extend)
+                           self.extend if extend is None else extend,
+                           self.lo if lo is None else lo)
 
     def _check(self, other: "SampledTerm"):
         if self.grid.size != other.grid.size or self.lattice != other.lattice:
@@ -175,19 +231,22 @@ class SampledTerm:
     def __add__(self, other: "SampledTerm") -> "SampledTerm":
         self._check(other)
         extend = "clamp" if "clamp" in (self.extend, other.extend) else "zero"
-        return self._like(self.values + other.values, extend)
+        lo, hi = min(self.lo, other.lo), max(self.hi, other.hi)
+        return self._like(self.cols(lo, hi) + other.cols(lo, hi), extend, lo)
 
     def __mul__(self, other):
         if isinstance(other, SampledTerm):
             self._check(other)
             extend = "clamp" if (self.extend == "clamp" and other.extend == "clamp") else "zero"
-            return self._like(self.values * other.values, extend)
-        return self._like(self.values * other)
+            lo = max(self.lo, other.lo)
+            hi = max(lo, min(self.hi, other.hi))
+            return self._like(self.cols(lo, hi) * other.cols(lo, hi), extend, lo)
+        return self._like(self.block * other)
 
     __rmul__ = __mul__
 
     def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.max(np.abs(self.block))) if self.block.size else 0.0
 
     def xi_support_radius(self) -> float | None:
         """Support radius for zero-extended terms; None (unbounded) for clamp."""
@@ -204,40 +263,60 @@ class SampledTerm:
         """Spectral d/dx."""
         M = self.grid.size
         k = np.fft.fftfreq(M, d=1.0 / M)
-        F = np.fft.fft(self.values, axis=0)
+        F = np.fft.fft(self.block, axis=0)
         return self._like(np.fft.ifft((1j * k)[:, None] * F, axis=0))
 
     def dxi(self) -> "SampledTerm":
-        """4th-order centered d/dxi (extension-aware padding).
+        """4th-order centered d/dxi (extension-aware padding), zero-extended.
 
-        The stencil writes into one output.  Only the XI_STENCIL_REACH columns
-        at each end read past the lattice; they are computed from small edge
-        blocks padded with zeros (``zero``) or the boundary value (``clamp``).
+        The result is computed on its column span only.  A zero term's span
+        grows by XI_STENCIL_REACH columns at each end (clipped to the
+        lattice).  A clamp term's derivative is exactly zero wherever five
+        neighbouring columns are equal, so its span is found by comparing
+        neighbouring columns.  The columns whose stencil stays inside the
+        block are read from it in place; the few at each end read a small
+        copy padded with zeros (``zero``) or the boundary value (``clamp``).
         """
-        v, r = self.values, XI_STENCIL_REACH
-        scale = 12.0 * self.lattice.delta
-        d = np.empty_like(v)
-        _xi_stencil(v, d[:, r:-r], scale)
-        mode = "constant" if self.extend == "zero" else "edge"
-        _xi_stencil(np.pad(v[:, :2 * r], ((0, 0), (r, 0)), mode=mode), d[:, :r], scale)
-        _xi_stencil(np.pad(v[:, -2 * r:], ((0, 0), (0, r)), mode=mode), d[:, -r:], scale)
-        return self._like(d, "zero" if self.extend == "clamp" else self.extend)
+        n, r = self.lattice.n, XI_STENCIL_REACH
+        if self.extend == "clamp":
+            v = self.block
+            moves = np.flatnonzero(np.any(v[:, 1:] != v[:, :-1], axis=0))
+            lo, hi = (max(int(moves[0]) - 1, 0), min(int(moves[-1]) + 3, n)) if moves.size \
+                else (0, 0)
+        else:
+            lo, hi = max(self.lo - r, 0), min(self.hi + r, n)
+        scale = 1.0 / (12.0 * self.lattice.delta)
+        d = np.empty((self.grid.size, hi - lo), dtype=complex)
+        a, b = max(lo, self.lo + r), min(hi, self.hi - r)
+        if a < b:
+            _xi_stencil(self.block[:, a - r - self.lo:b + r - self.lo], d[:, a - lo:b - lo], scale)
+        else:
+            a = b = hi
+        for x, y in ((lo, a), (b, hi)):
+            if x < y:
+                if self.extend == "clamp":
+                    p = self.block[:, np.clip(np.arange(x - r, y + r), 0, n - 1)]
+                else:
+                    p = self.cols(x - r, y + r)
+                _xi_stencil(p, d[:, x - lo:y - lo], scale)
+        return SampledTerm(self.grid, self.lattice, d, "zero", lo)
 
     def sample(self, xi: np.ndarray) -> np.ndarray:
         """Values a(x_nodes, xi) for arbitrary xi, shape (M, len(xi))."""
-        return lattice_interp(self.lattice, self.values, np.asarray(xi, dtype=float),
-                              self.extend)
+        return lattice_interp(self.lattice, self.block, np.asarray(xi, dtype=float),
+                              self.extend, lo=self.lo)
 
     def coeff_rows(self, F: np.ndarray, ms: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Fourier coefficients ahat(ms[i], xi[i]) at arbitrary xi, read from
-        ``F = np.fft.fft(self.values, axis=0)``, which the caller takes once
-        per term; the 1/M scale applies to the gathered values only.
+        ``F = np.fft.fft(self.block, axis=0)``, which the caller takes once
+        per term on its span; the 1/M scale applies to the gathered values
+        only.
 
         Transfers past the grid's resolvable band are zero, not aliased.
         """
         M = self.grid.size
         out = lattice_interp(self.lattice, F, np.asarray(xi, dtype=float), self.extend,
-                             rows=np.mod(ms, M)) / M
+                             rows=np.mod(ms, M), lo=self.lo) / M
         return out * (np.abs(ms) <= M // 2 - 1)
 
 
@@ -267,7 +346,8 @@ def transport_term(term: SampledTerm, family: RealizationFamily, g: Element) -> 
     Exact for the isometric actions: on sheet s, C_g(x, xi) =
     (sign x + shift_s, sign xi), so the term is shifted by each sheet's shift
     and then reflected when sign = -1 (the xi = 0 column is shifted only when
-    both sheets share the shift).  For a curved diffeomorphism,
+    both sheets share the shift); see ``_twisted``.  A reflection reverses
+    the term's column span.  For a curved diffeomorphism,
     C_g(x, xi) = (alpha_g(x), xi / alpha_g'(x)) is read through
     alpha_{g^{-1}} = alpha_g^{-1}: the x slice is evaluated spectrally, the xi
     slice by lattice interpolation.
@@ -284,46 +364,59 @@ def transport_term(term: SampledTerm, family: RealizationFamily, g: Element) -> 
         out = lattice_interp(term.lattice, rows_at_X, queries, term.extend,
                              rows=np.broadcast_to(np.arange(M)[:, None], queries.shape))
         return SampledTerm(term.grid, term.lattice, out, term.extend)
-    return term._like(_isometric_transport(term, C, None))
+    n = term.lattice.n
+    lo, hi = (n - term.hi, n - term.lo) if C.sheets[0][0] == -1 else (term.lo, term.hi)
+    return term._like(_twisted(term, C.sheets, lo, hi), lo=lo)
 
 
-def _reflect(values: np.ndarray) -> np.ndarray:
-    """(x, xi) -> (-x, -xi); exact on the symmetric lattice.  x_j -> -x_j is
-    index M-j mod M, and so is the mode k -> -k of an x-FFT table."""
-    return np.roll(values[::-1, ::-1], 1, axis=0)
-
-
-def _isometric_transport(term: SampledTerm, C: CanonicalTransform,
-                         F: np.ndarray | None) -> np.ndarray:
-    """Values of term o C for an isometric C (see ``transport_term``); with a
-    table ``F`` the x-FFT of the result is written into it too.
-
-    A shift is a phase on the x-FFT table and the reflection the same index
-    reversal on either table, so this takes one forward FFT (none when C
-    shifts nothing and no table is asked for) and one inverse FFT when C
-    shifts.
-    """
-    (sign, up), (_, down) = C.sheets
-    if up == down == 0.0:
-        values = _reflect(term.values) if sign == -1 else term.values
-        if F is not None:
-            np.fft.fft(values, axis=0, out=F)
-        return values
-    G = np.fft.fft(term.values, axis=0, out=F)
-    k = np.fft.fftfreq(term.grid.size, d=1.0 / term.grid.size)
+def _phased(term: SampledTerm, sheets, lo: int, hi: int,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """The x-FFT of term o C before its reflection, on the lattice columns
+    lo .. hi - 1 of the result, for an isometric C that shifts: the source
+    columns that C carries there (read backwards when C reflects) are FFT'd
+    and the shift is a phase on that table.  A result column has the fiber
+    coordinate of its source column after the reflection, so the half-wave
+    flow shifts the columns with xi > 0 by the upper sheet's shift and those
+    with xi < 0 by the lower one."""
+    (sign, up), (_, down) = sheets
+    n, M = term.lattice.n, term.grid.size
+    src = term.cols(n - hi, n - lo)[:, ::-1] if sign == -1 else term.cols(lo, hi)
+    G = np.fft.fft(src, axis=0, out=out)
+    k = np.fft.fftfreq(M, d=1.0 / M)[:, None]
     if up == down:
-        np.multiply(np.exp(1j * k * up)[:, None], G, out=G)
-        values = np.fft.ifft(G, axis=0)
+        np.multiply(np.exp(1j * k * up), G, out=G)
     else:           # the half-wave flow, -t and t on the two sheets
-        xi = sign * term.lattice.points     # the fiber coordinate after the reflection
-        for shift, cols in ((up, xi > 0), (down, xi < 0)):
-            G[:, cols] = np.exp(1j * k * shift)[:, None] * G[:, cols]
-        values = np.fft.ifft(G, axis=0)
-        values[:, xi == 0] = term.values[:, xi == 0]
+        zero = (n - 1) // 2 - lo            # the xi = 0 column, relative to lo
+        for shift, a, b in ((up, zero + 1, hi - lo), (down, 0, zero)):
+            a, b = max(a, 0), min(b, hi - lo)
+            if a < b:
+                np.multiply(np.exp(1j * k * shift), G[:, a:b], out=G[:, a:b])
+    return G
+
+
+def _twisted(term: SampledTerm, sheets, lo: int, hi: int, G: np.ndarray | None = None,
+             out: np.ndarray | None = None, spare: np.ndarray | None = None) -> np.ndarray:
+    """Values of term o C on the lattice columns lo .. hi - 1, for an isometric C.
+
+    A shift takes the inverse FFT of the ``_phased`` table ``G`` (computed
+    here when not given); the xi = 0 column keeps its source values when the
+    two sheets shift differently.  A reflection then maps x_j to x_{M-j}.
+    Without a shift the result is the source itself or a gather of it.
+    ``out`` and ``spare`` (used when C shifts and reflects) are optional
+    (M, hi - lo) buffers.
+    """
+    (sign, up), (_, down) = sheets
+    n, M = term.lattice.n, term.grid.size
+    if up == down == 0.0:
+        values = term.cols(n - hi, n - lo)[:, ::-1] if sign == -1 else term.cols(lo, hi)
+    else:
+        G = _phased(term, sheets, lo, hi) if G is None else G
+        values = np.fft.ifft(G, axis=0, out=spare if sign == -1 else out)
+        zero = (n - 1) // 2
+        if up != down and lo <= zero < hi:
+            values[:, zero - lo] = term.cols(zero, zero + 1)[:, 0]
     if sign == -1:
-        values = _reflect(values)
-        if F is not None:
-            F[...] = _reflect(F)
+        return np.take(values, -np.arange(M) % M, axis=0, out=out, mode="clip")
     return values
 
 
@@ -349,7 +442,7 @@ class StarSeries:
         self.unit = complex(unit)
         self.terms = {}
         for key, t in (terms or {}).items():
-            if t.norm_inf() > 0.0:
+            if np.any(t.block):
                 self.terms[key] = t
 
     # -- constructors ---------------------------------------------------------
@@ -434,65 +527,117 @@ class StarSeries:
         per group pair, sum_kappa ((-i h)^kappa / kappa!) d_xi^kappa a_g .
         d_x^kappa (b_h o C_{g^{-1}}), group-twisted per the Egorov law.
 
-        Each derivative and each FFT is taken once.  The d_xi ladder of a left
-        factor a_g is built lazily, as deep as its pairs need, and dropped
-        when the loop moves to the next factor.  Each right factor is
-        transported with one x-FFT (a shift is a phase on that table), and
-        its kappa-th term (-i)^kappa / kappa! d_x^kappa is one inverse FFT of
-        k^kappa / kappa! times the table.  Products accumulate in place into
-        one buffer per output key, which the product owns, in the order of
-        the pairwise recursion (left factor, right factor, kappa).  No
-        per-term table outlives its loop.
+        Every term is worked on its xi column span only (see SampledTerm).
+        The d_xi ladder of a left factor a_g is built lazily, as deep as its
+        pairs need, holds narrow blocks, and is dropped when the loop moves
+        to the next factor.  For each pair the kappa-th product lives on
+        span(d_xi^kappa a_g) intersected with the span of b_h o C, which is
+        b_h's span, reversed when C reflects.  The right factor is FFT'd and
+        transported once, on the hull of the columns its products read (a
+        shift is a phase on that table), and its kappa-th term
+        (-i)^kappa / kappa! d_x^kappa is one inverse FFT of k^kappa / kappa!
+        times the table, on the columns of that product.  Products
+        accumulate in place into one block per output key, in the order of
+        the pairwise recursion (left factor, right factor, kappa); a block
+        spans the union of its contributions and grows when one reaches
+        past it.  The table and the product buffer are allocated once per
+        call, and no per-term table outlives its loop.
         """
         self._check(other)
         if N < 1:
             raise OrderOverflow("truncation order must be >= 1")
         grp = self.group
-        out: dict[tuple[Element, int], np.ndarray] = {}
+        M, n = self.grid.size, self.lattice.n
+        out: dict[tuple[Element, int], list] = {}    # key -> [lo, block]
         clamp = set()                  # keys with a clamp-extended contribution
+        # flat scratch, carved into contiguous (M, width) tables: the transported
+        # right factor, the same before its reflection, and a product
+        scratch = [np.empty(M * n, dtype=complex) for _ in range(3)]
 
-        def add(key, values, extend):
-            if key in out:
-                out[key] += values
-            else:
-                out[key] = values.copy()
+        def buffer(i, width):
+            return scratch[i][:M * width].reshape(M, width)
+
+        def add(key, lo, values, extend):
             if extend == "clamp":
                 clamp.add(key)
+            if key not in out:
+                out[key] = [lo, values.copy()]
+                return
+            acc = out[key]
+            (alo, block), hi = acc, lo + values.shape[1]
+            ahi = alo + block.shape[1]
+            if lo < alo or hi > ahi:
+                acc[0] = min(lo, alo)
+                acc[1] = np.zeros((M, max(hi, ahi) - acc[0]), dtype=complex)
+                acc[1][:, alo - acc[0]:ahi - acc[0]] = block
+            acc[1][:, lo - acc[0]:hi - acc[0]] += values
 
         # unit cross terms
-        if self.unit != 0.0:
-            for (h, j2), tb in other._sorted_terms():
-                if j2 < N:
-                    add((h, j2), tb.values * self.unit, tb.extend)
-        if other.unit != 0.0:
-            for (g, j1), ta in self._sorted_terms():
-                if j1 < N:
-                    add((g, j1), ta.values * other.unit, ta.extend)
+        for unit, series in ((self.unit, other), (other.unit, self)):
+            if unit != 0.0:
+                for key, t in series._sorted_terms():
+                    if key[1] < N:
+                        add(key, t.lo, np.multiply(t.block, unit, out=buffer(2, t.hi - t.lo)),
+                            t.extend)
 
-        k = np.fft.fftfreq(self.grid.size, d=1.0 / self.grid.size)[:, None]
-        F = np.empty((self.grid.size, self.lattice.n), dtype=complex)
-        prod = np.empty_like(F)        # an x-derivative of the right factor, then the product
+        k = np.fft.fftfreq(M, d=1.0 / M)[:, None]
+        ri = -np.arange(M) % M         # the mode k -> -k of an x-FFT table
         rights = other._sorted_terms()
         for (g, j1), ta in self._sorted_terms():
             ladder = [ta]              # d_xi^kappa a_g, kappa = 0, 1, ...
-            C = self.family.canonical(grp.inv(g))
+            sheets = self.family.canonical(grp.inv(g)).sheets
+            (sign, up), (_, down) = sheets
             for (h, j2), tb in rights:
-                if j1 + j2 >= N:
-                    continue
                 m, j = grp.mul(g, h), j1 + j2
-                twisted = _isometric_transport(tb, C, F if j + 1 < N else None)
-                extend = "clamp" if ta.extend == tb.extend == "clamp" else "zero"
-                add((m, j), np.multiply(ta.values, twisted, out=prod), extend)
+                if j >= N:
+                    continue
+                while len(ladder) < N - j:
+                    ladder.append(ladder[-1].dxi())
+                tlo, thi = (n - tb.hi, n - tb.lo) if sign == -1 else (tb.lo, tb.hi)
+                spans = [(max(t.lo, tlo), min(t.hi, thi)) for t in ladder[:N - j]]
+                # per kappa, the columns that kappa and every later product read
+                reach, lo, hi = [None] * (N - j), n, 0
+                for kappa in range(N - j - 1, -1, -1):
+                    if spans[kappa][0] < spans[kappa][1]:
+                        lo, hi = min(lo, spans[kappa][0]), max(hi, spans[kappa][1])
+                    reach[kappa] = (lo, hi)
+                shifted = up != 0.0 or down != 0.0
+                tab_lo, tab_hi = reach[0] if shifted else reach[1] if N - j > 1 else (0, 0)
+                if tab_lo < tab_hi:
+                    table, spare = buffer(0, tab_hi - tab_lo), buffer(1, tab_hi - tab_lo)
+                    if not shifted:     # FFT'd after the reflection, as transport_term's values
+                        np.fft.fft(_twisted(tb, sheets, tab_lo, tab_hi, out=spare), axis=0,
+                                   out=table)
+                    elif sign == -1:    # the reflection maps the mode k to -k
+                        G = _phased(tb, sheets, tab_lo, tab_hi, out=spare)
+                        np.take(G, ri, axis=0, out=table, mode="clip")
+                    else:
+                        G = _phased(tb, sheets, tab_lo, tab_hi, out=table)
+                lo, hi = spans[0]
+                if lo < hi:
+                    prod = buffer(2, hi - lo)     # scratch for _twisted, then the product
+                    twisted = _twisted(tb, sheets, lo, hi,
+                                       G[:, lo - tab_lo:hi - tab_lo] if shifted else None,
+                                       out=buffer(1, hi - lo), spare=prod)
+                    np.multiply(ta.cols(lo, hi), twisted, out=prod)
+                    extend = "clamp" if ta.extend == tb.extend == "clamp" else "zero"
+                    add((m, j), lo, prod, extend)
                 for kappa in range(1, N - j):
-                    if kappa == len(ladder):
-                        ladder.append(ladder[-1].dxi())
-                    F *= k / kappa     # now the table of (-i)^kappa / kappa! d_x^kappa b
-                    np.fft.ifft(F, axis=0, out=prod)
-                    prod *= ladder[kappa].values
-                    add((m, j + kappa), prod, "zero")
-        return self.copy_with({key: SampledTerm(self.grid, self.lattice, vals,
-                                                "clamp" if key in clamp else "zero")
-                               for key, vals in out.items()}, self.unit * other.unit)
+                    lo, hi = reach[kappa]
+                    if lo >= hi:
+                        break
+                    # now the table of (-i)^kappa / kappa! d_x^kappa b on the columns still read
+                    tail = table[:, lo - tab_lo:hi - tab_lo].view(float)
+                    tail *= k / kappa
+                    lo, hi = spans[kappa]
+                    if lo < hi:
+                        prod = buffer(2, hi - lo)
+                        np.fft.ifft(table[:, lo - tab_lo:hi - tab_lo], axis=0, out=prod)
+                        prod *= ladder[kappa].cols(lo, hi)
+                        add((m, j + kappa), lo, prod, "zero")
+        return self.copy_with({key: SampledTerm(self.grid, self.lattice, block,
+                                                "clamp" if key in clamp else "zero", lo)
+                               for key, (lo, block) in out.items()}, self.unit * other.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +686,8 @@ def _traceable_terms(series: StarSeries):
         raise TraceDivergence(f"series has unit component {series.unit!r}")
     scale = max(series.norm_inf(), 1.0)
     for (g, j), term in series._sorted_terms():
-        edge = max(float(np.max(np.abs(term.values[:, 0]))),
-                   float(np.max(np.abs(term.values[:, -1]))))
+        edge = max((float(np.max(np.abs(term.block[:, c - term.lo])))
+                    for c in (0, series.lattice.n - 1) if term.lo <= c < term.hi), default=0.0)
         if edge > TRACE_EDGE_TOL * scale:
             raise ResidualNotTraceClass(
                 f"term (g={series.group.label(g)}, j={j}) carries lattice-edge "
@@ -566,8 +711,8 @@ def tau_g(series: StarSeries, cls: tuple[Element, ...], h_grid: np.ndarray) -> T
     outer 10% band of the lattice must contribute below 1e-4 (1 + |trace|),
     otherwise the trace has not saturated and TraceDivergence is raised (at
     the first such h).  The loop runs over terms outside and h inside, so each
-    term is FFT'd once and its table dropped before the next; each h sums its
-    terms in term order.
+    term is FFT'd once, on its column span only, and its table dropped before
+    the next; each h sums its terms in term order.
     """
     terms = _traceable_terms(series)
     h_grid = np.asarray(h_grid, dtype=float)
@@ -581,7 +726,7 @@ def tau_g(series: StarSeries, cls: tuple[Element, ...], h_grid: np.ndarray) -> T
     for (g, j), term in terms:
         if g not in cls:
             continue
-        F = np.fft.fft(term.values, axis=0)
+        F = np.fft.fft(term.block, axis=0)
         for i, (h, k_max, outer) in enumerate(bands):
             contrib = (h ** j) * _term_trace(term, F, series.family, g, h, k_max)
             totals[i] += complex(np.sum(contrib))

@@ -504,19 +504,26 @@ class TestReports:
 
 
     def test_report_independent_of_blas_threads(self, tmp_path):
-        cfg = write(tmp_path, dihedral_localized_config())
-        reports = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
-                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "MKL_NUM_THREADS": threads}
-            out = tmp_path / f"threads{threads}"
-            proc = subprocess.run([sys.executable, "-m", "gindexlab.cli", "run", str(cfg),
-                                   "--out", str(out)], env=env, capture_output=True,
-                                  text=True, timeout=300)
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-            reports.append((out / "report.json").read_bytes())
-        assert reports[0] == reports[1]
+        """The localized block path and the star calculus of a small Z/2
+        algebraic run write the same report under one and two BLAS threads."""
+        configs = {"localized": dihedral_localized_config(),
+                   "algebraic": {**Z2_PIPELINE, "experiment": "algebraic",
+                                 "numerics": SMALL_ALGEBRAIC}}
+        for name, raw in configs.items():
+            (tmp_path / name).mkdir()
+            cfg = write(tmp_path / name, raw)
+            reports = []
+            for threads in ("1", "2"):
+                env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                       "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                       "MKL_NUM_THREADS": threads}
+                out = tmp_path / name / f"threads{threads}"
+                proc = subprocess.run([sys.executable, "-m", "gindexlab.cli", "run", str(cfg),
+                                       "--out", str(out)], env=env, capture_output=True,
+                                      text=True, timeout=300)
+                assert proc.returncode == 0, proc.stdout + proc.stderr
+                reports.append((out / "report.json").read_bytes())
+            assert reports[0] == reports[1], name
 
 
 class TestCLI:

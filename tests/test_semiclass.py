@@ -63,15 +63,50 @@ class TestLattice:
 
     @pytest.mark.parametrize("extend", ["zero", "clamp"])
     def test_dxi_matches_padded_stencil(self, extend):
-        """Bitwise the same as the stencil on a copy padded by two columns."""
+        """Bitwise the same as the difference-form stencil on a copy padded by
+        two columns."""
         v = random_term(np.random.default_rng(11), extend).values
-        fill = (np.zeros_like(v[:, :1]),) * 2 if extend == "zero" else (v[:, :1], v[:, -1:])
-        p = np.concatenate([fill[0], fill[0], v, fill[1], fill[1]], axis=1)
-        want = (-p[..., 4:] + 8.0 * p[..., 3:-1] - 8.0 * p[..., 1:-3] + p[..., :-4]) \
-            / (12.0 * SMALL_LAT.delta)
         got = SampledTerm(SMALL_GRID, SMALL_LAT, v, extend).dxi()
-        assert np.array_equal(got.values, want)
+        assert np.array_equal(got.values, padded_stencil(v, extend))
         assert got.extend == "zero"
+
+    @pytest.mark.parametrize("extend", ["zero", "clamp"])
+    def test_dxi_exactly_zero_where_constant(self, extend):
+        """Columns whose five-point neighbourhood (padded as the extension says)
+        holds one value get exactly 0.0, not rounding residue."""
+        rng = np.random.default_rng(4)
+        n = SMALL_LAT.n
+        steps = np.sort(rng.choice(np.arange(8, n - 8), size=4, replace=False))
+        level = np.searchsorted(steps, np.arange(n), side="right")      # 0 .. 4 per column
+        rows = rng.normal(size=(SMALL_GRID.size, 5)) + 1j * rng.normal(size=(SMALL_GRID.size, 5))
+        v = 1e3 * rows[:, level]
+        v[:, 20] *= 1.5                              # one isolated column as well
+        if extend == "zero":
+            v[:, :3] = v[:, -3:] = 0.0               # the zero padding continues the ends
+        p = padded(v, extend)
+        flat = np.all(p[:, :-4] == p[:, 2:-2], axis=0)
+        for shift in (1, 3, 4):
+            flat &= np.all(p[:, shift:n + shift] == p[:, 2:-2], axis=0)
+        assert 0 < np.sum(flat) < n
+        got = SampledTerm(SMALL_GRID, SMALL_LAT, v, extend).dxi()
+        assert np.all(got.values[:, flat] == 0.0)
+        assert np.array_equal(got.values, padded_stencil(v, extend))
+        if extend == "zero":             # the same term stored on its nonzero columns only
+            banded = SampledTerm(SMALL_GRID, SMALL_LAT, v[:, 3:-3], extend, 3).dxi()
+            assert np.array_equal(banded.values, got.values)
+
+
+def padded(v, extend):
+    """v with two columns more at each end: zeros, or the boundary columns."""
+    fill = (np.zeros_like(v[:, :1]),) * 2 if extend == "zero" else (v[:, :1], v[:, -1:])
+    return np.concatenate([fill[0], fill[0], v, fill[1], fill[1]], axis=1)
+
+
+def padded_stencil(v, extend):
+    """The difference-form d/dxi stencil on the padded copy of v."""
+    p = padded(v, extend)
+    return (8.0 * (p[..., 3:-1] - p[..., 1:-3]) - (p[..., 4:] - p[..., :-4])) \
+        * (1.0 / (12.0 * SMALL_LAT.delta))
 
 
 SMALL_GRID = PeriodicGrid(32)
@@ -84,23 +119,39 @@ STAR_FAMILIES = {
 }
 
 
-def random_term(rng, extend):
+def random_term(rng, extend, band=None):
     """A trigonometric polynomial in x times a xi-profile: a bump for 'zero',
-    a non-constant plateau for 'clamp'."""
+    a non-constant plateau for 'clamp'.  With ``band = (lo, hi)`` a 'zero'
+    term is stored on the lattice columns lo .. hi - 1 only; a 'clamp' term
+    is then a sheet symbol cut at the zero section, constant in xi on
+    |xi| >= 1 and 0 near xi = 0, as ``StarSeries.from_crossed`` makes them."""
     x = SMALL_GRID.nodes[:, None]
     xs = sum((rng.normal() + 1j * rng.normal()) / (1 + abs(k)) * np.exp(1j * k * x)
              for k in range(-3, 4))
     xi = SMALL_LAT.points[None, :]
     if extend == "zero":
         prof = np.exp(-((xi - rng.uniform(-1, 1)) / rng.uniform(0.4, 0.8)) ** 2)
-    else:
+    elif band is None:
         prof = 1.0 + 0.5 * np.tanh(xi / rng.uniform(0.5, 1.5))
-    return SampledTerm(SMALL_GRID, SMALL_LAT, xs * prof, extend)
+    else:
+        prof = np.where(xi > 0, 1.0, rng.normal()) * zero_section_cut(SMALL_LAT, 0.5)
+    values = xs * prof
+    if extend == "zero" and band is not None:
+        lo, hi = band
+        return SampledTerm(SMALL_GRID, SMALL_LAT, values[:, lo:hi], extend, lo)
+    return SampledTerm(SMALL_GRID, SMALL_LAT, values, extend)
+
+
+def full_width(series: StarSeries) -> StarSeries:
+    """The same series with every term stored on the whole lattice."""
+    return series.copy_with({key: SampledTerm(t.grid, t.lattice, t.values, t.extend)
+                             for key, t in series.terms.items()}, series.unit)
 
 
 def oracle_star(a: StarSeries, b: StarSeries, N: int) -> StarSeries:
-    """The pairwise recursion: transport b_h for each pair, then step d_xi and
-    d_x once per order, per pair."""
+    """The pairwise recursion on full-width terms: transport b_h for each
+    pair, then step d_xi and d_x once per order, per pair."""
+    a, b = full_width(a), full_width(b)
     out = {}
 
     def add(key, term):
@@ -129,18 +180,46 @@ def oracle_star(a: StarSeries, b: StarSeries, N: int) -> StarSeries:
 
 
 @st.composite
+def column_bands(draw):
+    """None (an unbanded term) or a column band (lo, hi) of the small lattice:
+    empty, one column, touching either edge, or anywhere inside."""
+    n = SMALL_LAT.n
+    kind = draw(st.sampled_from(["none", "empty", "one", "left", "right", "inner"]))
+    if kind == "none":
+        return None
+    if kind == "empty":
+        lo = draw(st.integers(0, n))
+        return lo, lo
+    if kind == "one":
+        lo = draw(st.integers(0, n - 1))
+        return lo, lo + 1
+    if kind == "left":
+        return 0, draw(st.integers(1, n))
+    if kind == "right":
+        return draw(st.integers(0, n - 1)), n
+    lo = draw(st.integers(1, n - 2))
+    return lo, draw(st.integers(lo + 1, n - 1))
+
+
+@st.composite
 def star_cases(draw, name):
     """(left, right, N): the left series has a term on every element (so every
-    transport of the family is used), the right one 1-3 drawn terms."""
+    transport of the family is used), the right one 1-3 drawn terms.  Terms
+    may be stored on column bands (see ``column_bands``), which a reflecting
+    element reverses."""
     family = STAR_FAMILIES[name]
     N = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     els = family.group.elements() if family.group.is_finite else [-2, -1, 0, 1, 2]
     extends = st.sampled_from(["zero", "clamp"])
-    left = {(g, draw(st.integers(0, N - 1))): random_term(rng, draw(extends)) for g in els}
+
+    def term():
+        return random_term(rng, draw(extends), draw(column_bands()))
+
+    left = {(g, draw(st.integers(0, N - 1))): term() for g in els}
     keys = draw(st.lists(st.tuples(st.sampled_from(els), st.integers(0, N - 1)),
                          min_size=1, max_size=3, unique=True))
-    right = {key: random_term(rng, draw(extends)) for key in keys}
+    right = {key: term() for key in keys}
     a, b = (StarSeries(family, SMALL_GRID, SMALL_LAT, 0.5, terms,
                        unit=draw(st.sampled_from([0.0, 1.0]))) for terms in (left, right))
     return a, b, N
@@ -163,6 +242,9 @@ class TestStarReuse:
             for key, t in want.terms.items():
                 assert got.terms[key].extend == t.extend
                 assert np.max(np.abs(got.terms[key].values - t.values)) <= 1e-12 * scale, key
+                outside = np.ones(SMALL_LAT.n, dtype=bool)
+                outside[got.terms[key].lo:got.terms[key].hi] = False
+                assert np.all(t.values[:, outside] == 0.0), key
 
         check()
 
