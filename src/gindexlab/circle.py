@@ -190,14 +190,11 @@ class PeriodicFunction:
             raise ValueError("sign must be +-1")
         c = self.coeffs * np.exp(1j * self.grid.modes * shift)
         if sign == -1:
-            half = self.grid.size // 2
-            # source index i holds mode i - half; its negation lands at 2*half - i
-            # (the extreme mode -M/2 on even grids has no representable negation)
-            target = 2 * half - np.arange(self.grid.size)
-            valid = target < self.grid.size
-            flipped = np.zeros_like(c)
-            flipped[target[valid]] = c[valid]
-            c = flipped
+            # reverse the modes -(ceil(M/2)-1) .. ceil(M/2)-1; the extreme mode
+            # -M/2 of an even grid has no representable negation and is dropped
+            even = 1 - self.grid.size % 2
+            c[even:] = c[even:][::-1]
+            c[:even] = 0.0
         vals = idft(c)
         return PeriodicFunction(self.grid, vals)
 

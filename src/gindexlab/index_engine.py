@@ -178,14 +178,13 @@ def _interleaved(dim: int) -> np.ndarray:
 
 
 def _band(mat: np.ndarray, order: np.ndarray) -> int:
-    """Largest offset, in the interleaved order, of an entry above the floor."""
+    """Largest |pos(row) - pos(col)| over the entries above the floor, where
+    pos is each window index's place in the interleaved ``order``."""
     mag = np.abs(mat)
-    big = (mag > BAND_FLOOR * mag.max())[order][:, order]
-    cols = np.arange(len(order))
-    first = np.argmax(big, axis=0)                       # per column, top and bottom
-    last = len(order) - 1 - np.argmax(big[::-1], axis=0)  # rows above the floor
-    reach = np.maximum(cols - first, last - cols)
-    return int(np.max(reach[big.any(axis=0)], initial=0))
+    rows, cols = np.nonzero(mag > BAND_FLOOR * mag.max())
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    return int(np.max(np.abs(pos[rows] - pos[cols]), initial=0))
 
 
 def _column_strips(mat: np.ndarray, order: np.ndarray, b: int, bs: int) -> np.ndarray:
@@ -430,7 +429,7 @@ def _inner_diagonal(K: np.ndarray, phi: ModeMap | WeightedShift, rows: np.ndarra
                     C: np.ndarray | None = None) -> np.ndarray:
     """Entries ``rows`` of diag(K C Phi), C = 1 when None; no product is formed."""
     if isinstance(phi, ModeMap):
-        cols = phi._perm()[rows]
+        cols = rows if phi.sign == 1 else len(K) - 1 - rows
         if C is None:
             diag = K[rows, cols]
         else:

@@ -4,7 +4,10 @@
 coefficient of ``x -> a(x, k)``.  There is one quantizer per kind of symbol:
 ``op_classical`` for order-zero principal data (the sheet functions of a
 ``PrincipalSymbol`` outside a zero-section cut) and ``op_h_term`` for one
-sampled semiclassical term.  A LabeledOperator keeps the g-grading of
+sampled semiclassical term.  A sheet function's columns are a Toeplitz view
+of its transfer band, so ``op_classical`` forms no table beside its output;
+a sampled term's coefficients change from column to column, so ``op_h_term``
+gathers from one transfer table.  A LabeledOperator keeps the g-grading of
 ``sum_g K_g Phi_g`` so that class-localized traces remain computable after
 products; multiplication uses exact matrix conjugation,
 
@@ -17,6 +20,7 @@ holds exactly (all isometric families here).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .circle import FrequencyWindow
 from .errors import GroupMismatch, WindowMismatch, WindowTooSmallForH
@@ -40,31 +44,28 @@ def op_classical(sym: PrincipalSymbol, window: FrequencyWindow, k_min: int = K_M
         a(x, k) = plus(x)   for k >= k_min,
                   minus(x)  for k <= -k_min,
                   fill      for |k| < k_min  (0, or 1 if unit_fill).
+
+    A sheet function's columns are a Toeplitz view of its transfer band
+    ``c(j - k)``, j - k = -2 N_F .. 2 N_F, copied into the sheet's columns.
     """
     if k_min < 1:
         raise ValueError("k_min must be >= 1")
     M = sym.grid.size
-    if M < 2 * window.cutoff + 2:
+    n = window.cutoff
+    if M < 2 * n + 2:
         raise WindowMismatch(
-            f"symbol grid {M} cannot resolve mode transfers up to {2 * window.cutoff}")
-    ks = window.modes
+            f"symbol grid {M} cannot resolve mode transfers up to {2 * n}")
     dim = window.dim
-    c_plus = np.fft.fft(sym.plus.values) / M      # index d mod M = coeff of e^{idx}
-    c_minus = np.fft.fft(sym.minus.values) / M
+    transfers = np.arange(-2 * n, 2 * n + 1)
+    plus, minus = slice(n + k_min, dim), slice(0, max(n - k_min + 1, 0))
     out = np.zeros((dim, dim), dtype=complex)
-    J = ks[:, None]
-    T = J - ks[None, :]
-    D = np.mod(T, M)
-    # alias guard on the true mode transfer: past +-M/2 the gather would wrap
-    rep = np.abs(T) <= M // 2 - 1
-    for sheet, cvec in ((1, c_plus), (-1, c_minus)):
-        cols = ks >= k_min if sheet == 1 else ks <= -k_min
-        if not np.any(cols):
-            continue
-        out[:, cols] = cvec[D[:, cols]] * np.where(rep[:, cols], 1.0, 0.0)
+    for sheet, cols in ((sym.plus, plus), (sym.minus, minus)):
+        band = np.fft.fft(sheet.values)[transfers % M] / M
+        # alias guard on the true mode transfer: past +-M/2 the gather would wrap
+        band[np.abs(transfers) > M // 2 - 1] = 0.0
+        out[:, cols] = sliding_window_view(band, dim)[::-1].T[:, cols]
     if unit_fill:
-        idx = np.where(np.abs(ks) < k_min)[0]
-        out[idx, idx] = 1.0
+        np.fill_diagonal(out[minus.stop:plus.start, minus.stop:plus.start], 1.0)
     return out
 
 
@@ -91,9 +92,8 @@ def op_h_term(term, h: float, window: FrequencyWindow) -> np.ndarray:
     vals = term.sample(h * ks)                       # (M, dim)
     coeffs = np.fft.fft(vals, axis=0) / M
     T = ks[:, None] - ks[None, :]
-    rep = np.abs(T) <= M // 2 - 1
-    cols = np.broadcast_to(np.arange(window.dim), (window.dim, window.dim))
-    out = coeffs[np.mod(T, M), cols] * np.where(rep, 1.0, 0.0)
+    out = np.take_along_axis(coeffs, T % M, axis=0)
+    out[np.abs(T) > M // 2 - 1] = 0.0
     return out
 
 
@@ -207,9 +207,13 @@ class LabeledOperator:
         return acc
 
     def realize(self) -> np.ndarray:
-        """sum_g K_g Phi_g as a dense window matrix."""
-        out = np.zeros((self.window.dim, self.window.dim), dtype=complex)
-        for g in self.support:
+        """sum_g K_g Phi_g as a dense window matrix, accumulated in place into
+        the first part's product (a fresh array); zero when there are no parts."""
+        if not self.parts:
+            return np.zeros((self.window.dim, self.window.dim), dtype=complex)
+        first, *rest = self.support
+        out = self.realization.phi(first).right_mul(self.parts[first])
+        for g in rest:
             out += self.realization.phi(g).right_mul(self.parts[g])
         return out
 

@@ -50,9 +50,10 @@ def dihedral_sample(seed: int) -> GOperatorProblem:
     return GOperatorProblem(fam, coeffs, name=f"dihedral3_seed{seed}")
 
 
-def shift_neumann_problem(theta: float = 1.0, c: float = 0.3) -> GOperatorProblem:
+def shift_neumann_problem() -> GOperatorProblem:
     """integer_shift sample A = 1 + c op(f) Phi_1 with ||c f||_inf < 1."""
-    fam = RealizationFamily(build_group("integer_shift", theta=theta), "rotation")
+    c = 0.3
+    fam = RealizationFamily(build_group("integer_shift", theta=1.0), "rotation")
     f = {0: 0.5 * c, 1: 0.25 * c, -2: 0.15 * c}
     coeffs = {
         0: ({0: 1.0}, {0: 1.0}),

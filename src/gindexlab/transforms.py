@@ -55,18 +55,18 @@ class CircleDiffeo:
 
     Lifted to R as ``alpha(x) = sign * x + d(x)`` with 2 pi periodic
     displacement d.  Forward/inverse/derivative are vectorized callables so
-    the map can be evaluated exactly on any grid.  ``affine`` is
-    ``(sign, shift)`` when ``alpha(x) = sign * x + shift`` exactly (the
+    the map can be evaluated exactly on any grid.  ``sign_shift``
+    is ``(sign, shift)`` when ``alpha(x) = sign * x + shift`` exactly (the
     isometries), else None.
     """
 
     def __init__(self, forward: Callable, inverse: Callable, deriv: Callable,
-                 sign: int, affine: tuple[int, float] | None = None):
+                 sign: int, sign_shift: tuple[int, float] | None = None):
         self.forward = forward
         self.inverse = inverse
         self.deriv = deriv
         self.sign = sign
-        self.affine = affine
+        self.sign_shift = sign_shift
 
     @classmethod
     def affine(cls, sign: int, shift: float) -> "CircleDiffeo":
@@ -75,7 +75,7 @@ class CircleDiffeo:
         fwd = lambda x: sign * np.asarray(x, dtype=float) + shift
         inv = lambda y: sign * (np.asarray(y, dtype=float) - shift)
         der = lambda x: np.full_like(np.asarray(x, dtype=float), float(sign))
-        return cls(fwd, inv, der, sign, affine=(sign, shift))
+        return cls(fwd, inv, der, sign, sign_shift=(sign, shift))
 
     @classmethod
     def conjugated_rotation(cls, angle: float, eps: float) -> "CircleDiffeo":
@@ -170,7 +170,9 @@ class ModeMap:
     """Exact unitary of the form ``e_k -> p(k) e_{s k}`` on a Fourier window.
 
     Closed under products and adjoints; covers rotations, reflections,
-    dihedral elements and the half-wave flow.
+    dihedral elements and the half-wave flow.  The mode map is the identity
+    or the reversal of the window, so every product acts through a view
+    ``[::sign]`` and a phase multiply, never through an index array.
     """
 
     def __init__(self, window: FrequencyWindow, sign: int, phases: np.ndarray):
@@ -180,47 +182,27 @@ class ModeMap:
         if self.phases.shape != (window.dim,):
             raise ValueError("phase vector does not match window")
 
-    def _perm(self) -> np.ndarray:
-        n = self.window.cutoff
-        idx = np.arange(self.window.dim)
-        return n + self.sign * (idx - n)
-
     def matrix(self) -> np.ndarray:
-        m = np.zeros((self.window.dim, self.window.dim), dtype=complex)
-        perm = self._perm()
-        m[perm, np.arange(self.window.dim)] = self.phases
-        return m
+        return np.diag(self.phases)[::self.sign]
 
     def compose(self, other: "ModeMap") -> "ModeMap":
         """self o other (apply ``other`` first)."""
-        perm = other._perm()
         return ModeMap(self.window, self.sign * other.sign,
-                       self.phases[perm] * other.phases)
+                       self.phases[::other.sign] * other.phases)
 
     def left_mul(self, mat: np.ndarray) -> np.ndarray:
         """Phi @ mat without densifying Phi."""
-        perm = self._perm()
-        out = np.empty_like(mat)
-        out[perm, :] = self.phases[:, None] * mat
-        return out
+        return self.phases[::self.sign, None] * mat[::self.sign]
 
     def right_mul(self, mat: np.ndarray) -> np.ndarray:
         """mat @ Phi."""
-        perm = self._perm()
-        return mat[:, perm] * self.phases[None, :]
+        return mat[:, ::self.sign] * self.phases[None, :]
 
     def conjugate(self, mat: np.ndarray) -> np.ndarray:
-        """Phi @ mat @ Phi^{-1} (exact, unitary).
-
-        The permutation is the identity or the reversal, so a view replaces
-        the gather.
-        """
-        if self.sign == 1:
-            core, p = mat, self.phases
-        else:
-            core, p = mat[::-1, ::-1], self.phases[::-1]
-        out = p[:, None] * core
-        out *= np.conj(p)[None, :]
+        """Phi @ mat @ Phi^{-1} (exact, unitary)."""
+        s = self.sign
+        out = self.phases[::s, None] * mat[::s, ::s]
+        out *= np.conj(self.phases[::s])[None, :]
         return out
 
 
@@ -263,11 +245,7 @@ def weighted_shift_matrix(diffeo: CircleDiffeo, window: FrequencyWindow) -> np.n
     ks = window.modes
     cols = w[:, None] * np.exp(1j * np.outer(ainv, ks))
     coeffs = np.fft.fft(cols, axis=0) / build_grid.size  # row j = coeff of e^{ijx}, j mod M
-    dim = window.dim
-    out = np.empty((dim, dim), dtype=complex)
-    rows = np.mod(ks, build_grid.size)
-    out[:] = coeffs[rows, :]
-    return out
+    return coeffs[np.mod(ks, build_grid.size), :]
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +350,8 @@ class RealizationFamily:
             t = self.group.theta * g
             return CanonicalTransform(((1, -t), (1, t)))
         d = self.diffeo(g)
-        return CanonicalTransform(None, d) if d.affine is None \
-            else CanonicalTransform((d.affine, d.affine))
+        return CanonicalTransform(None, d) if d.sign_shift is None \
+            else CanonicalTransform((d.sign_shift, d.sign_shift))
 
     def at(self, window: FrequencyWindow) -> "Realization":
         return Realization(self, window)

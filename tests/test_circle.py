@@ -111,6 +111,19 @@ class TestPointwise:
         via_eval = f.compose(-GRID.nodes + 0.7)
         assert np.max(np.abs(via_affine.values - via_eval.values)) < 1e-9
 
+    @pytest.mark.parametrize("M", [64, 65])
+    def test_compose_affine_reflection_by_coefficients(self, M):
+        # g(x) = f(shift - x) has coefficient c_{-m} e^{-i m shift} at mode m;
+        # the even grid's mode -M/2 (nonzero here) has no negation and drops
+        rng = np.random.default_rng(M)
+        grid = PeriodicGrid(M)
+        f = PeriodicFunction(grid, rng.normal(size=M) + 1j * rng.normal(size=M))
+        assert abs(f.coeff(-(M // 2))) > 0.01
+        got = f.compose_affine(-1, 0.7)
+        want = [f.coeff(-m) * np.exp(-1j * m * 0.7) if -m < M - M // 2 else 0.0
+                for m in grid.modes]
+        assert np.max(np.abs(got.coeffs - want)) < 1e-12
+
 
 def dense_fourier_sum(coeffs, first_mode, points):
     """Reference: the full P x M exponential table times the coefficients."""

@@ -215,6 +215,38 @@ class TestBandedPath:
         assert dense_calls == [65, 65]
 
 
+@st.composite
+def band_cases(draw):
+    """(window dim, a banded, dense, single-entry or zero matrix)."""
+    n = 2 * draw(st.integers(1, 40)) + 1
+    kind = draw(st.sampled_from(["banded", "dense", "single", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mat = np.zeros((n, n), dtype=complex)
+    if kind == "banded":
+        b = draw(st.integers(0, n - 1))
+        offsets = np.subtract.outer(np.arange(n), np.arange(n))
+        order = index_engine._interleaved(n)
+        mat[np.ix_(order, order)] = np.where(np.abs(offsets) <= b, rng.normal(size=(n, n)), 0)
+    elif kind == "dense":
+        mat[:] = rng.normal(size=(n, n))
+    elif kind == "single":
+        mat[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = 1.0
+    return n, mat
+
+
+class TestBand:
+    @settings(max_examples=40, deadline=None)
+    @given(band_cases())
+    def test_matches_definition_on_the_permuted_window(self, case):
+        # the band is the largest |i - j| over entries of M[order][:, order]
+        # above BAND_FLOOR x max|M|
+        n, mat = case
+        order = index_engine._interleaved(n)
+        mag = np.abs(mat[order][:, order])
+        i, j = np.nonzero(mag > index_engine.BAND_FLOOR * mag.max())
+        assert index_engine._band(mat, order) == max(np.abs(i - j), default=0)
+
+
 class TestOracle:
     def test_equal_windings_cancel(self):
         fam = RealizationFamily(build_group("trivial"), "trivial")

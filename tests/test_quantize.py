@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from gindexlab.circle import FrequencyWindow, PeriodicFunction, PeriodicGrid, gr
 from gindexlab.errors import GroupMismatch, WindowTooSmallForH
 from gindexlab.groups import build_group
 from gindexlab.quantize import LabeledOperator, op_classical, op_h_term, quantize_crossed
+from gindexlab.samples import winding_problem, z2_sample
 from gindexlab.semiclass import SampledTerm, XiLattice
 from gindexlab.symbols import CrossedSymbol, PrincipalSymbol
 from gindexlab.transforms import Realization, RealizationFamily
@@ -25,7 +28,47 @@ def fam(kind, real, m=1, theta=1.0):
     return RealizationFamily(group, real)
 
 
+def op_classical_by_entries(sym, window, k_min, unit_fill):
+    """The definition entry by entry: column k holds the coefficients
+    c(j - k) = mean(f e^{-i (j - k) x}) of its sheet function f, zero past
+    the alias guard |j - k| <= M/2 - 1 and inside the cut |k| < k_min."""
+    M = sym.grid.size
+    x = sym.grid.nodes
+    out = np.zeros((window.dim, window.dim), dtype=complex)
+    for b, k in enumerate(window.modes):
+        if abs(k) < k_min:
+            out[b, b] = 1.0 if unit_fill else 0.0
+            continue
+        f = sym.plus.values if k > 0 else sym.minus.values
+        for a, j in enumerate(window.modes):
+            if abs(j - k) <= M // 2 - 1:
+                out[a, b] = np.mean(f * np.exp(-1j * (j - k) * x))
+    return out
+
+
+@st.composite
+def classical_cases(draw):
+    """(cutoff 1-20, grid 2N+2 .. 4N+8, k_min 1-25, unit_fill, seed)."""
+    n = draw(st.integers(1, 20))
+    return (n, draw(st.integers(2 * n + 2, 4 * n + 8)), draw(st.integers(1, 25)),
+            draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1)))
+
+
 class TestOpClassical:
+    @settings(max_examples=40, deadline=None)
+    @given(classical_cases())
+    def test_matches_entrywise_definition(self, case):
+        n, M, k_min, unit_fill, seed = case
+        rng = np.random.default_rng(seed)
+        grid = PeriodicGrid(M)
+        sheets = [PeriodicFunction(grid, rng.normal(size=M) + 1j * rng.normal(size=M))
+                  for _ in range(2)]
+        sym, window = PrincipalSymbol(*sheets), FrequencyWindow(n)
+        want = op_classical_by_entries(sym, window, k_min, unit_fill)
+        got = op_classical(sym, window, k_min, unit_fill)
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.array_equal(got == 0, want == 0)
+
     def test_unit(self):
         a = PrincipalSymbol.constant(GRID, 1.0)
         assert np.max(np.abs(op_classical(a, W, k_min=1, unit_fill=True) - np.eye(W.dim))) == 0.0
@@ -65,6 +108,37 @@ class TestOpClassical:
         offcut = np.abs(W.modes) >= 4
         sel = inner & offcut
         assert np.max(np.abs((prod - target)[np.ix_(sel, sel)])) < 1e-10
+
+
+def peak_ratio(fn, nbytes: float) -> float:
+    """Peak traced allocation while ``fn`` runs, in units of ``nbytes``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / nbytes
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocationBudgets:
+    """Window matrices at cutoff 256 allocate only what the caller keeps."""
+
+    window = FrequencyWindow(256)
+    nbytes = 16 * window.dim ** 2
+
+    def test_op_classical(self):
+        sym = z2_sample().symbol(grid_for_window(self.window)).coeff(0)
+        assert peak_ratio(lambda: op_classical(sym, self.window), self.nbytes) <= 2.0
+
+    @pytest.mark.parametrize("problem,budget", [(winding_problem(1), 1.2), (z2_sample(), 2.2)])
+    def test_realize(self, problem, budget):
+        A = problem.operator(self.window.cutoff)
+        assert peak_ratio(A.realize, self.nbytes) <= budget
+
+    def test_mode_map_right_mul(self):
+        phi = z2_sample().realization(self.window.cutoff).phi(1)
+        mat = np.ones((self.window.dim,) * 2, dtype=complex)
+        assert peak_ratio(lambda: phi.right_mul(mat), self.nbytes) <= 1.2
 
 
 class TestEgorovTransport:
@@ -189,6 +263,10 @@ class TestLabeled:
         assert got.support == expect.support
         for g in expect.support:
             assert np.array_equal(got.parts[g], expect.parts[g])
+
+    def test_realize_without_parts_is_zero(self):
+        mat = LabeledOperator(self.R, {}).realize()
+        assert mat.shape == (W.dim, W.dim) and not np.any(mat)
 
     def test_prune(self):
         A = self.rnd(0)
