@@ -42,8 +42,10 @@ compute these traces:
   Tr_l = (1/|G|) sum_pi d_pi sum_ab conj(pi(l)_ab) T_pi[a, b], recovers the
   element traces.
 * graded path (curved eps > 0 and integer_shift problems, and the test
-  oracle of the block path): S^{N-1} by ``LabeledOperator.power``, then the last
-  product traced without forming it (``tr_g_product``) on finite groups.
+  oracle of the block path): graded products by ``LabeledOperator.multiply``.
+  On finite groups the powers run on the inner rows only, starting from S's
+  inner rows, and the last product is traced without forming it
+  (``tr_g_product``); integer_shift forms S^N with every row.
 
 A sweep takes at least two strictly increasing windows (drifts compare the
 last two).  Each problem caches a window's index data (``_window_index``) and
@@ -179,12 +181,17 @@ def _interleaved(dim: int) -> np.ndarray:
 
 def _band(mat: np.ndarray, order: np.ndarray) -> int:
     """Largest |pos(row) - pos(col)| over the entries above the floor, where
-    pos is each window index's place in the interleaved ``order``."""
+    pos is each window index's place in the interleaved ``order``: per row,
+    the distance to its first and last entry with the columns interleaved."""
     mag = np.abs(mat)
-    rows, cols = np.nonzero(mag > BAND_FLOOR * mag.max())
+    mask = mag > BAND_FLOOR * mag.max()
+    del mag
+    mask = mask[:, order]
     pos = np.empty_like(order)
     pos[order] = np.arange(len(order))
-    return int(np.max(np.abs(pos[rows] - pos[cols]), initial=0))
+    first = mask.argmax(axis=1)
+    last = len(order) - 1 - mask[:, ::-1].argmax(axis=1)
+    return int(np.max(np.maximum(pos - first, last - pos)[mask.any(axis=1)], initial=0))
 
 
 def _column_strips(mat: np.ndarray, order: np.ndarray, b: int, bs: int) -> np.ndarray:
@@ -427,18 +434,21 @@ def parametrix(A: LabeledOperator, r: CrossedSymbol, N: int = PARAMETRIX_ORDER,
 
 def _inner_diagonal(K: np.ndarray, phi: ModeMap | WeightedShift, rows: np.ndarray,
                     C: np.ndarray | None = None) -> np.ndarray:
-    """Entries ``rows`` of diag(K C Phi), C = 1 when None; no product is formed."""
+    """Entries ``rows`` of diag(K C Phi), C = 1 when None; no product is formed.
+    K holds every row of the window, or only ``rows``."""
+    if len(K) > len(rows):
+        K = K[rows]
     if isinstance(phi, ModeMap):
-        cols = rows if phi.sign == 1 else len(K) - 1 - rows
+        cols = rows if phi.sign == 1 else K.shape[1] - 1 - rows
         if C is None:
-            diag = K[rows, cols]
+            diag = K[np.arange(len(rows)), cols]
         else:
-            diag = np.einsum("kj,jk->k", K[rows], C[:, cols])
+            diag = np.einsum("kj,jk->k", K, C[:, cols])
         return diag * phi.phases[rows]
     right = phi.matrix()[:, rows]
     if C is not None:
         right = C @ right
-    return np.einsum("kj,jk->k", K[rows], right)
+    return np.einsum("kj,jk->k", K, right)
 
 
 def tr_g(X: LabeledOperator, cls: tuple[Element, ...],
@@ -460,8 +470,9 @@ def tr_g_product(X: LabeledOperator, Y: LabeledOperator, cls: tuple[Element, ...
 
     For each pair gh = l in the class only the inner-window diagonal of
     K_g conj_g(L_h) Phi_l is read: O(dim^2) when Phi_l is a mode map, one
-    dim x dim x dim/2 product when it is dense.  ``conjugates`` is a memo of
-    Y's conjugated parts (``LabeledOperator.conjugated_part``).
+    dim x dim x dim/2 product when it is dense.  X's parts hold every row or
+    only the inner ones.  ``conjugates`` is a memo of Y's conjugated parts
+    (``LabeledOperator.conjugated_part``).
     """
     X._check_compatible(Y)
     grp = X.group
@@ -503,19 +514,23 @@ class _WindowTraces:
 def _power_traces(S: LabeledOperator, N: int, inner_fraction: float) -> dict[Element, complex]:
     """Tr_l(S^N) for every l in the support of S^N = S^{N-1} S, graded path.
 
-    S^{N-1} keeps the left-associated order of ``power``: the graded product
-    through a dense weighted shift is associative only up to truncation.  On
-    a finite group the last product is traced without forming it.  On an
-    infinite group the support grows with every product and the last prune
-    decides which shift classes exist, so S^N is formed there.  Finite
-    isometric problems take the block path instead (``_block_traces``).
+    The powers keep the left-associated order of ``power``: the graded product
+    through a dense weighted shift is associative only up to truncation.  On a
+    finite group they run on the inner rows P, the only ones the trace reads
+    (P ((S S) S) S = (((P S) S) S) S), and the last product is traced without
+    forming it.  On an infinite group the last prune decides which shift
+    classes exist, so S^N is formed with every row.  Finite isometric problems
+    take the block path instead (``_block_traces``).
     """
-    conjugates: dict = {}           # S's conjugated parts, for every product by S
-    head = S.power(N - 1, conjugates)
     grp = S.group
     if not grp.is_finite:
-        full = head.multiply(S, conjugates).prune()
+        full = S.power(N)
         return {l: tr_g(full, (l,), inner_fraction) for l in full.support}
+    rows = np.flatnonzero(S.window.inner_mask(inner_fraction))
+    conjugates: dict = {}           # S's conjugated parts, for every product by S
+    head = LabeledOperator(S.realization, {g: K[rows] for g, K in S.parts.items()})
+    for _ in range(N - 2):
+        head = head.multiply(S, conjugates).prune()
     support = sorted({grp.mul(g, h) for g in head.support for h in S.support}, key=repr)
     return {l: tr_g_product(head, S, (l,), inner_fraction, conjugates) for l in support}
 

@@ -102,7 +102,11 @@ def op_h_term(term, h: float, window: FrequencyWindow) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class LabeledOperator:
-    """Finitely supported map g -> dense window matrix, realizing sum K_g Phi_g."""
+    """Finitely supported map g -> dense window matrix, realizing sum K_g Phi_g.
+
+    A part may hold only some rows of K_g, those of P sum K_g Phi_g for a row
+    projection P; a product by an operator with full parts keeps those rows.
+    """
 
     def __init__(self, realization: Realization, parts: dict[Element, np.ndarray]):
         self.realization = realization
@@ -110,7 +114,7 @@ class LabeledOperator:
         self.parts = {}
         for g, m in parts.items():
             m = np.asarray(m, dtype=complex)
-            if m.shape != (dim, dim):
+            if m.shape[1:] != (dim,) or len(m) > dim:
                 raise WindowMismatch(f"part {g!r} has shape {m.shape}, window dim {dim}")
             self.parts[g] = m
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,9 +218,9 @@ class TestBandedPath:
 
 @st.composite
 def band_cases(draw):
-    """(window dim, a banded, dense, single-entry or zero matrix)."""
+    """(window dim, a banded, dense, sparse, single-entry or zero matrix)."""
     n = 2 * draw(st.integers(1, 40)) + 1
-    kind = draw(st.sampled_from(["banded", "dense", "single", "zero"]))
+    kind = draw(st.sampled_from(["banded", "dense", "sparse", "single", "zero"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     mat = np.zeros((n, n), dtype=complex)
     if kind == "banded":
@@ -229,6 +230,8 @@ def band_cases(draw):
         mat[np.ix_(order, order)] = np.where(np.abs(offsets) <= b, rng.normal(size=(n, n)), 0)
     elif kind == "dense":
         mat[:] = rng.normal(size=(n, n))
+    elif kind == "sparse":
+        mat[:] = np.where(rng.random((n, n)) < 0.1, rng.normal(size=(n, n)), 0)
     elif kind == "single":
         mat[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = 1.0
     return n, mat
@@ -245,6 +248,32 @@ class TestBand:
         mag = np.abs(mat[order][:, order])
         i, j = np.nonzero(mag > index_engine.BAND_FLOOR * mag.max())
         assert index_engine._band(mat, order) == max(np.abs(i - j), default=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(band_cases())
+    def test_matches_entry_positions(self, case):
+        # oracle: the interleaved positions of every entry above the floor
+        n, mat = case
+        order = index_engine._interleaved(n)
+        mag = np.abs(mat)
+        rows, cols = np.nonzero(mag > index_engine.BAND_FLOOR * mag.max())
+        pos = np.empty_like(order)
+        pos[order] = np.arange(n)
+        expect = int(np.max(np.abs(pos[rows] - pos[cols]), initial=0))
+        assert index_engine._band(mat, order) == expect
+
+    def test_allocates_at_most_one_window(self):
+        # a dense dim-513 window: no index arrays of all its entries
+        n = 513
+        mat = np.random.default_rng(0).normal(size=(n, n)).astype(complex)
+        order = index_engine._interleaved(n)
+        tracemalloc.start()
+        try:
+            assert index_engine._band(mat, order) == n - 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mat.nbytes
 
 
 class TestOracle:
@@ -402,6 +431,50 @@ class TestBlockPath:
         p = build()
         localized_index(p, (p.group.identity,), (32, 48), drift_tol=math.inf)
         assert taken == [path, path]
+
+
+class TestGradedPath:
+    @pytest.mark.parametrize("build, traced_rows_only", [
+        (lambda: curved_z2_problem(eps=0.3), True),
+        (shift_neumann_problem, False),
+    ])
+    def test_powers_run_on_the_traced_rows(self, monkeypatch, build, traced_rows_only):
+        # after E0 A and A E0, every product is a power product by S1 or S2:
+        # on a finite group its left factor holds the inner rows only
+        left_rows = []
+        multiply = LabeledOperator.multiply
+        monkeypatch.setattr(LabeledOperator, "multiply", lambda X, Y, conjugates=None:
+                            left_rows.append({len(K) for K in X.parts.values()})
+                            or multiply(X, Y, conjugates))
+        p = build()
+        N, window = 4, FrequencyWindow(48)
+        index_engine._graded_traces(p, window.cutoff, N, 0.5)
+        inner = int(np.sum(window.inner_mask(0.5)))
+        assert left_rows[:2] == [{window.dim}, {window.dim}]
+        if traced_rows_only:
+            assert left_rows[2:] == [{inner}] * 2 * (N - 2)
+        else:
+            assert left_rows[2:] == [{window.dim}] * 2 * (N - 1)
+
+    @pytest.mark.parametrize("cutoff", [32, 48])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("build", [
+        lambda: curved_z2_problem(eps=0.3),
+        lambda: random_problem("cyclic", 2, "curved_rotation", eps=0.3),
+        lambda: random_problem("cyclic", 3, "curved_rotation", eps=0.2),
+    ])
+    def test_matches_traces_of_formed_powers(self, build, N, cutoff):
+        # oracle: S^N formed with every row, pruned after each product, traced
+        p = build()
+        traces = index_engine._graded_traces(p, cutoff, N, 0.5)
+        A = p.operator(cutoff)
+        r = p.principal_inverse(grid_for_window(A.window))
+        S1, S2 = index_engine._neumann_start(A, r, p.k_min, p.unit_fill)[1:]
+        for side, S in ((traces.left, S1), (traces.right, S2)):
+            full = S.power(N)
+            assert set(side) == set(full.support)
+            for l, value in side.items():
+                assert abs(value - tr_g(full, (l,))) < 1e-12
 
 
 class TestLocalized:
