@@ -34,11 +34,19 @@ compute these traces:
 
 * block path (finite group, isometric family): every Phi_g is a mode map and
   Phi_g Phi_h = Phi_gh, so X = sum_g K_g Phi_g -> X(pi) = sum_g pi(g) (x)
-  K_g Phi_g is an algebra isomorphism onto one dense (d_pi dim)^2 block per
-  irrep pi (``GroupSpec.irreps``).  A graded product of full-support
-  operators costs |G|^2 dense products, the blocks sum_pi d_pi^3 (10 against
-  36 on dihedral(3)).  The inner-window diagonals of the last block product
-  S^{N - N//2} S^{N//2} are read without forming it, and Fourier inversion,
+  K_g Phi_g is an algebra isomorphism onto one (d_pi dim)^2 block per irrep
+  pi (``GroupSpec.irreps``), its modes in the interleaved order and pi's
+  index fastest.  There A(pi) is banded (d_pi b + d_pi - 1 for parts of
+  band b) and the inner window is a prefix.  The remainder powers come from
+  the push-through identity S1 E0 = E0 S2: with H_1 = E0 and H_{j+1} = E0 +
+  H_j S2, exactly S1^k = 1 - H_k A and S2^k = 1 - A H_k
+  (``_neumann_heads``).  So the only dense products are the N - N//2 - 1
+  steps of that recursion per irrep (one at N = 4: 10 dim^3 on dihedral(3),
+  where E0 A, A E0, S1^2 and S2^2 would be 40).  S1 = 1 - E0 A, S2 = 1 -
+  A E0, the prefix rows of S^{N - N//2} and the prefix columns of S^{N//2}
+  go through A's band (``_Banded``), and A is never formed densely unless
+  its band exceeds dim/8.  The inner diagonals of S^N = S^{N - N//2}
+  S^{N//2} are read from those rows and columns, and Fourier inversion,
   Tr_l = (1/|G|) sum_pi d_pi sum_ab conj(pi(l)_ab) T_pi[a, b], recovers the
   element traces.
 * graded path (curved eps > 0 and integer_shift problems, and the test
@@ -50,7 +58,8 @@ compute these traces:
 A sweep takes at least two strictly increasing windows (drifts compare the
 last two).  Each problem caches a window's index data (``_window_index``) and
 remainder traces (``_window_traces``) per numerics, so every check on one
-problem computes each window once.
+problem computes each window once; ``decomposition_check`` takes both from
+one operator build per window.
 """
 
 from __future__ import annotations
@@ -194,18 +203,25 @@ def _band(mat: np.ndarray, order: np.ndarray) -> int:
     return int(np.max(np.maximum(pos - first, last - pos)[mask.any(axis=1)], initial=0))
 
 
-def _column_strips(mat: np.ndarray, order: np.ndarray, b: int, bs: int) -> np.ndarray:
-    """Column strips of the interleaved matrix M[order][:, order], gathered
-    without forming it: strip I holds columns I bs .. (I+1) bs and rows
-    I bs - b .. (I+1) bs + b, zero past the matrix edge (the last strip's
-    padding columns included)."""
-    n = len(order)
+def _strip_layout(n: int, b: int, bs: int):
+    """Entry positions of the column strips of an n x n matrix of band b:
+    strip I holds columns I bs .. (I+1) bs and rows I bs - b .. (I+1) bs + b.
+    Returns the row and column indices, clipped to the matrix and shaped to
+    broadcast to (strips, bs + 2 b, bs), and the mask of the entries past the
+    matrix edge (the last strip's padding columns included)."""
     nb = -(-n // bs)
     rows = np.arange(nb)[:, None] * bs - b + np.arange(bs + 2 * b)
     cols = np.arange(nb)[:, None] * bs + np.arange(bs)
-    strips = mat[order[np.clip(rows, 0, n - 1)][:, :, None],
-                 order[np.minimum(cols, n - 1)][:, None, :]]
-    strips[~(((rows >= 0) & (rows < n))[:, :, None] & (cols < n)[:, None, :])] = 0
+    outside = ~(((rows >= 0) & (rows < n))[:, :, None] & (cols < n)[:, None, :])
+    return np.clip(rows, 0, n - 1)[:, :, None], np.minimum(cols, n - 1)[:, None, :], outside
+
+
+def _column_strips(mat: np.ndarray, order: np.ndarray, b: int, bs: int) -> np.ndarray:
+    """Column strips (``_strip_layout``) of the interleaved matrix
+    M[order][:, order], gathered without forming it."""
+    rows, cols, outside = _strip_layout(len(order), b, bs)
+    strips = mat[order[rows], order[cols]]
+    strips[outside] = 0
     return strips
 
 
@@ -536,117 +552,233 @@ def _power_traces(S: LabeledOperator, N: int, inner_fraction: float) -> dict[Ele
 
 
 def _window_index(problem: GOperatorProblem, cutoff: int, zero_tol: float,
-                  inner_fraction: float) -> WindowIndexData:
-    """Index data of one window, counted once per numerics."""
+                  inner_fraction: float, A: LabeledOperator | None = None) -> WindowIndexData:
+    """Index data of one window, counted once per numerics, from the window's
+    operator ``A`` when the caller has built it."""
     key = (cutoff, zero_tol, inner_fraction)
     if key not in problem._index_cache:
         FrequencyWindow(cutoff).require()
-        A = problem.operator(cutoff)
+        if A is None:
+            A = problem.operator(cutoff)
         problem._index_cache[key] = index_of_matrix(A.realize(), A.window, zero_tol,
                                                     inner_fraction)
     return problem._index_cache[key]
 
 
-def _fourier_blocks(X: LabeledOperator, irreps) -> list[np.ndarray]:
-    """X(pi) = sum_g pi(g) (x) K_g Phi_g per irrep, written block by block into
-    one array each; every part is realized once."""
+@dataclass(frozen=True)
+class _Banded:
+    """A square matrix held as its column strips (``_strip_layout`` with band
+    ``reach``): a product by a dense factor reads the strips alone, O(n^2
+    reach) work against O(n^3).  A single strip of reach 0 holds the matrix
+    densely, and each product is then one matmul."""
+
+    strips: np.ndarray
+    reach: int
+
+    def left(self, Y: np.ndarray, rows: int | None = None) -> np.ndarray:
+        """The first ``rows`` rows of M Y (all of them when None)."""
+        height, bs = self.strips.shape[1:]
+        n = len(Y)
+        rows = n if rows is None else rows
+        out = np.zeros((rows, Y.shape[1]), dtype=complex)
+        for J, strip in enumerate(self.strips):
+            top = J * bs - self.reach
+            if top >= rows:
+                break
+            lo, hi = max(top, 0), min(top + height, rows)
+            Y_J = Y[J * bs:(J + 1) * bs]
+            out[lo:hi] += strip[lo - top:hi - top, :len(Y_J)] @ Y_J
+        return out
+
+    def right(self, X: np.ndarray, cols: int | None = None) -> np.ndarray:
+        """The first ``cols`` columns of X M (all of them when None)."""
+        height, bs = self.strips.shape[1:]
+        n = X.shape[1]
+        cols = n if cols is None else cols
+        out = np.empty((len(X), cols), dtype=complex)
+        for J in range(-(-cols // bs)):
+            top = J * bs - self.reach
+            lo, hi = max(top, 0), min(top + height, n)
+            c0, c1 = J * bs, min((J + 1) * bs, cols)
+            out[:, c0:c1] = X[:, lo:hi] @ self.strips[J, lo - top:hi - top, :c1 - c0]
+        return out
+
+
+def _fourier_blocks(X: LabeledOperator, irreps, order: np.ndarray) -> list[np.ndarray]:
+    """X(pi) = sum_g pi(g) (x) K_g Phi_g per irrep, with rows and columns in
+    the interleaved ``order`` and pi's index fastest: entry (p d + a, q d + b)
+    is pi(g)_ab (K_g Phi_g)[order[p], order[q]].  Every part is realized once."""
     dim = X.window.dim
     out = [np.zeros((len(rep[X.group.identity]) * dim,) * 2, dtype=complex) for rep in irreps]
     for g, K in X.parts.items():
-        KPhi = X.realization.phi(g).right_mul(K)
+        KPhi = X.realization.phi(g).right_mul(K)[np.ix_(order, order)]
         for rep, block in zip(irreps, out):
-            view = block.reshape(len(rep[g]), dim, -1, dim)
+            view = block.reshape(dim, len(rep[g]), dim, -1)
             for (a, b), c in np.ndenumerate(rep[g]):
-                view[a, :, b] += c * KPhi
+                view[:, a, :, b] += c * KPhi
     return out
 
 
-def _inverse_fourier(irreps, blocks, l: Element):
-    """(1/|G|) sum_pi d_pi sum_ab conj(pi(l)_ab) X_pi[a, b], X_pi of shape (d_pi, d_pi, ...)."""
-    return sum(len(rep[l]) * np.einsum("ab,ab...->...", np.conj(rep[l]), X)
-               for rep, X in zip(irreps, blocks)) / sum(len(rep[l]) ** 2 for rep in irreps)
+def _band_blocks(A: LabeledOperator, irreps, order: np.ndarray) -> list[_Banded]:
+    """A(pi) per irrep in the layout of ``_fourier_blocks``, held through its band.
+
+    With b the largest band of the parts K_g Phi_g (``_band``), A(pi) has band
+    d_pi b + d_pi - 1, and its strips are gathered from the parts without
+    forming the block.  A band b above dim/8 keeps every block dense, as one
+    strip.
+    """
+    dim = len(order)
+    real = A.realization
+    b = max((_band(real.phi(g).right_mul(K), order) for g, K in A.parts.items()), default=0)
+    if b > dim / 8:
+        return [_Banded(block[None], 0) for block in _fourier_blocks(A, irreps, order)]
+    out = []
+    for rep in irreps:
+        d = len(rep[A.group.identity])
+        reach = d * b + d - 1
+        rows, cols, outside = _strip_layout(d * dim, reach, max(2 * reach, RITZ_BLOCK))
+        modes, src = order[rows // d], order[cols // d]
+        strips = np.zeros(outside.shape, dtype=complex)
+        for g, K in A.parts.items():
+            phi = real.phi(g)            # K_g Phi_g e_k = p(k) K_g e_{s k}
+            strips += (rep[g][rows % d, cols % d] * phi.phases[src]
+                       * K[modes, src if phi.sign == 1 else dim - 1 - src])
+        strips[outside] = 0
+        out.append(_Banded(strips, reach))
+    return out
+
+
+def _inverse_fourier(irreps, l: Element) -> np.ndarray:
+    """c with X_l = sum_i c_i X_i over the components i = (pi, a, b), X_i =
+    X(pi)[a, b] in ``_components``' order: c_i = d_pi conj(pi(l)_ab) / |G|."""
+    return (np.concatenate([len(rep[l]) * np.conj(rep[l]).ravel() for rep in irreps])
+            / sum(len(rep[l]) ** 2 for rep in irreps))
+
+
+def _components(blocks: list[np.ndarray], dim: int) -> np.ndarray:
+    """The components X(pi)[a, b] of blocks in ``_fourier_blocks``' layout, one
+    row each, pi by pi; each block is dropped once copied."""
+    out = np.empty((sum(len(B) ** 2 for B in blocks) // dim ** 2, dim, dim), dtype=complex)
+    i = 0
+    while blocks:
+        B = blocks.pop(0)
+        d = len(B) // dim
+        out[i:i + d * d].reshape(d, d, dim, dim)[...] = B.reshape(dim, d, dim, d).transpose(1, 3, 0, 2)
+        i += d * d
+    return out.reshape(i, -1)
 
 
 def _unit_minus(P: np.ndarray) -> np.ndarray:
+    """1 - P in place, for P the leading rows or columns of a square matrix."""
     P *= -1
-    P[np.diag_indices_from(P)] += 1
+    P[np.diag_indices(min(P.shape))] += 1
     return P
 
 
-def _block_power_trace(S: np.ndarray, N: int, rows: np.ndarray, dim: int) -> np.ndarray:
-    """T[a, b] = sum_{r in rows} (S^N)[a dim + r, b dim + r].
+def _neumann_heads(E: np.ndarray, S2: np.ndarray):
+    """H_1 = E, H_2, H_3, ... with H_{j+1} = E + H_j S2, one dense product each.
 
-    S^N = S^{N - N//2} S^{N//2} (dense products associate up to rounding),
-    and that last product is not formed: ceil(N/2) - 1 products, not N - 2.
+    For S1 = 1 - E A and S2 = 1 - A E, S1 E = E S2 (both are E - E A E), so
+    H_j = sum_{i<j} S1^i E = sum_{i<j} E S2^i, and the sums telescope:
+    S1^j = 1 - H_j A and S2^j = 1 - A H_j exactly, on every finite window.
     """
-    powers = [S]
-    while len(powers) < N - N // 2:
-        powers.append(powers[-1] @ S)
-    idx = np.arange(len(S) // dim)[:, None] * dim + rows
-    return np.einsum("arj,jbr->ab", powers[-1][idx], powers[N // 2 - 1][:, idx])
+    H = E
+    while True:
+        yield H
+        H = H @ S2
+        H += E
+
+
+def _irrep_remainders(E: np.ndarray, A: _Banded, N: int, m: int, d: int):
+    """S1 = 1 - E A and S2 = 1 - A E of one irrep block, and for each the trace
+    T[a, b] = sum_{p < m/d} (S^N)[p d + a, p d + b] over the traced prefix.
+
+    S^N = S^{k1} S^{k2}, k1 = N - N//2 and k2 = N//2, and only the prefix rows
+    of S^{k1} and the prefix columns of S^{k2} are formed, from H_{k1} and
+    H_{k2} (``_neumann_heads``): k1 - 1 dense products, every other product
+    through A's band.  E is released once the heads exist.
+    """
+    S1 = _unit_minus(A.right(E))
+    S2 = _unit_minus(A.left(E))
+    heads = _neumann_heads(E, S2)
+    del E
+    for _ in range(N // 2):
+        H_cols = next(heads)
+    H_rows = next(heads) if N % 2 else H_cols
+    heads.close()
+
+    def trace(R, C):
+        return np.einsum("paj,jpb->ab", R.reshape(-1, d, R.shape[1]), C.reshape(len(C), -1, d))
+
+    T1 = trace(_unit_minus(A.right(H_rows[:m])), _unit_minus(A.right(H_cols, m)))
+    T2 = trace(_unit_minus(A.left(H_rows, m)), _unit_minus(A.left(H_cols[:, :m])))
+    return S1, S2, T1, T2
 
 
 def _products(grp, left, right) -> set:
     return {grp.mul(g, h) for g in left for h in right}
 
 
-def _block_traces(problem: GOperatorProblem, cutoff: int, N: int,
+def _block_traces(problem: GOperatorProblem, A: LabeledOperator, N: int,
                   inner_fraction: float) -> _WindowTraces:
     """Remainder traces of one window of a finite isometric problem, block path.
 
-    Each operator is dropped once its blocks exist, each block once used, and
-    S1's blocks before S2's powers are formed.  The traces are reported on
-    the graded path's supports: S's parts (read back by Fourier inversion,
-    ||K_l Phi_l|| = ||K_l||) are pruned as ``LabeledOperator.prune`` does,
-    then multiplied out N-fold.
+    In the interleaved order the inner window is a prefix of every block.  A
+    is taken over: its parts are dropped once its bands exist, E0's once its
+    blocks do, and each block E0(pi) once its heads do.  The traces are
+    reported on the graded path's supports: S's parts (read back by Fourier
+    inversion, ||K_l Phi_l|| = ||K_l||) are pruned as ``LabeledOperator.prune``
+    does, then multiplied out N-fold.
     """
     grp = problem.group
     irreps = grp.irreps()
-    A = problem.operator(cutoff)
     window, dim = A.window, A.window.dim
+    order = _interleaved(dim)
     E0 = quantize_crossed(A.realization, problem.principal_inverse(grid_for_window(window)),
                           problem.k_min, problem.unit_fill)
     keys = [_products(grp, E0.support, A.support) | {grp.identity},
             _products(grp, A.support, E0.support) | {grp.identity}]
-    A_hat = _fourier_blocks(A, irreps)
-    del A
-    E_hat = _fourier_blocks(E0, irreps)
+    bands = _band_blocks(A, irreps, order)
+    A.parts.clear()
+    E_hat = _fourier_blocks(E0, irreps, order)
     del E0
-    S1, S2 = [], []
-    while A_hat:
-        A_pi, E_pi = A_hat.pop(0), E_hat.pop(0)
-        S1.append(_unit_minus(E_pi @ A_pi))
-        S2.append(_unit_minus(A_pi @ E_pi))
-    del A_pi, E_pi
-    rows = np.flatnonzero(window.inner_mask(inner_fraction))
+    inner = int(np.count_nonzero(window.inner_mask(inner_fraction)))
+    per_irrep = []
+    while E_hat:                    # irreps() lists the largest blocks last: pop them first
+        d = len(E_hat[-1]) // dim
+        per_irrep.insert(0, _irrep_remainders(E_hat.pop(), bands.pop(), N, d * inner, d))
+    S1, S2, T1, T2 = map(list, zip(*per_irrep))
+    del per_irrep
     traces = []
-    for blocks, keys_S in zip((S1, S2), keys):
-        parts = [B.reshape(len(B) // dim, dim, -1, dim).swapaxes(1, 2) for B in blocks]
-        norms = {l: np.linalg.norm(_inverse_fourier(irreps, parts, l)) for l in keys_S}
+    for blocks, T, keys_S in zip((S1, S2), (T1, T2), keys):
+        parts = _components(blocks, dim)
+        norms = {l: np.linalg.norm(_inverse_fourier(irreps, l) @ parts) for l in keys_S}
         del parts
         top = max(norms.values())
         support = first = {l for l in keys_S if norms[l] > PRUNE_TOL * top} if top > 0 else keys_S
         for _ in range(N - 1):
             support = _products(grp, support, first)
-        T = [_block_power_trace(blocks.pop(0), N, rows, dim) for _ in irreps]
-        traces.append({l: complex(_inverse_fourier(irreps, T, l)) for l in support})
+        t = np.concatenate([T_pi.ravel() for T_pi in T])
+        traces.append({l: complex(_inverse_fourier(irreps, l) @ t) for l in support})
     return _WindowTraces(*traces)
 
 
-def _graded_traces(problem: GOperatorProblem, cutoff: int, N: int,
+def _graded_traces(problem: GOperatorProblem, A: LabeledOperator, N: int,
                    inner_fraction: float) -> _WindowTraces:
-    """Remainder traces of one window, graded path; the block path's oracle."""
-    A = problem.operator(cutoff)
+    """Remainder traces of one window, graded path; the block path's oracle.
+    A is taken over: its parts are dropped once S1 and S2 exist."""
     r = problem.principal_inverse(grid_for_window(A.window))
     S1, S2 = _neumann_start(A, r, problem.k_min, problem.unit_fill)[1:]
-    del A
+    A.parts.clear()
     return _WindowTraces(_power_traces(S1, N, inner_fraction),
                          _power_traces(S2, N, inner_fraction))
 
 
-def _window_traces(problem: GOperatorProblem, cutoff: int, N: int,
-                   inner_fraction: float) -> _WindowTraces:
-    """Remainder traces of one window; only these scalars are cached.
+def _window_traces(problem: GOperatorProblem, cutoff: int, N: int, inner_fraction: float,
+                   zero_tol: float | None = None) -> _WindowTraces:
+    """Remainder traces of one window; only these scalars are cached.  With
+    ``zero_tol`` the window's index data (``_window_index``) is counted from
+    the same operator build, before the trace path takes the operator over.
 
     Finite groups under an isometric family take the block path: there Phi
     is a representation, so the map onto the irrep blocks is an algebra
@@ -657,9 +789,12 @@ def _window_traces(problem: GOperatorProblem, cutoff: int, N: int,
     if key not in problem._trace_cache:
         if N < 2:
             raise ValueError("parametrix order N must be >= 2")
+        A = problem.operator(cutoff)
+        if zero_tol is not None:
+            _window_index(problem, cutoff, zero_tol, inner_fraction, A)
         path = (_block_traces if problem.group.is_finite and problem.family.is_isometric
                 else _graded_traces)
-        problem._trace_cache[key] = path(problem, cutoff, N, inner_fraction)
+        problem._trace_cache[key] = path(problem, A, N, inner_fraction)
     return problem._trace_cache[key]
 
 
@@ -697,9 +832,15 @@ def decomposition_check(problem: GOperatorProblem, windows, N: int = PARAMETRIX_
                         index_windows=None) -> LocalizedIndexReport:
     """Compare the sum of localized indices against the SVD Fredholm index.
 
-    The classes are those the first window's remainder traces touch.
+    The classes are those the first window's remainder traces touch.  A window
+    that is also an index window gets its index data and its traces from one
+    operator build.
     """
     _require_windows(windows)
+    index_windows = index_windows or windows
+    for cutoff in windows:
+        _window_traces(problem, cutoff, N, inner_fraction,
+                       zero_tol if cutoff in index_windows else None)
     traces = _window_traces(problem, windows[0], N, inner_fraction)
     classes = problem.group.conjugacy_classes(support=set(traces.left) | set(traces.right))
     values = [localized_index(problem, cls, windows, N, inner_fraction, drift_tol)
@@ -707,7 +848,7 @@ def decomposition_check(problem: GOperatorProblem, windows, N: int = PARAMETRIX_
     per_class = {class_label(problem, v.cls): v.value for v in values}
     drifts = {class_label(problem, v.cls): v.drift for v in values}
     total = sum(per_class.values())
-    report = numerical_index(problem, index_windows or windows, zero_tol, inner_fraction)
+    report = numerical_index(problem, index_windows, zero_tol, inner_fraction)
     residual = abs(total - report.index)
     return LocalizedIndexReport(per_class, total, report.index, residual, drifts)
 

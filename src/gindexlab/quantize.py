@@ -7,9 +7,10 @@ coefficient of ``x -> a(x, k)``.  There is one quantizer per kind of symbol:
 sampled semiclassical term.  A sheet function's columns are a Toeplitz view
 of its transfer band, so ``op_classical`` forms no table beside its output;
 a sampled term's coefficients change from column to column, so ``op_h_term``
-gathers from one transfer table.  A LabeledOperator keeps the g-grading of
-``sum_g K_g Phi_g`` so that class-localized traces remain computable after
-products; multiplication uses exact matrix conjugation,
+gathers them through a skewed view of the transfer rows, with no table.  A
+LabeledOperator keeps the g-grading of ``sum_g K_g Phi_g`` so that
+class-localized traces remain computable after products; multiplication uses
+exact matrix conjugation,
 
     (A B)_m = sum_{gh = m} K_g (Phi_g L_h Phi_{g^{-1}}),
 
@@ -20,7 +21,7 @@ holds exactly (all isometric families here).
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .circle import FrequencyWindow
 from .errors import GroupMismatch, WindowMismatch, WindowTooSmallForH
@@ -86,15 +87,24 @@ def op_h_term(term, h: float, window: FrequencyWindow) -> np.ndarray:
     if radius is not None and h * window.cutoff < radius:
         raise WindowTooSmallForH(
             f"h N_F = {h * window.cutoff:.3f} below xi-support radius {radius:.3f}")
-    grid = term.grid
-    M = grid.size
-    ks = window.modes
-    vals = term.sample(h * ks)                       # (M, dim)
-    coeffs = np.fft.fft(vals, axis=0) / M
-    T = ks[:, None] - ks[None, :]
-    out = np.take_along_axis(coeffs, T % M, axis=0)
-    out[np.abs(T) > M // 2 - 1] = 0.0
+    M = term.grid.size
+    n, dim = window.cutoff, window.dim
+    coeffs = np.fft.fft(term.sample(h * window.modes), axis=0)     # (M, dim)
+    coeffs /= M
+    transfers = np.arange(-2 * n, 2 * n + 1)
+    row, alias = transfers % M, np.abs(transfers) > M // 2 - 1
+    # entry (j, k) reads transfer j - k: entry j - k + 2 N_F of these vectors,
+    # a skewed (dim, dim) view of each
+    out = coeffs[_skewed(row, dim), np.arange(dim)]
+    np.copyto(out, 0.0, where=_skewed(alias, dim))
     return out
+
+
+def _skewed(v: np.ndarray, dim: int) -> np.ndarray:
+    """The (dim, dim) view (j, k) -> v[j - k + dim - 1] of a vector of 2 dim - 1
+    entries, with no copy."""
+    step = v.strides[0]
+    return as_strided(v[dim - 1:], (dim, dim), (step, -step), writeable=False)
 
 
 # ---------------------------------------------------------------------------

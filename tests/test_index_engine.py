@@ -392,8 +392,108 @@ def partial_support_problem():
     return GOperatorProblem(fam, {0: ({0: 2.0}, {1: 2.0}), 2: ({0: 0.5, 1: 0.3}, {0: 0.5})})
 
 
+def random_matrix(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+class TestNeumannHeads:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 4), st.floats(0.1, 10.0),
+           st.integers(0, 2 ** 32 - 1))
+    def test_remainder_powers_from_one_head(self, n, k, scale, seed):
+        # S1^k = 1 - H_k A and S2^k = 1 - A H_k on any square matrices, against
+        # the repeated products of S1 = 1 - E A and S2 = 1 - A E
+        rng = np.random.default_rng(seed)
+        A = scale * random_matrix(rng, n) / n
+        E = random_matrix(rng, n) / (scale * n)
+        S1, S2 = np.eye(n) - E @ A, np.eye(n) - A @ E
+        heads = index_engine._neumann_heads(E, S2.copy())
+        for _ in range(k):
+            H = next(heads)
+        P1, P2 = np.linalg.matrix_power(S1, k), np.linalg.matrix_power(S2, k)
+        size = (1 + np.linalg.norm(S1)) ** k + np.linalg.norm(H) * np.linalg.norm(A)
+        assert np.max(np.abs(np.eye(n) - H @ A - P1)) <= 1e-12 * size
+        assert np.max(np.abs(np.eye(n) - A @ H - P2)) <= 1e-12 * size
+
+
+@st.composite
+def banded_products(draw):
+    """(an n x n matrix of band b in strips, a dense factor of every shape the
+    block path uses, the rows or columns kept); b above n/8 keeps the matrix
+    densely as one strip."""
+    n = draw(st.integers(1, 60))
+    b = draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    offsets = np.subtract.outer(np.arange(n), np.arange(n))
+    M = np.where(np.abs(offsets) <= b, random_matrix(rng, n), 0)
+    if b > n / 8:
+        band = index_engine._Banded(M[None], 0)
+    else:
+        bs = max(2 * b, index_engine.RITZ_BLOCK)
+        rows, cols, outside = index_engine._strip_layout(n, b, bs)
+        strips = M[rows, cols]
+        strips[outside] = 0
+        band = index_engine._Banded(strips, b)
+    X = random_matrix(rng, n)[:, :draw(st.integers(1, n))]
+    return M, band, X, draw(st.integers(1, n))
+
+
+class TestBandedProducts:
+    @settings(max_examples=60, deadline=None)
+    @given(banded_products())
+    def test_match_matmul(self, case):
+        M, band, X, k = case
+        scale = 1e-13 * (1 + np.abs(M).sum()) * (1 + np.abs(X).max())
+        assert np.max(np.abs(band.left(X) - M @ X)) <= scale
+        assert np.max(np.abs(band.left(X, k) - (M @ X)[:k])) <= scale
+        Xt = X.T.copy()
+        assert np.max(np.abs(band.right(Xt) - Xt @ M)) <= scale
+        assert np.max(np.abs(band.right(Xt, k) - (Xt @ M)[:, :k])) <= scale
+
+    @pytest.mark.parametrize("build, cutoff, dense", [
+        (lambda: dihedral_sample(3), 48, False),
+        (partial_support_problem, 48, False),
+        # degree 4 on every element: band 9 in the interleaved order, above 65/8
+        (lambda: elliptic_problem("dihedral", 4, 1, 4, 0), 32, True),
+        (lambda: elliptic_problem("dihedral", 4, 1, 4, 0), 48, False),
+    ])
+    def test_band_blocks_are_the_fourier_blocks(self, build, cutoff, dense):
+        p = build()
+        A = p.operator(cutoff)
+        order = index_engine._interleaved(A.window.dim)
+        irreps = p.group.irreps()
+        blocks = index_engine._fourier_blocks(A, irreps, order)
+        bands = index_engine._band_blocks(A, irreps, order)
+        for band, block in zip(bands, blocks):
+            assert (len(band.strips) == 1 and band.reach == 0) == dense
+            if not dense:   # the reach covers every entry above the floor
+                i, j = np.nonzero(np.abs(block) > index_engine.BAND_FLOOR * np.abs(block).max())
+                assert np.max(np.abs(i - j)) <= band.reach
+            eye = np.eye(len(block))
+            assert np.max(np.abs(band.left(eye) - block)) <= 1e-15 * np.abs(block).max()
+
+
+class MatmulSpy(np.ndarray):
+    """An array that records the operand shapes of every matmul it enters;
+    results stay spies."""
+
+    shapes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul and method == "__call__":
+            MatmulSpy.shapes.append(tuple(np.shape(x) for x in inputs))
+        plain = [x.view(np.ndarray) if isinstance(x, MatmulSpy) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, MatmulSpy) else o
+                                  for o in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(MatmulSpy) if isinstance(result, np.ndarray) else result
+
+
 class TestBlockPath:
-    @pytest.mark.parametrize("N", [2, 4])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
     @pytest.mark.parametrize("build", [
         z2_sample,
         lambda: random_problem("cyclic", 3, "rotation"),
@@ -404,12 +504,13 @@ class TestBlockPath:
         lambda: curved_z2_problem(eps=0.0),
         partial_support_problem,
         unit_problem,
+        lambda: elliptic_problem("dihedral", 4, 1, 4, 0),   # dense blocks at cutoff 32
     ])
     def test_matches_graded_oracle(self, build, N):
         p = build()
         for cutoff in (32, 48):
-            graded = index_engine._graded_traces(p, cutoff, N, 0.5)
-            block = index_engine._block_traces(p, cutoff, N, 0.5)
+            graded = index_engine._graded_traces(p, p.operator(cutoff), N, 0.5)
+            block = index_engine._block_traces(p, p.operator(cutoff), N, 0.5)
             for g_side, b_side in ((graded.left, block.left), (graded.right, block.right)):
                 assert set(b_side) == set(g_side)
                 for l, value in g_side.items():
@@ -432,6 +533,50 @@ class TestBlockPath:
         localized_index(p, (p.group.identity,), (32, 48), drift_tol=math.inf)
         assert taken == [path, path]
 
+    def test_one_dense_product_per_irrep_at_order_four(self, monkeypatch):
+        # E0's blocks record every matmul they and their products enter; the
+        # only n x n x n one is H_2 = E0 + E0 S2, where forming E0 A, A E0,
+        # S1^2 and S2^2 would make four
+        fourier = index_engine._fourier_blocks
+        monkeypatch.setattr(index_engine, "_fourier_blocks", lambda *args: [
+            block.view(MatmulSpy) for block in fourier(*args)])
+        MatmulSpy.shapes = []
+        p = dihedral_sample(3)
+        A = p.operator(48)
+        sizes = [len(rep[p.group.identity]) * A.window.dim for rep in p.group.irreps()]
+        index_engine._block_traces(p, A, 4, 0.5)
+        cubes = [s for s in MatmulSpy.shapes if len(s) == 2 and s[0] == s[1] == s[0][:1] * 2]
+        assert sorted(s[0][0] for s in cubes) == sorted(sizes)
+
+    def test_peak_memory_at_most_the_dense_blocks(self):
+        # the localized_dihedral seed-0 problem at cutoff 192: with dense
+        # blocks of A and four dense products per irrep the path peaked at
+        # 20.1 window matrices, operator build included
+        p = dihedral_sample(0)
+        p.principal_inverse(grid_for_window(FrequencyWindow(192)))
+        window_bytes = 16 * FrequencyWindow(192).dim ** 2
+        tracemalloc.start()
+        try:
+            index_engine._block_traces(p, p.operator(192), 4, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 19.5 * window_bytes
+
+    def test_one_operator_per_window(self, monkeypatch):
+        # decomposition_check counts each window's index and reads its traces
+        # from one build, and the trace path releases the operator's parts
+        built = []
+        operator = GOperatorProblem.operator
+        monkeypatch.setattr(GOperatorProblem, "operator",
+                            lambda self, cutoff: built.append((cutoff, operator(self, cutoff)))
+                            or built[-1][1])
+        for p in (dihedral_sample(3), curved_z2_problem(eps=0.3)):
+            built.clear()
+            decomposition_check(p, (32, 48))
+            assert [cutoff for cutoff, _ in built] == [32, 48]
+            assert all(not A.parts for _, A in built)
+
 
 class TestGradedPath:
     @pytest.mark.parametrize("build, traced_rows_only", [
@@ -448,7 +593,7 @@ class TestGradedPath:
                             or multiply(X, Y, conjugates))
         p = build()
         N, window = 4, FrequencyWindow(48)
-        index_engine._graded_traces(p, window.cutoff, N, 0.5)
+        index_engine._graded_traces(p, p.operator(window.cutoff), N, 0.5)
         inner = int(np.sum(window.inner_mask(0.5)))
         assert left_rows[:2] == [{window.dim}, {window.dim}]
         if traced_rows_only:
@@ -466,7 +611,7 @@ class TestGradedPath:
     def test_matches_traces_of_formed_powers(self, build, N, cutoff):
         # oracle: S^N formed with every row, pruned after each product, traced
         p = build()
-        traces = index_engine._graded_traces(p, cutoff, N, 0.5)
+        traces = index_engine._graded_traces(p, p.operator(cutoff), N, 0.5)
         A = p.operator(cutoff)
         r = p.principal_inverse(grid_for_window(A.window))
         S1, S2 = index_engine._neumann_start(A, r, p.k_min, p.unit_fill)[1:]

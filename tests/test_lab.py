@@ -504,9 +504,12 @@ class TestReports:
 
 
     def test_report_independent_of_blas_threads(self, tmp_path):
-        """The localized block path and the star calculus of a small Z/2
-        algebraic run write the same report under one and two BLAS threads."""
-        configs = {"localized": dihedral_localized_config(),
+        """The localized block path, at even and odd parametrix order, and the
+        star calculus of a small Z/2 algebraic run write the same report under
+        one and two BLAS threads."""
+        order3 = dihedral_localized_config()
+        order3["numerics"] = {**order3["numerics"], "parametrix_order": 3}
+        configs = {"localized": dihedral_localized_config(), "localized_order3": order3,
                    "algebraic": {**Z2_PIPELINE, "experiment": "algebraic",
                                  "numerics": SMALL_ALGEBRAIC}}
         for name, raw in configs.items():

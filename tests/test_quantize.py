@@ -8,7 +8,7 @@ from gindexlab.circle import FrequencyWindow, PeriodicFunction, PeriodicGrid, gr
 from gindexlab.errors import GroupMismatch, WindowTooSmallForH
 from gindexlab.groups import build_group
 from gindexlab.quantize import LabeledOperator, op_classical, op_h_term, quantize_crossed
-from gindexlab.samples import winding_problem, z2_sample
+from gindexlab.samples import annulus_term, winding_problem, z2_sample
 from gindexlab.semiclass import SampledTerm, XiLattice
 from gindexlab.symbols import CrossedSymbol, PrincipalSymbol
 from gindexlab.transforms import Realization, RealizationFamily
@@ -139,6 +139,12 @@ class TestAllocationBudgets:
         phi = z2_sample().realization(self.window.cutoff).phi(1)
         mat = np.ones((self.window.dim,) * 2, dtype=complex)
         assert peak_ratio(lambda: phi.right_mul(mat), self.nbytes) <= 1.2
+
+    def test_op_h_term(self):
+        # the FFT table of a 256-point grid is half a window; the three
+        # transfer tables of the gather form peaked at 3.06
+        term = annulus_term(PeriodicGrid(256), XiLattice(3.0, 601))
+        assert peak_ratio(lambda: op_h_term(term, 0.05, self.window), self.nbytes) <= 1.7
 
 
 class TestEgorovTransport:
@@ -306,6 +312,22 @@ class TestOpH:
             w = FrequencyWindow(int(np.ceil(3.2 / h)))
             norm = np.linalg.norm(op_h_term(term, h, w), 2)
             assert abs(norm - 1.0) < 1e-6
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(8, 40), st.integers(4, 200), st.floats(1.01, 2.5))
+    def test_matches_transfer_table_gather(self, cutoff, M, reach):
+        # oracle: the gather through the dim x dim table of transfers j - k,
+        # zero past the alias guard; equal bit for bit
+        term = annulus_term(PeriodicGrid(M), XiLattice(3.0, 61))
+        window = FrequencyWindow(cutoff)
+        h = reach * term.xi_support_radius() / cutoff      # h N_F past the support
+        ks = window.modes
+        coeffs = np.fft.fft(term.sample(h * ks), axis=0) / M
+        T = ks[:, None] - ks[None, :]
+        expect = np.take_along_axis(coeffs, T % M, axis=0)
+        expect[np.abs(T) > M // 2 - 1] = 0.0
+        got = op_h_term(term, h, window)
+        assert got.flags.c_contiguous and got.tobytes() == expect.tobytes()
 
     def test_window_too_small(self):
         term = SampledTerm.from_callable(self.grid, self.lat,
