@@ -23,10 +23,13 @@ block-tridiagonal matrix and factored block by block, three steps of block
 inverse iteration find its smallest eigenvectors, and the SVD of the n x 16
 product M X gives Ritz values and vectors; the same on M^H gives the
 cokernel.  That is O(n b^2) work for band b against O(n^3) for a full SVD.
-The dense SVD (``_dense_sides``) counts every window the band path gives up
-on: a band above dim/8 (curved weighted shifts, dense perturbations), a
-failed factorization, a null space that fills every block up to dim/8, or
-unequal null counts on the two sides.  It is also the band path's oracle.
+The band and the strips come from the quantizer's transfer bands
+(``_part_band``, ``_part_entries``).  The dense SVD (``_dense_sides``) counts
+every window the band path gives up on: a band above dim/8 (curved weighted
+shifts, dense perturbations), a failed factorization, a null space that fills
+every block up to dim/8, or unequal null counts on the two sides.  It is also
+the band path's oracle.  A window is formed densely only for it, for a curved
+Phi_g, or when the transfer bands cannot certify the band.
 
 The localized index reads only Tr_g(S1^N) - Tr_g(S2^N), per element, and
 never builds the almost inverse E (only ``parametrix`` does).  Two paths
@@ -44,9 +47,9 @@ compute these traces:
   steps of that recursion per irrep (one at N = 4: 10 dim^3 on dihedral(3),
   where E0 A, A E0, S1^2 and S2^2 would be 40).  S1 = 1 - E0 A, S2 = 1 -
   A E0, the prefix rows of S^{N - N//2} and the prefix columns of S^{N//2}
-  go through A's band (``_Banded``), and A is never formed densely unless
-  its band exceeds dim/8.  The inner diagonals of S^N = S^{N - N//2}
-  S^{N//2} are read from those rows and columns, and Fourier inversion,
+  go through A's band (``_Banded``, gathered from its transfer bands), and A
+  is never formed densely unless its band exceeds dim/8.  The inner diagonals
+  of S^N = S^{N - N//2} S^{N//2} are read from those rows and columns, and Fourier inversion,
   Tr_l = (1/|G|) sum_pi d_pi sum_ab conj(pi(l)_ab) T_pi[a, b], recovers the
   element traces.
 * graded path (curved eps > 0 and integer_shift problems, and the test
@@ -65,7 +68,7 @@ one operator build per window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -117,7 +120,7 @@ class IndexReport:
     zero_tol: float
 
 
-def index_of_matrix(mat: np.ndarray, window: FrequencyWindow,
+def index_of_matrix(mat: np.ndarray | LabeledOperator, window: FrequencyWindow,
                     zero_tol: float = DEFAULT_ZERO_TOL,
                     inner_fraction: float = INNER_FRACTION) -> WindowIndexData:
     """Interior kernel/cokernel counts of one window matrix.
@@ -127,11 +130,23 @@ def index_of_matrix(mat: np.ndarray, window: FrequencyWindow,
     counts and from the gap (the gap compares the smallest above-threshold
     singular value against the largest *interior* null one).  Banded windows
     take ``_banded_sides``; the rest, and every window it gives up on, the
-    dense SVD (``_dense_sides``).
+    dense SVD (``_dense_sides``).  A graded operator with transfer-band parts
+    under mode maps is read from the bands; any other ``mat`` is realized.
     """
     inner = window.inner_mask(inner_fraction)
-    sides, solver = _banded_sides(mat, inner, zero_tol), "banded"
+    order = _interleaved(window.dim)
+    parts = None
+    if isinstance(mat, LabeledOperator) and mat.bands and mat.realization.family.is_isometric:
+        parts = [(mat.bands[g], mat.realization.phi(g)) for g in mat.support]
+    b = None if parts is None else _part_band(parts, order)
+    if b is None:
+        mat = mat.realize() if isinstance(mat, LabeledOperator) else mat
+        b, entries = _band(mat, order), lambda j, c: mat[j, c]
+    else:
+        entries = partial(_part_entries, parts)
+    sides, solver = _banded_sides(entries, b, order, inner, zero_tol), "banded"
     if sides is None:
+        mat = mat.realize() if isinstance(mat, LabeledOperator) else mat
         sides, solver = _dense_sides(mat, inner, zero_tol), "dense"
     return _window_data(window.cutoff, zero_tol, solver, *sides)
 
@@ -216,13 +231,50 @@ def _strip_layout(n: int, b: int, bs: int):
     return np.clip(rows, 0, n - 1)[:, :, None], np.minimum(cols, n - 1)[:, None, :], outside
 
 
-def _column_strips(mat: np.ndarray, order: np.ndarray, b: int, bs: int) -> np.ndarray:
+def _column_strips(entries, order: np.ndarray, b: int, bs: int) -> np.ndarray:
     """Column strips (``_strip_layout``) of the interleaved matrix
-    M[order][:, order], gathered without forming it."""
+    M[order][:, order], gathered by ``entries(j, c)`` = M[j, c], unformed."""
     rows, cols, outside = _strip_layout(len(order), b, bs)
-    strips = mat[order[rows], order[cols]]
+    strips = entries(order[rows], order[cols])
     strips[outside] = 0
     return strips
+
+
+def _part_entries(parts: list, j: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """M[j, c] = sum_g p_g(c) K_g[j, s_g c] over (band, mode map) pairs, as ``realize`` sums."""
+    terms = (K[j, c if phi.sign == 1 else len(phi.phases) - 1 - c] * phi.phases[c]
+             for K, phi in parts)
+    out = next(terms)
+    for term in terms:
+        out += term
+    return out
+
+
+def _part_band(parts: list, order: np.ndarray) -> int | None:
+    """``_band`` of M = sum_g K_g Phi_g from its (band, mode map) pairs, or None.
+
+    A transfer t moves an entry at most 2|t| + 1 interleaved places (pos(k) =
+    2|k| - [k > 0], s_g k = +-k), so past reach 2T + 1 the entries are at most
+    tail(T) = sum_g max_{|t| > T} |c_g(t)|.  For the least T with 2 tail(T) <=
+    BAND_FLOOR max|c| (2 for rounding), the strips at that reach hold max|M|
+    and every entry above the floor if 2 tail(T) <= BAND_FLOOR max|M| too;
+    None otherwise, or when that reach exceeds dim/8.
+    """
+    coef = np.array([np.abs(K.vectors).max(axis=0) for K, _ in parts])  # t = -2N..2N
+    mid = coef.shape[1] // 2
+    coef = np.maximum(coef[:, mid:], coef[:, mid::-1])                   # |t| = 0..2N
+    tail = np.append(np.maximum.accumulate(coef[:, ::-1], axis=1)[:, -2::-1].sum(axis=0), 0.0)
+    T = int(np.argmax(2 * tail <= BAND_FLOOR * coef.max()))
+    reach = 2 * T + 1
+    if reach > len(order) / 8:
+        return None
+    bs = max(2 * reach, RITZ_BLOCK)
+    mag = np.abs(_column_strips(partial(_part_entries, parts), order, reach, bs))
+    top = mag.max()
+    if 2 * tail[T] > BAND_FLOOR * top:
+        return None
+    r, c = np.nonzero((mag > BAND_FLOOR * top).any(axis=0))   # strip row r, column c
+    return int(np.max(np.abs(r - reach - c), initial=0))
 
 
 def _gram(strips: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,27 +384,25 @@ def _ritz_side(strips: np.ndarray, D: np.ndarray, F: np.ndarray, b: int, n: int,
             return None
 
 
-def _banded_sides(mat: np.ndarray, inner: np.ndarray, zero_tol: float):
-    """Both sides from the band of the interleaved window, or None for the
-    dense SVD: when the band exceeds dim/8, when a side gives up, or when the
-    sides find different numbers of near-zero Ritz values (a square matrix
-    has as many null left vectors as right ones, so a block that missed part
-    of the null space shows here)."""
-    n = len(mat)
-    order = _interleaved(n)
-    b = _band(mat, order)
+def _banded_sides(entries, b: int, order: np.ndarray, inner: np.ndarray, zero_tol: float):
+    """Both sides from the band b of the interleaved window M[j, c] = entries(j,
+    c), or None for the dense SVD: when the band exceeds dim/8, when a side
+    gives up, or when the sides find different numbers of near-zero Ritz values
+    (a square matrix has as many null left vectors as right ones, so a block
+    that missed part of the null space shows here)."""
+    n = len(order)
     if b > n / 8:
         return None
     bs = max(2 * b, RITZ_BLOCK)
     inner = inner[order]
-    strips = _column_strips(mat, order, b, bs)
+    strips = _column_strips(entries, order, b, bs)
     D, F = _gram(strips, b)
     smax = _largest_singular(D, F)
     threshold = zero_tol * smax
     kernel = _ritz_side(strips, D, F, b, n, inner, smax, threshold)
     if kernel is None:
         return None
-    strips = _column_strips(mat.T, order, b, bs).conj()       # of M^H
+    strips = _column_strips(lambda j, c: entries(c, j), order, b, bs).conj()     # of M^H
     cokernel = _ritz_side(strips, *_gram(strips, b), b, n, inner, smax, threshold)
     if cokernel is None or cokernel[1].size != kernel[1].size:
         return None
@@ -560,8 +610,7 @@ def _window_index(problem: GOperatorProblem, cutoff: int, zero_tol: float,
         FrequencyWindow(cutoff).require()
         if A is None:
             A = problem.operator(cutoff)
-        problem._index_cache[key] = index_of_matrix(A.realize(), A.window, zero_tol,
-                                                    inner_fraction)
+        problem._index_cache[key] = index_of_matrix(A, A.window, zero_tol, inner_fraction)
     return problem._index_cache[key]
 
 
@@ -607,11 +656,13 @@ class _Banded:
 def _fourier_blocks(X: LabeledOperator, irreps, order: np.ndarray) -> list[np.ndarray]:
     """X(pi) = sum_g pi(g) (x) K_g Phi_g per irrep, with rows and columns in
     the interleaved ``order`` and pi's index fastest: entry (p d + a, q d + b)
-    is pi(g)_ab (K_g Phi_g)[order[p], order[q]].  Every part is realized once."""
+    is pi(g)_ab p_g(order[q]) K_g[order[p], s_g order[q]], one gather per part."""
     dim = X.window.dim
     out = [np.zeros((len(rep[X.group.identity]) * dim,) * 2, dtype=complex) for rep in irreps]
-    for g, K in X.parts.items():
-        KPhi = X.realization.phi(g).right_mul(K)[np.ix_(order, order)]
+    for g, K in (X.bands or X.parts).items():
+        phi = X.realization.phi(g)
+        KPhi = K[np.ix_(order, order if phi.sign == 1 else dim - 1 - order)]
+        KPhi *= phi.phases[order]
         for rep, block in zip(irreps, out):
             view = block.reshape(dim, len(rep[g]), dim, -1)
             for (a, b), c in np.ndenumerate(rep[g]):
@@ -620,18 +671,19 @@ def _fourier_blocks(X: LabeledOperator, irreps, order: np.ndarray) -> list[np.nd
 
 
 def _band_blocks(A: LabeledOperator, irreps, order: np.ndarray) -> list[_Banded]:
-    """A(pi) per irrep in the layout of ``_fourier_blocks``, held through its band.
+    """A(pi) per irrep in the layout of ``_fourier_blocks``, from A's transfer bands.
 
-    With b the largest band of the parts K_g Phi_g (``_band``), A(pi) has band
-    d_pi b + d_pi - 1, and its strips are gathered from the parts without
-    forming the block.  A band b above dim/8 keeps every block dense, as one
-    strip.
+    With b the largest band of the parts K_g Phi_g (``_part_band``), A(pi)
+    has band d_pi b + d_pi - 1, and its strips are gathered from the transfer
+    bands.  A band above dim/8, or one not certified, keeps every block
+    dense, as one strip.
     """
     dim = len(order)
     real = A.realization
-    b = max((_band(real.phi(g).right_mul(K), order) for g, K in A.parts.items()), default=0)
-    if b > dim / 8:
+    bands = [_part_band([(K, real.phi(g))], order) for g, K in A.bands.items()]
+    if None in bands:
         return [_Banded(block[None], 0) for block in _fourier_blocks(A, irreps, order)]
+    b = max(bands, default=0)
     out = []
     for rep in irreps:
         d = len(rep[A.group.identity])
@@ -639,7 +691,7 @@ def _band_blocks(A: LabeledOperator, irreps, order: np.ndarray) -> list[_Banded]
         rows, cols, outside = _strip_layout(d * dim, reach, max(2 * reach, RITZ_BLOCK))
         modes, src = order[rows // d], order[cols // d]
         strips = np.zeros(outside.shape, dtype=complex)
-        for g, K in A.parts.items():
+        for g, K in A.bands.items():
             phi = real.phi(g)            # K_g Phi_g e_k = p(k) K_g e_{s k}
             strips += (rep[g][rows % d, cols % d] * phi.phases[src]
                        * K[modes, src if phi.sign == 1 else dim - 1 - src])
@@ -739,7 +791,7 @@ def _block_traces(problem: GOperatorProblem, A: LabeledOperator, N: int,
     keys = [_products(grp, E0.support, A.support) | {grp.identity},
             _products(grp, A.support, E0.support) | {grp.identity}]
     bands = _band_blocks(A, irreps, order)
-    A.parts.clear()
+    A.bands.clear()
     E_hat = _fourier_blocks(E0, irreps, order)
     del E0
     inner = int(np.count_nonzero(window.inner_mask(inner_fraction)))

@@ -2,14 +2,16 @@
 
 ``op(a)`` acts on mode k through column k: ``A[j, k]`` is the (j-k)-th Fourier
 coefficient of ``x -> a(x, k)``.  There is one quantizer per kind of symbol:
-``op_classical`` for order-zero principal data (the sheet functions of a
+``TransferBand`` for order-zero principal data (the sheet functions of a
 ``PrincipalSymbol`` outside a zero-section cut) and ``op_h_term`` for one
-sampled semiclassical term.  A sheet function's columns are a Toeplitz view
-of its transfer band, so ``op_classical`` forms no table beside its output;
-a sampled term's coefficients change from column to column, so ``op_h_term``
+sampled semiclassical term.  An order-zero part is held as its transfer band:
+entries are gathered from it by index, and its dense window (``op_classical``)
+copies each sheet's columns from a Toeplitz view, with no table beside it.
+A sampled term's coefficients change from column to column, so ``op_h_term``
 gathers them through a skewed view of the transfer rows, with no table.  A
 LabeledOperator keeps the g-grading of ``sum_g K_g Phi_g`` so that
-class-localized traces remain computable after products; multiplication uses
+class-localized traces remain computable after products; its parts stay
+transfer bands until their dense entries are read.  Multiplication uses
 exact matrix conjugation,
 
     (A B)_m = sum_{gh = m} K_g (Phi_g L_h Phi_{g^{-1}}),
@@ -37,37 +39,59 @@ PRUNE_TOL = 1e-13    # parts below this fraction of the largest part norm are dr
 # classical (h-free) symbols of order zero
 # ---------------------------------------------------------------------------
 
-def op_classical(sym: PrincipalSymbol, window: FrequencyWindow, k_min: int = K_MIN,
-                 unit_fill: bool = False) -> np.ndarray:
-    """Dense window matrix of the Kohn-Nirenberg quantization of the order-zero
-    symbol with principal data ``sym``:
+class TransferBand:
+    """Kohn-Nirenberg quantization of the order-zero symbol with principal
+    data ``sym``:
 
         a(x, k) = plus(x)   for k >= k_min,
                   minus(x)  for k <= -k_min,
-                  fill      for |k| < k_min  (0, or 1 if unit_fill).
+                  fill      for |k| < k_min  (0, or 1 if unit_fill),
 
-    A sheet function's columns are a Toeplitz view of its transfer band
-    ``c(j - k)``, j - k = -2 N_F .. 2 N_F, copied into the sheet's columns.
+    held as its transfer band: entry (j, k) is row s of ``vectors`` at j - k
+    + 2 N_F, s the sheet of column k.  The rows hold c(t), t = -2 N_F ..
+    2 N_F: the minus sheet's before the ``cut`` columns, the fill inside it
+    (1 at t = 0 for a unit fill, else 0), then the plus sheet's, both
+    alias-guarded.
     """
-    if k_min < 1:
-        raise ValueError("k_min must be >= 1")
-    M = sym.grid.size
-    n = window.cutoff
-    if M < 2 * n + 2:
-        raise WindowMismatch(
-            f"symbol grid {M} cannot resolve mode transfers up to {2 * n}")
-    dim = window.dim
-    transfers = np.arange(-2 * n, 2 * n + 1)
-    plus, minus = slice(n + k_min, dim), slice(0, max(n - k_min + 1, 0))
-    out = np.zeros((dim, dim), dtype=complex)
-    for sheet, cols in ((sym.plus, plus), (sym.minus, minus)):
-        band = np.fft.fft(sheet.values)[transfers % M] / M
+
+    def __init__(self, sym: PrincipalSymbol, window: FrequencyWindow, k_min: int = K_MIN,
+                 unit_fill: bool = False):
+        if k_min < 1:
+            raise ValueError("k_min must be >= 1")
+        M = sym.grid.size
+        n = window.cutoff
+        if M < 2 * n + 2:
+            raise WindowMismatch(
+                f"symbol grid {M} cannot resolve mode transfers up to {2 * n}")
+        transfers = np.arange(-2 * n, 2 * n + 1)
+        self.vectors = np.zeros((3, len(transfers)), dtype=complex)
+        for row, sheet in ((0, sym.minus), (2, sym.plus)):
+            self.vectors[row] = np.fft.fft(sheet.values)[transfers % M] / M
         # alias guard on the true mode transfer: past +-M/2 the gather would wrap
-        band[np.abs(transfers) > M // 2 - 1] = 0.0
-        out[:, cols] = sliding_window_view(band, dim)[::-1].T[:, cols]
-    if unit_fill:
-        np.fill_diagonal(out[minus.stop:plus.start, minus.stop:plus.start], 1.0)
-    return out
+        self.vectors[:, np.abs(transfers) > M // 2 - 1] = 0.0
+        self.vectors[1, 2 * n] = float(unit_fill)
+        self.cut = (max(n - k_min + 1, 0), min(n + k_min, window.dim))
+        self.shape = (window.dim, window.dim)
+
+    def __getitem__(self, index) -> np.ndarray:
+        """K[j, k] for broadcastable window-index arrays j and k."""
+        j, k = index
+        return self.vectors[np.digitize(k, self.cut), j - k + self.shape[0] - 1]
+
+    def dense(self) -> np.ndarray:
+        """The window matrix, each sheet's columns copied from a Toeplitz view."""
+        dim = self.shape[0]
+        lo, hi = self.cut
+        out = np.empty(self.shape, dtype=complex)
+        for row, cols in zip(self.vectors, (slice(0, lo), slice(lo, hi), slice(hi, dim))):
+            out[:, cols] = sliding_window_view(row, dim)[::-1].T[:, cols]
+        return out
+
+
+def op_classical(sym: PrincipalSymbol, window: FrequencyWindow, k_min: int = K_MIN,
+                 unit_fill: bool = False) -> np.ndarray:
+    """Dense window matrix of ``TransferBand(sym, window, k_min, unit_fill)``."""
+    return TransferBand(sym, window, k_min, unit_fill).dense()
 
 
 # ---------------------------------------------------------------------------
@@ -112,21 +136,36 @@ def _skewed(v: np.ndarray, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class LabeledOperator:
-    """Finitely supported map g -> dense window matrix, realizing sum K_g Phi_g.
+    """Finitely supported map g -> window matrix, realizing sum K_g Phi_g.
 
     A part may hold only some rows of K_g, those of P sum K_g Phi_g for a row
     projection P; a product by an operator with full parts keeps those rows.
+    A part may also be a ``TransferBand``: it is made dense when ``parts`` is
+    first read, and ``bands`` reads it without that.
     """
 
-    def __init__(self, realization: Realization, parts: dict[Element, np.ndarray]):
+    def __init__(self, realization: Realization, parts: dict[Element, np.ndarray | TransferBand]):
         self.realization = realization
         dim = realization.window.dim
-        self.parts = {}
+        self._parts = {}
         for g, m in parts.items():
-            m = np.asarray(m, dtype=complex)
-            if m.shape[1:] != (dim,) or len(m) > dim:
+            m = m if isinstance(m, TransferBand) else np.asarray(m, dtype=complex)
+            if m.shape[1:] != (dim,) or m.shape[0] > dim:
                 raise WindowMismatch(f"part {g!r} has shape {m.shape}, window dim {dim}")
-            self.parts[g] = m
+            self._parts[g] = m
+
+    @property
+    def parts(self) -> dict[Element, np.ndarray]:
+        """The parts as dense blocks; a transfer band is made dense here, once."""
+        self._parts.update({g: m.dense() for g, m in self._parts.items()
+                            if isinstance(m, TransferBand)})
+        return self._parts
+
+    @property
+    def bands(self) -> dict[Element, TransferBand] | None:
+        """The held parts while all are transfer bands (clearing releases them), else None."""
+        held = self._parts
+        return held if all(isinstance(m, TransferBand) for m in held.values()) else None
 
     # -- constructors -------------------------------------------------------
 
@@ -147,7 +186,7 @@ class LabeledOperator:
 
     @property
     def support(self) -> list[Element]:
-        return sorted(self.parts.keys(), key=repr)
+        return sorted(self._parts, key=repr)
 
     def _check_compatible(self, other: "LabeledOperator"):
         if self.realization.family.signature() != other.realization.family.signature():
@@ -222,14 +261,23 @@ class LabeledOperator:
 
     def realize(self) -> np.ndarray:
         """sum_g K_g Phi_g as a dense window matrix, accumulated in place into
-        the first part's product (a fresh array); zero when there are no parts."""
-        if not self.parts:
+        the first term (a fresh array); zero when there are no parts.  Under
+        mode maps a band part is made dense for its term only."""
+        if not self._parts:
             return np.zeros((self.window.dim, self.window.dim), dtype=complex)
         first, *rest = self.support
-        out = self.realization.phi(first).right_mul(self.parts[first])
+        out = self._term(first)
         for g in rest:
-            out += self.realization.phi(g).right_mul(self.parts[g])
+            out += self._term(g)
         return out
+
+    def _term(self, g: Element) -> np.ndarray:
+        K, phi = self._parts[g], self.realization.phi(g)
+        if isinstance(K, TransferBand) and self.realization.family.is_isometric:
+            term = K.dense()[:, ::phi.sign]
+            term *= phi.phases
+            return term
+        return phi.right_mul(self.parts[g])
 
 
 def quantize_crossed(realization: Realization, sym: CrossedSymbol, k_min: int,
@@ -238,5 +286,5 @@ def quantize_crossed(realization: Realization, sym: CrossedSymbol, k_min: int,
     the zero-section cut of the identity coefficient with 1."""
     e = realization.group.identity
     return LabeledOperator(realization, {
-        g: op_classical(sym.coeff(g), realization.window, k_min, unit_fill and g == e)
+        g: TransferBand(sym.coeff(g), realization.window, k_min, unit_fill and g == e)
         for g in sym.support})

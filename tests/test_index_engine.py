@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gindexlab import index_engine
-from gindexlab.circle import FrequencyWindow, PeriodicGrid, grid_for_window
+from gindexlab.circle import FrequencyWindow, PeriodicFunction, PeriodicGrid, grid_for_window
 from gindexlab.errors import NoHomomorphism
 from gindexlab.groups import build_group
 from gindexlab.index_engine import (DEFAULT_ZERO_TOL, GAP_REQUIREMENT,
@@ -15,7 +15,7 @@ from gindexlab.index_engine import (DEFAULT_ZERO_TOL, GAP_REQUIREMENT,
                                     numerical_index, parametrix, chi_vanishing_check,
                                     tr_g, tr_g_product, winding_index_oracle)
 from gindexlab.problems import GOperatorProblem
-from gindexlab.quantize import LabeledOperator
+from gindexlab.quantize import LabeledOperator, TransferBand
 from gindexlab.samples import (curved_z2_problem, dihedral_sample,
                                shift_neumann_problem, winding_problem, z2_sample)
 from gindexlab.symbols import CrossedSymbol, PrincipalSymbol
@@ -276,6 +276,134 @@ class TestBand:
         assert peak <= mat.nbytes
 
 
+BAND_FAMILIES = {
+    "reflection": lambda theta: RealizationFamily(build_group("cyclic", m=2), "reflection"),
+    "dihedral": lambda theta: RealizationFamily(build_group("dihedral", m=3), "dihedral"),
+    # the half-wave flow shifts the two sheets by -theta g and +theta g
+    "half_wave": lambda theta: RealizationFamily(build_group("integer_shift", theta=theta),
+                                                 "half_wave"),
+}
+
+
+def band_operator(kind, theta, n, M, k_min, unit_fill, size, degree, seed):
+    """An operator whose parts are transfer bands, on ``size`` elements of a
+    BAND_FAMILIES family: sheets are random trig polynomials of ``degree``
+    (at most M/2 - 1), or random grid values when it is None."""
+    family = BAND_FAMILIES[kind](theta)
+    rng = np.random.default_rng(seed)
+    els = family.group.elements() if family.group.is_finite else list(range(-2, 3))
+    support = [els[i] for i in rng.permutation(len(els))[:size]]
+    grid, window = PeriodicGrid(M), FrequencyWindow(n)
+
+    def sheet():
+        if degree is None:
+            return PeriodicFunction(grid, rng.normal(size=M) + 1j * rng.normal(size=M))
+        top = min(degree, M // 2 - 1)
+        return PeriodicFunction.from_coeff_dict(
+            grid, {k: complex(*rng.normal(size=2)) for k in range(-top, top + 1)})
+
+    e = family.group.identity
+    return LabeledOperator(family.at(window), {
+        g: TransferBand(PrincipalSymbol(sheet(), sheet()), window, k_min, unit_fill and g == e)
+        for g in support})
+
+
+@st.composite
+def band_operators(draw):
+    """``band_operator`` over the op_classical cases: cutoff 1-40, grid
+    2N+2 .. 4N+8, k_min 1 .. past the cutoff, both fills, one to three parts."""
+    n = draw(st.integers(1, 40))
+    return band_operator(draw(st.sampled_from(sorted(BAND_FAMILIES))), draw(st.floats(0.1, 3.0)),
+                         n, draw(st.integers(2 * n + 2, 4 * n + 8)), draw(st.integers(1, n + 3)),
+                         draw(st.booleans()), draw(st.integers(1, 3)),
+                         draw(st.sampled_from([0, 1, 2, 3, None])), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def band_pairs(A):
+    return [(A.bands[g], A.realization.phi(g)) for g in A.support]
+
+
+def realized_from_dense_parts(A):
+    """The oracle window: each part made dense, then sum_g Phi_g.right_mul(K_g)
+    in support order, the first term in place, as realize() summed dense parts."""
+    out = None
+    for g in A.support:
+        term = A.realization.phi(g).right_mul(A.bands[g].dense())
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
+class TestBandParts:
+    """The index path reads a window's transfer bands in place of its dense matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_operators())
+    @example(band_operator("reflection", 1.0, 40, 82, 4, True, 2, 1, 0))
+    @example(band_operator("dihedral", 1.0, 40, 120, 41, True, 3, 0, 1))
+    @example(band_operator("half_wave", 0.7, 33, 100, 2, False, 3, 2, 2))
+    def test_match_the_dense_window(self, A):
+        dense = realized_from_dense_parts(A)
+        assert A.realize().tobytes() == dense.tobytes()
+        order = index_engine._interleaved(A.window.dim)
+        parts = band_pairs(A)
+        b = index_engine._part_band(parts, order)
+        if b is not None:
+            assert b == index_engine._band(dense, order)
+            bs = max(2 * b, index_engine.RITZ_BLOCK)
+            for M, gather in ((dense, lambda j, c: index_engine._part_entries(parts, j, c)),
+                              (dense.T, lambda j, c: index_engine._part_entries(parts, c, j))):
+                want = index_engine._column_strips(lambda j, c: M[j, c], order, b, bs)
+                got = index_engine._column_strips(gather, order, b, bs)
+                assert got.tobytes() == want.tobytes()
+        assert index_of_matrix(A, A.window) == index_of_matrix(dense, A.window)
+
+    @pytest.mark.parametrize("build, cutoff", [
+        (lambda: winding_problem(1), 512),
+        (z2_sample, 64),
+        (lambda: dihedral_sample(0), 96),
+        (shift_neumann_problem, 48),
+        (lambda: elliptic_problem("dihedral", 4, 1, 4, 0), 48),
+    ])
+    def test_trig_windows_are_certified(self, build, cutoff):
+        A = build().operator(cutoff)
+        order = index_engine._interleaved(A.window.dim)
+        b = index_engine._part_band(band_pairs(A), order)
+        assert b is not None and b == index_engine._band(A.realize(), order)
+
+    def test_uncertified_band_takes_the_dense_window(self, monkeypatch):
+        # every column lies inside the cut, so M is the unit fill, while the
+        # unused sheets of size 1e3 carry rounding tails above BAND_FLOOR
+        # max|M|: the band is measured on the realized window, as before
+        fam = RealizationFamily(build_group("trivial"), "trivial")
+        p = GOperatorProblem(fam, {(): ({0: 1e3, 1: 1e3}, {2: 1e3})}, k_min=70, unit_fill=True)
+        A = p.operator(64)
+        dense = A.realize()
+        assert np.array_equal(dense, np.eye(A.window.dim))
+        order = index_engine._interleaved(A.window.dim)
+        assert index_engine._part_band(band_pairs(A), order) is None
+        realized = []
+        realize = LabeledOperator.realize
+        monkeypatch.setattr(LabeledOperator, "realize",
+                            lambda self: realized.append(1) or realize(self))
+        assert index_of_matrix(A, A.window) == index_of_matrix(dense, A.window)
+        assert realized == [1]
+
+    def test_index_reads_no_dense_window(self, monkeypatch):
+        # op_classical is TransferBand.dense: neither runs for an index count
+        dense = []
+        for owner, name in ((LabeledOperator, "realize"), (TransferBand, "dense")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda self, _f=original, _n=name:
+                                dense.append(_n) or _f(self))
+        assert numerical_index(winding_problem(2), WINDOWS).index == 2 * calibrate_sign()
+        assert numerical_index(z2_sample(), WINDOWS).index == 1
+        assert calibrate_sign.__wrapped__() in (1, -1)
+        assert dense == []
+
+
 class TestOracle:
     def test_equal_windings_cancel(self):
         fam = RealizationFamily(build_group("trivial"), "trivial")
@@ -471,6 +599,38 @@ class TestBandedProducts:
                 assert np.max(np.abs(i - j)) <= band.reach
             eye = np.eye(len(block))
             assert np.max(np.abs(band.left(eye) - block)) <= 1e-15 * np.abs(block).max()
+
+
+def fourier_blocks_of_realized_parts(X, irreps, order):
+    """The oracle: each part realized as K_g Phi_g, permuted into the
+    interleaved order and accumulated into every irrep block."""
+    dim = X.window.dim
+    out = [np.zeros((len(rep[X.group.identity]) * dim,) * 2, dtype=complex) for rep in irreps]
+    for g, K in X.parts.items():
+        KPhi = X.realization.phi(g).right_mul(K)[np.ix_(order, order)]
+        for rep, block in zip(irreps, out):
+            view = block.reshape(dim, len(rep[g]), dim, -1)
+            for (a, b), c in np.ndenumerate(rep[g]):
+                view[:, a, :, b] += c * KPhi
+    return out
+
+
+class TestFourierBlocks:
+    @pytest.mark.parametrize("build", [lambda: dihedral_sample(3), partial_support_problem,
+                                       z2_sample, lambda: random_problem("dihedral", 4, "dihedral")])
+    def test_one_gather_per_part_is_the_realized_part(self, build):
+        # bitwise, from the transfer bands and from the dense parts alike
+        p = build()
+        A = p.operator(48)
+        order = index_engine._interleaved(A.window.dim)
+        irreps = p.group.irreps()
+        from_bands = index_engine._fourier_blocks(A, irreps, order)
+        assert A.bands is not None
+        want = fourier_blocks_of_realized_parts(A, irreps, order)
+        assert A.bands is None           # the oracle made the parts dense
+        from_dense = index_engine._fourier_blocks(A, irreps, order)
+        for got, dense, block in zip(from_bands, from_dense, want):
+            assert got.tobytes() == block.tobytes() == dense.tobytes()
 
 
 class MatmulSpy(np.ndarray):

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from gindexlab.circle import FrequencyWindow, PeriodicFunction, PeriodicGrid, grid_for_window
 from gindexlab.errors import GroupMismatch, WindowTooSmallForH
 from gindexlab.groups import build_group
-from gindexlab.quantize import LabeledOperator, op_classical, op_h_term, quantize_crossed
+from gindexlab.index_engine import index_of_matrix
+from gindexlab.quantize import (LabeledOperator, TransferBand, op_classical, op_h_term,
+                                quantize_crossed)
 from gindexlab.samples import annulus_term, winding_problem, z2_sample
 from gindexlab.semiclass import SampledTerm, XiLattice
 from gindexlab.symbols import CrossedSymbol, PrincipalSymbol
@@ -68,6 +70,19 @@ class TestOpClassical:
         got = op_classical(sym, window, k_min, unit_fill)
         assert np.max(np.abs(got - want)) < 1e-12
         assert np.array_equal(got == 0, want == 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(classical_cases())
+    def test_band_entries_are_the_dense_window(self, case):
+        # the gather by index and the Toeplitz copy read the same transfer band
+        n, M, k_min, unit_fill, seed = case
+        rng = np.random.default_rng(seed)
+        grid = PeriodicGrid(M)
+        sym = PrincipalSymbol(*[PeriodicFunction(grid, rng.normal(size=M) + 1j * rng.normal(size=M))
+                                for _ in range(2)])
+        band = TransferBand(sym, FrequencyWindow(n), k_min, unit_fill)
+        idx = np.arange(band.shape[0])
+        assert band[idx[:, None], idx[None, :]].tobytes() == band.dense().tobytes()
 
     def test_unit(self):
         a = PrincipalSymbol.constant(GRID, 1.0)
@@ -139,6 +154,14 @@ class TestAllocationBudgets:
         phi = z2_sample().realization(self.window.cutoff).phi(1)
         mat = np.ones((self.window.dim,) * 2, dtype=complex)
         assert peak_ratio(lambda: phi.right_mul(mat), self.nbytes) <= 1.2
+
+    def test_index_window(self):
+        # one cutoff-512 index window, band build included, within 4 MB, a
+        # quarter of one dense window; counted on the realized window it
+        # peaked at 41.1 MB
+        p, window = winding_problem(1), FrequencyWindow(512)
+        index_of_matrix(p.operator(32), FrequencyWindow(32))      # first-call allocations
+        assert peak_ratio(lambda: index_of_matrix(p.operator(512), window), 1e6) <= 4.0
 
     def test_op_h_term(self):
         # the FFT table of a 256-point grid is half a window; the three

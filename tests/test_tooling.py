@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import gindexlab
-from gindexlab.lab import _EXPERIMENT_TABLE, FIELDS, OPTIONAL, REQUIRED, parse_config
+from gindexlab.lab import _EXPERIMENT_TABLE, FIELDS, OPTIONAL, REQUIRED, parse_config, run
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "benchmark"
@@ -59,6 +59,14 @@ def test_workload_configs_parse(workload):
     for seed in range(21):
         config, _ = WORKLOADS[workload](seed)
         assert parse_config(config).experiment == config["experiment"]
+
+
+def test_index_sweep_windows_stay_banded():
+    """Every index_sweep window is counted on its band: a silent fall back to
+    dense windows would bring back the peak of a realized window."""
+    config, _ = WORKLOADS["index_sweep"](0)
+    rows = run(parse_config(config)).payloads["index"]["stabilization"]
+    assert len(rows) == 8 and {row["solver"] for row in rows} == {"banded"}
 
 
 def _documents():
