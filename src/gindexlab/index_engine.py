@@ -24,11 +24,15 @@ inverse iteration find its smallest eigenvectors, and the SVD of the n x 16
 product M X gives Ritz values and vectors; the same on M^H gives the
 cokernel.  That is O(n b^2) work for band b against O(n^3) for a full SVD.
 The band and the strips come from the quantizer's transfer bands
-(``_part_band``, ``_part_entries``).  The dense SVD (``_dense_sides``) counts
-every window the band path gives up on: a band above dim/8 (curved weighted
-shifts, dense perturbations), a failed factorization, a null space that fills
-every block up to dim/8, or unequal null counts on the two sides.  It is also
-the band path's oracle.  A window is formed densely only for it, for a curved
+(``_part_band``, ``_window_strips``), and every entry of a part K_g Phi_g
+that the engine reads comes from one gather (``_gather``): the index strips,
+the band certification and the irrep blocks below.  A matrix held as column
+strips is a ``_Banded``, whose products read the strips alone; the Ritz step
+takes M X from it.  The dense SVD (``_dense_sides``) counts every window the
+band path gives up on: a band above dim/8 (curved weighted shifts, dense
+perturbations), a failed factorization, a null space that fills every block
+up to dim/8, or unequal null counts on the two sides.  It is also the band
+path's oracle.  A window is formed densely only for it, for a curved
 Phi_g, or when the transfer bands cannot certify the band.
 
 The localized index reads only Tr_g(S1^N) - Tr_g(S2^N), per element, and
@@ -39,17 +43,18 @@ compute these traces:
   Phi_g Phi_h = Phi_gh, so X = sum_g K_g Phi_g -> X(pi) = sum_g pi(g) (x)
   K_g Phi_g is an algebra isomorphism onto one (d_pi dim)^2 block per irrep
   pi (``GroupSpec.irreps``), its modes in the interleaved order and pi's
-  index fastest.  There A(pi) is banded (d_pi b + d_pi - 1 for parts of
-  band b) and the inner window is a prefix.  The remainder powers come from
-  the push-through identity S1 E0 = E0 S2: with H_1 = E0 and H_{j+1} = E0 +
-  H_j S2, exactly S1^k = 1 - H_k A and S2^k = 1 - A H_k
-  (``_neumann_heads``).  So the only dense products are the N - N//2 - 1
-  steps of that recursion per irrep (one at N = 4: 10 dim^3 on dihedral(3),
-  where E0 A, A E0, S1^2 and S2^2 would be 40).  S1 = 1 - E0 A, S2 = 1 -
+  index fastest.  One builder (``_irrep_blocks``) makes every block, A(pi)
+  as strips at the parts' band b and E0(pi) densely, from one gather per
+  part.  There A(pi) is banded (d_pi b + d_pi - 1) and the inner window is
+  a prefix.  The remainder powers come from the push-through identity S1 E0
+  = E0 S2: with H_1 = E0 and H_{j+1} = E0 + H_j S2, exactly S1^k = 1 - H_k
+  A and S2^k = 1 - A H_k (``_neumann_heads``).  So the only dense products
+  are the N - N//2 - 1 steps of that recursion per irrep (one at N = 4: 10
+  dim^3 on dihedral(3), where E0 A, A E0, S1^2 and S2^2 would be 40).  S1 = 1 - E0 A, S2 = 1 -
   A E0, the prefix rows of S^{N - N//2} and the prefix columns of S^{N//2}
-  go through A's band (``_Banded``, gathered from its transfer bands), and A
-  is never formed densely unless its band exceeds dim/8.  The inner diagonals
-  of S^N = S^{N - N//2} S^{N//2} are read from those rows and columns, and Fourier inversion,
+  go through A's band (``_Banded``), and A is never formed densely unless
+  its band is not certified.  The inner diagonals of S^N = S^{N - N//2}
+  S^{N//2} are read from those rows and columns, and Fourier inversion,
   Tr_l = (1/|G|) sum_pi d_pi sum_ab conj(pi(l)_ab) T_pi[a, b], recovers the
   element traces.
 * graded path (curved eps > 0 and integer_shift problems, and the test
@@ -68,7 +73,7 @@ one operator build per window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,10 +146,8 @@ def index_of_matrix(mat: np.ndarray | LabeledOperator, window: FrequencyWindow,
     b = None if parts is None else _part_band(parts, order)
     if b is None:
         mat = mat.realize() if isinstance(mat, LabeledOperator) else mat
-        b, entries = _band(mat, order), lambda j, c: mat[j, c]
-    else:
-        entries = partial(_part_entries, parts)
-    sides, solver = _banded_sides(entries, b, order, inner, zero_tol), "banded"
+        b, parts = _band(mat, order), [(mat, None)]
+    sides, solver = _banded_sides(parts, b, order, inner, zero_tol), "banded"
     if sides is None:
         mat = mat.realize() if isinstance(mat, LabeledOperator) else mat
         sides, solver = _dense_sides(mat, inner, zero_tol), "dense"
@@ -231,22 +234,67 @@ def _strip_layout(n: int, b: int, bs: int):
     return np.clip(rows, 0, n - 1)[:, :, None], np.minimum(cols, n - 1)[:, None, :], outside
 
 
-def _column_strips(entries, order: np.ndarray, b: int, bs: int) -> np.ndarray:
-    """Column strips (``_strip_layout``) of the interleaved matrix
-    M[order][:, order], gathered by ``entries(j, c)`` = M[j, c], unformed."""
+@dataclass(frozen=True)
+class _Banded:
+    """A square matrix held as its column strips: strip J holds columns J bs ..
+    (J+1) bs and rows J bs - reach .. (J+1) bs + reach (``_strip_layout``),
+    and every entry outside the strips is zero.  A product by a dense factor
+    reads the strips alone, O(n^2 reach) work against O(n^3).  A single strip
+    of reach 0 holds the matrix densely, and each product is then one matmul."""
+
+    strips: np.ndarray
+    reach: int
+
+    def left(self, Y: np.ndarray, rows: int | None = None) -> np.ndarray:
+        """The first ``rows`` rows of M Y (all of them when None)."""
+        height, bs = self.strips.shape[1:]
+        n = len(Y)
+        rows = n if rows is None else rows
+        out = np.zeros((rows, Y.shape[1]), dtype=complex)
+        for J, strip in enumerate(self.strips):
+            top = J * bs - self.reach
+            if top >= rows:
+                break
+            lo, hi = max(top, 0), min(top + height, rows)
+            Y_J = Y[J * bs:(J + 1) * bs]
+            out[lo:hi] += strip[lo - top:hi - top, :len(Y_J)] @ Y_J
+        return out
+
+    def right(self, X: np.ndarray, cols: int | None = None) -> np.ndarray:
+        """The first ``cols`` columns of X M (all of them when None)."""
+        height, bs = self.strips.shape[1:]
+        n = X.shape[1]
+        cols = n if cols is None else cols
+        out = np.empty((len(X), cols), dtype=complex)
+        for J in range(-(-cols // bs)):
+            top = J * bs - self.reach
+            lo, hi = max(top, 0), min(top + height, n)
+            c0, c1 = J * bs, min((J + 1) * bs, cols)
+            out[:, c0:c1] = X[:, lo:hi] @ self.strips[J, lo - top:hi - top, :c1 - c0]
+        return out
+
+
+def _gather(K, phi: ModeMap | None, j: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(K Phi)[j, c] = p(c) K[j, s c] for broadcast window indices j and c, K a
+    dense part or a transfer band; Phi = 1 when None."""
+    if phi is None:
+        return K[j, c]
+    out = K[j, phi.source(c)]
+    out *= phi.phases[c]
+    return out
+
+
+def _window_strips(parts: list, order: np.ndarray, b: int, bs: int, transpose: bool) -> np.ndarray:
+    """Column strips (``_strip_layout``) of the interleaved M = sum_g K_g Phi_g
+    over (part, mode map) pairs, summed as ``realize`` sums, or of M^T when
+    ``transpose``; M is not formed."""
     rows, cols, outside = _strip_layout(len(order), b, bs)
-    strips = entries(order[rows], order[cols])
-    strips[outside] = 0
-    return strips
-
-
-def _part_entries(parts: list, j: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """M[j, c] = sum_g p_g(c) K_g[j, s_g c] over (band, mode map) pairs, as ``realize`` sums."""
-    terms = (K[j, c if phi.sign == 1 else len(phi.phases) - 1 - c] * phi.phases[c]
-             for K, phi in parts)
-    out = next(terms)
-    for term in terms:
-        out += term
+    j, c = (order[cols], order[rows]) if transpose else (order[rows], order[cols])
+    (K, phi), *rest = parts
+    out = _gather(K, phi, j, c)
+    for K, phi in rest:
+        out += _gather(K, phi, j, c)
+    out[outside] = 0
     return out
 
 
@@ -268,8 +316,7 @@ def _part_band(parts: list, order: np.ndarray) -> int | None:
     reach = 2 * T + 1
     if reach > len(order) / 8:
         return None
-    bs = max(2 * reach, RITZ_BLOCK)
-    mag = np.abs(_column_strips(partial(_part_entries, parts), order, reach, bs))
+    mag = np.abs(_window_strips(parts, order, reach, max(2 * reach, RITZ_BLOCK), False))
     top = mag.max()
     if 2 * tail[T] > BAND_FLOOR * top:
         return None
@@ -277,52 +324,40 @@ def _part_band(parts: list, order: np.ndarray) -> int | None:
     return int(np.max(np.abs(r - reach - c), initial=0))
 
 
-def _gram(strips: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+def _gram(M: _Banded) -> tuple[np.ndarray, np.ndarray]:
     """Block-tridiagonal M^H M: diagonal blocks D and subdiagonal blocks F.
 
     With blocks of at least 2b columns, strips I and I+1 share only the 2b
     rows after strip I's first bs, so no block couples further."""
+    strips, b = M.strips, M.reach
     bs = strips.shape[2]
     H = strips.conj().swapaxes(1, 2)
     return H @ strips, H[1:, :, :2 * b] @ strips[:-1, bs:]
 
 
-def _block_cholesky(D: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, ...]:
+def _block_cholesky(D: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G = L L^H for block-tridiagonal G, returned as the inverses of the
-    diagonal factors L_I, the subdiagonal blocks W_I = F_I L_I^{-H}, and the
-    conjugate transposes of both; raises LinAlgError unless G is positive
-    definite."""
+    diagonal factors L_I and the subdiagonal blocks W_I = F_I L_I^{-H};
+    raises LinAlgError unless G is positive definite."""
     L = np.empty_like(D)
     W = np.empty_like(F)
     for i in range(len(D)):
         L[i] = np.linalg.cholesky(D[i] - W[i - 1] @ W[i - 1].conj().T if i else D[i])
         if i < len(F):
             W[i] = np.linalg.solve(L[i], F[i].conj().T).conj().T
-    Linv = np.linalg.inv(L)
-    return Linv, W, Linv.conj().swapaxes(1, 2), W.conj().swapaxes(1, 2)
+    return np.linalg.inv(L), W
 
 
-def _cholesky_solve(Linv: np.ndarray, W: np.ndarray, LinvH: np.ndarray, WH: np.ndarray,
-                    Y: np.ndarray) -> np.ndarray:
+def _cholesky_solve(Linv: np.ndarray, W: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """G^{-1} Y by forward and back substitution over the blocks."""
     Z = np.empty_like(Y)
     Z[0] = Linv[0] @ Y[0]
     for i in range(1, len(Y)):
         Z[i] = Linv[i] @ (Y[i] - W[i - 1] @ Z[i - 1])
-    Z[-1] = LinvH[-1] @ Z[-1]                       # back substitution, in place
+    Z[-1] = Linv[-1].conj().T @ Z[-1]               # back substitution, in place
     for i in reversed(range(len(Y) - 1)):
-        Z[i] = LinvH[i] @ (Z[i] - WH[i] @ Z[i + 1])
+        Z[i] = Linv[i].conj().T @ (Z[i] - W[i].conj().T @ Z[i + 1])
     return Z
-
-
-def _strip_apply(strips: np.ndarray, X: np.ndarray, n: int, b: int) -> np.ndarray:
-    """M X from the column strips; X and the result in the interleaved order."""
-    nb, _, bs = strips.shape
-    T = strips @ X
-    Y = np.zeros((nb + 1, bs, X.shape[2]), dtype=T.dtype)   # row r at r + b
-    Y[:nb] += T[:, :bs]
-    Y[1:, :2 * b] += T[:, bs:]
-    return Y.reshape(-1, X.shape[2])[b:b + n]
 
 
 def _start_block(n: int, k: int) -> np.ndarray:
@@ -351,8 +386,8 @@ def _largest_singular(D: np.ndarray, F: np.ndarray) -> float:
     return np.sqrt(lam)
 
 
-def _ritz_side(strips: np.ndarray, D: np.ndarray, F: np.ndarray, b: int, n: int,
-               inner: np.ndarray, smax: float, threshold: float):
+def _ritz_side(M: _Banded, D: np.ndarray, F: np.ndarray, n: int, inner: np.ndarray,
+               smax: float, threshold: float):
     """Ritz values and the inner masses of the near-zero right Ritz vectors of
     the interleaved M, by block inverse iteration on G = M^H M + mu^2 (D, F
     are overwritten); None when G does not factor or the null space fills
@@ -373,8 +408,7 @@ def _ritz_side(strips: np.ndarray, D: np.ndarray, F: np.ndarray, b: int, n: int,
         for _ in range(INVERSE_STEPS):
             X = _cholesky_solve(*factors, X.reshape(nb, bs, k)).reshape(-1, k)
             X = np.linalg.qr(X)[0]
-        _, s, Wh = np.linalg.svd(_strip_apply(strips, X.reshape(nb, bs, k), n, b),
-                                 full_matrices=False)
+        _, s, Wh = np.linalg.svd(M.left(X, n), full_matrices=False)
         zero = s < threshold
         if not zero.all():
             V = X[:n] @ Wh[zero].conj().T
@@ -384,26 +418,30 @@ def _ritz_side(strips: np.ndarray, D: np.ndarray, F: np.ndarray, b: int, n: int,
             return None
 
 
-def _banded_sides(entries, b: int, order: np.ndarray, inner: np.ndarray, zero_tol: float):
-    """Both sides from the band b of the interleaved window M[j, c] = entries(j,
-    c), or None for the dense SVD: when the band exceeds dim/8, when a side
-    gives up, or when the sides find different numbers of near-zero Ritz values
-    (a square matrix has as many null left vectors as right ones, so a block
-    that missed part of the null space shows here)."""
+def _banded_sides(parts: list, b: int, order: np.ndarray, inner: np.ndarray, zero_tol: float):
+    """Both sides from the band b of the interleaved window M = sum_g K_g
+    Phi_g over (part, mode map) pairs (``_window_strips``), or None for the
+    dense SVD: when the band exceeds dim/8, when a side gives up, or when the
+    sides find different numbers of near-zero Ritz values (a square matrix
+    has as many null left vectors as right ones, so a block that missed part
+    of the null space shows here).  M's strips are freed before M^H's are
+    gathered."""
     n = len(order)
     if b > n / 8:
         return None
     bs = max(2 * b, RITZ_BLOCK)
     inner = inner[order]
-    strips = _column_strips(entries, order, b, bs)
-    D, F = _gram(strips, b)
+    M = _Banded(_window_strips(parts, order, b, bs, False), b)
+    D, F = _gram(M)
     smax = _largest_singular(D, F)
     threshold = zero_tol * smax
-    kernel = _ritz_side(strips, D, F, b, n, inner, smax, threshold)
+    kernel = _ritz_side(M, D, F, n, inner, smax, threshold)
     if kernel is None:
         return None
-    strips = _column_strips(lambda j, c: entries(c, j), order, b, bs).conj()     # of M^H
-    cokernel = _ritz_side(strips, *_gram(strips, b), b, n, inner, smax, threshold)
+    del M, D, F
+    strips = _window_strips(parts, order, b, bs, True)
+    M = _Banded(np.conjugate(strips, out=strips), b)                  # M^H
+    cokernel = _ritz_side(M, *_gram(M), n, inner, smax, threshold)
     if cokernel is None or cokernel[1].size != kernel[1].size:
         return None
     return smax, kernel, cokernel
@@ -505,12 +543,9 @@ def _inner_diagonal(K: np.ndarray, phi: ModeMap | WeightedShift, rows: np.ndarra
     if len(K) > len(rows):
         K = K[rows]
     if isinstance(phi, ModeMap):
-        cols = rows if phi.sign == 1 else K.shape[1] - 1 - rows
         if C is None:
-            diag = K[np.arange(len(rows)), cols]
-        else:
-            diag = np.einsum("kj,jk->k", K, C[:, cols])
-        return diag * phi.phases[rows]
+            return _gather(K, phi, np.arange(len(rows)), rows)
+        return np.einsum("kj,jk->k", K, C[:, phi.source(rows)]) * phi.phases[rows]
     right = phi.matrix()[:, rows]
     if C is not None:
         right = C @ right
@@ -614,90 +649,37 @@ def _window_index(problem: GOperatorProblem, cutoff: int, zero_tol: float,
     return problem._index_cache[key]
 
 
-@dataclass(frozen=True)
-class _Banded:
-    """A square matrix held as its column strips (``_strip_layout`` with band
-    ``reach``): a product by a dense factor reads the strips alone, O(n^2
-    reach) work against O(n^3).  A single strip of reach 0 holds the matrix
-    densely, and each product is then one matmul."""
-
-    strips: np.ndarray
-    reach: int
-
-    def left(self, Y: np.ndarray, rows: int | None = None) -> np.ndarray:
-        """The first ``rows`` rows of M Y (all of them when None)."""
-        height, bs = self.strips.shape[1:]
-        n = len(Y)
-        rows = n if rows is None else rows
-        out = np.zeros((rows, Y.shape[1]), dtype=complex)
-        for J, strip in enumerate(self.strips):
-            top = J * bs - self.reach
-            if top >= rows:
-                break
-            lo, hi = max(top, 0), min(top + height, rows)
-            Y_J = Y[J * bs:(J + 1) * bs]
-            out[lo:hi] += strip[lo - top:hi - top, :len(Y_J)] @ Y_J
-        return out
-
-    def right(self, X: np.ndarray, cols: int | None = None) -> np.ndarray:
-        """The first ``cols`` columns of X M (all of them when None)."""
-        height, bs = self.strips.shape[1:]
-        n = X.shape[1]
-        cols = n if cols is None else cols
-        out = np.empty((len(X), cols), dtype=complex)
-        for J in range(-(-cols // bs)):
-            top = J * bs - self.reach
-            lo, hi = max(top, 0), min(top + height, n)
-            c0, c1 = J * bs, min((J + 1) * bs, cols)
-            out[:, c0:c1] = X[:, lo:hi] @ self.strips[J, lo - top:hi - top, :c1 - c0]
-        return out
-
-
-def _fourier_blocks(X: LabeledOperator, irreps, order: np.ndarray) -> list[np.ndarray]:
+def _irrep_blocks(X: LabeledOperator, irreps, order: np.ndarray, banded: bool) -> list[_Banded]:
     """X(pi) = sum_g pi(g) (x) K_g Phi_g per irrep, with rows and columns in
     the interleaved ``order`` and pi's index fastest: entry (p d + a, q d + b)
-    is pi(g)_ab p_g(order[q]) K_g[order[p], s_g order[q]], one gather per part."""
-    dim = X.window.dim
-    out = [np.zeros((len(rep[X.group.identity]) * dim,) * 2, dtype=complex) for rep in irreps]
-    for g, K in (X.bands or X.parts).items():
-        phi = X.realization.phi(g)
-        KPhi = K[np.ix_(order, order if phi.sign == 1 else dim - 1 - order)]
-        KPhi *= phi.phases[order]
-        for rep, block in zip(irreps, out):
-            view = block.reshape(dim, len(rep[g]), dim, -1)
-            for (a, b), c in np.ndenumerate(rep[g]):
-                view[:, a, :, b] += c * KPhi
-    return out
+    is pi(g)_ab (K_g Phi_g)[order[p], order[q]].
 
-
-def _band_blocks(A: LabeledOperator, irreps, order: np.ndarray) -> list[_Banded]:
-    """A(pi) per irrep in the layout of ``_fourier_blocks``, from A's transfer bands.
-
-    With b the largest band of the parts K_g Phi_g (``_part_band``), A(pi)
-    has band d_pi b + d_pi - 1, and its strips are gathered from the transfer
-    bands.  A band above dim/8, or one not certified, keeps every block
-    dense, as one strip.
+    Each part's interleaved window is gathered once (``_gather``) and added,
+    times pi(g)_ab, into every block.  With ``banded`` (X's parts are
+    transfer bands) it is gathered as column strips at b, the largest band of
+    the parts (``_part_band``); strip J of X(pi) then holds the d x d blocks
+    of the part strip J, reach d b (its band is d b + d - 1, but its rows
+    start at a multiple of d).  Otherwise, or when a part's band is not
+    certified, it is one dense strip, and so is every block.
     """
     dim = len(order)
-    real = A.realization
-    bands = [_part_band([(K, real.phi(g))], order) for g, K in A.bands.items()]
-    if None in bands:
-        return [_Banded(block[None], 0) for block in _fourier_blocks(A, irreps, order)]
-    b = max(bands, default=0)
-    out = []
-    for rep in irreps:
-        d = len(rep[A.group.identity])
-        reach = d * b + d - 1
-        rows, cols, outside = _strip_layout(d * dim, reach, max(2 * reach, RITZ_BLOCK))
-        modes, src = order[rows // d], order[cols // d]
-        strips = np.zeros(outside.shape, dtype=complex)
-        for g, K in A.bands.items():
-            phi = real.phi(g)            # K_g Phi_g e_k = p(k) K_g e_{s k}
-            strips += (rep[g][rows % d, cols % d] * phi.phases[src]
-                       * K[modes, src if phi.sign == 1 else dim - 1 - src])
-        strips[outside] = 0
-        out.append(_Banded(strips, reach))
-    return out
+    real = X.realization
+    held = X.bands or X.parts
+    bands = [_part_band([(K, real.phi(g))], order) for g, K in held.items()] if banded else [None]
+    b = None if None in bands else max(bands, default=0)
+    reach, bs = (0, dim) if b is None else (b, max(2 * b, RITZ_BLOCK))
+    rows, cols, outside = _strip_layout(dim, reach, bs)
+    nb, height = outside.shape[:2]
+    sizes = [len(rep[X.group.identity]) for rep in irreps]
+    out = [np.zeros((nb, d * height, d * bs), dtype=complex) for d in sizes]
+    for g, K in held.items():
+        window = _gather(K, real.phi(g), order[rows], order[cols])
+        window[outside] = 0
+        for rep, strips in zip(irreps, out):
+            view = strips.reshape(nb, height, len(rep[g]), bs, -1)
+            for (a, c), w in np.ndenumerate(rep[g]):
+                view[:, :, a, :, c] += w * window
+    return [_Banded(strips, d * reach) for d, strips in zip(sizes, out)]
 
 
 def _inverse_fourier(irreps, l: Element) -> np.ndarray:
@@ -708,7 +690,7 @@ def _inverse_fourier(irreps, l: Element) -> np.ndarray:
 
 
 def _components(blocks: list[np.ndarray], dim: int) -> np.ndarray:
-    """The components X(pi)[a, b] of blocks in ``_fourier_blocks``' layout, one
+    """The components X(pi)[a, b] of blocks in ``_irrep_blocks``' layout, one
     row each, pi by pi; each block is dropped once copied."""
     out = np.empty((sum(len(B) ** 2 for B in blocks) // dim ** 2, dim, dim), dtype=complex)
     i = 0
@@ -790,15 +772,15 @@ def _block_traces(problem: GOperatorProblem, A: LabeledOperator, N: int,
                           problem.k_min, problem.unit_fill)
     keys = [_products(grp, E0.support, A.support) | {grp.identity},
             _products(grp, A.support, E0.support) | {grp.identity}]
-    bands = _band_blocks(A, irreps, order)
+    A_hat = _irrep_blocks(A, irreps, order, True)
     A.bands.clear()
-    E_hat = _fourier_blocks(E0, irreps, order)
+    E_hat = _irrep_blocks(E0, irreps, order, False)
     del E0
     inner = int(np.count_nonzero(window.inner_mask(inner_fraction)))
     per_irrep = []
     while E_hat:                    # irreps() lists the largest blocks last: pop them first
-        d = len(E_hat[-1]) // dim
-        per_irrep.insert(0, _irrep_remainders(E_hat.pop(), bands.pop(), N, d * inner, d))
+        d = len(E_hat[-1].strips[0]) // dim
+        per_irrep.insert(0, _irrep_remainders(E_hat.pop().strips[0], A_hat.pop(), N, d * inner, d))
     S1, S2, T1, T2 = map(list, zip(*per_irrep))
     del per_irrep
     traces = []

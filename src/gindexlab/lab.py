@@ -432,7 +432,6 @@ def _exp_algebraic(config: ExperimentConfig):
             "constant_term": _cx(result.constant_term),
             "negative_power": _cx(result.negative_power),
             "negative_power_ok": result.negative_power_ok,
-            "analytic_index": _cx(ind_g),
             "series_h": result.series.h_grid.tolist(),
             "series_values": [_cx(v) for v in result.series.values],
             "c0_matches_analytic": match,

@@ -185,6 +185,11 @@ class ModeMap:
     def matrix(self) -> np.ndarray:
         return np.diag(self.phases)[::self.sign]
 
+    def source(self, k):
+        """The window index of s k for window indices k: k, or dim - 1 - k
+        under a reflection; so (K Phi)[:, k] = p(k) K[:, s k]."""
+        return k if self.sign == 1 else len(self.phases) - 1 - k
+
     def compose(self, other: "ModeMap") -> "ModeMap":
         """self o other (apply ``other`` first)."""
         return ModeMap(self.window, self.sign * other.sign,

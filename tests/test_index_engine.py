@@ -15,7 +15,7 @@ from gindexlab.index_engine import (DEFAULT_ZERO_TOL, GAP_REQUIREMENT,
                                     numerical_index, parametrix, chi_vanishing_check,
                                     tr_g, tr_g_product, winding_index_oracle)
 from gindexlab.problems import GOperatorProblem
-from gindexlab.quantize import LabeledOperator, TransferBand
+from gindexlab.quantize import LabeledOperator, TransferBand, quantize_crossed
 from gindexlab.samples import (curved_z2_problem, dihedral_sample,
                                shift_neumann_problem, winding_problem, z2_sample)
 from gindexlab.symbols import CrossedSymbol, PrincipalSymbol
@@ -181,10 +181,10 @@ class TestBandedPath:
 
     def test_block_grows_to_hold_the_null_space(self, monkeypatch, dense_calls):
         widths = []
-        apply = index_engine._strip_apply
-        monkeypatch.setattr(index_engine, "_strip_apply",
-                            lambda strips, X, *args: widths.append(X.shape[2])
-                            or apply(strips, X, *args))
+        left = index_engine._Banded.left
+        monkeypatch.setattr(index_engine._Banded, "left",
+                            lambda self, X, *args: widths.append(X.shape[1])
+                            or left(self, X, *args))
         A = winding_operator(12, 128)         # dim/8 = 32.1: one doubling fits
         mat = A.realize()
         got, want = index_of_matrix(mat, A.window), dense_index(mat, A.window)
@@ -353,10 +353,9 @@ class TestBandParts:
         if b is not None:
             assert b == index_engine._band(dense, order)
             bs = max(2 * b, index_engine.RITZ_BLOCK)
-            for M, gather in ((dense, lambda j, c: index_engine._part_entries(parts, j, c)),
-                              (dense.T, lambda j, c: index_engine._part_entries(parts, c, j))):
-                want = index_engine._column_strips(lambda j, c: M[j, c], order, b, bs)
-                got = index_engine._column_strips(gather, order, b, bs)
+            for M, transpose in ((dense, False), (dense.T, True)):
+                want = index_engine._window_strips([(M, None)], order, b, bs, False)
+                got = index_engine._window_strips(parts, order, b, bs, transpose)
                 assert got.tobytes() == want.tobytes()
         assert index_of_matrix(A, A.window) == index_of_matrix(dense, A.window)
 
@@ -590,13 +589,15 @@ class TestBandedProducts:
         A = p.operator(cutoff)
         order = index_engine._interleaved(A.window.dim)
         irreps = p.group.irreps()
-        blocks = index_engine._fourier_blocks(A, irreps, order)
-        bands = index_engine._band_blocks(A, irreps, order)
+        bands = index_engine._irrep_blocks(A, irreps, order, True)
+        blocks = fourier_blocks_of_realized_parts(A, irreps, order)
         for band, block in zip(bands, blocks):
             assert (len(band.strips) == 1 and band.reach == 0) == dense
-            if not dense:   # the reach covers every entry above the floor
+            if not dense:   # the strips hold every entry above the floor
+                height, bs = band.strips.shape[1:]
                 i, j = np.nonzero(np.abs(block) > index_engine.BAND_FLOOR * np.abs(block).max())
-                assert np.max(np.abs(i - j)) <= band.reach
+                top = j // bs * bs - band.reach
+                assert np.all((top <= i) & (i < top + height))
             eye = np.eye(len(block))
             assert np.max(np.abs(band.left(eye) - block)) <= 1e-15 * np.abs(block).max()
 
@@ -619,18 +620,23 @@ class TestFourierBlocks:
     @pytest.mark.parametrize("build", [lambda: dihedral_sample(3), partial_support_problem,
                                        z2_sample, lambda: random_problem("dihedral", 4, "dihedral")])
     def test_one_gather_per_part_is_the_realized_part(self, build):
-        # bitwise, from the transfer bands and from the dense parts alike
+        # dense blocks of the operator and of E0, bitwise, from the transfer
+        # bands and from the dense parts alike
         p = build()
         A = p.operator(48)
+        E0 = quantize_crossed(A.realization, p.principal_inverse(grid_for_window(A.window)),
+                              p.k_min, p.unit_fill)
         order = index_engine._interleaved(A.window.dim)
         irreps = p.group.irreps()
-        from_bands = index_engine._fourier_blocks(A, irreps, order)
-        assert A.bands is not None
-        want = fourier_blocks_of_realized_parts(A, irreps, order)
-        assert A.bands is None           # the oracle made the parts dense
-        from_dense = index_engine._fourier_blocks(A, irreps, order)
-        for got, dense, block in zip(from_bands, from_dense, want):
-            assert got.tobytes() == block.tobytes() == dense.tobytes()
+        for X in (A, E0):
+            from_bands = index_engine._irrep_blocks(X, irreps, order, False)
+            assert X.bands is not None
+            want = fourier_blocks_of_realized_parts(X, irreps, order)
+            assert X.bands is None           # the oracle made the parts dense
+            from_dense = index_engine._irrep_blocks(X, irreps, order, False)
+            for got, dense, block in zip(from_bands, from_dense, want):
+                assert got.reach == 0 and got.strips.shape == (1, *block.shape)
+                assert got.strips.tobytes() == block.tobytes() == dense.strips.tobytes()
 
 
 class MatmulSpy(np.ndarray):
@@ -697,9 +703,10 @@ class TestBlockPath:
         # E0's blocks record every matmul they and their products enter; the
         # only n x n x n one is H_2 = E0 + E0 S2, where forming E0 A, A E0,
         # S1^2 and S2^2 would make four
-        fourier = index_engine._fourier_blocks
-        monkeypatch.setattr(index_engine, "_fourier_blocks", lambda *args: [
-            block.view(MatmulSpy) for block in fourier(*args)])
+        build = index_engine._irrep_blocks
+        monkeypatch.setattr(index_engine, "_irrep_blocks", lambda X, irreps, order, banded: [
+            B if banded else index_engine._Banded(B.strips.view(MatmulSpy), B.reach)
+            for B in build(X, irreps, order, banded)])
         MatmulSpy.shapes = []
         p = dihedral_sample(3)
         A = p.operator(48)

@@ -359,12 +359,28 @@ class TestRun:
         assert record.verdicts["index"] == "FAIL"
         assert record.exit_code == 1
 
-    def test_algebraic_step_uses_configured_decomposition(self):
-        cfg = {**Z2_PIPELINE, "numerics": {"windows": [32, 48], "inner_fraction": 0.4}}
+    def test_algebraic_step_uses_configured_decomposition(self, monkeypatch):
+        # the algebraic step judges each constant term against the localized
+        # payload's value of its class, from the same configured sweep; a
+        # c0_match between the two classes' distances (4e-5 and 3e-13) gives
+        # one verdict of each kind
+        sweeps = []
+        check = lab.decomposition_check
+        monkeypatch.setattr(lab, "decomposition_check",
+                            lambda problem, **sweep: sweeps.append(sweep) or check(problem, **sweep))
+        cfg = {**Z2_PIPELINE, "numerics": {"windows": [32, 48], "inner_fraction": 0.4,
+                                           "tolerances": {"c0_match": 1e-8}}}
         payloads = run(parse_config(cfg)).payloads
+        assert len(sweeps) == 2 and sweeps[0] == sweeps[1]
+        assert sweeps[0]["windows"] == (32, 48) and sweeps[0]["inner_fraction"] == 0.4
         localized = payloads["localized"]["per_class"]
+        verdicts = []
         for label, entry in payloads["algebraic"]["per_class"].items():
-            assert entry["analytic_index"] == localized[label]
+            assert "analytic_index" not in entry
+            distance = abs(complex(*entry["constant_term"]) - complex(*localized[label]))
+            assert entry["c0_matches_analytic"] == (distance < 1e-8)
+            verdicts.append(entry["c0_matches_analytic"])
+        assert sorted(verdicts) == [False, True]
 
     def test_one_svd_per_window_at_configured_numerics(self, monkeypatch):
         index_engine.calibrate_sign()    # the sign calibration sweeps its own problem

@@ -205,6 +205,25 @@ class TestModeMapLaws:
         assert np.max(np.abs(a.right_mul(X) - X @ phi)) < 1e-12
         assert np.max(np.abs(a.conjugate(X) - phi @ X @ phi.conj().T)) < 1e-12
 
+    @pytest.mark.parametrize("build", [
+        lambda: RealizationFamily(build_group("trivial"), "trivial"),
+        lambda: family("cyclic", "rotation", m=3),
+        lambda: family("cyclic", "reflection", m=2),
+        lambda: family("dihedral", "dihedral", m=3),
+        lambda: family("integer_shift", "half_wave", theta=0.7),
+    ])
+    def test_source_is_the_column_right_mul_reads(self, build):
+        # (K Phi)[:, k] = p(k) K[:, s k], bitwise, for every element of
+        # every isometric family
+        fam = build()
+        R = fam.at(W16)
+        els = fam.group.elements() if fam.group.is_finite else [-2, -1, 0, 1, 2]
+        K = np.random.default_rng(6).normal(size=(W16.dim, 2 * W16.dim)).view(complex)
+        k = np.arange(W16.dim)
+        for g in els:
+            phi = R.phi(g)
+            assert phi.right_mul(K).tobytes() == (K[:, phi.source(k)] * phi.phases[k]).tobytes()
+
 
 class TestCurvedShift:
     def test_truncation_defect_decays(self):
