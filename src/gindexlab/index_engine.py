@@ -17,23 +17,24 @@ Two finite-window facts shape all the numerics here:
 
 With its modes in the order 0, 1, -1, 2, -2, ..., the window of a trig
 symbol is banded, reflection parts included (a mode map k -> +-k moves a
-mode by at most one place there).  So the null spaces come from the band
-(``_banded_sides``): M^H M + mu^2 is assembled from column strips as a
-block-tridiagonal matrix and factored block by block, three steps of block
-inverse iteration find its smallest eigenvectors, and the SVD of the n x 16
-product M X gives Ritz values and vectors; the same on M^H gives the
+mode by at most one place there).  ``index_of_matrix`` has two paths,
+chosen by its input.  An operator whose parts are transfer bands under mode
+maps, with a band that the bands certify (``_part_band``), is counted from
+the band (``_banded_sides``): M^H M + mu^2 is assembled from column strips
+as a block-tridiagonal matrix and factored block by block, three steps of
+block inverse iteration find its smallest eigenvectors, and the SVD of the
+n x 16 product M X gives Ritz values and vectors; the same on M^H gives the
 cokernel.  That is O(n b^2) work for band b against O(n^3) for a full SVD.
-The band and the strips come from the quantizer's transfer bands
-(``_part_band``, ``_window_strips``), and every entry of a part K_g Phi_g
-that the engine reads comes from one gather (``_gather``): the index strips,
-the band certification and the irrep blocks below.  A matrix held as column
-strips is a ``_Banded``, whose products read the strips alone; the Ritz step
-takes M X from it.  The dense SVD (``_dense_sides``) counts every window the
-band path gives up on: a band above dim/8 (curved weighted shifts, dense
-perturbations), a failed factorization, a null space that fills every block
-up to dim/8, or unequal null counts on the two sides.  It is also the band
-path's oracle.  A window is formed densely only for it, for a curved
-Phi_g, or when the transfer bands cannot certify the band.
+The strips come from the quantizer's transfer bands (``_window_strips``),
+and every entry of a part K_g Phi_g that the engine reads comes from one
+gather (``_gather``): the index strips, the band certification and the
+irrep blocks below.  A matrix held as column strips is a ``_Banded``, whose
+products read the strips alone; the Ritz step takes M X from it.  Every
+other input goes to the dense SVD (``_dense_sides``) on the window realized
+once: a curved Phi_g, a band above dim/8 or not certified, a dense matrix,
+and every window the band path gives up on (a failed factorization, a null
+space that fills every block up to dim/8, or unequal null counts on the two
+sides).  The dense SVD is also the band path's oracle.
 
 The localized index reads only Tr_g(S1^N) - Tr_g(S2^N), per element, and
 never builds the almost inverse E (only ``parametrix`` does).  Two paths
@@ -49,11 +50,10 @@ compute these traces:
   a prefix.  The remainder powers come from the push-through identity S1 E0
   = E0 S2: with H_1 = E0 and H_{j+1} = E0 + H_j S2, exactly S1^k = 1 - H_k
   A and S2^k = 1 - A H_k (``_neumann_heads``).  So the only dense products
-  are the N - N//2 - 1 steps of that recursion per irrep (one at N = 4: 10
-  dim^3 on dihedral(3), where E0 A, A E0, S1^2 and S2^2 would be 40).  S1 = 1 - E0 A, S2 = 1 -
-  A E0, the prefix rows of S^{N - N//2} and the prefix columns of S^{N//2}
-  go through A's band (``_Banded``), and A is never formed densely unless
-  its band is not certified.  The inner diagonals of S^N = S^{N - N//2}
+  are the N - N//2 - 1 steps of that recursion per irrep.  S1 = 1 - E0 A,
+  S2 = 1 - A E0, the prefix rows of S^{N - N//2} and the prefix columns of
+  S^{N//2} go through A's band (``_Banded``), and A is never formed densely
+  unless its band is not certified.  The inner diagonals of S^N = S^{N - N//2}
   S^{N//2} are read from those rows and columns, and Fourier inversion,
   Tr_l = (1/|G|) sum_pi d_pi sum_ab conj(pi(l)_ab) T_pi[a, b], recovers the
   element traces.
@@ -133,21 +133,16 @@ def index_of_matrix(mat: np.ndarray | LabeledOperator, window: FrequencyWindow,
     Null singular vectors supported near the window edge are truncation
     artifacts, not spectral data: they are excluded from the kernel/cokernel
     counts and from the gap (the gap compares the smallest above-threshold
-    singular value against the largest *interior* null one).  Banded windows
-    take ``_banded_sides``; the rest, and every window it gives up on, the
-    dense SVD (``_dense_sides``).  A graded operator with transfer-band parts
-    under mode maps is read from the bands; any other ``mat`` is realized.
+    singular value against the largest *interior* null one).  An operator
+    whose transfer-band parts under mode maps certify their band is counted
+    by ``_banded_sides``; any other ``mat``, and any window that path gives
+    up on, by the dense SVD of the window realized once (``_dense_sides``).
     """
     inner = window.inner_mask(inner_fraction)
-    order = _interleaved(window.dim)
-    parts = None
+    sides, solver = None, "banded"
     if isinstance(mat, LabeledOperator) and mat.bands and mat.realization.family.is_isometric:
         parts = [(mat.bands[g], mat.realization.phi(g)) for g in mat.support]
-    b = None if parts is None else _part_band(parts, order)
-    if b is None:
-        mat = mat.realize() if isinstance(mat, LabeledOperator) else mat
-        b, parts = _band(mat, order), [(mat, None)]
-    sides, solver = _banded_sides(parts, b, order, inner, zero_tol), "banded"
+        sides = _banded_sides(parts, _interleaved(window.dim), inner, zero_tol)
     if sides is None:
         mat = mat.realize() if isinstance(mat, LabeledOperator) else mat
         sides, solver = _dense_sides(mat, inner, zero_tol), "dense"
@@ -206,21 +201,6 @@ def _interleaved(dim: int) -> np.ndarray:
     return order
 
 
-def _band(mat: np.ndarray, order: np.ndarray) -> int:
-    """Largest |pos(row) - pos(col)| over the entries above the floor, where
-    pos is each window index's place in the interleaved ``order``: per row,
-    the distance to its first and last entry with the columns interleaved."""
-    mag = np.abs(mat)
-    mask = mag > BAND_FLOOR * mag.max()
-    del mag
-    mask = mask[:, order]
-    pos = np.empty_like(order)
-    pos[order] = np.arange(len(order))
-    first = mask.argmax(axis=1)
-    last = len(order) - 1 - mask[:, ::-1].argmax(axis=1)
-    return int(np.max(np.maximum(pos - first, last - pos)[mask.any(axis=1)], initial=0))
-
-
 def _strip_layout(n: int, b: int, bs: int):
     """Entry positions of the column strips of an n x n matrix of band b:
     strip I holds columns I bs .. (I+1) bs and rows I bs - b .. (I+1) bs + b.
@@ -274,11 +254,9 @@ class _Banded:
         return out
 
 
-def _gather(K, phi: ModeMap | None, j: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _gather(K, phi: ModeMap, j: np.ndarray, c: np.ndarray) -> np.ndarray:
     """(K Phi)[j, c] = p(c) K[j, s c] for broadcast window indices j and c, K a
-    dense part or a transfer band; Phi = 1 when None."""
-    if phi is None:
-        return K[j, c]
+    dense part or a transfer band."""
     out = K[j, phi.source(c)]
     out *= phi.phases[c]
     return out
@@ -299,7 +277,8 @@ def _window_strips(parts: list, order: np.ndarray, b: int, bs: int, transpose: b
 
 
 def _part_band(parts: list, order: np.ndarray) -> int | None:
-    """``_band`` of M = sum_g K_g Phi_g from its (band, mode map) pairs, or None.
+    """Band of M = sum_g K_g Phi_g, the largest |i - j| above the floor in
+    M[order][:, order], from its (band, mode map) pairs, or None.
 
     A transfer t moves an entry at most 2|t| + 1 interleaved places (pos(k) =
     2|k| - [k > 0], s_g k = +-k), so past reach 2T + 1 the entries are at most
@@ -418,17 +397,18 @@ def _ritz_side(M: _Banded, D: np.ndarray, F: np.ndarray, n: int, inner: np.ndarr
             return None
 
 
-def _banded_sides(parts: list, b: int, order: np.ndarray, inner: np.ndarray, zero_tol: float):
+def _banded_sides(parts: list, order: np.ndarray, inner: np.ndarray, zero_tol: float):
     """Both sides from the band b of the interleaved window M = sum_g K_g
     Phi_g over (part, mode map) pairs (``_window_strips``), or None for the
-    dense SVD: when the band exceeds dim/8, when a side gives up, or when the
-    sides find different numbers of near-zero Ritz values (a square matrix
-    has as many null left vectors as right ones, so a block that missed part
-    of the null space shows here).  M's strips are freed before M^H's are
-    gathered."""
-    n = len(order)
-    if b > n / 8:
+    dense SVD: when ``_part_band`` does not certify b, when a side gives up,
+    or when the sides find different numbers of near-zero Ritz values (a
+    square matrix has as many null left vectors as right ones, so a block
+    that missed part of the null space shows here).  M's strips are freed
+    before M^H's are gathered."""
+    b = _part_band(parts, order)
+    if b is None:
         return None
+    n = len(order)
     bs = max(2 * b, RITZ_BLOCK)
     inner = inner[order]
     M = _Banded(_window_strips(parts, order, b, bs, False), b)

@@ -6,9 +6,9 @@ coefficient of ``x -> a(x, k)``.  There is one quantizer per kind of symbol:
 ``PrincipalSymbol`` outside a zero-section cut) and ``op_h_term`` for one
 sampled semiclassical term.  An order-zero part is held as its transfer band:
 entries are gathered from it by index, and its dense window (``op_classical``)
-copies each sheet's columns from a Toeplitz view, with no table beside it.
-A sampled term's coefficients change from column to column, so ``op_h_term``
-gathers them through a skewed view of the transfer rows, with no table.  A
+copies each sheet's columns from the skewed view of its transfer row.  A
+sampled term's coefficients change from column to column, so ``op_h_term``
+gathers them through that view of each transfer row, with no table.  A
 LabeledOperator keeps the g-grading of ``sum_g K_g Phi_g`` so that
 class-localized traces remain computable after products; its parts stay
 transfer bands until their dense entries are read.  Multiplication uses
@@ -23,7 +23,7 @@ holds exactly (all isometric families here).
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .circle import FrequencyWindow
 from .errors import GroupMismatch, WindowMismatch, WindowTooSmallForH
@@ -79,12 +79,12 @@ class TransferBand:
         return self.vectors[np.digitize(k, self.cut), j - k + self.shape[0] - 1]
 
     def dense(self) -> np.ndarray:
-        """The window matrix, each sheet's columns copied from a Toeplitz view."""
+        """The window matrix, each sheet's columns copied from ``_skewed(row)``."""
         dim = self.shape[0]
         lo, hi = self.cut
         out = np.empty(self.shape, dtype=complex)
         for row, cols in zip(self.vectors, (slice(0, lo), slice(lo, hi), slice(hi, dim))):
-            out[:, cols] = sliding_window_view(row, dim)[::-1].T[:, cols]
+            out[:, cols] = _skewed(row, dim)[:, cols]
         return out
 
 
@@ -248,12 +248,12 @@ class LabeledOperator:
                 out[m] = out[m] + contrib if m in out else contrib
         return LabeledOperator(self.realization, out)
 
-    def power(self, n: int, conjugates: dict | None = None) -> "LabeledOperator":
+    def power(self, n: int) -> "LabeledOperator":
         """Left-associated power, pruned after each product; each part of ``self``
-        is conjugated once, into ``conjugates`` when the caller passes a memo."""
+        is conjugated once."""
         if n < 1:
             raise ValueError("power needs n >= 1")
-        conjugates = {} if conjugates is None else conjugates
+        conjugates: dict = {}
         acc = self
         for _ in range(n - 1):
             acc = acc.multiply(self, conjugates).prune()

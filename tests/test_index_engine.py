@@ -40,6 +40,36 @@ def dense_index(mat, window, zero_tol=DEFAULT_ZERO_TOL, inner_fraction=0.5):
     return index_engine._window_data(window.cutoff, zero_tol, "dense", *sides)
 
 
+def same_count(got, want):
+    """The integers of two counts agree and both have the required gap."""
+    assert ((got.kernel_dim, got.cokernel_dim, got.index)
+            == (want.kernel_dim, want.cokernel_dim, want.index))
+    assert min(got.sv_gap, want.sv_gap) >= GAP_REQUIREMENT
+
+
+def dense_band(mat, order):
+    """The band of M, the oracle of ``_part_band``: the largest |i - j| over
+    the entries of M[order][:, order] above BAND_FLOOR x max|M|."""
+    mag = np.abs(mat[order][:, order])
+    i, j = np.nonzero(mag > index_engine.BAND_FLOOR * mag.max())
+    return int(np.max(np.abs(i - j), initial=0))
+
+
+def dense_strips(mat, order, b, bs):
+    """Column strips (``_strip_layout``) of the interleaved M, read from M by index."""
+    rows, cols, outside = index_engine._strip_layout(len(order), b, bs)
+    out = mat[order[rows], order[cols]]
+    out[outside] = 0
+    return out
+
+
+def unitary_operator(R, g):
+    """Phi_g as an operator: on element g, the transfer band of the constant
+    symbol 1 with a unit fill, so its part is the identity."""
+    one = PrincipalSymbol.from_coeffs(grid_for_window(R.window), {0: 1.0}, {0: 1.0})
+    return LabeledOperator(R, {g: TransferBand(one, R.window, unit_fill=True)})
+
+
 REALIZATIONS = {"trivial": ("trivial", {}), "reflection": ("cyclic", {"m": 2}),
                 "dihedral": ("dihedral", {"m": 3})}
 
@@ -88,6 +118,17 @@ def dense_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Names of the counting paths and strip gathers called, in order."""
+    calls = []
+    for name in ("_banded_sides", "_window_strips", "_dense_sides"):
+        f = getattr(index_engine, name)
+        monkeypatch.setattr(index_engine, name,
+                            lambda *args, _f=f, _n=name: calls.append(_n) or _f(*args))
+    return calls
+
+
 def winding_operator(k_min, cutoff):
     fam = RealizationFamily(build_group("trivial"), "trivial")
     return GOperatorProblem(fam, {(): ({0: 1.0}, {1: 1.0})}, k_min=k_min).operator(cutoff)
@@ -107,11 +148,11 @@ class TestNumericalIndex:
     def test_unitaries_have_index_zero(self, dense_calls, build):
         fam = build()
         # mode maps are banded in the interleaved order; a curved weighted
-        # shift fills the window, so its band exceeds dim/8
+        # shift is not a mode map, so its window is realized for the dense SVD
         solver = "banded" if fam.is_isometric else "dense"
         for cutoff in (32, 64):
             R = fam.at(FrequencyWindow(cutoff))
-            data = index_of_matrix(R.phi(1).matrix(), R.window)
+            data = index_of_matrix(unitary_operator(R, 1), R.window)
             assert data.index == 0
             assert data.kernel_dim == 0 and data.cokernel_dim == 0
             assert data.solver == solver
@@ -149,7 +190,7 @@ class TestNumericalIndex:
         pert[np.ix_(low, low)] = block
         data = index_of_matrix(dense + pert, A.window)
         assert data.index == 1
-        # the block spans 49 interleaved positions, more than dim/8: dense path
+        # a dense matrix takes the dense path, once
         assert data.solver == "dense" and dense_calls == [193]
         assert data == dense_index(dense + pert, A.window)
 
@@ -165,19 +206,14 @@ class TestBandedPath:
     def test_matches_dense_oracle(self, case):
         real, degree, winding, k_min, cutoff, seed = case
         A = elliptic_problem(real, degree, winding, k_min, seed).operator(cutoff)
-        mat = A.realize()
-        got, want = index_of_matrix(mat, A.window), dense_index(mat, A.window)
-        assert ((got.kernel_dim, got.cokernel_dim, got.index)
-                == (want.kernel_dim, want.cokernel_dim, want.index))
-        assert min(got.sv_gap, want.sv_gap) >= GAP_REQUIREMENT
+        same_count(index_of_matrix(A, A.window), dense_index(A.realize(), A.window))
 
-    def test_null_space_beyond_the_block_cap_falls_back(self, dense_calls):
+    def test_null_space_beyond_the_block_cap_falls_back(self, dense_calls, engine_calls):
         # k_min 12 zeroes 23 columns: the 16-vector block is all null, and
         # 32 vectors exceed dim/8 = 24 at cutoff 96
         A = winding_operator(12, 96)
-        mat = A.realize()
-        assert index_of_matrix(mat, A.window) == dense_index(mat, A.window)
-        assert dense_calls == [193, 193]
+        assert index_of_matrix(A, A.window) == dense_index(A.realize(), A.window)
+        assert dense_calls == [193, 193] and "_banded_sides" in engine_calls
 
     def test_block_grows_to_hold_the_null_space(self, monkeypatch, dense_calls):
         widths = []
@@ -186,11 +222,9 @@ class TestBandedPath:
                             lambda self, X, *args: widths.append(X.shape[1])
                             or left(self, X, *args))
         A = winding_operator(12, 128)         # dim/8 = 32.1: one doubling fits
-        mat = A.realize()
-        got, want = index_of_matrix(mat, A.window), dense_index(mat, A.window)
+        got = index_of_matrix(A, A.window)
         assert got.solver == "banded" and widths == [16, 32, 16, 32]
-        assert ((got.kernel_dim, got.cokernel_dim, got.index)
-                == (want.kernel_dim, want.cokernel_dim, want.index))
+        same_count(got, dense_index(A.realize(), A.window))
         assert dense_calls == [257]           # the oracle's own call
 
     def test_unequal_null_counts_fall_back(self, monkeypatch, dense_calls):
@@ -204,76 +238,27 @@ class TestBandedPath:
 
         monkeypatch.setattr(index_engine, "_ritz_side", drop_one_cokernel_vector)
         A = winding_problem(1).operator(64)
-        mat = A.realize()
-        assert index_of_matrix(mat, A.window) == dense_index(mat, A.window)
+        assert index_of_matrix(A, A.window) == dense_index(A.realize(), A.window)
         assert len(sides) == 2 and dense_calls == [129, 129]
 
-    def test_zero_matrix_does_not_factor(self, dense_calls):
-        window = FrequencyWindow(32)
-        mat = np.zeros((window.dim,) * 2, dtype=complex)
-        data = index_of_matrix(mat, window)
-        assert data == dense_index(mat, window) and data.index == 0
-        assert dense_calls == [65, 65]
+    def test_zero_matrix_does_not_factor(self, dense_calls, engine_calls):
+        # the zero band is certified at band 0, and its Gram matrix is zero
+        R = RealizationFamily(build_group("trivial"), "trivial").at(FrequencyWindow(32))
+        zero = PrincipalSymbol.from_coeffs(grid_for_window(R.window), {0: 0.0}, {0: 0.0})
+        A = LabeledOperator(R, {(): TransferBand(zero, R.window)})
+        data = index_of_matrix(A, R.window)
+        assert data == dense_index(np.zeros((R.window.dim,) * 2), R.window) and data.index == 0
+        assert dense_calls == [65, 65] and "_banded_sides" in engine_calls
 
-
-@st.composite
-def band_cases(draw):
-    """(window dim, a banded, dense, sparse, single-entry or zero matrix)."""
-    n = 2 * draw(st.integers(1, 40)) + 1
-    kind = draw(st.sampled_from(["banded", "dense", "sparse", "single", "zero"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    mat = np.zeros((n, n), dtype=complex)
-    if kind == "banded":
-        b = draw(st.integers(0, n - 1))
-        offsets = np.subtract.outer(np.arange(n), np.arange(n))
-        order = index_engine._interleaved(n)
-        mat[np.ix_(order, order)] = np.where(np.abs(offsets) <= b, rng.normal(size=(n, n)), 0)
-    elif kind == "dense":
-        mat[:] = rng.normal(size=(n, n))
-    elif kind == "sparse":
-        mat[:] = np.where(rng.random((n, n)) < 0.1, rng.normal(size=(n, n)), 0)
-    elif kind == "single":
-        mat[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = 1.0
-    return n, mat
-
-
-class TestBand:
-    @settings(max_examples=40, deadline=None)
-    @given(band_cases())
-    def test_matches_definition_on_the_permuted_window(self, case):
-        # the band is the largest |i - j| over entries of M[order][:, order]
-        # above BAND_FLOOR x max|M|
-        n, mat = case
-        order = index_engine._interleaved(n)
-        mag = np.abs(mat[order][:, order])
-        i, j = np.nonzero(mag > index_engine.BAND_FLOOR * mag.max())
-        assert index_engine._band(mat, order) == max(np.abs(i - j), default=0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(band_cases())
-    def test_matches_entry_positions(self, case):
-        # oracle: the interleaved positions of every entry above the floor
-        n, mat = case
-        order = index_engine._interleaved(n)
-        mag = np.abs(mat)
-        rows, cols = np.nonzero(mag > index_engine.BAND_FLOOR * mag.max())
-        pos = np.empty_like(order)
-        pos[order] = np.arange(n)
-        expect = int(np.max(np.abs(pos[rows] - pos[cols]), initial=0))
-        assert index_engine._band(mat, order) == expect
-
-    def test_allocates_at_most_one_window(self):
-        # a dense dim-513 window: no index arrays of all its entries
-        n = 513
-        mat = np.random.default_rng(0).normal(size=(n, n)).astype(complex)
-        order = index_engine._interleaved(n)
-        tracemalloc.start()
-        try:
-            assert index_engine._band(mat, order) == n - 1
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= mat.nbytes
+    def test_dense_inputs_take_the_dense_svd_alone(self, engine_calls):
+        # a curved Phi_g and a dense matrix are realized once, for the SVD,
+        # and no strip is gathered
+        curved = curved_z2_problem(eps=0.3).operator(48)
+        realized = winding_problem(1).operator(48).realize()
+        for mat in (curved, realized):
+            assert index_of_matrix(mat, curved.window).solver == "dense"
+            assert engine_calls == ["_dense_sides"]
+            engine_calls.clear()
 
 
 BAND_FAMILIES = {
@@ -351,13 +336,16 @@ class TestBandParts:
         parts = band_pairs(A)
         b = index_engine._part_band(parts, order)
         if b is not None:
-            assert b == index_engine._band(dense, order)
+            assert b == dense_band(dense, order)
             bs = max(2 * b, index_engine.RITZ_BLOCK)
             for M, transpose in ((dense, False), (dense.T, True)):
-                want = index_engine._window_strips([(M, None)], order, b, bs, False)
                 got = index_engine._window_strips(parts, order, b, bs, transpose)
-                assert got.tobytes() == want.tobytes()
-        assert index_of_matrix(A, A.window) == index_of_matrix(dense, A.window)
+                assert got.tobytes() == dense_strips(M, order, b, bs).tobytes()
+        got, want = index_of_matrix(A, A.window), dense_index(dense, A.window)
+        if got.solver == "dense":
+            assert got == want
+        elif want.sv_gap >= GAP_REQUIREMENT:
+            same_count(got, want)
 
     @pytest.mark.parametrize("build, cutoff", [
         (lambda: winding_problem(1), 512),
@@ -370,12 +358,12 @@ class TestBandParts:
         A = build().operator(cutoff)
         order = index_engine._interleaved(A.window.dim)
         b = index_engine._part_band(band_pairs(A), order)
-        assert b is not None and b == index_engine._band(A.realize(), order)
+        assert b is not None and b == dense_band(A.realize(), order)
 
     def test_uncertified_band_takes_the_dense_window(self, monkeypatch):
         # every column lies inside the cut, so M is the unit fill, while the
         # unused sheets of size 1e3 carry rounding tails above BAND_FLOOR
-        # max|M|: the band is measured on the realized window, as before
+        # max|M|: the window is realized once, for the dense SVD
         fam = RealizationFamily(build_group("trivial"), "trivial")
         p = GOperatorProblem(fam, {(): ({0: 1e3, 1: 1e3}, {2: 1e3})}, k_min=70, unit_fill=True)
         A = p.operator(64)

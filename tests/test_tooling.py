@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 import gindexlab
-from gindexlab.lab import _EXPERIMENT_TABLE, FIELDS, OPTIONAL, REQUIRED, parse_config, run
+from gindexlab.index_engine import numerical_index
+from gindexlab.lab import _EXPERIMENT_TABLE, FIELDS, OPTIONAL, REQUIRED, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "benchmark"
@@ -61,12 +62,16 @@ def test_workload_configs_parse(workload):
         assert parse_config(config).experiment == config["experiment"]
 
 
-def test_index_sweep_windows_stay_banded():
-    """Every index_sweep window is counted on its band: a silent fall back to
-    dense windows would bring back the peak of a realized window."""
-    config, _ = WORKLOADS["index_sweep"](0)
-    rows = run(parse_config(config)).payloads["index"]["stabilization"]
-    assert len(rows) == 8 and {row["solver"] for row in rows} == {"banded"}
+def test_workload_index_windows_keep_their_path():
+    """Each workload's seed-0 index windows take one counting path: the band
+    under mode maps, the dense SVD under the curved rotation.  A silent fall
+    back to dense windows would bring back the peak of a realized window."""
+    for workload, solver in (("pipeline_z2", "banded"), ("localized_dihedral", "banded"),
+                             ("localized_curved", "dense"), ("index_sweep", "banded")):
+        config, _ = WORKLOADS[workload](0)
+        windows = config["numerics"]["windows"]
+        rows = numerical_index(parse_config(config).problem, windows).stabilization
+        assert len(rows) == len(windows) and {row.solver for row in rows} == {solver}, workload
 
 
 def _documents():
