@@ -16,8 +16,7 @@ from .problems import GOperatorProblem
 from .index_engine import (IndexReport, LocalizedIndexReport, calibrate_sign,
                            decomposition_check, index_of_matrix,
                            localized_index, numerical_index, parametrix,
-                           chi_vanishing_check, tr_g, tr_g_product,
-                           winding_index_oracle)
+                           chi_vanishing_check, tr_g, winding_index_oracle)
 from .semiclass import (AlgebraicIndexResult, EgorovReport, LaurentFit,
                         PowerLawReport, SampledTerm, StarSeries, TraceSeries,
                         XiLattice, algebraic_index, egorov_defect, laurent_fit,

@@ -36,9 +36,10 @@ and every window the band path gives up on (a failed factorization, a null
 space that fills every block up to dim/8, or unequal null counts on the two
 sides).  The dense SVD is also the band path's oracle.
 
-The localized index reads only Tr_g(S1^N) - Tr_g(S2^N), per element, and
-never builds the almost inverse E (only ``parametrix`` does).  Two paths
-compute these traces:
+The localized index reads only Tr_g(S1^N) - Tr_g(S2^N), per element, from
+the window's A and E0 (``GOperatorProblem.inverse_operator``), and never
+builds the almost inverse E (only ``parametrix`` does).  Two paths compute
+these traces:
 
 * block path (finite group, isometric family): every Phi_g is a mode map and
   Phi_g Phi_h = Phi_gh, so X = sum_g K_g Phi_g -> X(pi) = sum_g pi(g) (x)
@@ -60,8 +61,8 @@ compute these traces:
 * graded path (curved eps > 0 and integer_shift problems, and the test
   oracle of the block path): graded products by ``LabeledOperator.multiply``.
   On finite groups the powers run on the inner rows only, starting from S's
-  inner rows, and the last product is traced without forming it
-  (``tr_g_product``); integer_shift forms S^N with every row.
+  inner rows, and the last product is traced in one pass over its pairs of
+  parts without forming it; integer_shift forms S^N with every row.
 
 A sweep takes at least two strictly increasing windows (drifts compare the
 last two).  Each problem caches a window's index data (``_window_index``) and
@@ -77,11 +78,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circle import INNER_FRACTION, FrequencyWindow, grid_for_window, winding_number
+from .circle import INNER_FRACTION, FrequencyWindow, winding_number
 from .errors import (NoHomomorphism, NonStabilized, NoSpectralGap,
                      UnsupportedGroup)
 from .groups import Element
-from .quantize import K_MIN, PRUNE_TOL, LabeledOperator, quantize_crossed
+from .quantize import PRUNE_TOL, LabeledOperator
 from .samples import winding_problem
 from .symbols import CrossedSymbol
 from .problems import GOperatorProblem
@@ -483,28 +484,23 @@ class ParametrixData:
     right_remainder: LabeledOperator   # 1 - A E   (= S2^N exactly)
 
 
-def _neumann_start(A: LabeledOperator, r: CrossedSymbol, k_min: int, unit_fill: bool):
-    """E0 = op(r), with the zero-section convention of A, and the first
-    remainders S1 = 1 - E0 A, S2 = 1 - A E0."""
-    real = A.realization
-    E0 = quantize_crossed(real, r, k_min, unit_fill)
-    unit = LabeledOperator.unit(real)
-    S1 = (unit - E0.multiply(A)).prune()
-    S2 = (unit - A.multiply(E0)).prune()
-    return E0, S1, S2
+def _neumann_start(A: LabeledOperator, E0: LabeledOperator):
+    """The first remainders S1 = 1 - E0 A and S2 = 1 - A E0."""
+    unit = LabeledOperator.unit(A.realization)
+    return (unit - E0.multiply(A)).prune(), (unit - A.multiply(E0)).prune()
 
 
-def parametrix(A: LabeledOperator, r: CrossedSymbol, N: int = PARAMETRIX_ORDER,
-               k_min: int = K_MIN, unit_fill: bool = False) -> ParametrixData:
+def parametrix(A: LabeledOperator, E0: LabeledOperator,
+               N: int = PARAMETRIX_ORDER) -> ParametrixData:
     """Neumann-series almost inverse E = (1 + S1 + ... + S1^{N-1}) E0.
 
-    E0 quantizes the symbol inverse r with the same zero-section convention as
-    A (``unit_fill``); the remainders are exact matrix identities 1 - EA =
-    S1^N and 1 - AE = S2^N (telescoping), no resummation error enters.
+    E0 is A's first inverse (``GOperatorProblem.inverse_operator``); the
+    remainders are exact matrix identities 1 - EA = S1^N and 1 - AE = S2^N
+    (telescoping), no resummation error enters.
     """
     if N < 2:
         raise ValueError("parametrix order N must be >= 2")
-    E0, S1, S2 = _neumann_start(A, r, k_min, unit_fill)
+    S1, S2 = _neumann_start(A, E0)
     unit = LabeledOperator.unit(A.realization)
     # Horner form of (1 + S1 + ... + S1^{N-1})
     acc = unit
@@ -545,32 +541,6 @@ def tr_g(X: LabeledOperator, cls: tuple[Element, ...],
     return total
 
 
-def tr_g_product(X: LabeledOperator, Y: LabeledOperator, cls: tuple[Element, ...],
-                 inner_fraction: float = INNER_FRACTION, conjugates: dict | None = None) -> complex:
-    """``tr_g(X.multiply(Y), cls)`` without forming the product.
-
-    For each pair gh = l in the class only the inner-window diagonal of
-    K_g conj_g(L_h) Phi_l is read: O(dim^2) when Phi_l is a mode map, one
-    dim x dim x dim/2 product when it is dense.  X's parts hold every row or
-    only the inner ones.  ``conjugates`` is a memo of Y's conjugated parts
-    (``LabeledOperator.conjugated_part``).
-    """
-    X._check_compatible(Y)
-    grp = X.group
-    real = X.realization
-    rows = np.flatnonzero(X.window.inner_mask(inner_fraction))
-    total = 0.0 + 0.0j
-    for l in cls:
-        phi_l = real.phi(l)
-        for g in X.support:
-            for h in Y.support:
-                if grp.mul(g, h) != l:
-                    continue
-                conj = Y.conjugated_part(g, h, conjugates)
-                total += complex(np.sum(_inner_diagonal(X.parts[g], phi_l, rows, conj)))
-    return total
-
-
 @dataclass
 class LocalizedValue:
     cls: tuple
@@ -598,10 +568,11 @@ def _power_traces(S: LabeledOperator, N: int, inner_fraction: float) -> dict[Ele
     The powers keep the left-associated order of ``power``: the graded product
     through a dense weighted shift is associative only up to truncation.  On a
     finite group they run on the inner rows P, the only ones the trace reads
-    (P ((S S) S) S = (((P S) S) S) S), and the last product is traced without
-    forming it.  On an infinite group the last prune decides which shift
-    classes exist, so S^N is formed with every row.  Finite isometric problems
-    take the block path instead (``_block_traces``).
+    (P ((S S) S) S = (((P S) S) S) S), and the last product is traced in one
+    pass over its pairs (g, h) of parts, each adding the inner diagonal of
+    K_g conj_g(L_h) Phi_gh to element gh.  On an infinite group the last prune
+    decides which shift classes exist, so S^N is formed with every row.
+    Finite isometric problems take the block path instead (``_block_traces``).
     """
     grp = S.group
     if not grp.is_finite:
@@ -612,8 +583,14 @@ def _power_traces(S: LabeledOperator, N: int, inner_fraction: float) -> dict[Ele
     head = LabeledOperator(S.realization, {g: K[rows] for g, K in S.parts.items()})
     for _ in range(N - 2):
         head = head.multiply(S, conjugates).prune()
-    support = sorted({grp.mul(g, h) for g in head.support for h in S.support}, key=repr)
-    return {l: tr_g_product(head, S, (l,), inner_fraction, conjugates) for l in support}
+    traces: dict[Element, complex] = {}
+    for g in head.support:
+        for h in S.support:
+            l = grp.mul(g, h)
+            diag = _inner_diagonal(head.parts[g], S.realization.phi(l), rows,
+                                   S.conjugated_part(g, h, conjugates))
+            traces[l] = traces.get(l, 0j) + complex(np.sum(diag))
+    return traces
 
 
 def _window_index(problem: GOperatorProblem, cutoff: int, zero_tol: float,
@@ -733,29 +710,27 @@ def _products(grp, left, right) -> set:
     return {grp.mul(g, h) for g in left for h in right}
 
 
-def _block_traces(problem: GOperatorProblem, A: LabeledOperator, N: int,
+def _block_traces(A: LabeledOperator, E0: LabeledOperator, N: int,
                   inner_fraction: float) -> _WindowTraces:
-    """Remainder traces of one window of a finite isometric problem, block path.
+    """Remainder traces of one window from its A and E0, block path.
 
     In the interleaved order the inner window is a prefix of every block.  A
-    is taken over: its parts are dropped once its bands exist, E0's once its
-    blocks do, and each block E0(pi) once its heads do.  The traces are
+    and E0 are taken over: each one's held parts are cleared once its blocks
+    exist, and each block E0(pi) is dropped once its heads do.  The traces are
     reported on the graded path's supports: S's parts (read back by Fourier
     inversion, ||K_l Phi_l|| = ||K_l||) are pruned as ``LabeledOperator.prune``
     does, then multiplied out N-fold.
     """
-    grp = problem.group
+    grp = A.group
     irreps = grp.irreps()
     window, dim = A.window, A.window.dim
     order = _interleaved(dim)
-    E0 = quantize_crossed(A.realization, problem.principal_inverse(grid_for_window(window)),
-                          problem.k_min, problem.unit_fill)
     keys = [_products(grp, E0.support, A.support) | {grp.identity},
             _products(grp, A.support, E0.support) | {grp.identity}]
     A_hat = _irrep_blocks(A, irreps, order, True)
     A.bands.clear()
     E_hat = _irrep_blocks(E0, irreps, order, False)
-    del E0
+    E0.bands.clear()
     inner = int(np.count_nonzero(window.inner_mask(inner_fraction)))
     per_irrep = []
     while E_hat:                    # irreps() lists the largest blocks last: pop them first
@@ -777,12 +752,12 @@ def _block_traces(problem: GOperatorProblem, A: LabeledOperator, N: int,
     return _WindowTraces(*traces)
 
 
-def _graded_traces(problem: GOperatorProblem, A: LabeledOperator, N: int,
+def _graded_traces(A: LabeledOperator, E0: LabeledOperator, N: int,
                    inner_fraction: float) -> _WindowTraces:
-    """Remainder traces of one window, graded path; the block path's oracle.
-    A is taken over: its parts are dropped once S1 and S2 exist."""
-    r = problem.principal_inverse(grid_for_window(A.window))
-    S1, S2 = _neumann_start(A, r, problem.k_min, problem.unit_fill)[1:]
+    """Remainder traces of one window from its A and E0, graded path; the block
+    path's oracle.  Both are taken over: their parts go once S1 and S2 exist."""
+    S1, S2 = _neumann_start(A, E0)
+    E0.parts.clear()
     A.parts.clear()
     return _WindowTraces(_power_traces(S1, N, inner_fraction),
                          _power_traces(S2, N, inner_fraction))
@@ -792,7 +767,8 @@ def _window_traces(problem: GOperatorProblem, cutoff: int, N: int, inner_fractio
                    zero_tol: float | None = None) -> _WindowTraces:
     """Remainder traces of one window; only these scalars are cached.  With
     ``zero_tol`` the window's index data (``_window_index``) is counted from
-    the same operator build, before the trace path takes the operator over.
+    the same operator build, before the trace path takes A over, with E0
+    built in the call so that no caller keeps a reference to it.
 
     Finite groups under an isometric family take the block path: there Phi
     is a representation, so the map onto the irrep blocks is an algebra
@@ -808,7 +784,7 @@ def _window_traces(problem: GOperatorProblem, cutoff: int, N: int, inner_fractio
             _window_index(problem, cutoff, zero_tol, inner_fraction, A)
         path = (_block_traces if problem.group.is_finite and problem.family.is_isometric
                 else _graded_traces)
-        problem._trace_cache[key] = path(problem, A, N, inner_fraction)
+        problem._trace_cache[key] = path(A, problem.inverse_operator(cutoff), N, inner_fraction)
     return problem._trace_cache[key]
 
 

@@ -54,6 +54,12 @@ class GOperatorProblem:
         return quantize_crossed(real, self.symbol(grid_for_window(real.window)),
                                 self.k_min, self.unit_fill)
 
+    def inverse_operator(self, cutoff: int) -> LabeledOperator:
+        """E0: the principal inverse quantized with the operator's cut and fill."""
+        real = self.realization(cutoff)
+        return quantize_crossed(real, self.principal_inverse(grid_for_window(real.window)),
+                                self.k_min, self.unit_fill)
+
     def principal_inverse(self, grid: PeriodicGrid) -> CrossedSymbol:
         if grid.size not in self._inverses:
             self._inverses[grid.size] = invert_principal(self.symbol(grid))

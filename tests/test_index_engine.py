@@ -13,7 +13,7 @@ from gindexlab.index_engine import (DEFAULT_ZERO_TOL, GAP_REQUIREMENT,
                                     calibrate_sign, decomposition_check,
                                     index_of_matrix, localized_index,
                                     numerical_index, parametrix, chi_vanishing_check,
-                                    tr_g, tr_g_product, winding_index_oracle)
+                                    tr_g, winding_index_oracle)
 from gindexlab.problems import GOperatorProblem
 from gindexlab.quantize import LabeledOperator, TransferBand, quantize_crossed
 from gindexlab.samples import (curved_z2_problem, dihedral_sample,
@@ -403,9 +403,7 @@ class TestOracle:
 class TestParametrix:
     def test_identity(self):
         p = unit_problem()
-        A = p.operator(48)
-        r = p.principal_inverse(grid_for_window(A.window))
-        data = parametrix(A, r, N=4, k_min=p.k_min, unit_fill=True)
+        data = parametrix(p.operator(48), p.inverse_operator(48), N=4)
         assert norm_fro(data.left_remainder) < 1e-10
         assert norm_fro(data.right_remainder) < 1e-10
 
@@ -423,7 +421,7 @@ class TestParametrix:
         # to the exact cut projector
         grid = grid_for_window(R.window)
         r = CrossedSymbol(fam, {3: PrincipalSymbol.constant(grid, 1.0)})
-        data = parametrix(A, r, N=3, k_min=1)
+        data = parametrix(A, quantize_crossed(R, r, 1, False), N=3)
         cut = np.abs(R.window.modes) < 1
         off = ~cut
         assert np.max(np.abs((data.E.realize() - R.phi(3).matrix())[:, off])) < 1e-12
@@ -435,8 +433,7 @@ class TestParametrix:
         # constant symbols + exact unitaries: remainder supported on the cut modes
         p = z2_sample()
         A = p.operator(48)
-        r = p.principal_inverse(grid_for_window(A.window))
-        data = parametrix(A, r, N=4, k_min=p.k_min)
+        data = parametrix(A, p.inverse_operator(48), N=4)
         R1 = data.left_remainder.realize()
         outside = np.abs(A.window.modes) >= p.k_min + 4
         assert np.max(np.abs(R1[:, outside])) < 1e-10
@@ -445,12 +442,11 @@ class TestParametrix:
         # curved realization: remainder band norms decay as N grows
         p = curved_z2_problem(eps=0.3)
         A = p.operator(96)
-        grid = grid_for_window(A.window)
-        r = p.principal_inverse(grid)
+        E0 = p.inverse_operator(96)
         band = (np.abs(A.window.modes) >= 96 // 4) & (np.abs(A.window.modes) <= 96 // 2)
         norms = []
         for N in (2, 3, 4):
-            data = parametrix(A, r, N=N, k_min=p.k_min)
+            data = parametrix(A, E0, N=N)
             R1 = data.left_remainder.realize()
             norms.append(np.linalg.norm(R1[np.ix_(band, band)], 2))
         assert norms[0] > norms[1] > norms[2]
@@ -460,16 +456,15 @@ class TestTraceProduct:
     @pytest.mark.parametrize("build", [lambda: dihedral_sample(3),
                                        lambda: curved_z2_problem(eps=0.3)])
     def test_matches_trace_of_formed_product(self, build):
-        # mode maps (dihedral(3)) and a dense weighted shift (curved, eps = 0.3)
+        # the one-pass trace of the last product S S, through mode maps
+        # (dihedral(3)) and a dense weighted shift (curved, eps = 0.3)
         p = build()
-        A = p.operator(32)
-        data = parametrix(A, p.principal_inverse(grid_for_window(A.window)),
-                          N=2, k_min=p.k_min)
-        pairs = [(data.left_remainder, data.right_remainder), (data.E, A)]
-        for X, Y in pairs:
-            for cls in p.group.conjugacy_classes():
-                expect = tr_g(X.multiply(Y), cls)
-                assert abs(tr_g_product(X, Y, cls) - expect) < 1e-12
+        for S in index_engine._neumann_start(p.operator(32), p.inverse_operator(32)):
+            traces = index_engine._power_traces(S, 2, 0.5)
+            formed = S.multiply(S)
+            assert set(traces) == set(formed.support)
+            for l, value in traces.items():
+                assert abs(value - tr_g(formed, (l,), 0.5)) < 1e-12
 
     @pytest.mark.parametrize("N", [3, 4])
     @pytest.mark.parametrize("build", [z2_sample, lambda: dihedral_sample(5),
@@ -480,9 +475,7 @@ class TestTraceProduct:
         for cls in p.group.conjugacy_classes():
             v = localized_index(p, cls, windows, N=N, drift_tol=math.inf)
             for cutoff, value in v.per_window:
-                A = p.operator(cutoff)
-                data = parametrix(A, p.principal_inverse(grid_for_window(A.window)),
-                                  N=N, k_min=p.k_min)
+                data = parametrix(p.operator(cutoff), p.inverse_operator(cutoff), N=N)
                 expect = tr_g(data.left_remainder, cls) - tr_g(data.right_remainder, cls)
                 assert abs(value - expect) < 1e-12
 
@@ -612,8 +605,7 @@ class TestFourierBlocks:
         # bands and from the dense parts alike
         p = build()
         A = p.operator(48)
-        E0 = quantize_crossed(A.realization, p.principal_inverse(grid_for_window(A.window)),
-                              p.k_min, p.unit_fill)
+        E0 = p.inverse_operator(48)
         order = index_engine._interleaved(A.window.dim)
         irreps = p.group.irreps()
         for X in (A, E0):
@@ -663,8 +655,10 @@ class TestBlockPath:
     def test_matches_graded_oracle(self, build, N):
         p = build()
         for cutoff in (32, 48):
-            graded = index_engine._graded_traces(p, p.operator(cutoff), N, 0.5)
-            block = index_engine._block_traces(p, p.operator(cutoff), N, 0.5)
+            graded = index_engine._graded_traces(p.operator(cutoff), p.inverse_operator(cutoff),
+                                                 N, 0.5)
+            block = index_engine._block_traces(p.operator(cutoff), p.inverse_operator(cutoff),
+                                               N, 0.5)
             for g_side, b_side in ((graded.left, block.left), (graded.right, block.right)):
                 assert set(b_side) == set(g_side)
                 for l, value in g_side.items():
@@ -699,7 +693,7 @@ class TestBlockPath:
         p = dihedral_sample(3)
         A = p.operator(48)
         sizes = [len(rep[p.group.identity]) * A.window.dim for rep in p.group.irreps()]
-        index_engine._block_traces(p, A, 4, 0.5)
+        index_engine._block_traces(A, p.inverse_operator(48), 4, 0.5)
         cubes = [s for s in MatmulSpy.shapes if len(s) == 2 and s[0] == s[1] == s[0][:1] * 2]
         assert sorted(s[0][0] for s in cubes) == sorted(sizes)
 
@@ -712,7 +706,7 @@ class TestBlockPath:
         window_bytes = 16 * FrequencyWindow(192).dim ** 2
         tracemalloc.start()
         try:
-            index_engine._block_traces(p, p.operator(192), 4, 0.5)
+            index_engine._block_traces(p.operator(192), p.inverse_operator(192), 4, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -720,17 +714,21 @@ class TestBlockPath:
 
     def test_one_operator_per_window(self, monkeypatch):
         # decomposition_check counts each window's index and reads its traces
-        # from one build, and the trace path releases the operator's parts
-        built = []
-        operator = GOperatorProblem.operator
-        monkeypatch.setattr(GOperatorProblem, "operator",
-                            lambda self, cutoff: built.append((cutoff, operator(self, cutoff)))
-                            or built[-1][1])
+        # from one build of A and one of E0, and the trace path releases the
+        # parts of both: on the graded path E0's parts are dense windows
+        built = {"operator": [], "inverse_operator": []}
+        for name, calls in built.items():
+            build = getattr(GOperatorProblem, name)
+            monkeypatch.setattr(GOperatorProblem, name,
+                                lambda self, cutoff, _build=build, _calls=calls:
+                                _calls.append((cutoff, _build(self, cutoff))) or _calls[-1][1])
         for p in (dihedral_sample(3), curved_z2_problem(eps=0.3)):
-            built.clear()
+            for calls in built.values():
+                calls.clear()
             decomposition_check(p, (32, 48))
-            assert [cutoff for cutoff, _ in built] == [32, 48]
-            assert all(not A.parts for _, A in built)
+            for calls in built.values():
+                assert [cutoff for cutoff, _ in calls] == [32, 48]
+                assert all(not X.parts for _, X in calls)
 
 
 class TestGradedPath:
@@ -748,7 +746,8 @@ class TestGradedPath:
                             or multiply(X, Y, conjugates))
         p = build()
         N, window = 4, FrequencyWindow(48)
-        index_engine._graded_traces(p, p.operator(window.cutoff), N, 0.5)
+        index_engine._graded_traces(p.operator(window.cutoff), p.inverse_operator(window.cutoff),
+                                    N, 0.5)
         inner = int(np.sum(window.inner_mask(0.5)))
         assert left_rows[:2] == [{window.dim}, {window.dim}]
         if traced_rows_only:
@@ -766,10 +765,9 @@ class TestGradedPath:
     def test_matches_traces_of_formed_powers(self, build, N, cutoff):
         # oracle: S^N formed with every row, pruned after each product, traced
         p = build()
-        traces = index_engine._graded_traces(p, p.operator(cutoff), N, 0.5)
-        A = p.operator(cutoff)
-        r = p.principal_inverse(grid_for_window(A.window))
-        S1, S2 = index_engine._neumann_start(A, r, p.k_min, p.unit_fill)[1:]
+        traces = index_engine._graded_traces(p.operator(cutoff), p.inverse_operator(cutoff),
+                                             N, 0.5)
+        S1, S2 = index_engine._neumann_start(p.operator(cutoff), p.inverse_operator(cutoff))
         for side, S in ((traces.left, S1), (traces.right, S2)):
             full = S.power(N)
             assert set(side) == set(full.support)

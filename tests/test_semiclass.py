@@ -291,6 +291,18 @@ class TestStarReuse:
         assert len(calls) == depth
 
 
+def defect_slope(A: StarSeries, B: StarSeries, N: int, reach: float) -> float:
+    """Log-log slope over H_DIAG of ||op(A) op(B) - op(A * B)||_2, the product
+    truncated at order N, on windows of cutoff ceil(reach / h) + 4."""
+    AB = A.star(B, N)
+    defects = []
+    for h in H_DIAG:
+        w = FrequencyWindow(int(np.ceil(reach / h)) + 4)
+        lhs = realize_series(A, h, w) @ realize_series(B, h, w)
+        defects.append(np.linalg.norm(lhs - realize_series(AB, h, w), 2))
+    return np.polyfit(np.log(H_DIAG), np.log(defects), 1)[0]
+
+
 class TestStarProduct:
     def test_unit_law(self):
         a = StarSeries(TRIV, GRID, LAT, 0.25,
@@ -316,17 +328,30 @@ class TestStarProduct:
     def test_composition_defect_slopes(self, N):
         pairs = star_consistency_pairs(GRID, LAT, TRIV, Z2)
         for A, B in pairs:
-            AB = A.star(B, N)
-            defects = []
-            for h in H_DIAG:
-                # the window must reach the lattice edge, where the products'
-                # Gaussian tails still exceed the support threshold
-                w = FrequencyWindow(int(np.ceil(LAT.radius / h)) + 4)
-                lhs = realize_series(A, h, w) @ realize_series(B, h, w)
-                rhs = realize_series(AB, h, w)
-                defects.append(np.linalg.norm(lhs - rhs, 2))
-            slope = np.polyfit(np.log(H_DIAG), np.log(defects), 1)[0]
-            assert slope >= N - 0.2
+            # the window must reach the lattice edge, where the products'
+            # Gaussian tails still exceed the support threshold
+            assert defect_slope(A, B, N, LAT.radius) >= N - 0.2
+
+    @pytest.mark.parametrize("name, left, right", [
+        ("rotation3", "r", "r2"),
+        ("dihedral3", "rs", "r2s"),   # fails if the transport reflects before it shifts
+        ("half_wave", "1", "1"),
+    ])
+    def test_composition_defect_slopes_isometric(self, name, left, right):
+        # criterion 9's law, ||op(A) op(B) - op(A * B)|| = O(h^N), on one pair
+        # of each isometric family; the factors are even in xi, so a
+        # reflection keeps their supports overlapping
+        family = STAR_FAMILIES[name]
+        lattice = XiLattice(3.0, 601)
+        even = lambda XI, mid, width: np.exp(-((np.abs(XI) - mid) / width) ** 2)
+        a = SampledTerm.from_callable(GRID, lattice,
+                                      lambda X, XI: np.exp(1j * X) * even(XI, 1.2, 0.32))
+        b = SampledTerm.from_callable(GRID, lattice,
+                                      lambda X, XI: np.exp(-1j * X) * XI * even(XI, 1.4, 0.35) / 2)
+        A = StarSeries(family, GRID, lattice, 0.25, {(family.group.parse(left), 0): a})
+        B = StarSeries(family, GRID, lattice, 0.25, {(family.group.parse(right), 0): b})
+        for N in (2, 3):
+            assert defect_slope(A, B, N, 3.2) >= N - 0.2, (name, N)
 
     def test_rejects_curved(self):
         curved = RealizationFamily(build_group("cyclic", m=2), "curved_rotation", eps=0.3)

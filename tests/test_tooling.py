@@ -7,8 +7,9 @@ The README and the docstrings name program objects the same way; a stale
 name there is caught by ``test_doc_references_resolve``, and a config field
 the README does not list by ``test_readme_lists_every_config_field``.
 Every file the program writes goes through ``lab.write_file``, which
-``test_one_writer`` keeps so, and ``test_no_scipy`` keeps the package on
-numpy alone."""
+``test_one_writer`` keeps so; ``test_one_quantizer`` keeps every crossed
+symbol quantized by ``GOperatorProblem``, and ``test_no_scipy`` keeps the
+package on numpy alone."""
 
 import ast
 import importlib
@@ -153,6 +154,18 @@ def test_one_writer():
                for scope, name in _calls(ast.parse(path.read_text()), path.stem)
                if name in ("write_text", "write_bytes", "mkdir", "open")}
     assert writers == {"lab.write_file"}
+
+
+def test_one_quantizer():
+    """Only ``GOperatorProblem.operator`` and ``GOperatorProblem.inverse_operator``
+    quantize a crossed symbol, so the zero-section convention (``k_min``,
+    ``unit_fill``) is applied in one place and the index engine never names it."""
+    callers = {scope for path in sorted(PACKAGE.glob("*.py"))
+               for scope, name in _calls(ast.parse(path.read_text()), path.stem)
+               if name == "quantize_crossed"}
+    assert callers == {"problems.GOperatorProblem.operator",
+                       "problems.GOperatorProblem.inverse_operator"}
+    assert not re.search(r"\b(k_min|unit_fill)\b", (PACKAGE / "index_engine.py").read_text())
 
 
 def test_no_scipy():
