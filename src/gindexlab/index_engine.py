@@ -51,13 +51,14 @@ these traces:
   a prefix.  The remainder powers come from the push-through identity S1 E0
   = E0 S2: with H_1 = E0 and H_{j+1} = E0 + H_j S2, exactly S1^k = 1 - H_k
   A and S2^k = 1 - A H_k (``_neumann_heads``).  So the only dense products
-  are the N - N//2 - 1 steps of that recursion per irrep.  S1 = 1 - E0 A,
-  S2 = 1 - A E0, the prefix rows of S^{N - N//2} and the prefix columns of
-  S^{N//2} go through A's band (``_Banded``), and A is never formed densely
-  unless its band is not certified.  The inner diagonals of S^N = S^{N - N//2}
-  S^{N//2} are read from those rows and columns, and Fourier inversion,
-  Tr_l = (1/|G|) sum_pi d_pi sum_ab conj(pi(l)_ab) T_pi[a, b], recovers the
-  element traces.
+  are the N - N//2 - 1 steps of that recursion per irrep.  S1 is not
+  formed; S2 = 1 - A E0, the prefix rows of S^{N - N//2} and the prefix
+  columns of S^{N//2} go through A's band (``_Banded``), and A is never
+  formed densely unless its band is not certified.  The inner diagonals of
+  S^N = S^{N - N//2} S^{N//2} are read from those rows and columns, and
+  Fourier inversion, Tr_l = (1/|G|) sum_pi d_pi sum_ab conj(pi(l)_ab)
+  T_pi[a, b], recovers the element traces on the product supports of E0 and
+  A, which a finite group never prunes.
 * graded path (curved eps > 0 and integer_shift problems, and the test
   oracle of the block path): graded products by ``LabeledOperator.multiply``.
   On finite groups the powers run on the inner rows only, starting from S's
@@ -82,7 +83,7 @@ from .circle import INNER_FRACTION, FrequencyWindow, winding_number
 from .errors import (NoHomomorphism, NonStabilized, NoSpectralGap,
                      UnsupportedGroup)
 from .groups import Element
-from .quantize import PRUNE_TOL, LabeledOperator
+from .quantize import LabeledOperator
 from .samples import winding_problem
 from .symbols import CrossedSymbol
 from .problems import GOperatorProblem
@@ -582,7 +583,7 @@ def _power_traces(S: LabeledOperator, N: int, inner_fraction: float) -> dict[Ele
     conjugates: dict = {}           # S's conjugated parts, for every product by S
     head = LabeledOperator(S.realization, {g: K[rows] for g, K in S.parts.items()})
     for _ in range(N - 2):
-        head = head.multiply(S, conjugates).prune()
+        head = head.multiply(S, conjugates)
     traces: dict[Element, complex] = {}
     for g in head.support:
         for h in S.support:
@@ -641,22 +642,9 @@ def _irrep_blocks(X: LabeledOperator, irreps, order: np.ndarray, banded: bool) -
 
 def _inverse_fourier(irreps, l: Element) -> np.ndarray:
     """c with X_l = sum_i c_i X_i over the components i = (pi, a, b), X_i =
-    X(pi)[a, b] in ``_components``' order: c_i = d_pi conj(pi(l)_ab) / |G|."""
+    X(pi)[a, b], pi by pi: c_i = d_pi conj(pi(l)_ab) / |G|."""
     return (np.concatenate([len(rep[l]) * np.conj(rep[l]).ravel() for rep in irreps])
             / sum(len(rep[l]) ** 2 for rep in irreps))
-
-
-def _components(blocks: list[np.ndarray], dim: int) -> np.ndarray:
-    """The components X(pi)[a, b] of blocks in ``_irrep_blocks``' layout, one
-    row each, pi by pi; each block is dropped once copied."""
-    out = np.empty((sum(len(B) ** 2 for B in blocks) // dim ** 2, dim, dim), dtype=complex)
-    i = 0
-    while blocks:
-        B = blocks.pop(0)
-        d = len(B) // dim
-        out[i:i + d * d].reshape(d, d, dim, dim)[...] = B.reshape(dim, d, dim, d).transpose(1, 3, 0, 2)
-        i += d * d
-    return out.reshape(i, -1)
 
 
 def _unit_minus(P: np.ndarray) -> np.ndarray:
@@ -681,17 +669,16 @@ def _neumann_heads(E: np.ndarray, S2: np.ndarray):
 
 
 def _irrep_remainders(E: np.ndarray, A: _Banded, N: int, m: int, d: int):
-    """S1 = 1 - E A and S2 = 1 - A E of one irrep block, and for each the trace
-    T[a, b] = sum_{p < m/d} (S^N)[p d + a, p d + b] over the traced prefix.
+    """The traces T[a, b] = sum_{p < m/d} (S^N)[p d + a, p d + b] over the
+    traced prefix, for S1 = 1 - E A and S2 = 1 - A E of one irrep block; of
+    the two, only S2 is formed, for the heads.
 
     S^N = S^{k1} S^{k2}, k1 = N - N//2 and k2 = N//2, and only the prefix rows
     of S^{k1} and the prefix columns of S^{k2} are formed, from H_{k1} and
     H_{k2} (``_neumann_heads``): k1 - 1 dense products, every other product
     through A's band.  E is released once the heads exist.
     """
-    S1 = _unit_minus(A.right(E))
-    S2 = _unit_minus(A.left(E))
-    heads = _neumann_heads(E, S2)
+    heads = _neumann_heads(E, _unit_minus(A.left(E)))
     del E
     for _ in range(N // 2):
         H_cols = next(heads)
@@ -703,7 +690,7 @@ def _irrep_remainders(E: np.ndarray, A: _Banded, N: int, m: int, d: int):
 
     T1 = trace(_unit_minus(A.right(H_rows[:m])), _unit_minus(A.right(H_cols, m)))
     T2 = trace(_unit_minus(A.left(H_rows, m)), _unit_minus(A.left(H_cols[:, :m])))
-    return S1, S2, T1, T2
+    return T1, T2
 
 
 def _products(grp, left, right) -> set:
@@ -717,9 +704,9 @@ def _block_traces(A: LabeledOperator, E0: LabeledOperator, N: int,
     In the interleaved order the inner window is a prefix of every block.  A
     and E0 are taken over: each one's held parts are cleared once its blocks
     exist, and each block E0(pi) is dropped once its heads do.  The traces are
-    reported on the graded path's supports: S's parts (read back by Fourier
-    inversion, ||K_l Phi_l|| = ||K_l||) are pruned as ``LabeledOperator.prune``
-    does, then multiplied out N-fold.
+    reported on the graded path's supports: S1's support is E0's times A's,
+    S2's is A's times E0's, each with the identity added, multiplied out
+    N-fold.  No norm is taken, since a finite group prunes no part.
     """
     grp = A.group
     irreps = grp.irreps()
@@ -736,15 +723,9 @@ def _block_traces(A: LabeledOperator, E0: LabeledOperator, N: int,
     while E_hat:                    # irreps() lists the largest blocks last: pop them first
         d = len(E_hat[-1].strips[0]) // dim
         per_irrep.insert(0, _irrep_remainders(E_hat.pop().strips[0], A_hat.pop(), N, d * inner, d))
-    S1, S2, T1, T2 = map(list, zip(*per_irrep))
-    del per_irrep
     traces = []
-    for blocks, T, keys_S in zip((S1, S2), (T1, T2), keys):
-        parts = _components(blocks, dim)
-        norms = {l: np.linalg.norm(_inverse_fourier(irreps, l) @ parts) for l in keys_S}
-        del parts
-        top = max(norms.values())
-        support = first = {l for l in keys_S if norms[l] > PRUNE_TOL * top} if top > 0 else keys_S
+    for T, first in zip(zip(*per_irrep), keys):
+        support = first
         for _ in range(N - 1):
             support = _products(grp, support, first)
         t = np.concatenate([T_pi.ravel() for T_pi in T])

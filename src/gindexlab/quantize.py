@@ -32,7 +32,7 @@ from .symbols import CrossedSymbol, PrincipalSymbol
 from .transforms import Realization
 
 K_MIN = 4            # default zero-section cut |k| < k_min
-PRUNE_TOL = 1e-13    # parts below this fraction of the largest part norm are dropped
+PRUNE_TOL = 1e-13    # integer_shift parts below this fraction of the largest norm are dropped
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,11 @@ class LabeledOperator:
                                {g: scalar * m for g, m in self.parts.items()})
 
     def prune(self) -> "LabeledOperator":
-        """Drop parts with norm <= PRUNE_TOL x the largest (keeps shift supports finite)."""
+        """Drop parts with norm <= PRUNE_TOL x the largest, on an infinite group
+        only: there it keeps shift supports finite.  A finite group's supports
+        are finite already, so its operators are returned unchanged."""
+        if self.group.is_finite:
+            return self
         norms = {g: np.linalg.norm(m) for g, m in self.parts.items()}
         top = max(norms.values(), default=0.0)
         if top == 0.0:

@@ -700,7 +700,8 @@ class TestBlockPath:
     def test_peak_memory_at_most_the_dense_blocks(self):
         # the localized_dihedral seed-0 problem at cutoff 192: with dense
         # blocks of A and four dense products per irrep the path peaked at
-        # 20.1 window matrices, operator build included
+        # 20.1 window matrices, operator build included; forming S1 and
+        # copying S1 and S2 into components to prune them, at 18.6
         p = dihedral_sample(0)
         p.principal_inverse(grid_for_window(FrequencyWindow(192)))
         window_bytes = 16 * FrequencyWindow(192).dim ** 2
@@ -710,7 +711,7 @@ class TestBlockPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 19.5 * window_bytes
+        assert peak <= 15.5 * window_bytes
 
     def test_one_operator_per_window(self, monkeypatch):
         # decomposition_check counts each window's index and reads its traces
@@ -763,7 +764,8 @@ class TestGradedPath:
         lambda: random_problem("cyclic", 3, "curved_rotation", eps=0.2),
     ])
     def test_matches_traces_of_formed_powers(self, build, N, cutoff):
-        # oracle: S^N formed with every row, pruned after each product, traced
+        # oracle: S^N formed with every row by ``power`` and traced; a finite
+        # group prunes no part, so both report the product supports
         p = build()
         traces = index_engine._graded_traces(p.operator(cutoff), p.inverse_operator(cutoff),
                                              N, 0.5)
@@ -794,6 +796,13 @@ class TestLocalized:
         rep = decomposition_check(p, WINDOWS)
         assert rep.residual < 1e-2
         assert int(np.rint(rep.total.real)) == rep.fredholm_index
+
+    def test_cancelled_part_keeps_its_class(self):
+        # a finite group prunes no remainder part: with eps = 0 the r parts
+        # cancel to rounding level, and <r> is still listed, with its value
+        rep = decomposition_check(curved_z2_problem(eps=0.0), (32, 48))
+        assert set(rep.per_class) == {"<e>", "<r>"}
+        assert abs(rep.per_class["<r>"]) < 1e-12
 
     def test_parametrix_order_independence(self):
         p = z2_sample()

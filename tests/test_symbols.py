@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gindexlab.circle import PeriodicGrid
 from gindexlab.errors import GroupMismatch, NotElliptic
@@ -28,6 +29,22 @@ def random_symbol(family, seed, deg=2, scale=1.0, grid=GRID):
 
 
 Z2 = fam("cyclic", "reflection", m=2)
+LAW_GRID = PeriodicGrid(64)
+LAW_FAMILIES = {
+    "cyclic3": fam("cyclic", "rotation", m=3),
+    "cyclic5": fam("cyclic", "rotation", m=5),
+    "z2_reflection": Z2,
+    "dihedral3": fam("dihedral", "dihedral", m=3),
+    "curved3": RealizationFamily(build_group("cyclic", m=3), "curved_rotation", eps=0.3),
+}
+# a family, a trig degree and a seed of random_symbol
+LAW_CASES = st.tuples(st.sampled_from(sorted(LAW_FAMILIES)), st.integers(0, 2),
+                      st.integers(0, 2 ** 32 - 1))
+
+
+def rep_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pointwise product of two regular-representation tensors."""
+    return np.einsum("smij,smjk->smik", x, y)
 
 
 class TestStar:
@@ -105,7 +122,37 @@ class TestRegularRepresentation:
         x, y = random_symbol(f, 11), random_symbol(f, 12)
         Mx, My = _regular_rep_tensor(x), _regular_rep_tensor(y)
         Mxy = _regular_rep_tensor(x.star(y))
-        assert np.max(np.abs(np.einsum("smij,smjk->smik", Mx, My) - Mxy)) < 1e-10
+        assert np.max(np.abs(rep_product(Mx, My) - Mxy)) < 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(LAW_CASES)
+    @example(("dihedral3", 2, 0))
+    def test_star_law(self, case):
+        # M(a * b) = M(a) M(b) on drawn symbols; transporting b_h by C_g in
+        # place of C_{g^-1} in ``star`` breaks it by O(1) on dihedral(3)
+        name, deg, seed = case
+        f = LAW_FAMILIES[name]
+        a, b = (random_symbol(f, seed + j, deg=deg, scale=0.5, grid=LAW_GRID) for j in range(2))
+        err = np.max(np.abs(_regular_rep_tensor(a.star(b))
+                            - rep_product(_regular_rep_tensor(a), _regular_rep_tensor(b))))
+        assert err < (1e-12 if f.is_isometric else 1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(LAW_CASES)
+    @example(("dihedral3", 2, 0))
+    def test_inverse_law(self, case):
+        # M(a) M(invert_principal(a)) = 1 for a dominant identity part; reading
+        # the coefficients from the first block column of M(a)^{-1} in place
+        # of its first block row breaks it
+        name, deg, seed = case
+        f = LAW_FAMILIES[name]
+        a = random_symbol(f, seed, deg=deg, scale=0.05, grid=LAW_GRID) \
+            + 3.0 * CrossedSymbol.unit(f, LAW_GRID)
+        r = invert_principal(a)
+        err = np.max(np.abs(rep_product(_regular_rep_tensor(a.resampled(r.grid)),
+                                        _regular_rep_tensor(r))
+                            - np.eye(len(f.group.elements()))))
+        assert err < (1e-12 if f.is_isometric else 1e-8)
 
 
 class TestEllipticity:

@@ -8,8 +8,9 @@ name there is caught by ``test_doc_references_resolve``, and a config field
 the README does not list by ``test_readme_lists_every_config_field``.
 Every file the program writes goes through ``lab.write_file``, which
 ``test_one_writer`` keeps so; ``test_one_quantizer`` keeps every crossed
-symbol quantized by ``GOperatorProblem``, and ``test_no_scipy`` keeps the
-package on numpy alone."""
+symbol quantized by ``GOperatorProblem``, ``test_one_prune_rule`` keeps the
+part-prune threshold in ``LabeledOperator.prune``, and ``test_no_scipy`` keeps
+the package on numpy alone."""
 
 import ast
 import importlib
@@ -138,14 +139,20 @@ def test_field_readers_are_steps():
         assert set(readers) <= set(_EXPERIMENT_TABLE), path
 
 
+def _scoped(node, scope: str):
+    """(enclosing module.class.function, node) of every node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _scoped(child, f"{scope}.{child.name}" if named else scope)
+
+
 def _calls(node, scope: str):
     """(enclosing module.class.function, called name) of every call below ``node``."""
-    for child in ast.iter_child_nodes(node):
+    for scope, child in _scoped(node, scope):
         if isinstance(child, ast.Call):
             func = child.func
             yield scope, func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        yield from _calls(child, f"{scope}.{child.name}" if named else scope)
 
 
 def test_one_writer():
@@ -166,6 +173,18 @@ def test_one_quantizer():
     assert callers == {"problems.GOperatorProblem.operator",
                        "problems.GOperatorProblem.inverse_operator"}
     assert not re.search(r"\b(k_min|unit_fill)\b", (PACKAGE / "index_engine.py").read_text())
+
+
+def test_one_prune_rule():
+    """Only ``LabeledOperator.prune`` reads ``PRUNE_TOL``, and the index engine
+    does not name it: a finite group prunes no part, so the block path reports
+    the product supports without taking a norm."""
+    readers = {scope for path in sorted(PACKAGE.glob("*.py"))
+               for scope, node in _scoped(ast.parse(path.read_text()), path.stem)
+               if isinstance(node, ast.Name) and node.id == "PRUNE_TOL"
+               and isinstance(node.ctx, ast.Load)}
+    assert readers == {"quantize.LabeledOperator.prune"}
+    assert "PRUNE_TOL" not in (PACKAGE / "index_engine.py").read_text()
 
 
 def test_no_scipy():
