@@ -20,6 +20,6 @@ from .index_engine import (IndexReport, LocalizedIndexReport, calibrate_sign,
 from .semiclass import (AlgebraicIndexResult, EgorovReport, LaurentFit,
                         PowerLawReport, SampledTerm, StarSeries, TraceSeries,
                         XiLattice, algebraic_index, egorov_defect, laurent_fit,
-                        realize_series, symbol_parametrix_h, tau_g, trace_power_law,
-                        transport_term, zero_section_cut)
+                        symbol_parametrix_h, tau_g, trace_power_law, transport_term,
+                        zero_section_cut)
 from .lab import ExperimentConfig, RunRecord, emit_reports, load_config, parse_config, run

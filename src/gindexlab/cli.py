@@ -85,7 +85,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except GIndexError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:        # any other fault: one line, no traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

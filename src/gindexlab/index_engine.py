@@ -23,18 +23,16 @@ maps, with a band that the bands certify (``_part_band``), is counted from
 the band (``_banded_sides``): M^H M + mu^2 is assembled from column strips
 as a block-tridiagonal matrix and factored block by block, three steps of
 block inverse iteration find its smallest eigenvectors, and the SVD of the
-n x 16 product M X gives Ritz values and vectors; the same on M^H gives the
-cokernel.  That is O(n b^2) work for band b against O(n^3) for a full SVD.
-The strips come from the quantizer's transfer bands (``_window_strips``),
-and every entry of a part K_g Phi_g that the engine reads comes from one
-gather (``_gather``): the index strips, the band certification and the
-irrep blocks below.  A matrix held as column strips is a ``_Banded``, whose
-products read the strips alone; the Ritz step takes M X from it.  Every
-other input goes to the dense SVD (``_dense_sides``) on the window realized
-once: a curved Phi_g, a band above dim/8 or not certified, a dense matrix,
-and every window the band path gives up on (a failed factorization, a null
-space that fills every block up to dim/8, or unequal null counts on the two
-sides).  The dense SVD is also the band path's oracle.
+n x 16 product M X (``_Banded.left``) gives Ritz values and vectors; the
+same on M^H gives the cokernel: O(n b^2) work for band b against O(n^3) for
+a full SVD.  Every entry of a part K_g Phi_g that the engine reads comes
+from one gather (``_gather``) on the quantizer's transfer bands: the index
+strips (``_window_strips``), the band certification and the irrep blocks
+below.  Every other input goes to the dense SVD (``_dense_sides``, also the
+band path's oracle) on the window realized once: a curved Phi_g, a band
+above dim/8 or not certified, a dense matrix, and every window the band path
+gives up on (a failed factorization, a null space that fills every block up
+to dim/8, or unequal null counts on the two sides).
 
 The localized index reads only Tr_g(S1^N) - Tr_g(S2^N), per element, from
 the window's A and E0 (``GOperatorProblem.inverse_operator``), and never
@@ -60,10 +58,12 @@ these traces:
   T_pi[a, b], recovers the element traces on the product supports of E0 and
   A, which a finite group never prunes.
 * graded path (curved eps > 0 and integer_shift problems, and the test
-  oracle of the block path): graded products by ``LabeledOperator.multiply``.
-  On finite groups the powers run on the inner rows only, starting from S's
-  inner rows, and the last product is traced in one pass over its pairs of
-  parts without forming it; integer_shift forms S^N with every row.
+  oracle of the block path): products by ``LabeledOperator.multiply``, where
+  A E0, the identity pairs of E0 A, the first factor A_h Phi_{g^-1} of each
+  conjugation and A's realized window read A's certified band
+  (``TransferBand.band``); E0 certifies none.  On finite groups the powers
+  run on the inner rows, and the last product is traced in one pass over
+  its pairs of parts, never formed; integer_shift forms S^N with every row.
 
 A sweep takes at least two strictly increasing windows (drifts compare the
 last two).  Each problem caches a window's index data (``_window_index``) and
@@ -83,7 +83,8 @@ from .circle import INNER_FRACTION, FrequencyWindow, winding_number
 from .errors import (NoHomomorphism, NonStabilized, NoSpectralGap,
                      UnsupportedGroup)
 from .groups import Element
-from .quantize import LabeledOperator
+from .quantize import (BAND_FLOOR, RITZ_BLOCK, LabeledOperator, _Banded, _strip_layout,
+                       certify_band)
 from .samples import winding_problem
 from .symbols import CrossedSymbol
 from .problems import GOperatorProblem
@@ -186,8 +187,6 @@ def _dense_sides(mat: np.ndarray, inner: np.ndarray, zero_tol: float):
     return smax, (s, v_mass), (s, u_mass)
 
 
-BAND_FLOOR = 1e-15         # entries below BAND_FLOOR * max|M| lie outside the band
-RITZ_BLOCK = 16            # first block of inverse iteration; doubles while all null
 GRAM_SHIFT = 1e-7          # mu = GRAM_SHIFT * smax, above the Gram rounding floor
 POWER_STEPS = 20           # power steps on M^H M for smax
 INVERSE_STEPS = 3          # block inverse-iteration steps
@@ -201,59 +200,6 @@ def _interleaved(dim: int) -> np.ndarray:
     order = np.empty(dim, dtype=np.intp)
     order[0], order[1::2], order[2::2] = cutoff, cutoff + k, cutoff - k
     return order
-
-
-def _strip_layout(n: int, b: int, bs: int):
-    """Entry positions of the column strips of an n x n matrix of band b:
-    strip I holds columns I bs .. (I+1) bs and rows I bs - b .. (I+1) bs + b.
-    Returns the row and column indices, clipped to the matrix and shaped to
-    broadcast to (strips, bs + 2 b, bs), and the mask of the entries past the
-    matrix edge (the last strip's padding columns included)."""
-    nb = -(-n // bs)
-    rows = np.arange(nb)[:, None] * bs - b + np.arange(bs + 2 * b)
-    cols = np.arange(nb)[:, None] * bs + np.arange(bs)
-    outside = ~(((rows >= 0) & (rows < n))[:, :, None] & (cols < n)[:, None, :])
-    return np.clip(rows, 0, n - 1)[:, :, None], np.minimum(cols, n - 1)[:, None, :], outside
-
-
-@dataclass(frozen=True)
-class _Banded:
-    """A square matrix held as its column strips: strip J holds columns J bs ..
-    (J+1) bs and rows J bs - reach .. (J+1) bs + reach (``_strip_layout``),
-    and every entry outside the strips is zero.  A product by a dense factor
-    reads the strips alone, O(n^2 reach) work against O(n^3).  A single strip
-    of reach 0 holds the matrix densely, and each product is then one matmul."""
-
-    strips: np.ndarray
-    reach: int
-
-    def left(self, Y: np.ndarray, rows: int | None = None) -> np.ndarray:
-        """The first ``rows`` rows of M Y (all of them when None)."""
-        height, bs = self.strips.shape[1:]
-        n = len(Y)
-        rows = n if rows is None else rows
-        out = np.zeros((rows, Y.shape[1]), dtype=complex)
-        for J, strip in enumerate(self.strips):
-            top = J * bs - self.reach
-            if top >= rows:
-                break
-            lo, hi = max(top, 0), min(top + height, rows)
-            Y_J = Y[J * bs:(J + 1) * bs]
-            out[lo:hi] += strip[lo - top:hi - top, :len(Y_J)] @ Y_J
-        return out
-
-    def right(self, X: np.ndarray, cols: int | None = None) -> np.ndarray:
-        """The first ``cols`` columns of X M (all of them when None)."""
-        height, bs = self.strips.shape[1:]
-        n = X.shape[1]
-        cols = n if cols is None else cols
-        out = np.empty((len(X), cols), dtype=complex)
-        for J in range(-(-cols // bs)):
-            top = J * bs - self.reach
-            lo, hi = max(top, 0), min(top + height, n)
-            c0, c1 = J * bs, min((J + 1) * bs, cols)
-            out[:, c0:c1] = X[:, lo:hi] @ self.strips[J, lo - top:hi - top, :c1 - c0]
-        return out
 
 
 def _gather(K, phi: ModeMap, j: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -283,26 +229,15 @@ def _part_band(parts: list, order: np.ndarray) -> int | None:
     M[order][:, order], from its (band, mode map) pairs, or None.
 
     A transfer t moves an entry at most 2|t| + 1 interleaved places (pos(k) =
-    2|k| - [k > 0], s_g k = +-k), so past reach 2T + 1 the entries are at most
-    tail(T) = sum_g max_{|t| > T} |c_g(t)|.  For the least T with 2 tail(T) <=
-    BAND_FLOOR max|c| (2 for rounding), the strips at that reach hold max|M|
-    and every entry above the floor if 2 tail(T) <= BAND_FLOOR max|M| too;
-    None otherwise, or when that reach exceeds dim/8.
-    """
-    coef = np.array([np.abs(K.vectors).max(axis=0) for K, _ in parts])  # t = -2N..2N
-    mid = coef.shape[1] // 2
-    coef = np.maximum(coef[:, mid:], coef[:, mid::-1])                   # |t| = 0..2N
-    tail = np.append(np.maximum.accumulate(coef[:, ::-1], axis=1)[:, -2::-1].sum(axis=0), 0.0)
-    T = int(np.argmax(2 * tail <= BAND_FLOOR * coef.max()))
-    reach = 2 * T + 1
-    if reach > len(order) / 8:
+    2|k| - [k > 0], s_g k = +-k), so reach 2T + 1 holds every entry above the
+    floor for the T of ``certify_band``; None where it refuses."""
+    found = certify_band([K for K, _ in parts], len(order), lambda T: _window_strips(
+        parts, order, 2 * T + 1, max(4 * T + 2, RITZ_BLOCK), False))
+    if found is None:
         return None
-    mag = np.abs(_window_strips(parts, order, reach, max(2 * reach, RITZ_BLOCK), False))
-    top = mag.max()
-    if 2 * tail[T] > BAND_FLOOR * top:
-        return None
-    r, c = np.nonzero((mag > BAND_FLOOR * top).any(axis=0))   # strip row r, column c
-    return int(np.max(np.abs(r - reach - c), initial=0))
+    mag = np.abs(found[1])
+    r, c = np.nonzero((mag > BAND_FLOOR * mag.max()).any(axis=0))   # strip row r, column c
+    return int(np.max(np.abs(r - 2 * found[0] - 1 - c), initial=0))
 
 
 def _gram(M: _Banded) -> tuple[np.ndarray, np.ndarray]:
@@ -738,8 +673,8 @@ def _graded_traces(A: LabeledOperator, E0: LabeledOperator, N: int,
     """Remainder traces of one window from its A and E0, graded path; the block
     path's oracle.  Both are taken over: their parts go once S1 and S2 exist."""
     S1, S2 = _neumann_start(A, E0)
-    E0.parts.clear()
-    A.parts.clear()
+    for X in (E0, A):
+        (X.bands or X.parts).clear()
     return _WindowTraces(_power_traces(S1, N, inner_fraction),
                          _power_traces(S2, N, inner_fraction))
 

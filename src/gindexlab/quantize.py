@@ -11,8 +11,8 @@ sampled term's coefficients change from column to column, so ``op_h_term``
 gathers them through that view of each transfer row, with no table.  A
 LabeledOperator keeps the g-grading of ``sum_g K_g Phi_g`` so that
 class-localized traces remain computable after products; its parts stay
-transfer bands until their dense entries are read.  Multiplication uses
-exact matrix conjugation,
+transfer bands, read through ``TransferBand.band`` where certified, until
+read densely.  Multiplication uses exact matrix conjugation,
 
     (A B)_m = sum_{gh = m} K_g (Phi_g L_h Phi_{g^{-1}}),
 
@@ -22,6 +22,9 @@ holds exactly (all isometric families here).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -29,10 +32,12 @@ from .circle import FrequencyWindow
 from .errors import GroupMismatch, WindowMismatch, WindowTooSmallForH
 from .groups import Element
 from .symbols import CrossedSymbol, PrincipalSymbol
-from .transforms import Realization
+from .transforms import Realization, WeightedShift
 
 K_MIN = 4            # default zero-section cut |k| < k_min
 PRUNE_TOL = 1e-13    # integer_shift parts below this fraction of the largest norm are dropped
+BAND_FLOOR = 1e-15   # entries below BAND_FLOOR * max|M| lie outside the band
+RITZ_BLOCK = 16      # least width of banded strips; the index engine's first Ritz block
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +90,88 @@ class TransferBand:
         out = np.empty(self.shape, dtype=complex)
         for row, cols in zip(self.vectors, (slice(0, lo), slice(lo, hi), slice(hi, dim))):
             out[:, cols] = _skewed(row, dim)[:, cols]
+        return out
+
+    @cached_property
+    def band(self) -> "_Banded | None":
+        """The window as column strips at the natural-order band T that
+        ``certify_band`` certifies (entry (j, k) reads c(j - k)), or None."""
+        dim = self.shape[0]
+
+        def strips(T):
+            rows, cols, outside = _strip_layout(dim, T, max(2 * T, RITZ_BLOCK))
+            return np.where(outside, 0, self[rows, cols])
+        found = certify_band([self], dim, strips)
+        return _Banded(found[1], found[0]) if found else None
+
+
+def certify_band(bands: list[TransferBand], dim: int, strips_at) -> tuple[int, np.ndarray] | None:
+    """The one band certificate: (T, ``strips_at(T)``), strips holding every
+    entry of transfer |t| <= T, for the least T with 2 tail(T) <= BAND_FLOOR
+    max|c| (2 for rounding), tail(T) = sum over ``bands`` of max_{|t| > T}
+    |c(t)|; None unless 2 tail(T) <= BAND_FLOOR max|strips| too and 2T + 1,
+    T's reach in the index engine's interleaved order, is at most dim/8."""
+    coef = np.array([np.abs(K.vectors).max(axis=0) for K in bands])     # t = -2N..2N
+    mid = coef.shape[1] // 2
+    coef = np.maximum(coef[:, mid:], coef[:, mid::-1])                   # |t| = 0..2N
+    tail = np.append(np.maximum.accumulate(coef[:, ::-1], axis=1)[:, -2::-1].sum(axis=0), 0.0)
+    T = int(np.argmax(2 * tail <= BAND_FLOOR * coef.max()))
+    if 2 * T + 1 > dim / 8:
+        return None
+    strips = strips_at(T)
+    return None if 2 * tail[T] > BAND_FLOOR * np.abs(strips).max() else (T, strips)
+
+
+def _strip_layout(n: int, b: int, bs: int):
+    """Entry positions of the column strips of an n x n matrix of band b:
+    strip I holds columns I bs .. (I+1) bs and rows I bs - b .. (I+1) bs + b.
+    Returns the row and column indices, clipped to the matrix and shaped to
+    broadcast to (strips, bs + 2 b, bs), and the mask of the entries past the
+    matrix edge (the last strip's padding columns included)."""
+    nb = -(-n // bs)
+    rows = np.arange(nb)[:, None] * bs - b + np.arange(bs + 2 * b)
+    cols = np.arange(nb)[:, None] * bs + np.arange(bs)
+    outside = ~(((rows >= 0) & (rows < n))[:, :, None] & (cols < n)[:, None, :])
+    return np.clip(rows, 0, n - 1)[:, :, None], np.minimum(cols, n - 1)[:, None, :], outside
+
+
+@dataclass(frozen=True)
+class _Banded:
+    """A square matrix held as its column strips: strip J holds columns J bs ..
+    (J+1) bs and rows J bs - reach .. (J+1) bs + reach (``_strip_layout``),
+    and every entry outside the strips is zero.  A product by a dense factor
+    reads the strips alone, O(n^2 reach) work against O(n^3).  A single strip
+    of reach 0 holds the matrix densely, and each product is then one matmul."""
+
+    strips: np.ndarray
+    reach: int
+
+    def left(self, Y: np.ndarray, rows: int | None = None) -> np.ndarray:
+        """The first ``rows`` rows of M Y (all of them when None)."""
+        height, bs = self.strips.shape[1:]
+        n = len(Y)
+        rows = n if rows is None else rows
+        out = np.zeros((rows, Y.shape[1]), dtype=complex)
+        for J, strip in enumerate(self.strips):
+            top = J * bs - self.reach
+            if top >= rows:
+                break
+            lo, hi = max(top, 0), min(top + height, rows)
+            Y_J = Y[J * bs:(J + 1) * bs]
+            out[lo:hi] += strip[lo - top:hi - top, :len(Y_J)] @ Y_J
+        return out
+
+    def right(self, X: np.ndarray, cols: int | None = None) -> np.ndarray:
+        """The first ``cols`` columns of X M (all of them when None)."""
+        height, bs = self.strips.shape[1:]
+        n = X.shape[1]
+        cols = n if cols is None else cols
+        out = np.empty((len(X), cols), dtype=complex)
+        for J in range(-(-cols // bs)):
+            top = J * bs - self.reach
+            lo, hi = max(top, 0), min(top + height, n)
+            c0, c1 = J * bs, min((J + 1) * bs, cols)
+            out[:, c0:c1] = X[:, lo:hi] @ self.strips[J, lo - top:hi - top, :c1 - c0]
         return out
 
 
@@ -141,7 +228,8 @@ class LabeledOperator:
     A part may hold only some rows of K_g, those of P sum K_g Phi_g for a row
     projection P; a product by an operator with full parts keeps those rows.
     A part may also be a ``TransferBand``: it is made dense when ``parts`` is
-    first read, and ``bands`` reads it without that.
+    first read, and ``bands`` reads it without that, as products and
+    ``realize`` do (``_held``).
     """
 
     def __init__(self, realization: Realization, parts: dict[Element, np.ndarray | TransferBand]):
@@ -166,6 +254,13 @@ class LabeledOperator:
         """The held parts while all are transfer bands (clearing releases them), else None."""
         held = self._parts
         return held if all(isinstance(m, TransferBand) for m in held.values()) else None
+
+    def _held(self, g: Element, banded: bool = True) -> np.ndarray | _Banded:
+        """Part g for one product: its certified band if ``banded``, else dense; uncached."""
+        K = self._parts[g]
+        if not isinstance(K, TransferBand):
+            return K
+        return K.band if banded and K.band is not None else K.dense()
 
     # -- constructors -------------------------------------------------------
 
@@ -223,13 +318,22 @@ class LabeledOperator:
 
     # -- algebra -----------------------------------------------------------------
 
-    def conjugated_part(self, g: Element, h: Element, memo: dict | None = None) -> np.ndarray:
+    def conjugated_part(self, g: Element, h: Element,
+                        memo: dict | None = None) -> np.ndarray | _Banded:
         """Phi_g K_h Phi_{g^{-1}}, memoized per (g, h) in ``memo`` when one is
-        given; a memo serves one right factor only."""
-        if memo is None:
-            return self.realization.conjugate(g, self.parts[h])
+        given; a memo serves one right factor only.  A certified band is kept:
+        Phi_e is the unit, so at the identity it is the result, and under a
+        weighted shift it gives the first factor K_h Phi_{g^{-1}}."""
+        memo = {} if memo is None else memo
         if (g, h) not in memo:
-            memo[g, h] = self.realization.conjugate(g, self.parts[h])
+            real, e = self.realization, self.group.identity
+            K = self._held(h, banded=g == e or isinstance(real.phi(g), WeightedShift))
+            if not isinstance(K, _Banded):
+                memo[g, h] = real.conjugate(g, K)
+            elif g == e:
+                memo[g, h] = K
+            else:
+                memo[g, h] = real.phi(g).left_mul(K.left(real.phi(self.group.inv(g)).matrix()))
         return memo[g, h]
 
     def multiply(self, other: "LabeledOperator",
@@ -240,15 +344,20 @@ class LabeledOperator:
         the index engine's group-Fourier blocks (``index_engine._block_traces``),
         which finite isometric problems take instead.  ``conjugates`` memoizes
         the conjugated parts of ``other`` across calls (``conjugated_part``).
+        Of two bands, the right one is made dense.
         """
         self._check_compatible(other)
         grp = self.group
         out: dict[Element, np.ndarray] = {}
         for g in self.support:
-            K = self.parts[g]
+            K = self._held(g)
             for h in other.support:
                 m = grp.mul(g, h)
-                contrib = K @ other.conjugated_part(g, h, conjugates)
+                L = other.conjugated_part(g, h, conjugates)
+                if isinstance(K, _Banded) and isinstance(L, _Banded):
+                    L = other._held(h, banded=False)
+                contrib = (K.left(L) if isinstance(K, _Banded) else
+                           L.right(K) if isinstance(L, _Banded) else K @ L)
                 out[m] = out[m] + contrib if m in out else contrib
         return LabeledOperator(self.realization, out)
 
@@ -266,7 +375,8 @@ class LabeledOperator:
     def realize(self) -> np.ndarray:
         """sum_g K_g Phi_g as a dense window matrix, accumulated in place into
         the first term (a fresh array); zero when there are no parts.  Under
-        mode maps a band part is made dense for its term only."""
+        mode maps a band part is made dense for its term only, else read as
+        ``_held`` gives it."""
         if not self._parts:
             return np.zeros((self.window.dim, self.window.dim), dtype=complex)
         first, *rest = self.support
@@ -281,7 +391,8 @@ class LabeledOperator:
             term = K.dense()[:, ::phi.sign]
             term *= phi.phases
             return term
-        return phi.right_mul(self.parts[g])
+        K = self._held(g)
+        return K.left(phi.matrix()) if isinstance(K, _Banded) else phi.right_mul(K)
 
 
 def quantize_crossed(realization: Realization, sym: CrossedSymbol, k_min: int,

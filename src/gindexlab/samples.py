@@ -6,7 +6,7 @@ import numpy as np
 
 from .groups import build_group
 from .problems import GOperatorProblem
-from .semiclass import SampledTerm, StarSeries, XiLattice, zero_section_cut
+from .semiclass import SampledTerm, XiLattice, zero_section_cut
 from .transforms import RealizationFamily
 
 
@@ -62,29 +62,9 @@ def shift_neumann_problem() -> GOperatorProblem:
     return GOperatorProblem(fam, coeffs, name="shift_neumann")
 
 
-def curved_z2_problem(eps: float = 0.3) -> GOperatorProblem:
-    """cyclic(2) realized by a conjugated rotation: A = 2 + op(1) Phi_curved."""
-    fam = RealizationFamily(build_group("cyclic", m=2), "curved_rotation", eps=eps)
-    coeffs = {
-        0: ({0: 2.0}, {0: 2.0}),
-        1: ({0: 1.0}, {0: 1.0}),
-    }
-    return GOperatorProblem(fam, coeffs, name=f"curved_z2_eps{eps}")
-
-
 # ---------------------------------------------------------------------------
 # semiclassical diagnostic symbols
 # ---------------------------------------------------------------------------
-
-def weyl_test_terms(grid, lattice):
-    """Two rapidly decaying symbols for Weyl-trace comparisons."""
-    t1 = SampledTerm.from_callable(
-        grid, lattice, lambda X, XI: (2.0 + np.cos(X)) * XI ** 2 * np.exp(-2.0 * XI ** 2))
-    t2 = SampledTerm.from_callable(
-        grid, lattice,
-        lambda X, XI: (1.0 + 0.5 * np.sin(2 * X)) * XI ** 4 * np.exp(-2.0 * XI ** 2))
-    return [t1, t2]
-
 
 def annulus_term(grid, lattice):
     """Analytic even annulus profile, zero-section content negligible."""
@@ -96,25 +76,6 @@ def reflection_term(grid, lattice):
     """Even profile with mass at the zero section (reflection trace tests)."""
     return SampledTerm.from_callable(
         grid, lattice, lambda X, XI: (1.0 + np.cos(X)) * np.exp(-2.0 * XI ** 2))
-
-
-def star_consistency_pairs(grid, lattice, family_trivial, family_z2):
-    """Two symbol pairs with single-mode x-factors (drift-free norm law)."""
-    a = SampledTerm.from_callable(
-        grid, lattice, lambda X, XI: np.exp(1j * X) * np.exp(-((XI - 1.2) / 0.32) ** 2))
-    b = SampledTerm.from_callable(
-        grid, lattice, lambda X, XI: np.exp(1j * X) * XI * np.exp(-((XI - 1.4) / 0.35) ** 2))
-    pair1 = (StarSeries(family_trivial, grid, lattice, 0.25, {((), 0): a}),
-             StarSeries(family_trivial, grid, lattice, 0.25, {((), 0): b}))
-    even1 = lambda XI: np.exp(-((np.abs(XI) - 1.2) / 0.32) ** 2)
-    even2 = lambda XI: np.exp(-((np.abs(XI) - 1.4) / 0.35) ** 2)
-    c = SampledTerm.from_callable(grid, lattice, lambda X, XI: np.exp(1j * X) * even1(XI))
-    d = SampledTerm.from_callable(grid, lattice,
-                                  lambda X, XI: np.exp(-1j * X) * XI * even2(XI) / 2)
-    e = family_z2.group.identity
-    pair2 = (StarSeries(family_z2, grid, lattice, 0.25, {(e, 0): c, (1, 0): d}),
-             StarSeries(family_z2, grid, lattice, 0.25, {(1, 0): c, (e, 0): d}))
-    return [pair1, pair2]
 
 
 def egorov_curved_term(grid):

@@ -841,16 +841,6 @@ def algebraic_index(a: StarSeries, N: int, h_grid: np.ndarray, r: StarSeries | N
 # dense oracles: realized series and the Egorov defect
 # ---------------------------------------------------------------------------
 
-def realize_series(series: StarSeries, h: float, window: FrequencyWindow) -> np.ndarray:
-    """Dense window matrix  unit I + sum h^j op_h(a_{g,j}) Phi_g  (oracle use)."""
-    real = series.family.at(window)
-    out = series.unit * np.eye(window.dim, dtype=complex)
-    for (g, j), term in series._sorted_terms():
-        mat = (h ** j) * op_h_term(term, h, window)
-        out += real.phi(g).right_mul(mat)
-    return out
-
-
 @dataclass(frozen=True)
 class EgorovReport:
     defects: np.ndarray

@@ -241,16 +241,17 @@ def weighted_shift_matrix(diffeo: CircleDiffeo, window: FrequencyWindow) -> np.n
 
     Column k holds the Fourier coefficients of x -> w(x) exp(i k alpha^{-1}(x)),
     built on a grid of at least 8 N_F nodes so that it resolves the spectral
-    spread of the highest column.
+    spread of the highest column.  The exponentials are taken for k >= 0
+    only; w is real, so column -k of the table is the conjugate of column k.
     """
     build_grid = power_of_two_grid(8 * window.cutoff)
     x = build_grid.nodes
     ainv = diffeo.inverse(x)
     w = np.sqrt(np.abs(1.0 / diffeo.deriv(ainv)))
-    ks = window.modes
-    cols = w[:, None] * np.exp(1j * np.outer(ainv, ks))
+    half = w[:, None] * np.exp(1j * np.outer(ainv, np.arange(window.cutoff + 1)))
+    cols = np.concatenate([half[:, :0:-1].conj(), half], axis=1)          # k = -N_F .. N_F
     coeffs = np.fft.fft(cols, axis=0) / build_grid.size  # row j = coeff of e^{ijx}, j mod M
-    return coeffs[np.mod(ks, build_grid.size), :]
+    return coeffs[np.mod(window.modes, build_grid.size), :]
 
 
 # ---------------------------------------------------------------------------

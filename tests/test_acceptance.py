@@ -20,12 +20,12 @@ from gindexlab.index_engine import (calibrate_sign, decomposition_check,
 from gindexlab.lab import emit_reports, parse_config, run
 from gindexlab.samples import (annulus_term, dihedral_sample, egorov_curved_term,
                                egorov_isometry_term, reflection_term,
-                               star_consistency_pairs, weyl_test_terms,
                                winding_problem, z2_sample, shift_neumann_problem)
 from gindexlab.semiclass import (StarSeries, XiLattice, algebraic_index,
-                                 egorov_defect, laurent_fit, realize_series,
+                                 egorov_defect, laurent_fit,
                                  tau_g, trace_power_law)
 from gindexlab.transforms import RealizationFamily
+from semiclass_samples import realize_series, star_consistency_pairs, weyl_test_terms
 
 GRID = PeriodicGrid(256)
 H_DIAG = np.geomspace(0.2, 0.02, 8)             # 8 points in [0.02, 0.2]

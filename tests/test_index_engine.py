@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from gindexlab import index_engine
 from gindexlab.circle import FrequencyWindow, PeriodicFunction, PeriodicGrid, grid_for_window
 from gindexlab.errors import NoHomomorphism
 from gindexlab.groups import build_group
+from gindexlab.lab import parse_config
 from gindexlab.index_engine import (DEFAULT_ZERO_TOL, GAP_REQUIREMENT,
                                     calibrate_sign, decomposition_check,
                                     index_of_matrix, localized_index,
@@ -16,8 +19,7 @@ from gindexlab.index_engine import (DEFAULT_ZERO_TOL, GAP_REQUIREMENT,
                                     tr_g, winding_index_oracle)
 from gindexlab.problems import GOperatorProblem
 from gindexlab.quantize import LabeledOperator, TransferBand, quantize_crossed
-from gindexlab.samples import (curved_z2_problem, dihedral_sample,
-                               shift_neumann_problem, winding_problem, z2_sample)
+from gindexlab.samples import dihedral_sample, shift_neumann_problem, winding_problem, z2_sample
 from gindexlab.symbols import CrossedSymbol, PrincipalSymbol
 from gindexlab.transforms import RealizationFamily
 
@@ -32,6 +34,16 @@ def norm_fro(op: LabeledOperator) -> float:
 def unit_problem():
     fam = RealizationFamily(build_group("trivial"), "trivial")
     return GOperatorProblem(fam, {(): ({0: 1.0}, {0: 1.0})}, unit_fill=True)
+
+
+def curved_z2_problem(eps: float = 0.3) -> GOperatorProblem:
+    """cyclic(2) realized by a conjugated rotation: A = 2 + op(1) Phi_curved."""
+    fam = RealizationFamily(build_group("cyclic", m=2), "curved_rotation", eps=eps)
+    coeffs = {
+        0: ({0: 2.0}, {0: 2.0}),
+        1: ({0: 1.0}, {0: 1.0}),
+    }
+    return GOperatorProblem(fam, coeffs, name=f"curved_z2_eps{eps}")
 
 
 def dense_index(mat, window, zero_tol=DEFAULT_ZERO_TOL, inner_fraction=0.5):
@@ -732,7 +744,43 @@ class TestBlockPath:
                 assert all(not X.parts for _, X in calls)
 
 
+def workload_problem(name, seed):
+    """The problem of a benchmark workload's config; benchmark/workloads.py is
+    loaded read-only."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return parse_config(module.WORKLOADS[name](seed)[0]).problem
+
+
 class TestGradedPath:
+    def test_operator_parts_stay_bands(self, monkeypatch):
+        # the localized_curved seed-0 problem at its first window: the index
+        # realizes A and the trace path multiplies by A, both through A's
+        # certified bands; only E0's parts, which certify none, are made dense
+        p = workload_problem("localized_curved", 0)
+        held = {"operator": [], "inverse_operator": []}
+
+        def recording(build, parts):
+            def built(self, cutoff):
+                X = build(self, cutoff)
+                parts.extend(X.bands.values())
+                return X
+            return built
+        for name, parts in held.items():
+            monkeypatch.setattr(GOperatorProblem, name,
+                                recording(getattr(GOperatorProblem, name), parts))
+        densified = []
+        dense = TransferBand.dense
+        monkeypatch.setattr(TransferBand, "dense", lambda self: densified.append(id(self))
+                            or dense(self))
+        index_engine._window_traces(p, 128, 4, 0.5, DEFAULT_ZERO_TOL)
+        A_parts, E0_parts = held["operator"], held["inverse_operator"]
+        assert set(densified) == {id(K) for K in E0_parts}
+        assert all(K.band is not None for K in A_parts)
+        assert all(K.band is None for K in E0_parts)
+
     @pytest.mark.parametrize("build, traced_rows_only", [
         (lambda: curved_z2_problem(eps=0.3), True),
         (shift_neumann_problem, False),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gindexlab import circle, groups, index_engine, lab, semiclass, symbols
+from gindexlab import circle, cli, groups, index_engine, lab, semiclass, symbols
 from gindexlab.cli import main
 from gindexlab.errors import ParseError, SchemaError
 from gindexlab.lab import (DEFAULT_NUMERICS, FIELDS, RunRecord, emit_reports,
@@ -578,6 +578,15 @@ class TestCLI:
         assert main(["run", str(write(tmp_path, MINIMAL)), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write ")
+
+    def test_unexpected_fault_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        """An exception that is not a GIndexError exits 1 with its type and
+        message on one stderr line, and no traceback."""
+        def fault(config):
+            raise RuntimeError("solver state lost")
+        monkeypatch.setattr(cli, "run", fault)
+        assert main(["run", str(write(tmp_path, MINIMAL))]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: RuntimeError: solver state lost"]
 
     def test_run_writes_reports(self, tmp_path, capsys):
         p = write(tmp_path, WINDING)

@@ -2,12 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gindexlab.circle import FrequencyWindow, PeriodicFunction, PeriodicGrid, grid_for_window
 from gindexlab.errors import GroupMismatch, WindowTooSmallForH
 from gindexlab.groups import build_group
 from gindexlab.index_engine import index_of_matrix
+from gindexlab.problems import GOperatorProblem
 from gindexlab.quantize import (LabeledOperator, TransferBand, op_classical, op_h_term,
                                 quantize_crossed)
 from gindexlab.samples import annulus_term, shift_neumann_problem, winding_problem, z2_sample
@@ -306,6 +307,72 @@ class TestLabeled:
         A = self.rnd(0)
         A.parts[1] *= 1e-16
         assert A.prune() is A and A.support == [0, 1]
+
+
+def trig_problem(kind, degree, seed):
+    """Random trig symbols of the given degree, |c_k| <= scale / (1 + |k|)^2,
+    so at most 1.73 scale in sup norm: on a curved cyclic(2) or cyclic(3)
+    with eps 0.3, a dominant identity 3, 3 e^{ix} and scale 0.2 elsewhere; on
+    integer_shift, 1 + op(f) Phi_1 with scale 0.25, so |f| < 1/2 on each
+    sheet.  ``shift_neumann`` is ``shift_neumann_problem`` itself."""
+    if kind == "shift_neumann":
+        return shift_neumann_problem()
+    rng = np.random.default_rng(seed)
+
+    def trig(scale):
+        return {k: scale * rng.uniform() * np.exp(2j * np.pi * rng.uniform()) / (1 + abs(k)) ** 2
+                for k in range(-degree, degree + 1)}
+    if kind == "shift":
+        family = fam("integer_shift", "rotation")
+        return GOperatorProblem(family, {0: ({0: 1.0}, {0: 1.0}), 1: (trig(0.25), trig(0.25))})
+    family = RealizationFamily(build_group("cyclic", m=int(kind[-1])), "curved_rotation",
+                               eps=0.3)
+    return GOperatorProblem(family, {g: ({0: 3.0}, {1: 3.0}) if g == 0 else (trig(0.2), trig(0.2))
+                                     for g in family.group.elements()})
+
+
+def densified(X):
+    """X with each transfer band replaced by its dense window: every product
+    then takes the dense path."""
+    return LabeledOperator(X.realization, {g: K.dense() for g, K in X.bands.items()})
+
+
+def relative_fro(got, want):
+    assert got.support == want.support
+    diff = sum(np.linalg.norm(got.parts[g] - want.parts[g]) ** 2 for g in want.support)
+    return float(np.sqrt(diff)) / norm_fro(want)
+
+
+class TestBandRoutedProducts:
+    """A product with a certified band on one side reads its strips
+    (``TransferBand.band``); it is the dense product up to rounding."""
+
+    def check(self, p, cutoff):
+        for left, right in (("operator", "inverse_operator"), ("inverse_operator", "operator")):
+            X, Y = getattr(p, left)(cutoff), getattr(p, right)(cutoff)
+            want = densified(X).multiply(densified(Y))
+            assert relative_fro(X.multiply(Y), want) <= 1e-13
+        A = p.operator(cutoff)
+        want = densified(A).realize()
+        assert np.linalg.norm(A.realize() - want) <= 1e-13 * np.linalg.norm(want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["curved2", "curved3", "shift", "shift_neumann"]),
+           st.integers(0, 2), st.integers(0, 2 ** 32 - 1), st.sampled_from([24, 32, 48]))
+    @example("curved2", 2, 0, 48)
+    @example("curved3", 2, 1, 32)
+    @example("shift_neumann", 2, 0, 32)
+    def test_match_the_dense_products(self, kind, degree, seed, cutoff):
+        p = trig_problem(kind, degree, seed)
+        assert all(K.band is not None for K in p.operator(cutoff).bands.values())
+        self.check(p, cutoff)
+
+    @pytest.mark.parametrize("kind", ["curved2", "curved3", "shift"])
+    def test_refused_band_takes_the_dense_product(self, kind):
+        # degree 2 at cutoff 16: reach 2 T + 1 = 5 exceeds dim/8 = 33/8
+        p = trig_problem(kind, 2, 3)
+        assert [K.band for K in p.operator(16).bands.values()].count(None) >= 1
+        self.check(p, 16)
 
 
 class TestOpH:

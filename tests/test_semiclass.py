@@ -8,14 +8,14 @@ from gindexlab.circle import FrequencyWindow, PeriodicGrid
 from gindexlab.errors import (IllConditionedFit, NonIsometricAction,
                               ResidualNotTraceClass, TraceDivergence)
 from gindexlab.groups import build_group
-from gindexlab.samples import (annulus_term, reflection_term,
-                               star_consistency_pairs, winding_problem, z2_sample)
+from gindexlab.samples import annulus_term, reflection_term, winding_problem, z2_sample
 from gindexlab.semiclass import (SampledTerm, StarSeries, TraceSeries, XiLattice,
                                  algebraic_index, egorov_defect,
-                                 lattice_interp, laurent_fit, realize_series,
+                                 lattice_interp, laurent_fit,
                                  symbol_parametrix_h, tau_g, trace_power_law,
                                  transport_term, zero_section_cut)
 from gindexlab.transforms import RealizationFamily
+from semiclass_samples import realize_series, star_consistency_pairs
 
 GRID = PeriodicGrid(256)
 LAT = XiLattice(3.5, 701)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gindexlab.circle import FrequencyWindow, PeriodicGrid
+from gindexlab.circle import FrequencyWindow, PeriodicGrid, power_of_two_grid
 from gindexlab.errors import InvalidParameter, NonIsometricAction, NotADiffeo
 from gindexlab.groups import build_group
 from gindexlab.transforms import (CircleDiffeo, ModeMap, RealizationFamily,
@@ -249,6 +249,22 @@ class TestCurvedShift:
                 assert val < prev / 10
             prev = val
         assert val < 1.5e-6
+
+    @pytest.mark.parametrize("cutoff", [16, 128, 256])
+    @pytest.mark.parametrize("m, eps", [(2, 0.3), (3, 0.3), (3, 0.7)])
+    def test_matrix_is_the_full_exponential_table(self, cutoff, m, eps):
+        # the oracle takes exp(i k alpha^{-1}(x)) for every mode, k < 0 included;
+        # the matrix reads columns k < 0 as conjugates and must be bitwise the same
+        fam = family("cyclic", "curved_rotation", m=m, eps=eps)
+        window = FrequencyWindow(cutoff)
+        grid = power_of_two_grid(8 * cutoff)
+        for g in range(1, m):
+            diffeo = fam.diffeo(g)
+            ainv = diffeo.inverse(grid.nodes)
+            w = np.sqrt(np.abs(1.0 / diffeo.deriv(ainv)))
+            cols = w[:, None] * np.exp(1j * np.outer(ainv, window.modes))
+            want = (np.fft.fft(cols, axis=0) / grid.size)[np.mod(window.modes, grid.size)]
+            assert weighted_shift_matrix(diffeo, window).tobytes() == want.tobytes()
 
     def test_rejects_incompatible_realization(self):
         with pytest.raises(InvalidParameter):
