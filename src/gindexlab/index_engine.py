@@ -61,9 +61,9 @@ these traces:
   oracle of the block path): products by ``LabeledOperator.multiply``, where
   A E0, the identity pairs of E0 A, the first factor A_h Phi_{g^-1} of each
   conjugation and A's realized window read A's certified band
-  (``TransferBand.band``); E0 certifies none.  On finite groups the powers
-  run on the inner rows, and the last product is traced in one pass over
-  its pairs of parts, never formed; integer_shift forms S^N with every row.
+  (``TransferBand.band``); E0 certifies none.  The powers run on the inner
+  rows, and the last product is traced in one pass over its pairs of parts,
+  never formed.
 
 A sweep takes at least two strictly increasing windows (drifts compare the
 last two).  Each problem caches a window's index data (``_window_index``) and
@@ -499,26 +499,23 @@ class _WindowTraces:
 
 
 def _power_traces(S: LabeledOperator, N: int, inner_fraction: float) -> dict[Element, complex]:
-    """Tr_l(S^N) for every l in the support of S^N = S^{N-1} S, graded path.
+    """Tr_l(S^N) for every l = gh over the parts g of S^{N-1} and h of S,
+    graded path; a class whose parts cancel is still listed.
 
     The powers keep the left-associated order of ``power``: the graded product
-    through a dense weighted shift is associative only up to truncation.  On a
-    finite group they run on the inner rows P, the only ones the trace reads
-    (P ((S S) S) S = (((P S) S) S) S), and the last product is traced in one
-    pass over its pairs (g, h) of parts, each adding the inner diagonal of
-    K_g conj_g(L_h) Phi_gh to element gh.  On an infinite group the last prune
-    decides which shift classes exist, so S^N is formed with every row.
+    through a dense weighted shift is associative only up to truncation.  They
+    run on the inner rows P, the only ones the trace reads (P ((S S) S) S =
+    (((P S) S) S) S), each pruned (``LabeledOperator.prune``) on those rows,
+    and the last product is traced in one pass over its pairs (g, h) of parts,
+    each adding the inner diagonal of K_g conj_g(L_h) Phi_gh to element gh.
     Finite isometric problems take the block path instead (``_block_traces``).
     """
     grp = S.group
-    if not grp.is_finite:
-        full = S.power(N)
-        return {l: tr_g(full, (l,), inner_fraction) for l in full.support}
     rows = np.flatnonzero(S.window.inner_mask(inner_fraction))
     conjugates: dict = {}           # S's conjugated parts, for every product by S
     head = LabeledOperator(S.realization, {g: K[rows] for g, K in S.parts.items()})
     for _ in range(N - 2):
-        head = head.multiply(S, conjugates)
+        head = head.multiply(S, conjugates).prune()
     traces: dict[Element, complex] = {}
     for g in head.support:
         for h in S.support:

@@ -305,8 +305,10 @@ class LabeledOperator:
 
     def prune(self) -> "LabeledOperator":
         """Drop parts with norm <= PRUNE_TOL x the largest, on an infinite group
-        only: there it keeps shift supports finite.  A finite group's supports
-        are finite already, so its operators are returned unchanged."""
+        only: there it keeps shift supports finite.  Norms are taken over the
+        rows the parts hold, so a power on the traced rows is pruned on them.
+        A finite group's supports are finite already, so its operators are
+        returned unchanged."""
         if self.group.is_finite:
             return self
         norms = {g: np.linalg.norm(m) for g, m in self.parts.items()}

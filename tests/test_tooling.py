@@ -9,8 +9,9 @@ the README does not list by ``test_readme_lists_every_config_field``.
 Every file the program writes goes through ``lab.write_file``, which
 ``test_one_writer`` keeps so; ``test_one_quantizer`` keeps every crossed
 symbol quantized by ``GOperatorProblem``, ``test_one_prune_rule`` keeps the
-part-prune threshold in ``LabeledOperator.prune``, and ``test_no_scipy`` keeps
-the package on numpy alone."""
+part-prune threshold in ``LabeledOperator.prune``, ``test_one_power_caller``
+keeps ``LabeledOperator.power`` out of the trace paths, and ``test_no_scipy``
+keeps the package on numpy alone."""
 
 import ast
 import importlib
@@ -185,6 +186,16 @@ def test_one_prune_rule():
                and isinstance(node.ctx, ast.Load)}
     assert readers == {"quantize.LabeledOperator.prune"}
     assert "PRUNE_TOL" not in (PACKAGE / "index_engine.py").read_text()
+
+
+def test_one_power_caller():
+    """Only ``index_engine.parametrix`` forms a remainder power with
+    ``LabeledOperator.power``: the trace paths run their powers on the traced
+    rows and trace the last product without forming it."""
+    callers = {scope for path in sorted(PACKAGE.glob("*.py"))
+               for scope, name in _calls(ast.parse(path.read_text()), path.stem)
+               if name == "power"}
+    assert callers == {"index_engine.parametrix"}
 
 
 def test_no_scipy():
