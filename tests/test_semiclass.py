@@ -9,8 +9,8 @@ from gindexlab.errors import (IllConditionedFit, NonIsometricAction,
                               ResidualNotTraceClass, TraceDivergence)
 from gindexlab.groups import build_group
 from gindexlab.samples import annulus_term, reflection_term, winding_problem, z2_sample
-from gindexlab.semiclass import (SampledTerm, StarSeries, TraceSeries, XiLattice,
-                                 algebraic_index, egorov_defect,
+from gindexlab.semiclass import (XI_STENCIL_REACH, SampledTerm, StarSeries, TraceSeries,
+                                 XiLattice, algebraic_index, egorov_defect,
                                  lattice_interp, laurent_fit,
                                  symbol_parametrix_h, tau_g, trace_power_law,
                                  transport_term, zero_section_cut)
@@ -289,6 +289,71 @@ class TestStarReuse:
                     for (_, j1) in a.terms)
         assert depth == 6            # 3 + 2 + 1 + 0: one ladder per left factor
         assert len(calls) == depth
+
+
+def polynomial_term(rng, extend):
+    """A trigonometric polynomial of degree 2 in x times a polynomial of
+    degree 2 in xi: the 4th-order d_xi stencil is exact on such a term and on
+    the products of two of them (degree 4), and the x-FFT resolves the
+    product of three."""
+    x = SMALL_GRID.nodes[:, None]
+    xs = sum((rng.normal() + 1j * rng.normal()) / (1 + abs(k)) * np.exp(1j * k * x)
+             for k in range(-2, 3))
+    xi = SMALL_LAT.points[None, :] / SMALL_LAT.radius
+    prof = sum((rng.normal() + 1j * rng.normal()) * xi ** d for d in range(3))
+    return SampledTerm(SMALL_GRID, SMALL_LAT, xs * prof, extend)
+
+
+@st.composite
+def polynomial_series(draw, name, N):
+    """1-3 ``polynomial_term``s on drawn (element, order) keys, the first of
+    order 0, and a drawn unit."""
+    family = STAR_FAMILIES[name]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    els = family.group.elements() if family.group.is_finite else [-1, 0, 1]
+    orders = [0] + draw(st.lists(st.integers(0, N - 1), max_size=2))
+    terms = {(draw(st.sampled_from(els)), j): polynomial_term(
+        rng, draw(st.sampled_from(["zero", "clamp"]))) for j in orders}
+    return StarSeries(family, SMALL_GRID, SMALL_LAT, 0.5, terms,
+                      unit=draw(st.sampled_from([0.0, 1.0])))
+
+
+class TestStarAssociativity:
+    """(a * b) * c = a * (b * c) at every order below N.  On terms where the
+    d_xi stencil is exact (``polynomial_term``) the two sides differ only by
+    rounding, except within the stencil's reach of the lattice edge, whose
+    padding is not the polynomial, and, under the half-wave flow, of xi = 0,
+    where a transported term jumps between the two sheets' shifts.  Dropping
+    the 1/kappa! of the kappa-th product (``tail *= k`` in ``star``) breaks
+    the law from order 2 on."""
+
+    N = 4
+
+    @pytest.mark.parametrize("name", sorted(STAR_FAMILIES))
+    def test_associative_mod_h_n(self, name):
+        N, n = self.N, SMALL_LAT.n
+        margin = XI_STENCIL_REACH * (N - 1)     # the deepest d_xi chain reads this far
+        far = np.zeros(n, dtype=bool)
+        far[margin:n - margin] = True
+        if name == "half_wave":
+            far[(n - 1) // 2 - margin:(n - 1) // 2 + margin + 1] = False
+
+        @settings(max_examples=6, deadline=None)
+        @given(polynomial_series(name, N), polynomial_series(name, N),
+               polynomial_series(name, N))
+        def check(a, b, c):
+            left, right = a.star(b, N).star(c, N), a.star(b.star(c, N), N)
+            assert left.unit == right.unit
+            keys = left.terms.keys() | right.terms.keys()
+            assert all(j < N for _, j in keys)
+            scale = max([abs(left.unit)] + [t.norm_inf() for t in left.terms.values()])
+            zero = np.zeros((SMALL_GRID.size, n))
+            for key in keys:
+                lv = left.terms[key].values if key in left.terms else zero
+                rv = right.terms[key].values if key in right.terms else zero
+                assert np.max(np.abs(lv - rv)[:, far]) <= 1e-12 * scale, key
+
+        check()
 
 
 def defect_slope(A: StarSeries, B: StarSeries, N: int, reach: float) -> float:
