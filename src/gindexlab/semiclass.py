@@ -11,8 +11,9 @@ transforms enter traces only through their exact mode action
     Phi e_k = p(k) e_{s k},   tr(op_h(a) Phi) = sum_k p(k) ahat((1-s)k, s h k),
 
 so the trace functionals never need dense window matrices.  One
-``algebraic_index`` call forms the residuals 1 - r*a and 1 - a*r once and
-returns a result per torsion class, which the caller loops over.
+``algebraic_index`` call forms the residuals 1 - r*a and 1 - a*r once each,
+one at a time, and returns a result per torsion class, which the caller
+loops over.
 
 Each derivative and each x-FFT is computed once where it is used: a star
 product builds the d_xi ladder of each left factor once and takes one FFT per
@@ -25,10 +26,15 @@ The symbols are sheet symbols: constant in xi on each half-line away from
 the zero-section cut.  The d_xi stencil is written in difference form, which
 is exactly 0.0 on constant runs, so every derivative, and every star-product
 term of order >= 1, vanishes exactly outside a narrow xi band.  A
-zero-extended term therefore stores only its xi column span, found from
-exact zeros alone (no relative floor); clamp terms stay full width.  Star
-products, their FFTs and ``tau_g`` work on these spans, which gives the same
-numbers as full-width tables, with less work and memory.
+zero-extended term therefore stores only its xi column span.  Star products,
+sums and differences find that span from exact zeros alone and keep clamp
+terms full width; their FFTs and ``tau_g`` work on these spans, which gives
+the same numbers as full-width tables, with less work and memory.  One step
+trims: in 1 - a*b, formed for the parametrix's w and for the two residuals,
+the order-zero plateaus cancel to rounding outside the zero-section cut, so
+a clamp term there keeps only the columns above PLATEAU_TRIM_TOL of its
+largest value, and is zero-extended on them unless they reach a lattice
+edge.  ``SampledTerm.xi_support_radius`` counts columns by the same rule.
 """
 
 from __future__ import annotations
@@ -54,6 +60,13 @@ DIAG_H_GRID = {"hi": 0.2, "lo": 0.02, "n": 8}   # diagnostic h-grid, descending
 MIN_LATTICE_POINTS = 17      # fewest points an (odd) XiLattice accepts
 MIN_H_POINTS = 6             # fewest points a trace h-grid accepts
 MIN_H_SPAN = 10.0 - 1e-9     # least max(h) / min(h) of a trace h-grid: a decade
+# Beyond the zero-section cut the order-zero terms of 1 - a * b cancel: b's
+# plateau there is the pointwise inverse of a's, up to rounding, so what is
+# left is rounding, at most 15 ulp of the term's largest value on the Z/2 and
+# dihedral(3) benchmark inputs.  A column no larger than this, relative to its
+# term, is rounding; the bound is far below TRACE_EDGE_TOL, so it drops no
+# column that the trace-class check would flag.
+PLATEAU_TRIM_TOL = 64 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +156,13 @@ def lattice_interp(lattice: XiLattice, values: np.ndarray, queries: np.ndarray,
     if extend == "zero":
         out = out * inside
     return out
+
+
+def _data_columns(block: np.ndarray) -> np.ndarray:
+    """Indices of the columns of ``block`` whose largest value exceeds
+    PLATEAU_TRIM_TOL of the block's largest; the other columns are rounding."""
+    peak = np.max(np.abs(block), axis=0)
+    return np.flatnonzero(peak > PLATEAU_TRIM_TOL * np.max(peak, initial=0.0))
 
 
 def _xi_stencil(p: np.ndarray, out: np.ndarray, scale: float):
@@ -249,13 +269,12 @@ class SampledTerm:
         return float(np.max(np.abs(self.block))) if self.block.size else 0.0
 
     def xi_support_radius(self) -> float | None:
-        """Support radius for zero-extended terms; None (unbounded) for clamp."""
+        """Support radius for zero-extended terms, over the columns that
+        ``_data_columns`` keeps; None (unbounded) for clamp."""
         if self.extend == "clamp":
             return None
-        mask = np.max(np.abs(self.values), axis=0) > 1e-15
-        if not np.any(mask):
-            return 0.0
-        return float(np.max(np.abs(self.lattice.points[mask])))
+        cols = self.lo + _data_columns(self.block)
+        return float(np.max(np.abs(self.lattice.points[cols]), initial=0.0))
 
     # -- calculus ----------------------------------------------------------------
 
@@ -540,8 +559,9 @@ class StarSeries:
         accumulate in place into one block per output key, in the order of
         the pairwise recursion (left factor, right factor, kappa); a block
         spans the union of its contributions and grows when one reaches
-        past it.  The table and the product buffer are allocated once per
-        call, and no per-term table outlives its loop.
+        past it.  The table and the product buffer are allocated at most
+        once per width the call needs, and no per-term table outlives its
+        loop.
         """
         self._check(other)
         if N < 1:
@@ -551,10 +571,13 @@ class StarSeries:
         out: dict[tuple[Element, int], list] = {}    # key -> [lo, block]
         clamp = set()                  # keys with a clamp-extended contribution
         # flat scratch, carved into contiguous (M, width) tables: the transported
-        # right factor, the same before its reflection, and a product
-        scratch = [np.empty(M * n, dtype=complex) for _ in range(3)]
+        # right factor, the same before its reflection, and a product; each
+        # grows to the widest table the call asks of it
+        scratch = [np.empty(0, dtype=complex) for _ in range(3)]
 
         def buffer(i, width):
+            if scratch[i].size < M * width:
+                scratch[i] = np.empty(M * width, dtype=complex)
             return scratch[i][:M * width].reshape(M, width)
 
         def add(key, lo, values, extend):
@@ -644,16 +667,39 @@ class StarSeries:
 # symbol-level parametrix
 # ---------------------------------------------------------------------------
 
+def _one_minus(a: StarSeries, b: StarSeries, N: int) -> StarSeries:
+    """1 - a * b, truncated at h-order < N, with its cancelled plateaus trimmed.
+
+    The product's blocks are fresh, so they are negated in place.  A clamp
+    term then loses the end columns that ``_data_columns`` drops: if what is
+    left still reaches a lattice edge, the term keeps its full width and its
+    clamp extension; otherwise it becomes a zero-extended term on what is
+    left.
+    """
+    p = a.star(b, N)
+    terms = {}
+    for key, t in p.terms.items():
+        np.negative(t.block, out=t.block)
+        if t.extend == "clamp":
+            kept = _data_columns(t.block)
+            if kept[0] > 0 and kept[-1] < a.lattice.n - 1:
+                t = t._like(t.block[:, kept[0]:kept[-1] + 1].copy(), "zero", int(kept[0]))
+        terms[key] = t
+    return p.copy_with(terms, 1.0 - p.unit)
+
+
 def symbol_parametrix_h(a: StarSeries, N: int) -> StarSeries:
     """Almost inverse r = r0 * (1 + w + ... + w^N), w = 1 - a * r0,
     with r0 the pointwise inverse of the leading crossed symbol embedded with
-    the same zero-section cut as ``a``."""
+    the same zero-section cut as ``a``.  ``w`` is released before the last
+    product."""
     r0 = StarSeries.from_crossed(invert_principal(a.leading_crossed()), a.lattice, a.eps)
     one = StarSeries.unit_series(a.family, a.grid, a.lattice, a.eps)
-    w = one - a.star(r0, N)
+    w = _one_minus(a, r0, N)
     acc = one
     for _ in range(N):
         acc = one + w.star(acc, N)
+    del w
     return r0.star(acc, N)
 
 
@@ -815,21 +861,28 @@ def algebraic_index(a: StarSeries, N: int, h_grid: np.ndarray, r: StarSeries | N
     """tau_g(1 - r*a) - tau_g(1 - a*r), Laurent-fitted on powers -1 .. N-2,
     for every torsion class <g> of ``a``'s group.
 
-    The two residuals do not depend on the class, so they are formed once.
-    The constant term is the localized algebraic index; the h^{-1} coefficient
-    is flagged against ``neg_tol`` scaled by the value magnitude over the grid.
+    The two residuals do not depend on the class, so each is formed once,
+    and one at a time: 1 - r*a is traced for every class and dropped before
+    1 - a*r is formed.  The constant term is the localized algebraic index;
+    the h^{-1} coefficient is flagged against ``neg_tol`` scaled by the value
+    magnitude over the grid.
     """
     if N < 3:
         raise OrderOverflow("algebraic index needs N >= 3")
     if r is None:
         r = symbol_parametrix_h(a, N)
-    one = StarSeries.unit_series(a.family, a.grid, a.lattice, a.eps)
-    res_left = one - r.star(a, N)     # 1 - r * a
-    res_right = one - a.star(r, N)    # 1 - a * r
+    classes = a.group.conjugacy_classes(support=a.group.torsion_elements())
+
+    def traces(x: StarSeries, y: StarSeries) -> dict:
+        residual = _one_minus(x, y, N)
+        return {cls: tau_g(residual, cls, h_grid) for cls in classes}
+
+    left = traces(r, a)
+    right = traces(a, r)
     h_min = float(np.min(np.asarray(h_grid, dtype=float)))
     out = {}
-    for cls in a.group.conjugacy_classes(support=a.group.torsion_elements()):
-        diff = tau_g(res_left, cls, h_grid) - tau_g(res_right, cls, h_grid)
+    for cls in classes:
+        diff = left[cls] - right[cls]
         fit = laurent_fit(diff, -1, N - 2)
         cm1 = fit.coeff(-1)
         ok = abs(cm1) < neg_tol * max(diff.scale() * h_min, 1.0)

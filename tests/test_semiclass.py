@@ -1,19 +1,27 @@
+import importlib.util
 import math
+import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gindexlab import semiclass
 from gindexlab.circle import FrequencyWindow, PeriodicGrid
 from gindexlab.errors import (IllConditionedFit, NonIsometricAction,
                               ResidualNotTraceClass, TraceDivergence)
 from gindexlab.groups import build_group
+from gindexlab.lab import parse_config
 from gindexlab.samples import annulus_term, reflection_term, winding_problem, z2_sample
-from gindexlab.semiclass import (XI_STENCIL_REACH, SampledTerm, StarSeries, TraceSeries,
-                                 XiLattice, algebraic_index, egorov_defect,
+from gindexlab.semiclass import (PLATEAU_TRIM_TOL, TRACE_EDGE_TOL, XI_STENCIL_REACH,
+                                 SampledTerm, StarSeries, TraceSeries, XiLattice, _one_minus,
+                                 algebraic_index, egorov_defect,
                                  lattice_interp, laurent_fit,
                                  symbol_parametrix_h, tau_g, trace_power_law,
                                  transport_term, zero_section_cut)
+from gindexlab.symbols import invert_principal
 from gindexlab.transforms import RealizationFamily
 from semiclass_samples import realize_series, star_consistency_pairs
 
@@ -465,6 +473,62 @@ class TestSymbolParametrix:
             assert np.max(np.abs(term.values[:, [0, -1]])) < 1e-10
 
 
+@pytest.fixture(scope="module")
+def z2_factors():
+    """a = ``from_crossed`` of the Z/2 sample, r0 its pointwise inverse
+    embedded the same way, and r = ``symbol_parametrix_h(a, 3)``."""
+    a = StarSeries.from_crossed(z2_sample().symbol(GRID), LAT, 0.5)
+    r0 = StarSeries.from_crossed(invert_principal(a.leading_crossed()), LAT, 0.5)
+    return a, r0, symbol_parametrix_h(a, 3)
+
+
+class TestPlateauTrim:
+    """``_one_minus`` forms 1 - x * y and trims the order-zero plateaus that
+    cancel to rounding; ``one - x.star(y, N)`` is the same series untrimmed."""
+
+    @pytest.mark.parametrize("pair", ["a*r0", "r*a", "a*r"])
+    def test_keeps_every_column_above_the_threshold(self, z2_factors, pair):
+        a, r0, r = z2_factors
+        x, y = {"a*r0": (a, r0), "r*a": (r, a), "a*r": (a, r)}[pair]
+        got = _one_minus(x, y, 3)
+        want = StarSeries.unit_series(Z2, GRID, LAT, 0.5) - x.star(y, 3)
+        assert got.unit == want.unit and got.terms.keys() == want.terms.keys()
+        trimmed = 0
+        for key, t in want.terms.items():
+            kept, tol = got.terms[key], PLATEAU_TRIM_TOL * t.norm_inf()
+            peak = np.max(np.abs(t.values), axis=0)
+            assert np.all(peak[:kept.lo] <= tol) and np.all(peak[kept.hi:] <= tol), key
+            assert np.max(np.abs(kept.values - t.values)) <= tol, key
+            assert kept.extend == (t.extend if kept.hi - kept.lo == LAT.n else "zero"), key
+            trimmed += kept.extend != t.extend
+        assert trimmed > 0           # beyond the cut every order-zero plateau is rounding
+
+    def test_real_plateaus_keep_full_width(self, z2_factors):
+        """The order-zero plateaus of a, r0 and r are data: taken through the
+        trim as 1 - 1 * x, each stays a clamp term on the whole lattice."""
+        one = StarSeries.unit_series(Z2, GRID, LAT, 0.5)
+        for x in z2_factors:
+            plateaus = [key for key in x.terms if key[1] == 0]
+            assert plateaus
+            minus = _one_minus(one, x, 3)
+            for key in plateaus:
+                for t in (x.terms[key], minus.terms[key]):
+                    assert t.extend == "clamp" and (t.lo, t.hi) == (0, LAT.n), key
+
+    def test_edge_data_is_still_not_trace_class(self):
+        """A residual term carrying 2 TRACE_EDGE_TOL of its series' scale on
+        the edge columns keeps them through the trim, and ``tau_g`` rejects it."""
+        xi = np.abs(LAT.points)
+        profile = np.exp(-((xi - 1.0) / 0.3) ** 2) + 2 * TRACE_EDGE_TOL * (xi >= 2.0)
+        term = SampledTerm(GRID, LAT, np.ones((GRID.size, 1)) * profile + 0j, "clamp")
+        b = StarSeries(TRIV, GRID, LAT, 0.5, {((), 0): term}, unit=1.0)
+        res = _one_minus(StarSeries.unit_series(TRIV, GRID, LAT, 0.5), b, 3)     # -term
+        assert res.unit == 0.0 and res.norm_inf() == 1.0       # the scale tau_g reads
+        assert res.terms[((), 0)].extend == "clamp"
+        with pytest.raises(ResidualNotTraceClass):
+            tau_g(res, ((),), H_ALG)
+
+
 class TestTau:
     def test_zero(self):
         zero = StarSeries(TRIV, GRID, LAT, 0.25, {})
@@ -690,3 +754,69 @@ class TestAlgebraicIndex:
         assert no_unit.unit == 0.0
         with pytest.raises(TraceDivergence):
             algebraic_index(no_unit, 3, H_ALG, r=r)
+
+
+def pipeline_z2_inputs():
+    """``a``, N and the h-grid of the ``algebraic`` step of the pipeline_z2
+    seed-0 benchmark config; benchmark/workloads.py is loaded read-only."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    config = parse_config(module.WORKLOADS["pipeline_z2"](0)[0])
+    num = config.numerics
+    lattice = XiLattice(num["lattice_radius"], num["lattice_points"])
+    a = StarSeries.from_crossed(config.problem.symbol(PeriodicGrid(num["symbol_grid"])),
+                                lattice, num["eps"])
+    h = num["h_grid"]
+    return a, num["parametrix_order"], np.geomspace(h["hi"], h["lo"], h["n"])
+
+
+class TestAlgebraicMemory:
+    def test_peak_memory(self):
+        # r formed inside.  With both residuals alive at once and their
+        # cancelled plateaus full width, the call peaked at 47.2 MB; one
+        # residual at a time with the plateaus trimmed, at 31.5 MB
+        # (Python 3.11, numpy 2.4)
+        a, N, h_grid = pipeline_z2_inputs()
+        tracemalloc.start()
+        try:
+            algebraic_index(a, N, h_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
+
+    def test_one_residual_alive(self, z2_factors, monkeypatch):
+        """1 - r*a is traced for both classes and dead before a*r is formed."""
+        a, _, r = z2_factors
+        traced, at_a_r = [], []
+        tau, star = semiclass.tau_g, StarSeries.star
+
+        def tau_spy(series, cls, h_grid):
+            traced.append(weakref.ref(series))
+            return tau(series, cls, h_grid)
+
+        def star_spy(x, y, N):
+            if x is a and y is r:
+                at_a_r.append([ref() is None for ref in traced])
+            return star(x, y, N)
+
+        monkeypatch.setattr(semiclass, "tau_g", tau_spy)
+        monkeypatch.setattr(StarSeries, "star", star_spy)
+        algebraic_index(a, 3, H_ALG, r=r)
+        assert at_a_r == [[True, True]]
+        assert len(traced) == 4
+
+    def test_inputs_unchanged(self, z2_factors):
+        """The residuals are negated in place, on the products' own blocks."""
+        a, _, r = z2_factors
+        before = [(s.unit, {key: (t.extend, t.lo, t.block.copy()) for key, t in s.terms.items()})
+                  for s in (a, r)]
+        algebraic_index(a, 3, H_ALG, r=r)
+        for s, (unit, terms) in zip((a, r), before):
+            assert s.unit == unit and s.terms.keys() == terms.keys()
+            for key, (extend, lo, block) in terms.items():
+                t = s.terms[key]
+                assert (t.extend, t.lo) == (extend, lo)
+                assert t.block.tobytes() == block.tobytes(), key

@@ -9,9 +9,10 @@ the README does not list by ``test_readme_lists_every_config_field``.
 Every file the program writes goes through ``lab.write_file``, which
 ``test_one_writer`` keeps so; ``test_one_quantizer`` keeps every crossed
 symbol quantized by ``GOperatorProblem``, ``test_one_prune_rule`` keeps the
-part-prune threshold in ``LabeledOperator.prune``, ``test_one_power_caller``
-keeps ``LabeledOperator.power`` out of the trace paths, and ``test_no_scipy``
-keeps the package on numpy alone."""
+part-prune threshold in ``LabeledOperator.prune``, ``test_one_trim_rule``
+keeps the star calculus's rounding threshold in ``semiclass._data_columns``,
+``test_one_power_caller`` keeps ``LabeledOperator.power`` out of the trace
+paths, and ``test_no_scipy`` keeps the package on numpy alone."""
 
 import ast
 import importlib
@@ -186,6 +187,24 @@ def test_one_prune_rule():
                and isinstance(node.ctx, ast.Load)}
     assert readers == {"quantize.LabeledOperator.prune"}
     assert "PRUNE_TOL" not in (PACKAGE / "index_engine.py").read_text()
+
+
+def test_one_trim_rule():
+    """Only ``semiclass._data_columns`` reads ``PLATEAU_TRIM_TOL``, and only
+    ``semiclass._one_minus`` (1 - a * b, for the parametrix's w and the two
+    residuals) and ``SampledTerm.xi_support_radius`` call it.  ``StarSeries.star``,
+    ``__add__`` and ``__sub__`` trim nothing: their spans come from exact
+    zeros, so the pairwise recursion stays their oracle."""
+    readers = {scope for path in sorted(PACKAGE.glob("*.py"))
+               for scope, node in _scoped(ast.parse(path.read_text()), path.stem)
+               if isinstance(node, ast.Name) and node.id == "PLATEAU_TRIM_TOL"
+               and isinstance(node.ctx, ast.Load)}
+    assert readers == {"semiclass._data_columns"}
+    calls = list(_calls(ast.parse((PACKAGE / "semiclass.py").read_text()), "semiclass"))
+    assert {scope for scope, name in calls if name == "_data_columns"} == \
+        {"semiclass._one_minus", "semiclass.SampledTerm.xi_support_radius"}
+    assert {scope for scope, name in calls if name == "_one_minus"} == \
+        {"semiclass.symbol_parametrix_h", "semiclass.algebraic_index.traces"}
 
 
 def test_one_power_caller():
