@@ -26,15 +26,18 @@ The symbols are sheet symbols: constant in xi on each half-line away from
 the zero-section cut.  The d_xi stencil is written in difference form, which
 is exactly 0.0 on constant runs, so every derivative, and every star-product
 term of order >= 1, vanishes exactly outside a narrow xi band.  A
-zero-extended term therefore stores only its xi column span.  Star products,
-sums and differences find that span from exact zeros alone and keep clamp
-terms full width; their FFTs and ``tau_g`` work on these spans, which gives
-the same numbers as full-width tables, with less work and memory.  One step
-trims: in 1 - a*b, formed for the parametrix's w and for the two residuals,
-the order-zero plateaus cancel to rounding outside the zero-section cut, so
-a clamp term there keeps only the columns above PLATEAU_TRIM_TOL of its
-largest value, and is zero-extended on them unless they reach a lattice
-edge.  ``SampledTerm.xi_support_radius`` counts columns by the same rule.
+zero-extended term therefore stores only its xi column span, and a clamp
+term only the columns between its two plateaus, one plateau column on each
+side and always the xi = 0 column: beyond its span it continues as its edge
+columns.  Star products and sums find their spans from exact zeros and
+exact plateaus alone; their FFTs and ``tau_g`` work on these spans, which
+gives the same numbers as full-width tables, with less work and memory.
+One step trims: in 1 - a*b, formed for the parametrix's w and for the two
+residuals, the order-zero plateaus cancel to rounding outside the
+zero-section cut, so a clamp term there keeps only the columns above
+PLATEAU_TRIM_TOL of its largest value, and is zero-extended on them unless
+they reach an edge of its block, where the plateau is data.
+``SampledTerm.xi_support_radius`` counts columns by the same rule.
 """
 
 from __future__ import annotations
@@ -115,7 +118,8 @@ def lattice_interp(lattice: XiLattice, values: np.ndarray, queries: np.ndarray,
     """Interpolate ``values`` sampled on the lattice at arbitrary xi.
 
     values has the lattice columns ``lo .. lo + width - 1`` on its last axis;
-    a narrower table is zero-extended and its missing columns read as 0.
+    a narrower table's missing columns read as 0 (``zero``) or as its nearer
+    edge column (``clamp``), the rule that continues a table past the lattice.
     With ``rows`` (an index array shaped like ``queries``) ``queries[i]``
     reads the row ``values[rows[i], :]`` of a 2-D table, which is gathered
     entry by entry and never copied whole; otherwise the same queries apply
@@ -143,7 +147,8 @@ def lattice_interp(lattice: XiLattice, values: np.ndarray, queries: np.ndarray,
             return values[..., c] if rows is None else values[rows, c]
         held = (c >= 0) & (c < width)
         c = np.clip(c, 0, width - 1)
-        return np.where(held, values[..., c] if rows is None else values[rows, c], 0.0)
+        v = values[..., c] if rows is None else values[rows, c]
+        return v if extend == "clamp" else np.where(held, v, 0.0)
 
     if rows is None:
         out = np.zeros(values.shape[:-1] + q.shape, dtype=values.dtype)
@@ -163,6 +168,27 @@ def _data_columns(block: np.ndarray) -> np.ndarray:
     PLATEAU_TRIM_TOL of the block's largest; the other columns are rounding."""
     peak = np.max(np.abs(block), axis=0)
     return np.flatnonzero(peak > PLATEAU_TRIM_TOL * np.max(peak, initial=0.0))
+
+
+def _moving_span(block: np.ndarray) -> tuple[int, int]:
+    """Columns ``lo .. hi - 1`` of ``block`` from the last column of its left
+    plateau to the first of its right one: every column outside them equals
+    the nearer edge column exactly.  (0, 0) when all columns are equal."""
+    moves = np.flatnonzero(np.any(block[:, 1:] != block[:, :-1], axis=0))
+    return (int(moves[0]), int(moves[-1]) + 2) if moves.size else (0, 0)
+
+
+def _product_span(a: tuple[str, int, int], b: tuple[str, int, int]) -> tuple[int, int]:
+    """Lattice columns ``lo .. hi - 1`` that the product of two terms stores,
+    from the (extend, lo, hi) of each: the hull of two clamp spans, the zero
+    factor's span against a clamp one, else the intersection."""
+    (ea, alo, ahi), (eb, blo, bhi) = a, b
+    if ea == eb == "clamp":
+        return min(alo, blo), max(ahi, bhi)
+    if ea == "clamp" or eb == "clamp":
+        return (blo, bhi) if ea == "clamp" else (alo, ahi)
+    lo = max(alo, blo)
+    return lo, max(lo, min(ahi, bhi))
 
 
 def _xi_stencil(p: np.ndarray, out: np.ndarray, scale: float):
@@ -189,10 +215,12 @@ class SampledTerm:
 
     ``extend='zero'`` marks compact xi-support (trace class); ``'clamp'``
     continues the boundary value as a constant plateau (order-zero data).
-    A zero-extended term stores only its xi column span: ``block`` holds the
-    lattice columns ``lo .. hi - 1``, and every other column is exactly zero.
-    A clamp term always covers the whole lattice.  ``values`` is the
-    full-width table, built on demand for the oracles.
+    A term stores only its xi column span: ``block`` holds the lattice
+    columns ``lo .. hi - 1``.  Every other column of a zero-extended term is
+    exactly zero; every other column of a clamp term equals the block's
+    nearer edge column, as past the lattice, and a clamp span holds the
+    xi = 0 column, where the half-wave flow switches shifts.  ``values`` is
+    the full-width table, built on demand for the oracles.
     """
 
     def __init__(self, grid: PeriodicGrid, lattice: XiLattice, values: np.ndarray,
@@ -200,11 +228,13 @@ class SampledTerm:
         values = np.asarray(values, dtype=complex)
         if extend not in ("zero", "clamp"):
             raise ValueError(f"unknown extension {extend!r}")
-        width = lattice.n if extend == "clamp" or values.ndim != 2 else values.shape[1]
-        if values.shape != (grid.size, width) or not 0 <= lo <= lattice.n - width:
-            raise ValueError(f"expected shape {(grid.size, lattice.n)}, or a zero-extended "
-                             f"block of at most {lattice.n - lo} columns, at column {lo}; "
-                             f"got {values.shape}")
+        width = values.shape[1] if values.ndim == 2 else lattice.n
+        zero = (lattice.n - 1) // 2
+        if values.shape != (grid.size, width) or not 0 <= lo <= lattice.n - width \
+                or (extend == "clamp" and not lo <= zero < lo + width):
+            raise ValueError(f"expected shape {(grid.size, lattice.n)}, or a block of at "
+                             f"most {lattice.n - lo} columns at column {lo}, holding column "
+                             f"{zero} if clamp-extended; got {values.shape}")
         self.grid = grid
         self.lattice = lattice
         self.block = values
@@ -221,9 +251,13 @@ class SampledTerm:
 
     def cols(self, lo: int, hi: int) -> np.ndarray:
         """Values on lattice columns lo .. hi - 1 (any integers, lo <= hi):
-        a view of ``block`` when they lie in the span, else a zero-filled copy."""
+        a view of ``block`` when they lie in the span, else a copy filled
+        with zeros or, for a clamp term, with the edge columns."""
         if self.lo <= lo and hi <= self.hi:
             return self.block[:, lo - self.lo:hi - self.lo]
+        if self.extend == "clamp":
+            return self.block[:, np.clip(np.arange(lo - self.lo, hi - self.lo), 0,
+                                         self.block.shape[1] - 1)]
         out = np.zeros((self.grid.size, hi - lo), dtype=complex)
         a, b = max(lo, self.lo), min(hi, self.hi)
         if a < b:
@@ -249,17 +283,22 @@ class SampledTerm:
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "SampledTerm") -> "SampledTerm":
+        """The sum on the hull of the two spans; a clamp sum keeps one column
+        of margin past a zero term, so that its edge columns are plateaus."""
         self._check(other)
         extend = "clamp" if "clamp" in (self.extend, other.extend) else "zero"
         lo, hi = min(self.lo, other.lo), max(self.hi, other.hi)
+        if extend == "clamp" and "zero" in (self.extend, other.extend):
+            z = self if self.extend == "zero" else other
+            lo, hi = max(min(lo, z.lo - 1), 0), min(max(hi, z.hi + 1), self.lattice.n)
         return self._like(self.cols(lo, hi) + other.cols(lo, hi), extend, lo)
 
     def __mul__(self, other):
         if isinstance(other, SampledTerm):
             self._check(other)
             extend = "clamp" if (self.extend == "clamp" and other.extend == "clamp") else "zero"
-            lo = max(self.lo, other.lo)
-            hi = max(lo, min(self.hi, other.hi))
+            lo, hi = _product_span((self.extend, self.lo, self.hi),
+                                   (other.extend, other.lo, other.hi))
             return self._like(self.cols(lo, hi) * other.cols(lo, hi), extend, lo)
         return self._like(self.block * other)
 
@@ -291,17 +330,16 @@ class SampledTerm:
         The result is computed on its column span only.  A zero term's span
         grows by XI_STENCIL_REACH columns at each end (clipped to the
         lattice).  A clamp term's derivative is exactly zero wherever five
-        neighbouring columns are equal, so its span is found by comparing
-        neighbouring columns.  The columns whose stencil stays inside the
-        block are read from it in place; the few at each end read a small
-        copy padded with zeros (``zero``) or the boundary value (``clamp``).
+        neighbouring columns are equal, so its span is one column past
+        ``_moving_span`` at each end.  The columns whose stencil stays inside
+        the block are read from it in place; the few at each end read a
+        small copy padded with zeros (``zero``) or the edge columns
+        (``clamp``).
         """
         n, r = self.lattice.n, XI_STENCIL_REACH
         if self.extend == "clamp":
-            v = self.block
-            moves = np.flatnonzero(np.any(v[:, 1:] != v[:, :-1], axis=0))
-            lo, hi = (max(int(moves[0]) - 1, 0), min(int(moves[-1]) + 3, n)) if moves.size \
-                else (0, 0)
+            lo, hi = _moving_span(self.block)
+            lo, hi = (max(self.lo + lo - 1, 0), min(self.lo + hi + 1, n)) if lo < hi else (0, 0)
         else:
             lo, hi = max(self.lo - r, 0), min(self.hi + r, n)
         scale = 1.0 / (12.0 * self.lattice.delta)
@@ -313,11 +351,7 @@ class SampledTerm:
             a = b = hi
         for x, y in ((lo, a), (b, hi)):
             if x < y:
-                if self.extend == "clamp":
-                    p = self.block[:, np.clip(np.arange(x - r, y + r), 0, n - 1)]
-                else:
-                    p = self.cols(x - r, y + r)
-                _xi_stencil(p, d[:, x - lo:y - lo], scale)
+                _xi_stencil(self.cols(x - r, y + r), d[:, x - lo:y - lo], scale)
         return SampledTerm(self.grid, self.lattice, d, "zero", lo)
 
     def sample(self, xi: np.ndarray) -> np.ndarray:
@@ -472,11 +506,14 @@ class StarSeries:
 
     @classmethod
     def from_crossed(cls, symbol: CrossedSymbol, lattice: XiLattice, eps: float) -> "StarSeries":
-        """Embed order-zero principal data:  1 + chi(xi) (sigma - 1)."""
+        """Embed order-zero principal data:  1 + chi(xi) (sigma - 1).
+
+        Each term is stored on its ``_moving_span`` and the xi = 0 column."""
         family, grid = symbol.family, symbol.grid
         chi = zero_section_cut(lattice, eps)
         pos = lattice.points > 0
         neg = lattice.points < 0
+        zero = (lattice.n - 1) // 2
         terms = {}
         e = family.group.identity
         for g in symbol.support:
@@ -486,7 +523,10 @@ class StarSeries:
             vals[:, neg] = sym.minus.values[:, None]
             if g == e:
                 vals = vals - 1.0
-            terms[(g, 0)] = SampledTerm(grid, lattice, vals * chi[None, :], "clamp")
+            vals = vals * chi[None, :]
+            lo, hi = _moving_span(vals)
+            lo, hi = min(lo, zero), max(hi, zero + 1)
+            terms[(g, 0)] = SampledTerm(grid, lattice, vals[:, lo:hi].copy(), "clamp", lo)
         return cls(family, grid, lattice, eps, terms, unit=1.0)
 
     def leading_crossed(self) -> CrossedSymbol:
@@ -528,13 +568,6 @@ class StarSeries:
             terms[key] = terms[key] + t if key in terms else t
         return self.copy_with(terms, self.unit + other.unit)
 
-    def __sub__(self, other: "StarSeries") -> "StarSeries":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "StarSeries":
-        return self.copy_with({k: scalar * t for k, t in self.terms.items()},
-                              scalar * self.unit)
-
     def norm_inf(self) -> float:
         return abs(self.unit) + sum(t.norm_inf() for t in self.terms.values())
 
@@ -549,9 +582,9 @@ class StarSeries:
         Every term is worked on its xi column span only (see SampledTerm).
         The d_xi ladder of a left factor a_g is built lazily, as deep as its
         pairs need, holds narrow blocks, and is dropped when the loop moves
-        to the next factor.  For each pair the kappa-th product lives on
-        span(d_xi^kappa a_g) intersected with the span of b_h o C, which is
-        b_h's span, reversed when C reflects.  The right factor is FFT'd and
+        to the next factor.  For each pair the kappa-th product lives on the
+        ``_product_span`` of d_xi^kappa a_g and b_h o C, whose span is b_h's,
+        reversed when C reflects.  The right factor is FFT'd and
         transported once, on the hull of the columns its products read (a
         shift is a phase on that table), and its kappa-th term
         (-i)^kappa / kappa! d_x^kappa is one inverse FFT of k^kappa / kappa!
@@ -559,9 +592,12 @@ class StarSeries:
         accumulate in place into one block per output key, in the order of
         the pairwise recursion (left factor, right factor, kappa); a block
         spans the union of its contributions and grows when one reaches
-        past it.  The table and the product buffer are allocated at most
-        once per width the call needs, and no per-term table outlives its
-        loop.
+        past it.  A clamp key's edge columns hold the sums of its plateaus
+        alone: a clamp contribution adds its edge columns over the rest of
+        the block, a zero one grows the block to one column past it, and a
+        grown block is filled from its edge columns.  The table and the product
+        buffer are allocated at most once per width the call needs, and no
+        per-term table outlives its loop.
         """
         self._check(other)
         if N < 1:
@@ -581,19 +617,34 @@ class StarSeries:
             return scratch[i][:M * width].reshape(M, width)
 
         def add(key, lo, values, extend):
+            hi = lo + values.shape[1]
+            was_clamp = key in clamp
             if extend == "clamp":
                 clamp.add(key)
             if key not in out:
                 out[key] = [lo, values.copy()]
                 return
             acc = out[key]
-            (alo, block), hi = acc, lo + values.shape[1]
+            alo, block = acc
             ahi = alo + block.shape[1]
-            if lo < alo or hi > ahi:
-                acc[0] = min(lo, alo)
-                acc[1] = np.zeros((M, max(hi, ahi) - acc[0]), dtype=complex)
-                acc[1][:, alo - acc[0]:ahi - acc[0]] = block
-            acc[1][:, lo - acc[0]:hi - acc[0]] += values
+            nlo, nhi = min(lo, alo), max(hi, ahi)
+            if key in clamp:            # one column of margin past zero data
+                if extend == "zero":
+                    nlo, nhi = min(nlo, lo - 1), max(nhi, hi + 1)
+                if not was_clamp:
+                    nlo, nhi = min(nlo, alo - 1), max(nhi, ahi + 1)
+                nlo, nhi = max(nlo, 0), min(nhi, n)
+            if nlo < alo or nhi > ahi:
+                acc[0], acc[1] = nlo, np.zeros((M, nhi - nlo), dtype=complex)
+                acc[1][:, alo - nlo:ahi - nlo] = block
+                if was_clamp:          # its edge columns are its plateau sums
+                    acc[1][:, :alo - nlo] = block[:, :1]
+                    acc[1][:, ahi - nlo:] = block[:, -1:]
+            alo, block = acc
+            block[:, lo - alo:hi - alo] += values
+            if extend == "clamp":
+                block[:, :lo - alo] += values[:, :1]
+                block[:, hi - alo:] += values[:, -1:]
 
         # unit cross terms
         for unit, series in ((self.unit, other), (other.unit, self)):
@@ -617,7 +668,8 @@ class StarSeries:
                 while len(ladder) < N - j:
                     ladder.append(ladder[-1].dxi())
                 tlo, thi = (n - tb.hi, n - tb.lo) if sign == -1 else (tb.lo, tb.hi)
-                spans = [(max(t.lo, tlo), min(t.hi, thi)) for t in ladder[:N - j]]
+                spans = [_product_span((t.extend, t.lo, t.hi), (tb.extend, tlo, thi))
+                         for t in ladder[:N - j]]
                 # per kappa, the columns that kappa and every later product read
                 reach, lo, hi = [None] * (N - j), n, 0
                 for kappa in range(N - j - 1, -1, -1):
@@ -671,10 +723,10 @@ def _one_minus(a: StarSeries, b: StarSeries, N: int) -> StarSeries:
     """1 - a * b, truncated at h-order < N, with its cancelled plateaus trimmed.
 
     The product's blocks are fresh, so they are negated in place.  A clamp
-    term then loses the end columns that ``_data_columns`` drops: if what is
-    left still reaches a lattice edge, the term keeps its full width and its
-    clamp extension; otherwise it becomes a zero-extended term on what is
-    left.
+    term then loses the end columns of its block that ``_data_columns``
+    drops: if what is left still reaches an edge column of the block, whose
+    plateau is then data, the term keeps its block and its clamp extension;
+    otherwise it becomes a zero-extended term on what is left.
     """
     p = a.star(b, N)
     terms = {}
@@ -682,8 +734,9 @@ def _one_minus(a: StarSeries, b: StarSeries, N: int) -> StarSeries:
         np.negative(t.block, out=t.block)
         if t.extend == "clamp":
             kept = _data_columns(t.block)
-            if kept[0] > 0 and kept[-1] < a.lattice.n - 1:
-                t = t._like(t.block[:, kept[0]:kept[-1] + 1].copy(), "zero", int(kept[0]))
+            if kept[0] > 0 and kept[-1] < t.block.shape[1] - 1:
+                t = t._like(t.block[:, kept[0]:kept[-1] + 1].copy(), "zero",
+                            t.lo + int(kept[0]))
         terms[key] = t
     return p.copy_with(terms, 1.0 - p.unit)
 
@@ -691,16 +744,17 @@ def _one_minus(a: StarSeries, b: StarSeries, N: int) -> StarSeries:
 def symbol_parametrix_h(a: StarSeries, N: int) -> StarSeries:
     """Almost inverse r = r0 * (1 + w + ... + w^N), w = 1 - a * r0,
     with r0 the pointwise inverse of the leading crossed symbol embedded with
-    the same zero-section cut as ``a``.  ``w`` is released before the last
-    product."""
-    r0 = StarSeries.from_crossed(invert_principal(a.leading_crossed()), a.lattice, a.eps)
+    the same zero-section cut as ``a``.  r0 is embedded once for w and again
+    for the last product (``from_crossed`` is deterministic), so it is not
+    alive during the loop; ``w`` is released before the last product."""
+    inverse = invert_principal(a.leading_crossed())
     one = StarSeries.unit_series(a.family, a.grid, a.lattice, a.eps)
-    w = _one_minus(a, r0, N)
+    w = _one_minus(a, StarSeries.from_crossed(inverse, a.lattice, a.eps), N)
     acc = one
     for _ in range(N):
         acc = one + w.star(acc, N)
     del w
-    return r0.star(acc, N)
+    return StarSeries.from_crossed(inverse, a.lattice, a.eps).star(acc, N)
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +786,8 @@ def _traceable_terms(series: StarSeries):
         raise TraceDivergence(f"series has unit component {series.unit!r}")
     scale = max(series.norm_inf(), 1.0)
     for (g, j), term in series._sorted_terms():
-        edge = max((float(np.max(np.abs(term.block[:, c - term.lo])))
-                    for c in (0, series.lattice.n - 1) if term.lo <= c < term.hi), default=0.0)
+        edge = max(float(np.max(np.abs(term.cols(c, c + 1))))
+                   for c in (0, series.lattice.n - 1))
         if edge > TRACE_EDGE_TOL * scale:
             raise ResidualNotTraceClass(
                 f"term (g={series.group.label(g)}, j={j}) carries lattice-edge "

@@ -36,6 +36,11 @@ def star_consistency_pairs(grid, lattice, family_trivial, family_z2):
     return [pair1, pair2]
 
 
+def minus(x, y):
+    """The star series x - y, term by term (no program path subtracts series)."""
+    return x + y.copy_with({key: -1.0 * t for key, t in y.terms.items()}, -y.unit)
+
+
 def realize_series(series, h, window):
     """Dense window matrix  unit I + sum h^j op_h(a_{g,j}) Phi_g  (oracle use)."""
     real = series.family.at(window)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gindexlab import semiclass
-from gindexlab.circle import FrequencyWindow, PeriodicGrid
+from gindexlab.circle import FrequencyWindow, PeriodicFunction, PeriodicGrid
 from gindexlab.errors import (IllConditionedFit, NonIsometricAction,
                               ResidualNotTraceClass, TraceDivergence)
 from gindexlab.groups import build_group
@@ -21,9 +21,9 @@ from gindexlab.semiclass import (PLATEAU_TRIM_TOL, TRACE_EDGE_TOL, XI_STENCIL_RE
                                  lattice_interp, laurent_fit,
                                  symbol_parametrix_h, tau_g, trace_power_law,
                                  transport_term, zero_section_cut)
-from gindexlab.symbols import invert_principal
+from gindexlab.symbols import CrossedSymbol, PrincipalSymbol, invert_principal
 from gindexlab.transforms import RealizationFamily
-from semiclass_samples import realize_series, star_consistency_pairs
+from semiclass_samples import minus, realize_series, star_consistency_pairs
 
 GRID = PeriodicGrid(256)
 LAT = XiLattice(3.5, 701)
@@ -381,8 +381,8 @@ class TestStarProduct:
         a = StarSeries(TRIV, GRID, LAT, 0.25,
                        {((), 0): annulus_term(GRID, LAT)})
         one = StarSeries.unit_series(TRIV, GRID, LAT, 0.25)
-        assert (one.star(a, 3) - a).norm_inf() < 1e-12
-        assert (a.star(one, 3) - a).norm_inf() < 1e-12
+        assert minus(one.star(a, 3), a).norm_inf() < 1e-12
+        assert minus(a.star(one, 3), a).norm_inf() < 1e-12
 
     def test_multipliers_commute(self):
         t1 = SampledTerm.from_callable(GRID, LAT,
@@ -446,7 +446,7 @@ class TestSymbolParametrix:
     def test_unit(self):
         one = StarSeries.unit_series(TRIV, GRID, LAT, 0.5)
         r = symbol_parametrix_h(one, 3)
-        res = one - one.star(r, 3)
+        res = minus(one, one.star(r, 3))
         assert res.norm_inf() < 1e-12
 
     def test_constant_with_cut(self):
@@ -466,7 +466,7 @@ class TestSymbolParametrix:
         a = StarSeries.from_crossed(p.symbol(GRID), LAT, 0.5)
         r = symbol_parametrix_h(a, 4)
         one = StarSeries.unit_series(Z2, GRID, LAT, 0.5)
-        res = one - a.star(r, 4)
+        res = minus(one, a.star(r, 4))
         assert abs(res.unit) < 1e-12
         # residual terms live in the cut annulus: lattice-edge values vanish
         for (g, j), term in res.terms.items():
@@ -484,14 +484,14 @@ def z2_factors():
 
 class TestPlateauTrim:
     """``_one_minus`` forms 1 - x * y and trims the order-zero plateaus that
-    cancel to rounding; ``one - x.star(y, N)`` is the same series untrimmed."""
+    cancel to rounding; ``minus(one, x.star(y, N))`` is the same series untrimmed."""
 
     @pytest.mark.parametrize("pair", ["a*r0", "r*a", "a*r"])
     def test_keeps_every_column_above_the_threshold(self, z2_factors, pair):
         a, r0, r = z2_factors
         x, y = {"a*r0": (a, r0), "r*a": (r, a), "a*r": (a, r)}[pair]
         got = _one_minus(x, y, 3)
-        want = StarSeries.unit_series(Z2, GRID, LAT, 0.5) - x.star(y, 3)
+        want = minus(StarSeries.unit_series(Z2, GRID, LAT, 0.5), x.star(y, 3))
         assert got.unit == want.unit and got.terms.keys() == want.terms.keys()
         trimmed = 0
         for key, t in want.terms.items():
@@ -505,15 +505,17 @@ class TestPlateauTrim:
 
     def test_real_plateaus_keep_full_width(self, z2_factors):
         """The order-zero plateaus of a, r0 and r are data: taken through the
-        trim as 1 - 1 * x, each stays a clamp term on the whole lattice."""
+        trim as 1 - 1 * x, each stays a clamp term, with the untrimmed values
+        on the whole lattice."""
         one = StarSeries.unit_series(Z2, GRID, LAT, 0.5)
         for x in z2_factors:
             plateaus = [key for key in x.terms if key[1] == 0]
             assert plateaus
-            minus = _one_minus(one, x, 3)
+            trimmed, untrimmed = _one_minus(one, x, 3), minus(one, one.star(x, 3))
             for key in plateaus:
-                for t in (x.terms[key], minus.terms[key]):
-                    assert t.extend == "clamp" and (t.lo, t.hi) == (0, LAT.n), key
+                assert x.terms[key].extend == trimmed.terms[key].extend == "clamp", key
+                assert np.array_equal(trimmed.terms[key].values,
+                                      untrimmed.terms[key].values), key
 
     def test_edge_data_is_still_not_trace_class(self):
         """A residual term carrying 2 TRACE_EDGE_TOL of its series' scale on
@@ -524,6 +526,114 @@ class TestPlateauTrim:
         b = StarSeries(TRIV, GRID, LAT, 0.5, {((), 0): term}, unit=1.0)
         res = _one_minus(StarSeries.unit_series(TRIV, GRID, LAT, 0.5), b, 3)     # -term
         assert res.unit == 0.0 and res.norm_inf() == 1.0       # the scale tau_g reads
+        assert res.terms[((), 0)].extend == "clamp"
+        with pytest.raises(ResidualNotTraceClass):
+            tau_g(res, ((),), H_ALG)
+
+
+def clamp_widened(series: StarSeries) -> StarSeries:
+    """The same series with every clamp term re-stored on the whole lattice."""
+    return series.copy_with({key: SampledTerm(t.grid, t.lattice, t.values, "clamp")
+                             if t.extend == "clamp" else t
+                             for key, t in series.terms.items()}, series.unit)
+
+
+def assert_same_series(got: StarSeries, want: StarSeries):
+    """The same unit, keys, extensions and full-width values, bit for bit."""
+    assert got.unit == want.unit and got.terms.keys() == want.terms.keys()
+    for key, t in want.terms.items():
+        assert got.terms[key].extend == t.extend, key
+        assert got.terms[key].values.tobytes() == t.values.tobytes(), key
+
+
+def crossed_sample(family, rng, one_sided=(), scale=0.2) -> StarSeries:
+    """``from_crossed`` of an elliptic crossed symbol on the small grid: 3 plus
+    trigonometric polynomials of size ``scale`` on the identity, such
+    polynomials elsewhere.  The elements in ``one_sided`` have a minus sheet
+    of 1 (identity) or 0, so their terms vary only at xi > 0."""
+    x = SMALL_GRID.nodes
+    e = family.group.identity
+    coeffs = {}
+    for g in family.group.elements() if family.group.is_finite else [-1, 0, 1]:
+        sheets = [(3.0 if g == e else 0.0) + sum(
+            scale * (rng.normal() + 1j * rng.normal()) / (1 + abs(k)) * np.exp(1j * k * x)
+            for k in range(-2, 3)) for _ in range(2)]
+        if g in one_sided:
+            sheets[1] = np.full(x.shape, 1.0 if g == e else 0.0)
+        coeffs[g] = PrincipalSymbol(*(PeriodicFunction(SMALL_GRID, v) for v in sheets))
+    return StarSeries.from_crossed(CrossedSymbol(family, coeffs, SMALL_GRID), SMALL_LAT, 0.5)
+
+
+class TestClampSpans:
+    """A clamp term is stored between its two plateaus, with one plateau
+    column on each side and the xi = 0 column, and continues as its edge
+    columns beyond; every result equals, bit for bit, the result on its inputs
+    with each clamp term re-stored on the whole lattice (``clamp_widened``).
+    Dropping the edge broadcast of a clamp contribution in ``star``'s ``add``
+    breaks ``test_widened_inputs``."""
+
+    def test_widened_inputs_z2(self, z2_factors):
+        a, r0, r = z2_factors
+        assert all(t.hi - t.lo < LAT.n for t in a.terms.values())
+        for x, y in ((a, r0), (r, a), (a, r)):
+            wx, wy = clamp_widened(x), clamp_widened(y)
+            assert_same_series(x.star(y, 3), wx.star(wy, 3))
+            assert_same_series(_one_minus(x, y, 3), _one_minus(wx, wy, 3))
+        assert_same_series(symbol_parametrix_h(a, 3), symbol_parametrix_h(clamp_widened(a), 3))
+
+    @pytest.mark.parametrize("name", ["dihedral3", "half_wave"])
+    def test_widened_inputs(self, name):
+        """Clamp terms of three widths (two-sided, one-sided and full) and
+        zero terms reaching a clamp term's edge column meet in one block."""
+        family = STAR_FAMILIES[name]
+        rng = np.random.default_rng(7)
+        els = family.group.elements() if family.group.is_finite else [-1, 0, 1]
+        e, g = family.group.identity, els[-1]
+        a = crossed_sample(family, rng, one_sided=(g,), scale=0.05)
+        b = crossed_sample(family, rng, one_sided=(e, els[1])) + StarSeries(
+            family, SMALL_GRID, SMALL_LAT, 0.5,
+            {(e, 0): random_term(rng, "zero", (12, 21)), (g, 1): random_term(rng, "zero"),
+             (e, 1): random_term(rng, "clamp")})
+        spans = {(t.lo, t.hi) for s in (a, b) for t in s.terms.values() if t.extend == "clamp"}
+        assert len(spans) >= 4
+        wa, wb = clamp_widened(a), clamp_widened(b)
+        for x, y, wx, wy in ((a, b, wa, wb), (b, a, wb, wa)):
+            assert_same_series(x.star(y, 3), wx.star(wy, 3))
+            assert_same_series(_one_minus(x, y, 3), _one_minus(wx, wy, 3))
+        assert_same_series(symbol_parametrix_h(a, 3), symbol_parametrix_h(wa, 3))
+
+    def test_one_sided_term_holds_the_zero_column(self):
+        """The half-wave flow shifts xi > 0 and xi < 0 by different amounts,
+        so a clamp block always holds the xi = 0 column, and a term that
+        varies only at xi > 0 is stored from there (the span rule without
+        that column would start it at xi = eps)."""
+        family = STAR_FAMILIES["half_wave"]
+        rng = np.random.default_rng(8)
+        a = crossed_sample(family, rng, one_sided=(0, 1))
+        zero, eps_col = (SMALL_LAT.n - 1) // 2, int(np.flatnonzero(SMALL_LAT.points <= 0.5)[-1])
+        for t in (a.terms[(0, 0)], a.terms[(1, 0)]):
+            assert np.all(t.values[:, :eps_col + 1] == 0.0) and np.any(t.values[:, -1])
+            assert t.extend == "clamp" and t.lo == zero
+        b = crossed_sample(family, rng)
+        assert_same_series(a.star(b, 3), clamp_widened(a).star(clamp_widened(b), 3))
+        assert_same_series(b.star(a, 3), clamp_widened(b).star(clamp_widened(a), 3))
+        full = b.terms[(1, 0)].values          # nonzero plateaus on both sides
+        with pytest.raises(ValueError):
+            SampledTerm(SMALL_GRID, SMALL_LAT, full[:, zero + 1:], "clamp", zero + 1)
+
+    def test_narrow_edge_data_is_not_trace_class(self):
+        """A clamp term stored on a narrow span, with plateaus of 2
+        TRACE_EDGE_TOL of its series' scale beyond it, keeps them through the
+        trim, and ``tau_g`` reads them at the lattice edges and rejects it."""
+        xi = np.abs(LAT.points)
+        profile = np.where(xi < 2.0, np.exp(-((xi - 1.0) / 0.3) ** 2), 2 * TRACE_EDGE_TOL)
+        lo, hi = int(np.flatnonzero(xi < 2.0)[0]) - 1, int(np.flatnonzero(xi < 2.0)[-1]) + 2
+        block = np.ones((GRID.size, 1)) * profile[lo:hi] + 0j
+        term = SampledTerm(GRID, LAT, block, "clamp", lo)
+        assert 0 < lo and hi < LAT.n
+        b = StarSeries(TRIV, GRID, LAT, 0.5, {((), 0): term}, unit=1.0)
+        res = _one_minus(StarSeries.unit_series(TRIV, GRID, LAT, 0.5), b, 3)     # -term
+        assert res.unit == 0.0 and res.norm_inf() == 1.0
         assert res.terms[((), 0)].extend == "clamp"
         with pytest.raises(ResidualNotTraceClass):
             tau_g(res, ((),), H_ALG)
@@ -567,7 +677,7 @@ class TestTau:
             return SampledTerm(GRID, LAT, xs * prof[None, :], "zero")
         a = StarSeries(Z2, GRID, LAT, 0.25, {(0, 0): rnd_term(), (1, 0): rnd_term()})
         b = StarSeries(Z2, GRID, LAT, 0.25, {(0, 0): rnd_term(), (1, 0): rnd_term()})
-        comm = a.star(b, 3) - b.star(a, 3)
+        comm = minus(a.star(b, 3), b.star(a, 3))
         ts = tau_g(comm, (0,), H_DIAG)
         fit = laurent_fit(ts, -1, 1)
         scale = max(tau_g(a.star(b, 3), (0,), H_DIAG).scale(), 1.0)
@@ -750,7 +860,7 @@ class TestAlgebraicIndex:
     def test_unit_zero_series_rejected(self):
         a = StarSeries.from_crossed(winding_problem(1).symbol(GRID), LAT, 0.5)
         r = symbol_parametrix_h(a, 3)
-        no_unit = a - StarSeries.unit_series(TRIV, GRID, LAT, 0.5)
+        no_unit = minus(a, StarSeries.unit_series(TRIV, GRID, LAT, 0.5))
         assert no_unit.unit == 0.0
         with pytest.raises(TraceDivergence):
             algebraic_index(no_unit, 3, H_ALG, r=r)
@@ -776,8 +886,9 @@ class TestAlgebraicMemory:
     def test_peak_memory(self):
         # r formed inside.  With both residuals alive at once and their
         # cancelled plateaus full width, the call peaked at 47.2 MB; one
-        # residual at a time with the plateaus trimmed, at 31.5 MB
-        # (Python 3.11, numpy 2.4)
+        # residual at a time with the plateaus trimmed, at 31.7 MB; with
+        # clamp terms stored between their plateaus and r0 embedded only
+        # where it is used, at 26.8 MB (Python 3.11, numpy 2.4)
         a, N, h_grid = pipeline_z2_inputs()
         tracemalloc.start()
         try:
@@ -785,7 +896,7 @@ class TestAlgebraicMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40e6
+        assert peak <= 30e6
 
     def test_one_residual_alive(self, z2_factors, monkeypatch):
         """1 - r*a is traced for both classes and dead before a*r is formed."""

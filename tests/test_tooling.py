@@ -11,8 +11,9 @@ Every file the program writes goes through ``lab.write_file``, which
 symbol quantized by ``GOperatorProblem``, ``test_one_prune_rule`` keeps the
 part-prune threshold in ``LabeledOperator.prune``, ``test_one_trim_rule``
 keeps the star calculus's rounding threshold in ``semiclass._data_columns``,
-``test_one_power_caller`` keeps ``LabeledOperator.power`` out of the trace
-paths, and ``test_no_scipy`` keeps the package on numpy alone."""
+``test_one_layout_reader`` keeps the storage of sampled terms inside
+``semiclass``, ``test_one_power_caller`` keeps ``LabeledOperator.power`` out
+of the trace paths, and ``test_no_scipy`` keeps the package on numpy alone."""
 
 import ast
 import importlib
@@ -192,9 +193,9 @@ def test_one_prune_rule():
 def test_one_trim_rule():
     """Only ``semiclass._data_columns`` reads ``PLATEAU_TRIM_TOL``, and only
     ``semiclass._one_minus`` (1 - a * b, for the parametrix's w and the two
-    residuals) and ``SampledTerm.xi_support_radius`` call it.  ``StarSeries.star``,
-    ``__add__`` and ``__sub__`` trim nothing: their spans come from exact
-    zeros, so the pairwise recursion stays their oracle."""
+    residuals) and ``SampledTerm.xi_support_radius`` call it.  ``StarSeries.star``
+    and ``__add__`` trim nothing: their spans come from exact zeros and exact
+    plateaus, so the pairwise recursion stays their oracle."""
     readers = {scope for path in sorted(PACKAGE.glob("*.py"))
                for scope, node in _scoped(ast.parse(path.read_text()), path.stem)
                if isinstance(node, ast.Name) and node.id == "PLATEAU_TRIM_TOL"
@@ -205,6 +206,17 @@ def test_one_trim_rule():
         {"semiclass._one_minus", "semiclass.SampledTerm.xi_support_radius"}
     assert {scope for scope, name in calls if name == "_one_minus"} == \
         {"semiclass.symbol_parametrix_h", "semiclass.algebraic_index.traces"}
+
+
+def test_one_layout_reader():
+    """No module but ``semiclass`` reads a sampled term's storage, its
+    ``block`` or its first column ``lo``: a clamp block stops at its plateaus
+    and a zero one at its support, and elsewhere a term is read through
+    ``values``, ``sample`` or ``cols``, which extend it past its block."""
+    readers = {path.name for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr in ("block", "lo")}
+    assert readers == {"semiclass.py"}
 
 
 def test_one_power_caller():
