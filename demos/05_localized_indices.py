@@ -29,4 +29,4 @@ print("shift group Z with chi = id: classes of g != e cannot carry index")
 shift = shift_neumann_problem()
 for g0 in (1, 2):
     rep = chi_vanishing_check(shift, g0, (64, 96, 128))
-    print(f"  ind_<{g0}> = {abs(rep.value):.2e}   (chi({g0}) = {rep.chi_value} != 0)")
+    print(f"  ind_<{g0}> = {abs(rep.value):.2e}   (chi({g0}) = {shift.group.chi(g0)} != 0)")

@@ -61,9 +61,10 @@ these traces:
   oracle of the block path): products by ``LabeledOperator.multiply``, where
   A E0, the identity pairs of E0 A, the first factor A_h Phi_{g^-1} of each
   conjugation and A's realized window read A's certified band
-  (``TransferBand.band``); E0 certifies none.  The powers run on the inner
-  rows, and the last product is traced in one pass over its pairs of parts,
-  never formed.
+  (``TransferBand.band``); E0 certifies none.  S1 and S2 are formed in place
+  on the fresh parts of E0 A and A E0 (``_one_minus``).  The powers run on
+  the inner rows, and the last product is traced in one pass over its pairs
+  of parts, never formed.
 
 A sweep takes at least two strictly increasing windows (drifts compare the
 last two).  Each problem caches a window's index data (``_window_index``) and
@@ -420,10 +421,24 @@ class ParametrixData:
     right_remainder: LabeledOperator   # 1 - A E   (= S2^N exactly)
 
 
+def _one_minus(X: LabeledOperator, Y: LabeledOperator) -> LabeledOperator:
+    """1 - X Y, formed in place on the fresh parts of the product X Y: the
+    identity part through ``_unit_minus``, every other part times -1."""
+    P = X.multiply(Y)
+    e = P.group.identity
+    if e not in P.parts:
+        P.parts[e] = np.zeros((P.window.dim, P.window.dim), dtype=complex)
+    for g, K in P.parts.items():
+        if g == e:
+            _unit_minus(K)
+        else:
+            K *= -1
+    return P
+
+
 def _neumann_start(A: LabeledOperator, E0: LabeledOperator):
-    """The first remainders S1 = 1 - E0 A and S2 = 1 - A E0."""
-    unit = LabeledOperator.unit(A.realization)
-    return (unit - E0.multiply(A)).prune(), (unit - A.multiply(E0)).prune()
+    """The first remainders S1 = 1 - E0 A and S2 = 1 - A E0 (``_one_minus``)."""
+    return _one_minus(E0, A).prune(), _one_minus(A, E0).prune()
 
 
 def parametrix(A: LabeledOperator, E0: LabeledOperator,
@@ -758,7 +773,6 @@ def decomposition_check(problem: GOperatorProblem, windows, N: int = PARAMETRIX_
 
 @dataclass
 class ChiVanishingReport:
-    chi_value: int
     value: complex
     ok: bool
 
@@ -772,4 +786,4 @@ def chi_vanishing_check(problem: GOperatorProblem, g0: Element, windows,
         raise NoHomomorphism(f"no homomorphism with chi({grp.label(g0)}) != 0")
     cls = grp.conjugacy_class(g0)
     value = localized_index(problem, cls, windows, N, inner_fraction, drift_tol).value
-    return ChiVanishingReport(grp.chi(g0), value, abs(value) < tol)
+    return ChiVanishingReport(value, abs(value) < tol)

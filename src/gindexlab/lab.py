@@ -410,7 +410,9 @@ def _exp_localized(config: ExperimentConfig):
 def _exp_algebraic(config: ExperimentConfig):
     problem = config.problem
     num = config.numerics
-    grid = PeriodicGrid(num["symbol_grid"])
+    # the grid of the principal inverse, refined until the inverse resolves, so
+    # that the parametrix's inverse lies on the series' grid
+    grid = problem.principal_inverse(PeriodicGrid(num["symbol_grid"])).grid
     lattice = XiLattice(num["lattice_radius"], num["lattice_points"])
     sweep = _sweep(config)
     h_grid = _h_grid_from(num["h_grid"])

@@ -296,13 +296,6 @@ class LabeledOperator:
             out[g] = out[g] + m if g in out else m
         return LabeledOperator(self.realization, out)
 
-    def __sub__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "LabeledOperator":
-        return LabeledOperator(self.realization,
-                               {g: scalar * m for g, m in self.parts.items()})
-
     def prune(self) -> "LabeledOperator":
         """Drop parts with norm <= PRUNE_TOL x the largest, on an infinite group
         only: there it keeps shift supports finite.  Norms are taken over the

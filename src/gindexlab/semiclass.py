@@ -29,9 +29,10 @@ term of order >= 1, vanishes exactly outside a narrow xi band.  A
 zero-extended term therefore stores only its xi column span, and a clamp
 term only the columns between its two plateaus, one plateau column on each
 side and always the xi = 0 column: beyond its span it continues as its edge
-columns.  Star products and sums find their spans from exact zeros and
-exact plateaus alone; their FFTs and ``tau_g`` work on these spans, which
-gives the same numbers as full-width tables, with less work and memory.
+columns.  Star products and sums add terms in place by one rule
+(``SampledTerm._accumulate``) and find spans from exact zeros and exact
+plateaus alone; FFTs and ``tau_g`` work on these spans, which gives the
+same numbers as full-width tables, with less work and memory.
 One step trims: in 1 - a*b, formed for the parametrix's w and for the two
 residuals, the order-zero plateaus cancel to rounding outside the
 zero-section cut, so a clamp term there keeps only the columns above
@@ -43,6 +44,7 @@ they reach an edge of its block, where the plateau is data.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,15 +285,34 @@ class SampledTerm:
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "SampledTerm") -> "SampledTerm":
-        """The sum on the hull of the two spans; a clamp sum keeps one column
-        of margin past a zero term, so that its edge columns are plateaus."""
         self._check(other)
-        extend = "clamp" if "clamp" in (self.extend, other.extend) else "zero"
-        lo, hi = min(self.lo, other.lo), max(self.hi, other.hi)
-        if extend == "clamp" and "zero" in (self.extend, other.extend):
-            z = self if self.extend == "zero" else other
-            lo, hi = max(min(lo, z.lo - 1), 0), min(max(hi, z.hi + 1), self.lattice.n)
-        return self._like(self.cols(lo, hi) + other.cols(lo, hi), extend, lo)
+        out = self._like(self.block.copy())
+        out._accumulate(other.lo, other.block, other.extend)
+        return out
+
+    def _accumulate(self, lo: int, values: np.ndarray, extend: str):
+        """Add in place the term holding ``values`` on the lattice columns
+        lo .. lo + width - 1, extended by ``extend``: the one sum rule.  The
+        sum spans the hull of the two spans (a term without columns takes a
+        copy of ``values``), one column past zero data if either term is
+        clamp, so that a clamp sum's edge columns are its plateaus.  A grown
+        block is filled as ``cols`` extends the term; a clamp contribution
+        also adds its edge columns over the rest of the block."""
+        hi = lo + values.shape[1]
+        if self.lo == self.hi:
+            self.block, self.lo, self.extend = values.copy(), lo, extend
+            return
+        clamp = "clamp" in (self.extend, extend)
+        a, b = int(clamp and self.extend == "zero"), int(clamp and extend == "zero")
+        nlo = max(min(self.lo - a, lo - b), 0)
+        nhi = min(max(self.hi + a, hi + b), self.lattice.n)
+        if nlo < self.lo or nhi > self.hi:
+            self.block, self.lo = self.cols(nlo, nhi), nlo
+        self.block[:, lo - self.lo:hi - self.lo] += values
+        if extend == "clamp":
+            self.block[:, :lo - self.lo] += values[:, :1]
+            self.block[:, hi - self.lo:] += values[:, -1:]
+            self.extend = "clamp"
 
     def __mul__(self, other):
         if isinstance(other, SampledTerm):
@@ -589,23 +610,20 @@ class StarSeries:
         shift is a phase on that table), and its kappa-th term
         (-i)^kappa / kappa! d_x^kappa is one inverse FFT of k^kappa / kappa!
         times the table, on the columns of that product.  Products
-        accumulate in place into one block per output key, in the order of
-        the pairwise recursion (left factor, right factor, kappa); a block
-        spans the union of its contributions and grows when one reaches
-        past it.  A clamp key's edge columns hold the sums of its plateaus
-        alone: a clamp contribution adds its edge columns over the rest of
-        the block, a zero one grows the block to one column past it, and a
-        grown block is filled from its edge columns.  The table and the product
-        buffer are allocated at most once per width the call needs, and no
-        per-term table outlives its loop.
+        accumulate in place into one term per output key, in the order of
+        the pairwise recursion (left factor, right factor, kappa), by the
+        sum rule of ``SampledTerm._accumulate``: a term starts with no
+        columns and grows when a contribution reaches past its block.  The
+        table and the product buffer are allocated at most once per width
+        the call needs, and no per-term table outlives its loop.
         """
         self._check(other)
         if N < 1:
             raise OrderOverflow("truncation order must be >= 1")
         grp = self.group
         M, n = self.grid.size, self.lattice.n
-        out: dict[tuple[Element, int], list] = {}    # key -> [lo, block]
-        clamp = set()                  # keys with a clamp-extended contribution
+        out = defaultdict(lambda: SampledTerm(self.grid, self.lattice,
+                                              np.empty((M, 0), dtype=complex)))
         # flat scratch, carved into contiguous (M, width) tables: the transported
         # right factor, the same before its reflection, and a product; each
         # grows to the widest table the call asks of it
@@ -616,43 +634,13 @@ class StarSeries:
                 scratch[i] = np.empty(M * width, dtype=complex)
             return scratch[i][:M * width].reshape(M, width)
 
-        def add(key, lo, values, extend):
-            hi = lo + values.shape[1]
-            was_clamp = key in clamp
-            if extend == "clamp":
-                clamp.add(key)
-            if key not in out:
-                out[key] = [lo, values.copy()]
-                return
-            acc = out[key]
-            alo, block = acc
-            ahi = alo + block.shape[1]
-            nlo, nhi = min(lo, alo), max(hi, ahi)
-            if key in clamp:            # one column of margin past zero data
-                if extend == "zero":
-                    nlo, nhi = min(nlo, lo - 1), max(nhi, hi + 1)
-                if not was_clamp:
-                    nlo, nhi = min(nlo, alo - 1), max(nhi, ahi + 1)
-                nlo, nhi = max(nlo, 0), min(nhi, n)
-            if nlo < alo or nhi > ahi:
-                acc[0], acc[1] = nlo, np.zeros((M, nhi - nlo), dtype=complex)
-                acc[1][:, alo - nlo:ahi - nlo] = block
-                if was_clamp:          # its edge columns are its plateau sums
-                    acc[1][:, :alo - nlo] = block[:, :1]
-                    acc[1][:, ahi - nlo:] = block[:, -1:]
-            alo, block = acc
-            block[:, lo - alo:hi - alo] += values
-            if extend == "clamp":
-                block[:, :lo - alo] += values[:, :1]
-                block[:, hi - alo:] += values[:, -1:]
-
         # unit cross terms
         for unit, series in ((self.unit, other), (other.unit, self)):
             if unit != 0.0:
                 for key, t in series._sorted_terms():
                     if key[1] < N:
-                        add(key, t.lo, np.multiply(t.block, unit, out=buffer(2, t.hi - t.lo)),
-                            t.extend)
+                        out[key]._accumulate(t.lo, np.multiply(
+                            t.block, unit, out=buffer(2, t.hi - t.lo)), t.extend)
 
         k = np.fft.fftfreq(M, d=1.0 / M)[:, None]
         ri = -np.arange(M) % M         # the mode k -> -k of an x-FFT table
@@ -696,7 +684,7 @@ class StarSeries:
                                        out=buffer(1, hi - lo), spare=prod)
                     np.multiply(ta.cols(lo, hi), twisted, out=prod)
                     extend = "clamp" if ta.extend == tb.extend == "clamp" else "zero"
-                    add((m, j), lo, prod, extend)
+                    out[m, j]._accumulate(lo, prod, extend)
                 for kappa in range(1, N - j):
                     lo, hi = reach[kappa]
                     if lo >= hi:
@@ -709,10 +697,8 @@ class StarSeries:
                         prod = buffer(2, hi - lo)
                         np.fft.ifft(table[:, lo - tab_lo:hi - tab_lo], axis=0, out=prod)
                         prod *= ladder[kappa].cols(lo, hi)
-                        add((m, j + kappa), lo, prod, "zero")
-        return self.copy_with({key: SampledTerm(self.grid, self.lattice, block,
-                                                "clamp" if key in clamp else "zero", lo)
-                               for key, (lo, block) in out.items()}, self.unit * other.unit)
+                        out[m, j + kappa]._accumulate(lo, prod, "zero")
+        return self.copy_with(out, self.unit * other.unit)
 
 
 # ---------------------------------------------------------------------------

@@ -425,9 +425,8 @@ class TestParametrix:
         R = fam.at(FrequencyWindow(48))
         A = LabeledOperator(R, {1: np.eye(R.window.dim, dtype=complex)})
         E = LabeledOperator(R, {3: np.eye(R.window.dim, dtype=complex)})
-        unit = LabeledOperator.unit(R)
-        assert norm_fro(unit - E.multiply(A)) < 1e-12
-        assert norm_fro(unit - A.multiply(E)) < 1e-12
+        assert norm_fro(index_engine._one_minus(E, A)) < 1e-12
+        assert norm_fro(index_engine._one_minus(A, E)) < 1e-12
         # the Neumann parametrix from r = delta_{g^{-1}} (x) 1 reproduces
         # Phi_{g^{-1}} away from the zero-section cut; the remainders reduce
         # to the exact cut projector
@@ -780,6 +779,32 @@ class TestGradedPath:
         assert set(densified) == {id(K) for K in E0_parts}
         assert all(K.band is not None for K in A_parts)
         assert all(K.band is None for K in E0_parts)
+
+    @pytest.mark.parametrize("build, cutoff", [
+        (shift_neumann_problem, 32),
+        (lambda: workload_problem("localized_curved", 0), 64),
+    ], ids=["shift_neumann", "localized_curved"])
+    def test_neumann_start_in_place(self, monkeypatch, build, cutoff):
+        # S1 = 1 - E0 A and S2 = 1 - A E0 are formed on the arrays of the two
+        # products: each part is one of them, holding 1 [g = e] - P_g exactly
+        products = []
+        multiply = LabeledOperator.multiply
+
+        def spy(X, Y, conjugates=None):
+            P = multiply(X, Y, conjugates)
+            products.append({g: (K, K.copy()) for g, K in P.parts.items()})
+            return P
+        monkeypatch.setattr(LabeledOperator, "multiply", spy)
+        p = build()
+        remainders = index_engine._neumann_start(p.operator(cutoff), p.inverse_operator(cutoff))
+        assert len(products) == 2
+        e, dim = p.group.identity, FrequencyWindow(cutoff).dim
+        for S, product in zip(remainders, products):
+            assert e in S.parts and set(S.parts) <= set(product)
+            for g, K in S.parts.items():
+                array, before = product[g]
+                assert K is array
+                assert np.array_equal(K, np.eye(dim) * (g == e) - before)
 
     @pytest.mark.parametrize("build", [
         lambda: curved_z2_problem(eps=0.3),

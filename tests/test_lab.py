@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -417,6 +418,30 @@ class TestRun:
             counts.append(len(calls))
         # symbol_parametrix_h makes N + 2 star products, the residual pair 2 more
         assert counts == [3 + 2 + 2] * 2
+
+    def test_algebraic_step_on_a_refined_inverse(self):
+        """dihedral(3) with degree-2 trigonometric polynomials of size 0.4 on
+        every element and 3 added to the identity: the principal inverse
+        needs 64 points where ``symbol_grid`` gives 32, and the step runs on
+        that grid, so the parametrix's inverse and the series share it."""
+        grp = groups.build_group("dihedral", m=3)
+        table = {}
+        for i, g in enumerate(grp.elements()):
+            plus = {"1": [0.2, 0.0], "-2": [0.0, 0.2]}
+            minus = {"-1": [0.2, 0.0], "2": [0.2 * math.cos(i), 0.2 * math.sin(i)]}
+            if g == grp.identity:
+                plus["0"] = minus["0"] = [3.0, 0.0]
+            table[grp.label(g)] = {"plus": plus, "minus": minus}
+        config = {"group": {"kind": "dihedral", "m": 3}, "realization": {"kind": "dihedral"},
+                  "symbols": table, "experiment": "algebraic", "expect": {},
+                  "numerics": {"windows": [32, 48], "parametrix_order": 3, "symbol_grid": 32,
+                               "lattice_points": 201}}
+        inverse = parse_config(config).problem.principal_inverse(circle.PeriodicGrid(32))
+        assert inverse.grid.size == 64
+        record = run(parse_config(config))
+        payload = record.payloads["algebraic"]
+        assert record.verdicts == {"algebraic": "PASS"}
+        assert payload["rounded_total"] == payload["fredholm_index"]
 
     @pytest.mark.parametrize("group, realization, element, expected", [
         ({"kind": "cyclic", "m": 2}, "reflection", "e", -1.0),

@@ -232,8 +232,10 @@ class TestLabeled:
     def test_unit_law(self):
         B = self.rnd(0)
         unit = LabeledOperator.unit(self.R)
-        assert norm_fro(unit.multiply(B) - B) < 1e-12
-        assert norm_fro(B.multiply(unit) - B) < 1e-12
+        for P in (unit.multiply(B), B.multiply(unit)):
+            assert P.support == B.support
+            assert norm_fro(LabeledOperator(self.R, {g: P.parts[g] - B.parts[g]
+                                                     for g in B.support})) < 1e-12
 
     def test_delta_products(self):
         A = LabeledOperator(self.R, {1: np.eye(W.dim, dtype=complex)})

@@ -564,13 +564,31 @@ def crossed_sample(family, rng, one_sided=(), scale=0.2) -> StarSeries:
     return StarSeries.from_crossed(CrossedSymbol(family, coeffs, SMALL_GRID), SMALL_LAT, 0.5)
 
 
+@st.composite
+def spanned_terms(draw):
+    """A zero or clamp term with random data on a random span of SMALL_LAT;
+    a clamp span holds the xi = 0 column."""
+    n, zero = SMALL_LAT.n, (SMALL_LAT.n - 1) // 2
+    extend = draw(st.sampled_from(["zero", "clamp"]))
+    if extend == "clamp":
+        lo, hi = draw(st.integers(0, zero)), draw(st.integers(zero + 1, n))
+    else:
+        lo = draw(st.integers(0, n - 1))
+        hi = draw(st.integers(lo + 1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (SMALL_GRID.size, hi - lo)
+    return SampledTerm(SMALL_GRID, SMALL_LAT, rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                       extend, lo)
+
+
 class TestClampSpans:
     """A clamp term is stored between its two plateaus, with one plateau
     column on each side and the xi = 0 column, and continues as its edge
     columns beyond; every result equals, bit for bit, the result on its inputs
     with each clamp term re-stored on the whole lattice (``clamp_widened``).
-    Dropping the edge broadcast of a clamp contribution in ``star``'s ``add``
-    breaks ``test_widened_inputs``."""
+    Dropping the edge broadcast of a clamp contribution in
+    ``SampledTerm._accumulate`` breaks ``test_widened_inputs``, and dropping
+    its margin past zero data breaks ``test_sum_rule``."""
 
     def test_widened_inputs_z2(self, z2_factors):
         a, r0, r = z2_factors
@@ -637,6 +655,23 @@ class TestClampSpans:
         assert res.terms[((), 0)].extend == "clamp"
         with pytest.raises(ResidualNotTraceClass):
             tau_g(res, ((),), H_ALG)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spanned_terms(), spanned_terms())
+    def test_sum_rule(self, x, y):
+        """``SampledTerm._accumulate``'s rule, through ``+`` in either order:
+        the sum's ``values`` are the full-width sum (``==`` sets signed zeros
+        aside), and a clamp sum's edge columns are its plateaus, which holds
+        only with one column of margin past zero data.  The summands are
+        left as they were."""
+        full = x.values + y.values
+        for total in (x + y, y + x):
+            assert total.extend == ("clamp" if "clamp" in (x.extend, y.extend) else "zero")
+            assert np.array_equal(total.values, full)
+            if total.extend == "clamp":
+                assert np.all(full[:, :total.lo] == total.block[:, :1])
+                assert np.all(full[:, total.hi:] == total.block[:, -1:])
+        assert np.array_equal(x.values + y.values, full)
 
 
 class TestTau:

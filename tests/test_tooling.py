@@ -12,8 +12,10 @@ symbol quantized by ``GOperatorProblem``, ``test_one_prune_rule`` keeps the
 part-prune threshold in ``LabeledOperator.prune``, ``test_one_trim_rule``
 keeps the star calculus's rounding threshold in ``semiclass._data_columns``,
 ``test_one_layout_reader`` keeps the storage of sampled terms inside
-``semiclass``, ``test_one_power_caller`` keeps ``LabeledOperator.power`` out
-of the trace paths, and ``test_no_scipy`` keeps the package on numpy alone."""
+``semiclass``, ``test_one_sum_rule`` keeps their sums in
+``SampledTerm._accumulate``, ``test_one_power_caller`` keeps
+``LabeledOperator.power`` out of the trace paths, and ``test_no_scipy`` keeps
+the package on numpy alone."""
 
 import ast
 import importlib
@@ -217,6 +219,35 @@ def test_one_layout_reader():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr in ("block", "lo")}
     assert readers == {"semiclass.py"}
+
+
+def test_one_sum_rule():
+    """Only ``SampledTerm.__init__`` and ``SampledTerm._accumulate`` assign a
+    term's ``block`` or ``lo``, so ``_accumulate`` is the one code that grows
+    a term.  ``StarSeries.star`` reaches its output only through it: it
+    calls ``_accumulate``, writes through an index only into its lists of
+    scratch buffers and of spans, and builds no term but the empty start of
+    an output key."""
+    writers = {scope for path in sorted(PACKAGE.glob("*.py"))
+               for scope, node in _scoped(ast.parse(path.read_text()), path.stem)
+               if isinstance(node, ast.Attribute) and node.attr in ("block", "lo")
+               and isinstance(node.ctx, ast.Store)}
+    assert writers == {"semiclass.SampledTerm.__init__", "semiclass.SampledTerm._accumulate"}
+    module = ast.parse((PACKAGE / "semiclass.py").read_text())
+    star = [node for scope, node in _scoped(module, "semiclass")
+            if scope == "semiclass.StarSeries" and getattr(node, "name", None) == "star"]
+    assert len(star) == 1
+    nodes = [node for _, node in _scoped(star[0], "star")]
+    assert "_accumulate" in {name for _, name in _calls(star[0], "star")}
+    targets = [target for node in nodes if isinstance(node, (ast.Assign, ast.AugAssign))
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    indexed = {ast.unparse(t.value) for target in targets for t in ast.walk(target)
+               if isinstance(t, ast.Subscript)}
+    assert indexed <= {"scratch", "reach"}
+    built = [node for node in nodes if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "SampledTerm"]
+    assert all(len(call.args) == 3 and not call.keywords and call.args[2].func.attr == "empty"
+               for call in built)
 
 
 def test_one_power_caller():
