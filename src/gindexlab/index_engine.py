@@ -49,7 +49,13 @@ these traces:
   a prefix.  The remainder powers come from the push-through identity S1 E0
   = E0 S2: with H_1 = E0 and H_{j+1} = E0 + H_j S2, exactly S1^k = 1 - H_k
   A and S2^k = 1 - A H_k (``_neumann_heads``).  So the only dense products
-  are the N - N//2 - 1 steps of that recursion per irrep.  S1 is not
+  are the N - N//2 - 1 steps of that recursion per irrep, run by row strips
+  in E0(pi)'s storage (a row strip of H_{j+1} reads only the same strip of
+  H_j and of E0), the last ones only on the rows and columns the traces
+  read: at N = 4, H_2 takes E0(pi)'s place, E0(pi) and S2 are the only
+  dense arrays, and the head costs about 0.8 n^3 multiply-adds for n = d_pi
+  dim.  The irreps are taken smallest first, so the largest block's two
+  dense arrays are formed with no other irrep's E0(pi) alive.  S1 is not
   formed; S2 = 1 - A E0, the prefix rows of S^{N - N//2} and the prefix
   columns of S^{N//2} go through A's band (``_Banded``), and A is never
   formed densely unless its band is not certified.  The inner diagonals of
@@ -96,6 +102,7 @@ DEFAULT_ZERO_TOL = 1e-8
 DRIFT_TOL = 1e-3
 CHI_TOL = 1e-3             # |ind_<g0>| below this counts as vanishing
 PARAMETRIX_ORDER = 4       # Neumann order N of the parametrix
+HEAD_STRIP = 64            # rows of a block-path Neumann head per dense product
 
 
 def _require_windows(windows):
@@ -601,18 +608,38 @@ def _unit_minus(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def _neumann_heads(E: np.ndarray, S2: np.ndarray):
-    """H_1 = E, H_2, H_3, ... with H_{j+1} = E + H_j S2, one dense product each.
+def _neumann_heads(E: np.ndarray, S2: np.ndarray, N: int, keep: int):
+    """H_{N - N//2} on its first ``keep`` rows and H_{N//2} on its first
+    ``keep`` columns, where H_1 = E and H_{j+1} = E + H_j S2; E is taken over.
 
     For S1 = 1 - E A and S2 = 1 - A E, S1 E = E S2 (both are E - E A E), so
     H_j = sum_{i<j} S1^i E = sum_{i<j} E S2^i, and the sums telescope:
     S1^j = 1 - H_j A and S2^j = 1 - A H_j exactly, on every finite window.
+
+    The recurrence runs by row strips of HEAD_STRIP rows, split at ``keep``:
+    a row strip of H_{j+1} reads only the same strip of H_j and of E, so each
+    strip's heads are formed from its own rows of E and then written over
+    them.  Past ``keep`` only the first ``keep`` columns of the last head are
+    formed.  The column head is E's storage; so is the row head when N is
+    even, and otherwise it is a new ``keep``-row array.
     """
-    H = E
-    while True:
-        yield H
-        H = H @ S2
-        H += E
+    k_rows, k_cols = N - N // 2, N // 2
+    n = len(E)
+    H_rows = E[:keep] if k_rows == k_cols else np.empty((keep, n), dtype=complex)
+    bounds = [*range(0, keep, HEAD_STRIP), *range(keep, n, HEAD_STRIP), n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        e = E[lo:hi]
+        last, cols = (k_rows, slice(None)) if lo < keep else (k_cols, slice(keep))
+        H = e
+        for _ in range(last - 2):
+            H = H @ S2
+            H += e
+        if lo < keep and k_rows > k_cols:       # H = H_{k_cols}: keep its first columns
+            np.add(H @ S2, e, out=H_rows[lo:hi])
+            e[:, :keep] = H[:, :keep]
+        elif last > 1:                          # H = H_{last - 1}: the last head over E
+            e[:, cols] += H @ S2[:, cols]
+    return H_rows, E[:, :keep]
 
 
 def _irrep_remainders(E: np.ndarray, A: _Banded, N: int, m: int, d: int):
@@ -622,15 +649,15 @@ def _irrep_remainders(E: np.ndarray, A: _Banded, N: int, m: int, d: int):
 
     S^N = S^{k1} S^{k2}, k1 = N - N//2 and k2 = N//2, and only the prefix rows
     of S^{k1} and the prefix columns of S^{k2} are formed, from H_{k1} and
-    H_{k2} (``_neumann_heads``): k1 - 1 dense products, every other product
-    through A's band.  E is released once the heads exist.
+    H_{k2} (``_neumann_heads``).  Those products by A's band read the first
+    m + reach + bs rows of H_{k1} and columns of H_{k2}, so the heads are
+    formed there alone, in E's storage: at N = 4 only E and S2 are dense, and
+    the head product is about 0.8 n^3 against n^3.  Every other product runs
+    through A's band; S2 is released once the heads exist.
     """
-    heads = _neumann_heads(E, _unit_minus(A.left(E)))
+    keep = min(len(E), m + A.reach + A.strips.shape[2])
+    H_rows, H_cols = _neumann_heads(E, _unit_minus(A.left(E)), N, keep)
     del E
-    for _ in range(N // 2):
-        H_cols = next(heads)
-    H_rows = next(heads) if N % 2 else H_cols
-    heads.close()
 
     def trace(R, C):
         return np.einsum("paj,jpb->ab", R.reshape(-1, d, R.shape[1]), C.reshape(len(C), -1, d))
@@ -650,7 +677,9 @@ def _block_traces(A: LabeledOperator, E0: LabeledOperator, N: int,
 
     In the interleaved order the inner window is a prefix of every block.  A
     and E0 are taken over: each one's held parts are cleared once its blocks
-    exist, and each block E0(pi) is dropped once its heads do.  The traces are
+    exist, and each block E0(pi) becomes its heads (``_irrep_remainders``).
+    The irreps are taken smallest first, so the largest block's dense arrays
+    are formed once every other irrep's E0(pi) is gone.  The traces are
     reported on the graded path's supports: S1's support is E0's times A's,
     S2's is A's times E0's, each with the identity added, multiplied out
     N-fold.  No norm is taken, since a finite group prunes no part.
@@ -667,9 +696,9 @@ def _block_traces(A: LabeledOperator, E0: LabeledOperator, N: int,
     E0.bands.clear()
     inner = int(np.count_nonzero(window.inner_mask(inner_fraction)))
     per_irrep = []
-    while E_hat:                    # irreps() lists the largest blocks last: pop them first
-        d = len(E_hat[-1].strips[0]) // dim
-        per_irrep.insert(0, _irrep_remainders(E_hat.pop().strips[0], A_hat.pop(), N, d * inner, d))
+    while E_hat:                    # irreps() lists the largest blocks last: pop them last
+        d = len(E_hat[0].strips[0]) // dim
+        per_irrep.append(_irrep_remainders(E_hat.pop(0).strips[0], A_hat.pop(0), N, d * inner, d))
     traces = []
     for T, first in zip(zip(*per_irrep), keys):
         support = first

@@ -517,22 +517,35 @@ def random_matrix(rng, n):
 
 class TestNeumannHeads:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 24), st.integers(1, 4), st.floats(0.1, 10.0),
-           st.integers(0, 2 ** 32 - 1))
-    def test_remainder_powers_from_one_head(self, n, k, scale, seed):
-        # S1^k = 1 - H_k A and S2^k = 1 - A H_k on any square matrices, against
-        # the repeated products of S1 = 1 - E A and S2 = 1 - A E
+    @given(st.integers(1, 2 * index_engine.HEAD_STRIP + 9).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(1, n))),
+           st.integers(2, 8), st.floats(0.1, 10.0), st.integers(0, 2 ** 32 - 1))
+    @example((2 * index_engine.HEAD_STRIP + 9, index_engine.HEAD_STRIP + 3), 4, 1.0, 0)
+    @example((index_engine.HEAD_STRIP // 2, 5), 5, 1.0, 1)
+    @example((index_engine.HEAD_STRIP + 1,) * 2, 8, 1.0, 2)
+    def test_remainder_powers_from_the_kept_heads(self, size, N, scale, seed):
+        # the heads formed in place by row strips, H_k1 on its first keep rows
+        # and H_k2 on its first keep columns (k1 = N - N//2, k2 = N//2), are
+        # the plain recurrence's on those entries; on them S1^k1 = 1 - H_k1 A
+        # and S2^k2 = 1 - A H_k2, against repeated products of S1 = 1 - E A and
+        # S2 = 1 - A E
+        n, keep = size
         rng = np.random.default_rng(seed)
         A = scale * random_matrix(rng, n) / n
         E = random_matrix(rng, n) / (scale * n)
         S1, S2 = np.eye(n) - E @ A, np.eye(n) - A @ E
-        heads = index_engine._neumann_heads(E, S2.copy())
-        for _ in range(k):
-            H = next(heads)
-        P1, P2 = np.linalg.matrix_power(S1, k), np.linalg.matrix_power(S2, k)
-        size = (1 + np.linalg.norm(S1)) ** k + np.linalg.norm(H) * np.linalg.norm(A)
-        assert np.max(np.abs(np.eye(n) - H @ A - P1)) <= 1e-12 * size
-        assert np.max(np.abs(np.eye(n) - A @ H - P2)) <= 1e-12 * size
+        heads = [E]
+        for _ in range(3):
+            heads.append(E + heads[-1] @ S2)
+        H_rows, H_cols = index_engine._neumann_heads(E.copy(), S2, N, keep)
+        k1, k2 = N - N // 2, N // 2
+        assert H_rows.shape == (keep, n) and H_cols.shape == (n, keep)
+        size = (1 + np.linalg.norm(S1)) ** k1 + np.linalg.norm(heads[k1 - 1]) * np.linalg.norm(A)
+        assert np.max(np.abs(H_rows - heads[k1 - 1][:keep])) <= 1e-12 * size
+        assert np.max(np.abs(H_cols - heads[k2 - 1][:, :keep])) <= 1e-12 * size
+        P1, P2 = np.linalg.matrix_power(S1, k1), np.linalg.matrix_power(S2, k2)
+        assert np.max(np.abs(np.eye(n)[:keep] - H_rows @ A - P1[:keep])) <= 1e-12 * size
+        assert np.max(np.abs(np.eye(n)[:, :keep] - A @ H_cols - P2[:, :keep])) <= 1e-12 * size
 
 
 @st.composite
@@ -692,37 +705,56 @@ class TestBlockPath:
         localized_index(p, (p.group.identity,), (32, 48), drift_tol=math.inf)
         assert taken == [path, path]
 
-    def test_one_dense_product_per_irrep_at_order_four(self, monkeypatch):
-        # E0's blocks record every matmul they and their products enter; the
-        # only n x n x n one is H_2 = E0 + E0 S2, where forming E0 A, A E0,
-        # S1^2 and S2^2 would make four
+    def test_dense_products_only_on_the_kept_heads_at_order_four(self, monkeypatch):
+        # E0's blocks record every matmul they and their products enter; per
+        # irrep, those of inner dimension n = d dim add up to at most the
+        # multiply-adds of H_2 = E0 + E0 S2 on the rows and columns the traces
+        # read, the first keep = m + reach + bs of each: below n^3, which
+        # forming H_2 whole, or E0 A, S1^2 or S2^2 densely, reaches alone
         build = index_engine._irrep_blocks
         monkeypatch.setattr(index_engine, "_irrep_blocks", lambda X, irreps, order, banded: [
             B if banded else index_engine._Banded(B.strips.view(MatmulSpy), B.reach)
             for B in build(X, irreps, order, banded)])
-        MatmulSpy.shapes = []
+        remainders = index_engine._irrep_remainders
+        counts = []
+
+        def counted(E, A, N, m, d):
+            n = len(E)
+            MatmulSpy.shapes = []
+            out = remainders(E, A, N, m, d)
+            macs = sum(x[0] * n * y[1] for x, y in MatmulSpy.shapes
+                       if len(x) == len(y) == 2 and x[1] == y[0] == n)
+            keep = min(n, m + A.reach + A.strips.shape[2])
+            counts.append((n, macs, keep * n * n + (n - keep) * n * keep))
+            return out
+
+        monkeypatch.setattr(index_engine, "_irrep_remainders", counted)
         p = dihedral_sample(3)
         A = p.operator(48)
         sizes = [len(rep[p.group.identity]) * A.window.dim for rep in p.group.irreps()]
         index_engine._block_traces(A, p.inverse_operator(48), 4, 0.5)
-        cubes = [s for s in MatmulSpy.shapes if len(s) == 2 and s[0] == s[1] == s[0][:1] * 2]
-        assert sorted(s[0][0] for s in cubes) == sorted(sizes)
+        for n, macs, kept in counts:
+            assert 0 < macs <= kept < n ** 3
+        assert [n for n, _, _ in counts] == sizes       # smallest irrep first
 
-    def test_peak_memory_at_most_the_dense_blocks(self):
-        # the localized_dihedral seed-0 problem at cutoff 192: with dense
-        # blocks of A and four dense products per irrep the path peaked at
-        # 20.1 window matrices, operator build included; forming S1 and
-        # copying S1 and S2 into components to prune them, at 18.6
+    @pytest.mark.parametrize("N, budget", [(3, 12.0), (4, 10.0), (5, 12.5)])
+    def test_peak_memory_at_most_the_dense_blocks(self, N, budget):
+        # the localized_dihedral seed-0 problem at cutoff 192, operator build
+        # included, in window matrices: with E0, S2 and every head of the
+        # largest irrep dense, and the other irreps' E0 blocks alive, the path
+        # peaked at 14.62, 14.44 and 18.44 for N = 3, 4 and 5; with the heads
+        # formed in E0's storage on the traced rows and columns, at 10.86,
+        # 9.14 and 11.19
         p = dihedral_sample(0)
         p.principal_inverse(grid_for_window(FrequencyWindow(192)))
         window_bytes = 16 * FrequencyWindow(192).dim ** 2
         tracemalloc.start()
         try:
-            index_engine._block_traces(p.operator(192), p.inverse_operator(192), 4, 0.5)
+            index_engine._block_traces(p.operator(192), p.inverse_operator(192), N, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 15.5 * window_bytes
+        assert peak <= budget * window_bytes
 
     def test_one_operator_per_window(self, monkeypatch):
         # decomposition_check counts each window's index and reads its traces
