@@ -44,6 +44,7 @@ from .groups import Element, GroupSpec
 
 TWO_PI = 2.0 * math.pi
 DIFFEO_CHECK_TOL = 1e-10    # allowed |alpha(alpha^{-1}(x)) - x| on a grid
+SHIFT_STRIP = 64            # modes k >= 0 of a weighted shift per FFT
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +244,30 @@ def weighted_shift_matrix(diffeo: CircleDiffeo, window: FrequencyWindow) -> np.n
     built on a grid of at least 8 N_F nodes so that it resolves the spectral
     spread of the highest column.  The exponentials are taken for k >= 0
     only; w is real, so column -k of the table is the conjugate of column k.
+    The table is built and transformed in strips of SHIFT_STRIP modes k >= 0,
+    each with its conjugate columns, one FFT per strip, so only one strip is
+    ever held; each column's FFT is independent of the others, so the matrix
+    is bitwise the one of the whole table.
     """
     build_grid = power_of_two_grid(8 * window.cutoff)
     x = build_grid.nodes
     ainv = diffeo.inverse(x)
     w = np.sqrt(np.abs(1.0 / diffeo.deriv(ainv)))
-    half = w[:, None] * np.exp(1j * np.outer(ainv, np.arange(window.cutoff + 1)))
-    cols = np.concatenate([half[:, :0:-1].conj(), half], axis=1)          # k = -N_F .. N_F
-    coeffs = np.fft.fft(cols, axis=0) / build_grid.size  # row j = coeff of e^{ijx}, j mod M
-    return coeffs[np.mod(window.modes, build_grid.size), :]
+    rows = np.mod(window.modes, build_grid.size)       # row j = coeff of e^{ijx}, j mod M
+    nf = window.cutoff
+    out = np.empty((window.dim, window.dim), dtype=complex)
+    for lo in range(0, nf + 1, SHIFT_STRIP):
+        hi = min(lo + SHIFT_STRIP, nf + 1)
+        neg = hi - max(lo, 1)                           # modes -hi+1 .. -max(lo, 1)
+        cols = np.empty((build_grid.size, neg + hi - lo), dtype=complex)
+        half = cols[:, neg:]
+        np.multiply(w[:, None], np.exp(1j * np.outer(ainv, np.arange(lo, hi))), out=half)
+        np.conj(half[:, :-neg - 1:-1], out=cols[:, :neg])
+        np.fft.fft(cols, axis=0, out=cols)
+        cols /= build_grid.size
+        out[:, nf - hi + 1:nf - hi + 1 + neg] = cols[rows, :neg]
+        out[:, nf + lo:nf + hi] = cols[rows, neg:]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from gindexlab.quantize import (LabeledOperator, TransferBand, op_classical, op_
 from gindexlab.samples import annulus_term, shift_neumann_problem, winding_problem, z2_sample
 from gindexlab.semiclass import SampledTerm, XiLattice
 from gindexlab.symbols import CrossedSymbol, PrincipalSymbol
-from gindexlab.transforms import Realization, RealizationFamily
+from gindexlab.transforms import Realization, RealizationFamily, weighted_shift_matrix
 
 W = FrequencyWindow(16)
 GRID = grid_for_window(W)
@@ -155,6 +155,16 @@ class TestAllocationBudgets:
         phi = z2_sample().realization(self.window.cutoff).phi(1)
         mat = np.ones((self.window.dim,) * 2, dtype=complex)
         assert peak_ratio(lambda: phi.right_mul(mat), self.nbytes) <= 1.2
+
+    def test_weighted_shift_matrix(self):
+        # a curved rotation's dense shift is built on a 2048-point grid: the
+        # full exponential table and its FFT peaked at 11.0 windows; one strip
+        # of SHIFT_STRIP modes and their conjugates at a time, at 3.01
+        diffeo = RealizationFamily(build_group("cyclic", m=3), "curved_rotation",
+                                   eps=0.3).diffeo(1)
+        weighted_shift_matrix(diffeo, FrequencyWindow(16))     # first-call allocations
+        assert peak_ratio(lambda: weighted_shift_matrix(diffeo, self.window),
+                          self.nbytes) <= 3.5
 
     def test_index_window(self):
         # one cutoff-512 index window, band build included, within 2.8 MB
