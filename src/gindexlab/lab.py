@@ -37,7 +37,8 @@ from .samples import (annulus_term, egorov_curved_term, egorov_isometry_term,
                       reflection_term)
 from .semiclass import (DIAG_H_GRID, MIN_H_POINTS, MIN_H_SPAN, MIN_LATTICE_POINTS,
                         NEG_POWER_TOL, StarSeries, XiLattice,
-                        algebraic_index, egorov_defect, trace_power_law)
+                        algebraic_index, egorov_defect, symbol_parametrix_h,
+                        trace_power_law)
 from .symbols import ELLIPTIC_TOL, VERDICTS, is_elliptic
 from .transforms import RealizationFamily
 
@@ -410,15 +411,17 @@ def _exp_localized(config: ExperimentConfig):
 def _exp_algebraic(config: ExperimentConfig):
     problem = config.problem
     num = config.numerics
-    # the grid of the principal inverse, refined until the inverse resolves, so
-    # that the parametrix's inverse lies on the series' grid
-    grid = problem.principal_inverse(PeriodicGrid(num["symbol_grid"])).grid
+    # the principal inverse, on a grid refined until it resolves; the series
+    # lies on that grid, and the parametrix starts from this inverse
+    inverse = problem.principal_inverse(PeriodicGrid(num["symbol_grid"]))
+    grid = inverse.grid
     lattice = XiLattice(num["lattice_radius"], num["lattice_points"])
     sweep = _sweep(config)
     h_grid = _h_grid_from(num["h_grid"])
     tols = num["tolerances"]
     series = StarSeries.from_crossed(problem.symbol(grid), lattice, num["eps"])
-    results = algebraic_index(series, sweep["N"], h_grid, neg_tol=tols["neg_power"])
+    r = symbol_parametrix_h(series, sweep["N"], inverse=inverse)
+    results = algebraic_index(series, sweep["N"], h_grid, r, neg_tol=tols["neg_power"])
     analytic = decomposition_check(problem, **sweep)
     per_class = {}
     total_c0 = 0.0 + 0.0j

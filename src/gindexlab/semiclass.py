@@ -727,13 +727,17 @@ def _one_minus(a: StarSeries, b: StarSeries, N: int) -> StarSeries:
     return p.copy_with(terms, 1.0 - p.unit)
 
 
-def symbol_parametrix_h(a: StarSeries, N: int) -> StarSeries:
+def symbol_parametrix_h(a: StarSeries, N: int, *,
+                        inverse: CrossedSymbol | None = None) -> StarSeries:
     """Almost inverse r = r0 * (1 + w + ... + w^N), w = 1 - a * r0,
     with r0 the pointwise inverse of the leading crossed symbol embedded with
-    the same zero-section cut as ``a``.  r0 is embedded once for w and again
-    for the last product (``from_crossed`` is deterministic), so it is not
-    alive during the loop; ``w`` is released before the last product."""
-    inverse = invert_principal(a.leading_crossed())
+    the same zero-section cut as ``a``.  A caller that holds that inverse on
+    ``a``'s grid passes it as ``inverse``; otherwise it is inverted here from
+    ``a``'s samples.  r0 is embedded once for w and again for the last
+    product (``from_crossed`` is deterministic), so it is not alive during
+    the loop; ``w`` is released before the last product."""
+    if inverse is None:
+        inverse = invert_principal(a.leading_crossed())
     one = StarSeries.unit_series(a.family, a.grid, a.lattice, a.eps)
     w = _one_minus(a, StarSeries.from_crossed(inverse, a.lattice, a.eps), N)
     acc = one

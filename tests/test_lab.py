@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gindexlab import circle, cli, groups, index_engine, lab, semiclass, symbols
+from gindexlab import circle, cli, groups, index_engine, lab, problems, semiclass, symbols
 from gindexlab.cli import main
 from gindexlab.errors import ParseError, SchemaError
 from gindexlab.lab import (DEFAULT_NUMERICS, FIELDS, RunRecord, emit_reports,
@@ -418,6 +418,20 @@ class TestRun:
             counts.append(len(calls))
         # symbol_parametrix_h makes N + 2 star products, the residual pair 2 more
         assert counts == [3 + 2 + 2] * 2
+
+    def test_one_principal_inversion_on_the_series_grid(self, monkeypatch):
+        # the parametrix starts from the problem's principal inverse, which
+        # also fixed the series' grid; the localized step inverts on the
+        # windows' own grids
+        grids = []
+        for module in (problems, semiclass):
+            invert = module.invert_principal
+            monkeypatch.setattr(module, "invert_principal", lambda sym, _invert=invert:
+                                grids.append(sym.grid.size) or _invert(sym))
+        run(parse_config({**Z2_PIPELINE, "expect": {}, "experiment": "algebraic",
+                          "numerics": {"windows": [32, 48], "parametrix_order": 3,
+                                       "symbol_grid": 64, "lattice_points": 201}}))
+        assert grids.count(64) == 1
 
     def test_algebraic_step_on_a_refined_inverse(self):
         """dihedral(3) with degree-2 trigonometric polynomials of size 0.4 on
