@@ -652,12 +652,12 @@ def _irrep_remainders(E: np.ndarray, A: _Banded, N: int, m: int, d: int):
     H_{k2} (``_neumann_heads``).  Those products by A's band read the first
     m + reach + bs rows of H_{k1} and columns of H_{k2}, so the heads are
     formed there alone, in E's storage: at N = 4 only E and S2 are dense, and
-    the head product is about 0.8 n^3 against n^3.  Every other product runs
-    through A's band; S2 is released once the heads exist.
+    at inner fraction 0.5 the head product is about 0.8 n^3 against n^3.
+    Every other product runs through A's band; S2 is released once the heads
+    exist.
     """
     keep = min(len(E), m + A.reach + A.strips.shape[2])
     H_rows, H_cols = _neumann_heads(E, _unit_minus(A.left(E)), N, keep)
-    del E
 
     def trace(R, C):
         return np.einsum("paj,jpb->ab", R.reshape(-1, d, R.shape[1]), C.reshape(len(C), -1, d))

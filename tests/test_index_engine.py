@@ -523,7 +523,7 @@ class TestNeumannHeads:
     @example((2 * index_engine.HEAD_STRIP + 9, index_engine.HEAD_STRIP + 3), 4, 1.0, 0)
     @example((index_engine.HEAD_STRIP // 2, 5), 5, 1.0, 1)
     @example((index_engine.HEAD_STRIP + 1,) * 2, 8, 1.0, 2)
-    def test_remainder_powers_from_the_kept_heads(self, size, N, scale, seed):
+    def test_remainder_powers_from_one_head(self, size, N, scale, seed):
         # the heads formed in place by row strips, H_k1 on its first keep rows
         # and H_k2 on its first keep columns (k1 = N - N//2, k2 = N//2), are
         # the plain recurrence's on those entries; on them S1^k1 = 1 - H_k1 A
@@ -705,7 +705,7 @@ class TestBlockPath:
         localized_index(p, (p.group.identity,), (32, 48), drift_tol=math.inf)
         assert taken == [path, path]
 
-    def test_dense_products_only_on_the_kept_heads_at_order_four(self, monkeypatch):
+    def test_one_dense_product_per_irrep_at_order_four(self, monkeypatch):
         # E0's blocks record every matmul they and their products enter; per
         # irrep, those of inner dimension n = d dim add up to at most the
         # multiply-adds of H_2 = E0 + E0 S2 on the rows and columns the traces
