@@ -68,15 +68,18 @@ these traces:
   A E0, the identity pairs of E0 A, the first factor A_h Phi_{g^-1} of each
   conjugation and A's realized window read A's certified band
   (``TransferBand.band``); E0 certifies none.  S1 and S2 are formed in place
-  on the fresh parts of E0 A and A E0 (``_one_minus``).  The powers run on
-  the inner rows, and the last product is traced in one pass over its pairs
-  of parts, never formed.
+  on the fresh parts of E0 A and A E0 (``_one_minus``), one at a time: S2
+  only once S1's traces are taken and its parts released.  The powers run
+  on the inner rows, a conjugation by Phi_e is the held part itself, and the
+  last product is traced in one pass over its pairs of parts, never formed.
 
 A sweep takes at least two strictly increasing windows (drifts compare the
 last two).  Each problem caches a window's index data (``_window_index``) and
 remainder traces (``_window_traces``) per numerics, so every check on one
 problem computes each window once; ``decomposition_check`` takes both from
-one operator build per window.
+one operator build per window.  Sweeps compute their windows largest first,
+so each smaller window's arrays fit in memory the larger one has freed;
+reports list the windows in ascending order.
 """
 
 from __future__ import annotations
@@ -381,7 +384,8 @@ def numerical_index(problem: GOperatorProblem, windows,
     windows disagree, so a returned report is always stabilized.
     """
     _require_windows(windows)
-    rows = [_window_index(problem, cutoff, zero_tol, inner_fraction) for cutoff in windows]
+    rows = [_window_index(problem, cutoff, zero_tol, inner_fraction)
+            for cutoff in reversed(windows)][::-1]
     if all(r.sv_gap < GAP_REQUIREMENT for r in rows):
         raise NoSpectralGap(
             f"sv_gap below {GAP_REQUIREMENT:g} at every window: "
@@ -712,12 +716,15 @@ def _block_traces(A: LabeledOperator, E0: LabeledOperator, N: int,
 def _graded_traces(A: LabeledOperator, E0: LabeledOperator, N: int,
                    inner_fraction: float) -> _WindowTraces:
     """Remainder traces of one window from its A and E0, graded path; the block
-    path's oracle.  Both are taken over: their parts go once S1 and S2 exist."""
-    S1, S2 = _neumann_start(A, E0)
+    path's oracle.  One remainder is alive at a time: S1 = 1 - E0 A is formed,
+    its powers traced and its parts released before S2 = 1 - A E0 is formed.
+    A and E0 are taken over: their parts, transfer bands until then, go once
+    S2 exists."""
+    left = _power_traces(_one_minus(E0, A).prune(), N, inner_fraction)
+    S2 = _one_minus(A, E0).prune()
     for X in (E0, A):
         (X.bands or X.parts).clear()
-    return _WindowTraces(_power_traces(S1, N, inner_fraction),
-                         _power_traces(S2, N, inner_fraction))
+    return _WindowTraces(left, _power_traces(S2, N, inner_fraction))
 
 
 def _window_traces(problem: GOperatorProblem, cutoff: int, N: int, inner_fraction: float,
@@ -751,8 +758,9 @@ def localized_index(problem: GOperatorProblem, cls: tuple[Element, ...],
     """ind_<g> = Tr_g(1 - EA) - Tr_g(1 - AE), stabilized over the windows;
     ``drift_tol=math.inf`` reports the drift without checking it."""
     _require_windows(windows)
-    series = [(cutoff, _window_traces(problem, cutoff, N, inner_fraction).value(cls))
-              for cutoff in windows]
+    traces = [_window_traces(problem, cutoff, N, inner_fraction)
+              for cutoff in reversed(windows)][::-1]
+    series = [(cutoff, t.value(cls)) for cutoff, t in zip(windows, traces)]
     drift = abs(series[-1][1] - series[-2][1])
     if drift > drift_tol:
         raise NonStabilized(f"class {class_label(problem, cls)} drift {drift:.2e} "
@@ -779,13 +787,13 @@ def decomposition_check(problem: GOperatorProblem, windows, N: int = PARAMETRIX_
                         index_windows=None) -> LocalizedIndexReport:
     """Compare the sum of localized indices against the SVD Fredholm index.
 
-    The classes are those the first window's remainder traces touch.  A window
-    that is also an index window gets its index data and its traces from one
-    operator build.
+    The classes are those the first window's remainder traces touch.  The
+    windows are built largest first; one that is also an index window gets
+    its index data and its traces from one operator build.
     """
     _require_windows(windows)
     index_windows = index_windows or windows
-    for cutoff in windows:
+    for cutoff in reversed(windows):
         _window_traces(problem, cutoff, N, inner_fraction,
                        zero_tol if cutoff in index_windows else None)
     traces = _window_traces(problem, windows[0], N, inner_fraction)

@@ -316,17 +316,18 @@ class LabeledOperator:
     def conjugated_part(self, g: Element, h: Element,
                         memo: dict | None = None) -> np.ndarray | _Banded:
         """Phi_g K_h Phi_{g^{-1}}, memoized per (g, h) in ``memo`` when one is
-        given; a memo serves one right factor only.  A certified band is kept:
-        Phi_e is the unit, so at the identity it is the result, and under a
-        weighted shift it gives the first factor K_h Phi_{g^{-1}}."""
+        given; a memo serves one right factor only.  Phi_e is the unit, so at
+        the identity the result is the held part itself, its certified band
+        where it has one, never a copy.  Under a weighted shift a certified
+        band gives the first factor K_h Phi_{g^{-1}}."""
         memo = {} if memo is None else memo
         if (g, h) not in memo:
             real, e = self.realization, self.group.identity
             K = self._held(h, banded=g == e or isinstance(real.phi(g), WeightedShift))
-            if not isinstance(K, _Banded):
-                memo[g, h] = real.conjugate(g, K)
-            elif g == e:
+            if g == e:
                 memo[g, h] = K
+            elif not isinstance(K, _Banded):
+                memo[g, h] = real.conjugate(g, K)
             else:
                 memo[g, h] = real.phi(g).left_mul(K.left(real.phi(self.group.inv(g)).matrix()))
         return memo[g, h]
@@ -339,7 +340,8 @@ class LabeledOperator:
         the index engine's group-Fourier blocks (``index_engine._block_traces``),
         which finite isometric problems take instead.  ``conjugates`` memoizes
         the conjugated parts of ``other`` across calls (``conjugated_part``).
-        Of two bands, the right one is made dense.
+        Of two bands, the right one is made dense.  Every term is a fresh
+        product, so the first one of each m is the sum's storage.
         """
         self._check_compatible(other)
         grp = self.group
@@ -353,7 +355,10 @@ class LabeledOperator:
                     L = other._held(h, banded=False)
                 contrib = (K.left(L) if isinstance(K, _Banded) else
                            L.right(K) if isinstance(L, _Banded) else K @ L)
-                out[m] = out[m] + contrib if m in out else contrib
+                if m in out:
+                    out[m] += contrib
+                else:
+                    out[m] = contrib
         return LabeledOperator(self.realization, out)
 
     def power(self, n: int) -> "LabeledOperator":

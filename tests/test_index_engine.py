@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -758,8 +759,9 @@ class TestBlockPath:
 
     def test_one_operator_per_window(self, monkeypatch):
         # decomposition_check counts each window's index and reads its traces
-        # from one build of A and one of E0, and the trace path releases the
-        # parts of both: on the graded path E0's parts are dense windows
+        # from one build of A and one of E0, largest window first, and the
+        # trace path releases the parts of both: on the graded path E0's
+        # parts are dense windows
         built = {"operator": [], "inverse_operator": []}
         for name, calls in built.items():
             build = getattr(GOperatorProblem, name)
@@ -771,7 +773,7 @@ class TestBlockPath:
                 calls.clear()
             decomposition_check(p, (32, 48))
             for calls in built.values():
-                assert [cutoff for cutoff, _ in calls] == [32, 48]
+                assert [cutoff for cutoff, _ in calls] == [48, 32]
                 assert all(not X.parts for _, X in calls)
 
 
@@ -843,8 +845,8 @@ class TestGradedPath:
         shift_neumann_problem,
     ])
     def test_powers_run_on_the_traced_rows(self, monkeypatch, build):
-        # after E0 A and A E0, every product is a power product by S1 or S2,
-        # and its left factor holds the inner rows only
+        # E0 A, then S1's power products, then A E0 and S2's: the left factor
+        # of every power product holds the inner rows only
         left_rows = []
         multiply = LabeledOperator.multiply
         monkeypatch.setattr(LabeledOperator, "multiply", lambda X, Y, conjugates=None:
@@ -855,8 +857,36 @@ class TestGradedPath:
         index_engine._graded_traces(p.operator(window.cutoff), p.inverse_operator(window.cutoff),
                                     N, 0.5)
         inner = int(np.sum(window.inner_mask(0.5)))
-        assert left_rows[:2] == [{window.dim}, {window.dim}]
-        assert left_rows[2:] == [{inner}] * 2 * (N - 2)
+        assert left_rows == ([{window.dim}] + [{inner}] * (N - 2)) * 2
+
+    @pytest.mark.parametrize("build", [
+        lambda: curved_z2_problem(eps=0.3),
+        shift_neumann_problem,
+    ])
+    def test_one_remainder_alive(self, monkeypatch, build):
+        # weak references to each remainder's parts, read at every product:
+        # no part of S2 exists while S1's powers run, and S1's parts are gone
+        # before A E0 forms S2
+        remainders, alive = [], []
+        one_minus = index_engine._one_minus
+
+        def formed(X, Y):
+            S = one_minus(X, Y)
+            remainders.append([weakref.ref(K) for K in S.parts.values()])
+            return S
+        monkeypatch.setattr(index_engine, "_one_minus", formed)
+        multiply = LabeledOperator.multiply
+        monkeypatch.setattr(LabeledOperator, "multiply", lambda X, Y, conjugates=None:
+                            alive.append([sum(r() is not None for r in refs)
+                                          for refs in remainders])
+                            or multiply(X, Y, conjugates))
+        p, N = build(), 4
+        index_engine._graded_traces(p.operator(48), p.inverse_operator(48), N, 0.5)
+        assert len(remainders) == 2 and len(alive) == 2 * (N - 1)
+        assert alive[0] == []                                           # E0 A
+        assert all(len(c) == 1 and c[0] > 0 for c in alive[1:N - 1])     # S1's powers
+        assert alive[N - 1] == [0]                                      # A E0
+        assert all(c[0] == 0 and c[1] > 0 for c in alive[N:])           # S2's powers
 
     @pytest.mark.parametrize("cutoff", [32, 48])
     @pytest.mark.parametrize("N", [2, 3, 4])
@@ -891,6 +921,43 @@ class TestGradedPath:
                     assert abs(value) < 1e-15
                 else:
                     assert abs(value) < PRUNE_TOL * abs(side[p.group.identity])
+
+
+class TestAllocationBudgets:
+    """The two phases of the localized_curved seed-0 problem's cutoff-256
+    window, operator builds included, in dense windows (4.02 MiB each)."""
+
+    window = FrequencyWindow(256)
+    nbytes = 16 * window.dim ** 2
+
+    def peak(self, fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / self.nbytes
+        finally:
+            tracemalloc.stop()
+
+    def test_index_phase(self):
+        # the weighted shift built in strips and the realized window for the
+        # dense SVD: 4.61, with the shift's first-call allocations outside
+        index_engine._window_index(workload_problem("localized_curved", 0), 32,
+                                   DEFAULT_ZERO_TOL, 0.5)
+        p = workload_problem("localized_curved", 0)
+        assert self.peak(lambda: index_engine._window_index(
+            p, self.window.cutoff, DEFAULT_ZERO_TOL, 0.5)) <= 4.8
+
+    def test_graded_traces(self):
+        # with Phi_r and the principal inverse built first, as the index phase
+        # and the first inverse leave them: 11.51 with S1 and S2 alive
+        # together and every identity conjugation copied, 7.64 with one
+        # remainder alive and the held parts read in place
+        p = workload_problem("localized_curved", 0)
+        p.principal_inverse(grid_for_window(self.window))
+        p.realization(self.window.cutoff).phi(1)
+        cutoff = self.window.cutoff
+        assert self.peak(lambda: index_engine._graded_traces(
+            p.operator(cutoff), p.inverse_operator(cutoff), PARAMETRIX_ORDER, 0.5)) <= 8.0
 
 
 class TestLocalized:
@@ -931,6 +998,25 @@ class TestLocalized:
         rep = decomposition_check(p, WINDOWS)
         for v in rep.per_class.values():
             assert abs(v.imag) < 1e-6
+
+    def test_largest_window_first(self, monkeypatch):
+        # every sweep builds its windows in descending cutoff order, so each
+        # smaller window's arrays fit in memory the larger one has freed;
+        # reports keep the ascending order
+        built = []
+        operator = GOperatorProblem.operator
+        monkeypatch.setattr(GOperatorProblem, "operator", lambda self, cutoff:
+                            built.append(cutoff) or operator(self, cutoff))
+        descending = sorted(WINDOWS, reverse=True)
+        rep = numerical_index(z2_sample(), WINDOWS)
+        assert built == descending
+        assert [row.cutoff for row in rep.stabilization] == list(WINDOWS)
+        for sweep in (decomposition_check, lambda p, windows: localized_index(p, (0,), windows)):
+            built.clear()
+            p = z2_sample()
+            sweep(p, WINDOWS)
+            assert built == descending
+            assert [c for c, _ in localized_index(p, (0,), WINDOWS).per_window] == list(WINDOWS)
 
 
 def index_one_shift_problem() -> GOperatorProblem:

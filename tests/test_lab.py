@@ -396,7 +396,7 @@ class TestRun:
         cfg = {**Z2_PIPELINE,
                "numerics": {"windows": [32, 48], "zero_tol": 1e-7, "inner_fraction": 0.4}}
         run(parse_config(cfg))
-        assert calls == [(32, 1e-7, 0.4), (48, 1e-7, 0.4)]
+        assert calls == [(48, 1e-7, 0.4), (32, 1e-7, 0.4)]       # largest window first
 
     def test_one_residual_pair_per_algebraic_run(self, monkeypatch):
         star = semiclass.StarSeries.star

@@ -291,7 +291,9 @@ class TestLabeled:
             _ = self.rnd(0).multiply(B)
 
     def test_power_conjugates_each_part_once(self, monkeypatch):
-        # dense curved conjugations are the costly ones; values stay bit-identical
+        # dense curved conjugations are the costly ones, and a conjugation by
+        # Phi_e is the part itself: only element 1 conjugates, each of its
+        # parts once; values stay bit-identical
         R = RealizationFamily(build_group("cyclic", m=2), "curved_rotation", eps=0.3).at(W)
         rng = np.random.default_rng(6)
         X = LabeledOperator(R, {g: rng.normal(size=(W.dim, W.dim)) for g in (0, 1)})
@@ -301,10 +303,24 @@ class TestLabeled:
         monkeypatch.setattr(Realization, "conjugate",
                             lambda self, g, mat: calls.append(g) or original(self, g, mat))
         got = X.power(3)
-        assert sorted(calls) == [0, 0, 1, 1]
+        assert calls == [1, 1]
         assert got.support == expect.support
         for g in expect.support:
             assert np.array_equal(got.parts[g], expect.parts[g])
+
+    @pytest.mark.parametrize("real, eps", [("reflection", 0.0), ("curved_rotation", 0.3)])
+    def test_identity_conjugation_is_the_held_part(self, real, eps):
+        # Phi_e is the unit: conjugating by it copies nothing, on a mode map
+        # or under a weighted shift, dense part or certified band, and the
+        # part equals its explicit conjugation
+        R = RealizationFamily(build_group("cyclic", m=2), real, eps=eps).at(W)
+        X = LabeledOperator(R, self.rnd(0).parts)
+        for h in X.support:
+            assert X.conjugated_part(0, h) is X.parts[h]
+            assert np.array_equal(R.conjugate(0, X.parts[h]), X.parts[h])
+        A = z2_sample().operator(W.cutoff)
+        for h in A.support:
+            assert A.conjugated_part(0, h) is A.bands[h].band
 
     def test_realize_without_parts_is_zero(self):
         mat = LabeledOperator(self.R, {}).realize()
