@@ -43,6 +43,11 @@ class PeriodicGrid:
         return 2.0 * np.pi * np.arange(self.size) / self.size
 
     @property
+    def max_mode(self) -> int:
+        """The largest |mode| the grid resolves, M // 2 - 1; past it transfers alias."""
+        return self.size // 2 - 1
+
+    @property
     def modes(self) -> np.ndarray:
         """Coefficient indices -floor(M/2) .. ceil(M/2)-1 in ascending order."""
         half = self.size // 2
@@ -112,7 +117,7 @@ class PeriodicFunction:
         x = grid.nodes
         vals = np.zeros(grid.size, dtype=complex)
         for k, c in coeffs.items():
-            if abs(k) > grid.size // 2 - 1:
+            if abs(k) > grid.max_mode:
                 raise ValueError(f"mode {k} not resolved on grid of size {grid.size}")
             vals += c * np.exp(1j * k * x)
         return cls(grid, vals)

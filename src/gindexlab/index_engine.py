@@ -77,9 +77,9 @@ A sweep takes at least two strictly increasing windows (drifts compare the
 last two).  Each problem caches a window's index data (``_window_index``) and
 remainder traces (``_window_traces``) per numerics, so every check on one
 problem computes each window once; ``decomposition_check`` takes both from
-one operator build per window.  Sweeps compute their windows largest first,
-so each smaller window's arrays fit in memory the larger one has freed;
-reports list the windows in ascending order.
+one operator build per window.  ``_sweep`` computes the windows largest
+first, so each smaller window's arrays fit in memory the larger one has
+freed, and lists them in ascending order, as reports do.
 """
 
 from __future__ import annotations
@@ -108,10 +108,13 @@ PARAMETRIX_ORDER = 4       # Neumann order N of the parametrix
 HEAD_STRIP = 64            # rows of a block-path Neumann head per dense product
 
 
-def _require_windows(windows):
+def _sweep(windows, per_window) -> list:
+    """``per_window(cutoff)`` for at least two strictly increasing windows,
+    computed largest first and listed in ascending order."""
     if len(windows) < 2 or any(a >= b for a, b in zip(windows, windows[1:])):
         raise ValueError(f"a window sweep needs at least two strictly increasing "
                          f"cutoffs, got {tuple(windows)}")
+    return [per_window(cutoff) for cutoff in reversed(windows)][::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +386,7 @@ def numerical_index(problem: GOperatorProblem, windows,
     Raises NoSpectralGap when no window has a gap and NonStabilized when the
     windows disagree, so a returned report is always stabilized.
     """
-    _require_windows(windows)
-    rows = [_window_index(problem, cutoff, zero_tol, inner_fraction)
-            for cutoff in reversed(windows)][::-1]
+    rows = _sweep(windows, lambda cutoff: _window_index(problem, cutoff, zero_tol, inner_fraction))
     if all(r.sv_gap < GAP_REQUIREMENT for r in rows):
         raise NoSpectralGap(
             f"sv_gap below {GAP_REQUIREMENT:g} at every window: "
@@ -679,11 +680,10 @@ def _block_traces(A: LabeledOperator, E0: LabeledOperator, N: int,
                   inner_fraction: float) -> _WindowTraces:
     """Remainder traces of one window from its A and E0, block path.
 
-    In the interleaved order the inner window is a prefix of every block.  A
-    and E0 are taken over: each one's held parts are cleared once its blocks
-    exist, and each block E0(pi) becomes its heads (``_irrep_remainders``).
-    The irreps are taken smallest first, so the largest block's dense arrays
-    are formed once every other irrep's E0(pi) is gone.  The traces are
+    In the interleaved order the inner window is a prefix of every block,
+    and each block E0(pi) becomes its heads (``_irrep_remainders``).  The
+    irreps are taken smallest first, so the largest block's dense arrays are
+    formed once every other irrep's E0(pi) is gone.  The traces are
     reported on the graded path's supports: S1's support is E0's times A's,
     S2's is A's times E0's, each with the identity added, multiplied out
     N-fold.  No norm is taken, since a finite group prunes no part.
@@ -695,9 +695,7 @@ def _block_traces(A: LabeledOperator, E0: LabeledOperator, N: int,
     keys = [_products(grp, E0.support, A.support) | {grp.identity},
             _products(grp, A.support, E0.support) | {grp.identity}]
     A_hat = _irrep_blocks(A, irreps, order, True)
-    A.bands.clear()
     E_hat = _irrep_blocks(E0, irreps, order, False)
-    E0.bands.clear()
     inner = int(np.count_nonzero(window.inner_mask(inner_fraction)))
     per_irrep = []
     while E_hat:                    # irreps() lists the largest blocks last: pop them last
@@ -716,23 +714,16 @@ def _block_traces(A: LabeledOperator, E0: LabeledOperator, N: int,
 def _graded_traces(A: LabeledOperator, E0: LabeledOperator, N: int,
                    inner_fraction: float) -> _WindowTraces:
     """Remainder traces of one window from its A and E0, graded path; the block
-    path's oracle.  One remainder is alive at a time: S1 = 1 - E0 A is formed,
-    its powers traced and its parts released before S2 = 1 - A E0 is formed.
-    A and E0 are taken over: their parts, transfer bands until then, go once
-    S2 exists."""
+    path's oracle.  S1 = 1 - E0 A is traced and let go before S2 = 1 - A E0 exists."""
     left = _power_traces(_one_minus(E0, A).prune(), N, inner_fraction)
-    S2 = _one_minus(A, E0).prune()
-    for X in (E0, A):
-        (X.bands or X.parts).clear()
-    return _WindowTraces(left, _power_traces(S2, N, inner_fraction))
+    return _WindowTraces(left, _power_traces(_one_minus(A, E0).prune(), N, inner_fraction))
 
 
 def _window_traces(problem: GOperatorProblem, cutoff: int, N: int, inner_fraction: float,
                    zero_tol: float | None = None) -> _WindowTraces:
     """Remainder traces of one window; only these scalars are cached.  With
     ``zero_tol`` the window's index data (``_window_index``) is counted from
-    the same operator build, before the trace path takes A over, with E0
-    built in the call so that no caller keeps a reference to it.
+    the same operator build.  A and E0 are built here and go with the call.
 
     Finite groups under an isometric family take the block path: there Phi
     is a representation, so the map onto the irrep blocks is an algebra
@@ -757,9 +748,7 @@ def localized_index(problem: GOperatorProblem, cls: tuple[Element, ...],
                     drift_tol: float = DRIFT_TOL) -> LocalizedValue:
     """ind_<g> = Tr_g(1 - EA) - Tr_g(1 - AE), stabilized over the windows;
     ``drift_tol=math.inf`` reports the drift without checking it."""
-    _require_windows(windows)
-    traces = [_window_traces(problem, cutoff, N, inner_fraction)
-              for cutoff in reversed(windows)][::-1]
+    traces = _sweep(windows, lambda cutoff: _window_traces(problem, cutoff, N, inner_fraction))
     series = [(cutoff, t.value(cls)) for cutoff, t in zip(windows, traces)]
     drift = abs(series[-1][1] - series[-2][1])
     if drift > drift_tol:
@@ -787,16 +776,13 @@ def decomposition_check(problem: GOperatorProblem, windows, N: int = PARAMETRIX_
                         index_windows=None) -> LocalizedIndexReport:
     """Compare the sum of localized indices against the SVD Fredholm index.
 
-    The classes are those the first window's remainder traces touch.  The
-    windows are built largest first; one that is also an index window gets
-    its index data and its traces from one operator build.
+    The classes are those the first window's remainder traces touch.  A
+    window that is also an index window gets its index data and its traces
+    from one operator build.
     """
-    _require_windows(windows)
     index_windows = index_windows or windows
-    for cutoff in reversed(windows):
-        _window_traces(problem, cutoff, N, inner_fraction,
-                       zero_tol if cutoff in index_windows else None)
-    traces = _window_traces(problem, windows[0], N, inner_fraction)
+    traces = _sweep(windows, lambda cutoff: _window_traces(
+        problem, cutoff, N, inner_fraction, zero_tol if cutoff in index_windows else None))[0]
     classes = problem.group.conjugacy_classes(support=set(traces.left) | set(traces.right))
     values = [localized_index(problem, cls, windows, N, inner_fraction, drift_tol)
               for cls in classes]

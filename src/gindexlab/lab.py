@@ -213,12 +213,12 @@ def _parse_coeff_table(obj, where: str, max_mode: float) -> dict[int, complex]:
 
 def _max_mode(experiment: str, num: dict) -> float:
     """The largest |mode| resolved on every grid the experiment samples symbols on."""
-    sizes = []
+    grids = []
     if experiment in ("ellipticity", "algebraic", "full_pipeline"):
-        sizes.append(num["symbol_grid"])
+        grids.append(PeriodicGrid(num["symbol_grid"]))
     if experiment in ("index", "localized", "algebraic", "full_pipeline"):
-        sizes.append(grid_for_window(FrequencyWindow(num["windows"][0])).size)
-    return min(sizes) // 2 - 1 if sizes else math.inf
+        grids.append(grid_for_window(FrequencyWindow(num["windows"][0])))
+    return min(grid.max_mode for grid in grids) if grids else math.inf
 
 
 def _parse_expect(expect: dict, group) -> dict:

@@ -32,7 +32,7 @@ from .circle import FrequencyWindow
 from .errors import GroupMismatch, WindowMismatch, WindowTooSmallForH
 from .groups import Element
 from .symbols import CrossedSymbol, PrincipalSymbol
-from .transforms import Realization, WeightedShift
+from .transforms import ModeMap, Realization, WeightedShift
 
 K_MIN = 4            # default zero-section cut |k| < k_min
 PRUNE_TOL = 1e-13    # integer_shift parts below this fraction of the largest norm are dropped
@@ -73,7 +73,7 @@ class TransferBand:
         for row, sheet in ((0, sym.minus), (2, sym.plus)):
             self.vectors[row] = np.fft.fft(sheet.values)[transfers % M] / M
         # alias guard on the true mode transfer: past +-M/2 the gather would wrap
-        self.vectors[:, np.abs(transfers) > M // 2 - 1] = 0.0
+        self.vectors[:, np.abs(transfers) > sym.grid.max_mode] = 0.0
         self.vectors[1, 2 * n] = float(unit_fill)
         self.cut = (max(n - k_min + 1, 0), min(n + k_min, window.dim))
         self.shape = (window.dim, window.dim)
@@ -203,7 +203,7 @@ def op_h_term(term, h: float, window: FrequencyWindow) -> np.ndarray:
     coeffs = np.fft.fft(term.sample(h * window.modes), axis=0)     # (M, dim)
     coeffs /= M
     transfers = np.arange(-2 * n, 2 * n + 1)
-    row, alias = transfers % M, np.abs(transfers) > M // 2 - 1
+    row, alias = transfers % M, np.abs(transfers) > term.grid.max_mode
     # entry (j, k) reads transfer j - k: entry j - k + 2 N_F of these vectors,
     # a skewed (dim, dim) view of each
     out = coeffs[_skewed(row, dim), np.arange(dim)]
@@ -251,7 +251,7 @@ class LabeledOperator:
 
     @property
     def bands(self) -> dict[Element, TransferBand] | None:
-        """The held parts while all are transfer bands (clearing releases them), else None."""
+        """The held parts while all are transfer bands, else None."""
         held = self._parts
         return held if all(isinstance(m, TransferBand) for m in held.values()) else None
 
@@ -318,18 +318,19 @@ class LabeledOperator:
         """Phi_g K_h Phi_{g^{-1}}, memoized per (g, h) in ``memo`` when one is
         given; a memo serves one right factor only.  Phi_e is the unit, so at
         the identity the result is the held part itself, its certified band
-        where it has one, never a copy.  Under a weighted shift a certified
-        band gives the first factor K_h Phi_{g^{-1}}."""
+        where it has one, never a copy.  A weighted shift forms Phi_g (K_h
+        Phi_{g^{-1}}), the first factor from K_h's certified band if any."""
         memo = {} if memo is None else memo
         if (g, h) not in memo:
             real, e = self.realization, self.group.identity
-            K = self._held(h, banded=g == e or isinstance(real.phi(g), WeightedShift))
+            phi = real.phi(g)
+            K = self._held(h, banded=g == e or isinstance(phi, WeightedShift))
             if g == e:
                 memo[g, h] = K
-            elif not isinstance(K, _Banded):
-                memo[g, h] = real.conjugate(g, K)
+            elif isinstance(phi, ModeMap):
+                memo[g, h] = phi.conjugate(K)
             else:
-                memo[g, h] = real.phi(g).left_mul(K.left(real.phi(self.group.inv(g)).matrix()))
+                memo[g, h] = phi.left_mul(_times(K, real.phi(self.group.inv(g)).matrix()))
         return memo[g, h]
 
     def multiply(self, other: "LabeledOperator",
@@ -353,8 +354,7 @@ class LabeledOperator:
                 L = other.conjugated_part(g, h, conjugates)
                 if isinstance(K, _Banded) and isinstance(L, _Banded):
                     L = other._held(h, banded=False)
-                contrib = (K.left(L) if isinstance(K, _Banded) else
-                           L.right(K) if isinstance(L, _Banded) else K @ L)
+                contrib = _times(K, L)
                 if m in out:
                     out[m] += contrib
                 else:
@@ -392,7 +392,14 @@ class LabeledOperator:
             term *= phi.phases
             return term
         K = self._held(g)
-        return K.left(phi.matrix()) if isinstance(K, _Banded) else phi.right_mul(K)
+        return _times(K, phi.matrix()) if isinstance(K, _Banded) else phi.right_mul(K)
+
+
+def _times(K: np.ndarray | _Banded, L: np.ndarray | _Banded) -> np.ndarray:
+    """K L for two held factors, at most one of them a ``_Banded``."""
+    if isinstance(K, _Banded):
+        return K.left(L)
+    return L.right(K) if isinstance(L, _Banded) else K @ L
 
 
 def quantize_crossed(realization: Realization, sym: CrossedSymbol, k_min: int,

@@ -391,7 +391,7 @@ class SampledTerm:
         M = self.grid.size
         out = lattice_interp(self.lattice, F, np.asarray(xi, dtype=float), self.extend,
                              rows=np.mod(ms, M), lo=self.lo) / M
-        return out * (np.abs(ms) <= M // 2 - 1)
+        return out * (np.abs(ms) <= self.grid.max_mode)
 
 
 def smooth_step(t: np.ndarray) -> np.ndarray:
@@ -935,7 +935,7 @@ def algebraic_index(a: StarSeries, N: int, h_grid: np.ndarray, r: StarSeries | N
 
 
 # ---------------------------------------------------------------------------
-# dense oracles: realized series and the Egorov defect
+# dense oracle: the Egorov defect
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)

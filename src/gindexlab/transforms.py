@@ -398,14 +398,6 @@ class Realization:
         self._cache[g] = phi
         return phi
 
-    def conjugate(self, g: Element, mat: np.ndarray) -> np.ndarray:
-        """Phi_g @ mat @ Phi_{g^{-1}}; Phi_{g^{-1}} = Phi_g^{-1} exactly for the
-        isometric families."""
-        phi_g = self.phi(g)
-        if isinstance(phi_g, ModeMap):
-            return phi_g.conjugate(mat)
-        return phi_g.left_mul(self.phi(self.group.inv(g)).right_mul(mat))
-
     def _build(self, g: Element) -> ModeMap | WeightedShift:
         fam, w = self.family, self.window
         if fam.is_isometric or g == self.group.identity:

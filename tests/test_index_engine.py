@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gindexlab import index_engine
 from gindexlab.circle import FrequencyWindow, PeriodicFunction, PeriodicGrid, grid_for_window
-from gindexlab.errors import NoHomomorphism
+from gindexlab.errors import NoHomomorphism, NonStabilized
 from gindexlab.groups import build_group
 from gindexlab.lab import parse_config
 from gindexlab.index_engine import (DEFAULT_ZERO_TOL, GAP_REQUIREMENT, PARAMETRIX_ORDER,
@@ -759,9 +759,8 @@ class TestBlockPath:
 
     def test_one_operator_per_window(self, monkeypatch):
         # decomposition_check counts each window's index and reads its traces
-        # from one build of A and one of E0, largest window first, and the
-        # trace path releases the parts of both: on the graded path E0's
-        # parts are dense windows
+        # from one build of A and one of E0, largest window first; the trace
+        # paths read both and leave their held parts transfer bands
         built = {"operator": [], "inverse_operator": []}
         for name, calls in built.items():
             build = getattr(GOperatorProblem, name)
@@ -774,7 +773,7 @@ class TestBlockPath:
             decomposition_check(p, (32, 48))
             for calls in built.values():
                 assert [cutoff for cutoff, _ in calls] == [48, 32]
-                assert all(not X.parts for _, X in calls)
+                assert all(X.bands for _, X in calls)
 
 
 def workload_problem(name, seed):
@@ -986,6 +985,11 @@ class TestLocalized:
         rep = decomposition_check(curved_z2_problem(eps=0.0), (32, 48))
         assert set(rep.per_class) == {"<e>", "<r>"}
         assert abs(rep.per_class["<r>"]) < 1e-12
+
+    def test_drift_above_tolerance_raises(self):
+        # z2_sample's <e> value moves by 4.3e-27 from window 32 to 48
+        with pytest.raises(NonStabilized, match="drift 4.28e-27"):
+            localized_index(z2_sample(), (0,), (32, 48), drift_tol=1e-30)
 
     def test_parametrix_order_independence(self):
         p = z2_sample()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -43,6 +44,14 @@ Z2_PIPELINE = {
 }
 
 Z2_LOCALIZED = {**Z2_PIPELINE, "experiment": "localized"}
+# integer_shift with Fredholm index 1 whose chi classes read about 1e-33, not 0.0
+SHIFT_LOCALIZED = {
+    "group": {"kind": "integer_shift", "theta": 1.0},
+    "symbols": {"0": {"plus": {"0": 1.0}, "minus": {"1": 1.0}},
+                "1": {"plus": {"0": 0.15, "1": 0.075, "-2": 0.045},
+                      "minus": {"0": 0.15, "1": 0.075, "-2": 0.045}}},
+    "experiment": "localized",
+}
 # well-formed fields that parse_config refuses on an experiment that never reads them
 REFUSED_ON = {f"numerics.{key}": "trace_asymptotics"
               for key in ("lattice_points", "lattice_radius", "eps", "h_grid")}
@@ -456,6 +465,39 @@ class TestRun:
         payload = record.payloads["algebraic"]
         assert record.verdicts == {"algebraic": "PASS"}
         assert payload["rounded_total"] == payload["fredholm_index"]
+
+    @pytest.mark.parametrize("tolerances, grade", [({"chi_vanishing": 1e-300}, "FAIL"), ({}, "PASS")],
+                             ids=["below_the_values", "default"])
+    def test_localized_step_grades_chi_vanishing(self, tolerances, grade):
+        # the decomposition holds, so the chi classes alone decide the grade
+        record = run(parse_config({**SHIFT_LOCALIZED, "numerics": {
+            "windows": [32, 48], "tolerances": tolerances}}))
+        payload = record.payloads["localized"]
+        assert payload["residual"] < 1e-12 and payload["rounded_total"] == payload["fredholm_index"]
+        assert {entry["ok"] for entry in payload["chi_vanishing"].values()} == {grade == "PASS"}
+        assert record.verdicts == {"localized": grade}
+
+    @pytest.mark.parametrize("shift, grade", [(0, "PASS"), (1, "FAIL")], ids=["as_fitted", "moved"])
+    def test_algebraic_step_grades_the_rounded_total(self, monkeypatch, shift, grade):
+        # with c0_match 2 every class matches its analytic value, so only
+        # round(sum c0) = the Fredholm index decides: one constant term
+        # moved by 1 fails the step
+        algebraic = lab.algebraic_index
+
+        def moved(*args, **kwargs):
+            results = algebraic(*args, **kwargs)
+            cls = next(iter(results))
+            results[cls] = dataclasses.replace(
+                results[cls], constant_term=results[cls].constant_term + shift)
+            return results
+
+        monkeypatch.setattr(lab, "algebraic_index", moved)
+        record = run(parse_config({**Z2_PIPELINE, "experiment": "algebraic", "numerics": {
+            **SMALL_ALGEBRAIC, "tolerances": {"c0_match": 2.0}}}))
+        payload = record.payloads["algebraic"]
+        assert all(entry["c0_matches_analytic"] for entry in payload["per_class"].values())
+        assert payload["rounded_total"] == payload["fredholm_index"] + shift
+        assert record.verdicts == {"algebraic": grade}
 
     @pytest.mark.parametrize("group, realization, element, expected", [
         ({"kind": "cyclic", "m": 2}, "reflection", "e", -1.0),

@@ -718,6 +718,15 @@ class TestTau:
         scale = max(tau_g(a.star(b, 3), (0,), H_DIAG).scale(), 1.0)
         assert abs(fit.coeff(0)) < 1e-3 * scale
 
+    def test_unsaturated_trace_rejected(self):
+        # a ring at 0.93 of the lattice radius puts its whole mode sum in the
+        # outer 10% band, which must hold below 1e-4 (1 + |trace|)
+        grid, lat = PeriodicGrid(64), XiLattice(3.0, 601)
+        ring = SampledTerm.from_callable(grid, lat, lambda x, xi: np.exp(
+            -((np.abs(xi) - 0.93 * lat.radius) / (0.01 * lat.radius)) ** 2))
+        with pytest.raises(TraceDivergence, match=r"h=0.05 .* mass 2.16e\+00"):
+            tau_g(StarSeries(TRIV, grid, lat, 0.25, {((), 0): ring}), ((),), H_ALG)
+
     def test_unit_rejected(self):
         one = StarSeries.unit_series(TRIV, GRID, LAT, 0.25)
         with pytest.raises(TraceDivergence):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gindexlab.circle import PeriodicGrid
-from gindexlab.errors import GroupMismatch, NotElliptic
+from gindexlab.errors import GroupMismatch, NeumannDivergence, NotElliptic
 from gindexlab.groups import build_group
 from gindexlab.symbols import (CrossedSymbol, PrincipalSymbol, invert_principal,
                                is_elliptic, _regular_rep_tensor)
@@ -189,6 +189,13 @@ class TestEllipticity:
                               1: PrincipalSymbol.constant(GRID, 1.4)})
         assert is_elliptic(b).verdict == "undecided"
 
+    def test_shift_not_elliptic(self):
+        # the identity coefficient 1 + e^{ix} vanishes at x = pi, and there is
+        # no other coefficient
+        z = fam("integer_shift", "rotation")
+        sym = PrincipalSymbol.from_coeffs(GRID, {0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0})
+        assert is_elliptic(CrossedSymbol(z, {0: sym})).verdict == "not_elliptic"
+
     def test_invariance_under_pointwise_unitary(self):
         d3 = fam("dihedral", "dihedral", m=3)
         a = random_symbol(d3, 21, scale=0.2)
@@ -229,6 +236,16 @@ class TestInversion:
         unit = CrossedSymbol.unit(z, GRID)
         assert (a.star(r) - unit).norm_inf() < 1e-8
         assert (r.star(a) - unit).norm_inf() < 1e-8
+
+    def test_neumann_tail_diverges(self):
+        # elliptic by dominance, but the tail 0.97^j of the Neumann series is
+        # still above its bound after its last term
+        z = fam("integer_shift", "rotation")
+        a = CrossedSymbol(z, {0: PrincipalSymbol.constant(GRID, 1.0),
+                              1: PrincipalSymbol.constant(GRID, 0.97)})
+        assert is_elliptic(a).verdict == "elliptic"
+        with pytest.raises(NeumannDivergence, match="tail"):
+            invert_principal(a)
 
     def test_first_pass_reuses_the_verdict_tensor(self, monkeypatch):
         from gindexlab import symbols

@@ -14,8 +14,11 @@ keeps the star calculus's rounding threshold in ``semiclass._data_columns``,
 ``test_one_layout_reader`` keeps the storage of sampled terms inside
 ``semiclass``, ``test_one_sum_rule`` keeps their sums in
 ``SampledTerm._accumulate``, ``test_one_power_caller`` keeps
-``LabeledOperator.power`` out of the trace paths, and ``test_no_scipy`` keeps
-the package on numpy alone."""
+``LabeledOperator.power`` out of the trace paths, ``test_one_resolved_mode_rule``
+keeps the largest resolved mode in ``PeriodicGrid.max_mode``,
+``test_operators_are_read_and_one_sweep`` keeps the index engine from
+clearing an operator and keeps its window order in ``index_engine._sweep``, and
+``test_no_scipy`` keeps the package on numpy alone."""
 
 import ast
 import importlib
@@ -258,6 +261,36 @@ def test_one_power_caller():
                for scope, name in _calls(ast.parse(path.read_text()), path.stem)
                if name == "power"}
     assert callers == {"index_engine.parametrix"}
+
+
+def test_one_resolved_mode_rule():
+    """Only ``PeriodicGrid.max_mode`` writes the largest resolved mode M // 2 - 1;
+    the symbol grid's mode check, both quantizers' alias guards, the star
+    calculus's coefficient rows and the config's mode bound read it there."""
+    nodes = [(scope, node) for path in sorted(PACKAGE.glob("*.py"))
+             for scope, node in _scoped(ast.parse(path.read_text()), path.stem)]
+    writers = {scope for scope, node in nodes
+               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+               and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.FloorDiv)
+               and ast.unparse(node.left.right) == "2" and ast.unparse(node.right) == "1"}
+    assert writers == {"circle.PeriodicGrid.max_mode"}
+    readers = {scope for scope, node in nodes
+               if isinstance(node, ast.Attribute) and node.attr == "max_mode"}
+    assert readers == {"circle.PeriodicFunction.from_coeff_dict", "quantize.TransferBand.__init__",
+                       "quantize.op_h_term", "semiclass.SampledTerm.coeff_rows", "lab._max_mode"}
+
+
+def test_operators_are_read_and_one_sweep():
+    """No ``index_engine`` function calls ``clear``: the trace paths read A
+    and E0 and leave their held parts to the caller.  Only
+    ``index_engine._sweep`` iterates ``reversed(windows)``, so one code
+    orders a window sweep."""
+    module = ast.parse((PACKAGE / "index_engine.py").read_text())
+    assert "clear" not in {name for _, name in _calls(module, "index_engine")}
+    sweepers = {scope for scope, node in _scoped(module, "index_engine")
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "reversed"
+                and [ast.unparse(arg) for arg in node.args] == ["windows"]}
+    assert sweepers == {"index_engine._sweep"}
 
 
 def test_no_scipy():
